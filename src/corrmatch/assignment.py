@@ -9,7 +9,10 @@ lexicographically smallest pair set.
 
 The solver runs successive shortest augmenting paths over a sparse edge
 list, with a private "skip" slot per row priced at ``kappa`` so a complete
-row assignment always exists.
+row assignment always exists.  ``score_gate`` scores many pairs that share
+one assignable mask at once: it splits the mask into connected components,
+settles every component whose greedy row picks do not collide, and solves
+only the rest exactly.
 """
 from __future__ import annotations
 
@@ -67,6 +70,116 @@ def solve_assignment(values: np.ndarray, assignable: np.ndarray | None = None,
     for i, j in enumerate(match):
         score += kappa if j < 0 else float(values[i, j])
     return Assignment(pairs=pairs, score=score)
+
+
+@dataclass(frozen=True)
+class GateScores:
+    """Best assignment totals of many pairs scored over one shared gate."""
+
+    totals: np.ndarray  # (n_pairs,) optimal score per pair
+    components: int     # connected components of the gate that hold a cell
+    solves: int         # (component, pair) cases the greedy picks left open
+
+
+def score_gate(gate: np.ndarray, values: np.ndarray,
+               kappa: float = DEFAULT_KAPPA) -> GateScores:
+    """Optimal assignment score of every pair that shares one assignable mask.
+
+    ``gate`` is the (n_rows, n_cols) mask common to all pairs; ``values`` is
+    (n_cells, n_pairs) with one row per gated cell in ``np.nonzero(gate)``
+    order.  Each total equals ``solve_assignment(...).score`` of that pair,
+    bit for bit: a row's contribution is the value of its cell in an optimal
+    matching (``kappa`` when skipped), and contributions are summed in
+    ascending row order.  Only the score is computed; no tie-break is made.
+    """
+    gate = np.asarray(gate, dtype=bool)
+    values = np.asarray(values, dtype=np.float64)
+    if gate.ndim != 2:
+        raise ValueError(f"expected a 2-d gate, got shape {gate.shape}")
+    rows, cols = np.nonzero(gate)
+    if values.ndim != 2 or values.shape[0] != len(rows):
+        raise ValueError(f"expected ({len(rows)}, n_pairs) values, got {values.shape}")
+    if not np.all(np.isfinite(values)):
+        raise ValueError("assignable values must be finite")
+
+    n_rows, n_pairs = gate.shape[0], values.shape[1]
+    bounds = np.concatenate(([0], np.cumsum(gate.sum(axis=1))))
+    every_pair = np.arange(n_pairs)
+    # Greedy picks: each row's best cell when it beats kappa, else a skip.
+    # They bound every row from above, so collision-free picks are optimal.
+    chosen = np.full((n_rows, n_pairs), kappa)
+    picked = np.full((n_rows, n_pairs), -1, dtype=np.int64)
+    for i in range(n_rows):
+        lo, hi = bounds[i], bounds[i + 1]
+        if lo == hi:
+            continue
+        cell = lo + values[lo:hi].argmax(axis=0)
+        best = values[cell, every_pair]
+        take = best > kappa
+        chosen[i] = np.where(take, best, kappa)
+        picked[i] = np.where(take, cols[cell], -1)
+
+    components = _gate_components(rows, cols, n_rows)
+    solves = 0
+    for comp in components:
+        if len(comp) < 2:
+            continue
+        skips = -1 - np.arange(len(comp))[:, None]  # distinct per row, never collide
+        picks = np.sort(np.where(picked[comp] < 0, skips, picked[comp]), axis=0)
+        clash = np.flatnonzero((picks[1:] == picks[:-1]).any(axis=0))
+        if clash.size:
+            solves += clash.size
+            _solve_component(comp, bounds, cols, values, clash, kappa, chosen)
+
+    totals = np.zeros(n_pairs)
+    for contribution in chosen:  # ascending rows, as solve_assignment sums
+        totals += contribution
+    return GateScores(totals=totals, components=len(components), solves=solves)
+
+
+def _gate_components(rows: np.ndarray, cols: np.ndarray, n_rows: int) -> list[list[int]]:
+    """Rows of each connected component of the gate's bipartite graph.
+
+    Only components holding a cell are listed; rows come out ascending and
+    components ordered by their first row.
+    """
+    parent = list(range(n_rows))
+
+    def find(r):
+        while parent[r] != r:
+            parent[r] = parent[parent[r]]
+            r = parent[r]
+        return r
+
+    first_row: dict[int, int] = {}
+    for r, c in zip(rows.tolist(), cols.tolist()):
+        other = first_row.setdefault(c, r)
+        a, b = find(r), find(other)
+        if a != b:
+            parent[max(a, b)] = min(a, b)
+    groups: dict[int, list[int]] = {}
+    for r in dict.fromkeys(rows.tolist()):
+        groups.setdefault(find(r), []).append(r)
+    return list(groups.values())
+
+
+def _solve_component(comp, bounds, cols, values, pairs, kappa, chosen) -> None:
+    """Exact score-only solve of one gate component for the listed pairs.
+
+    Writes each row's contribution into ``chosen``.  Cells at or below
+    ``kappa`` are dropped: skipping the row scores at least as well.
+    """
+    spans = [(int(bounds[r]), int(bounds[r + 1])) for r in comp]
+    cells = np.concatenate([np.arange(lo, hi) for lo, hi in spans])
+    local = {c: k for k, c in enumerate(sorted(set(cols[cells].tolist())))}
+    local_cols = [local[c] for c in cols[cells].tolist()]
+    offsets = np.cumsum([0] + [hi - lo for lo, hi in spans]).tolist()
+    for p, vals in zip(pairs.tolist(), values[cells][:, pairs].T.tolist()):
+        edges = [[(c, x) for c, x in zip(local_cols[a:b], vals[a:b]) if x > kappa]
+                 for a, b in zip(offsets[:-1], offsets[1:])]
+        match = _shortest_path_matching(edges, len(local), kappa)[0]
+        for r, row_edges, j in zip(comp, edges, match):
+            chosen[r, p] = kappa if j < 0 else dict(row_edges)[j]
 
 
 def solve_sparse(row_cols, row_vals, n_cols: int, kappa: float) -> list[int]:

@@ -40,6 +40,9 @@ class RunConfig:
     rank_points: tuple[int, ...] = (1, 5, 10, 15, 20, 30, 50)
     use_first_image: bool = True
 
+    def __post_init__(self) -> None:
+        self.learner_config()  # range checks on the learner keys fail here
+
     def probe_grid(self) -> GridSpec:
         return GridSpec(self.image_width, self.image_height, self.patch_width,
                         self.patch_height, self.probe_stride_x, self.probe_stride_y)

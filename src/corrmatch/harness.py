@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .assignment import score_gate
 from .config import RunConfig
 from .errors import ConfigurationError
 from .geometry import colocated_patch, patch_at
@@ -22,7 +23,7 @@ from .imaging import RgbImage, extract_descriptors, load_image, save_image, scal
 from .learning import (CmcCurve, LearnResult, cmc_curve, find_binary_structures,
                        learn_structure)
 from .matching import (BinaryMappingStructure, binary_structure_score_matrix,
-                       correlation_matrix, greedy_score, score_correlation)
+                       gated_correlations, greedy_scores)
 from .metric import MetricModel, build_training_pairs, train_metric
 from .structure import CorrespondenceStructure
 
@@ -411,18 +412,14 @@ def _test_ranks(bank: DescriptorBank, test_ids, artifacts: SplitArtifacts,
     else:
         raise ValueError(f"unknown ablation arm {arm!r}")
 
-    ranks = []
-    for p in range(n):
-        scores = []
-        for g in range(len(gallery_stack)):
-            corr = correlation_matrix(probe_stack[p], gallery_stack[g], structure,
-                                      metric, config.t_c)
-            if arm == "no-global":
-                scores.append(greedy_score(corr, config.kappa))
-            else:
-                scores.append(score_correlation(corr, config.kappa).score)
-        ranks.append(_rank_of_owner(scores, owners, p))
-    return ranks, len(gallery_stack)
+    gate, values = gated_correlations(probe_stack, gallery_stack, structure, metric,
+                                      config.t_c)
+    if arm == "no-global":
+        totals = greedy_scores(gate, values, config.kappa)
+    else:
+        totals = score_gate(gate, values, config.kappa).totals
+    scores = totals.reshape(n, len(gallery_stack))
+    return [_rank_of_owner(list(scores[p]), owners, p) for p in range(n)], len(gallery_stack)
 
 
 def run_ablations(manifest: DatasetManifest, splits: SplitPlan, arms, config: RunConfig):

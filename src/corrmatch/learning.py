@@ -10,18 +10,19 @@ iterations since the underlying binary structures never change.
 """
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .assignment import DEFAULT_KAPPA, solve_sparse
+from .assignment import DEFAULT_KAPPA, GateScores, score_gate
 from .errors import ConfigurationError
 from .geometry import GridSpec
 from .matching import (DEFAULT_ADJACENCY_RANGES, DEFAULT_T_C, BinaryMappingStructure,
                        adjacency_candidates, best_binary_structure,
                        binary_structure_score_matrix, rank_of_scores)
-from .metric import MetricModel, build_avg_similarity
+from .metric import MAX_EXPONENT, MetricModel, build_avg_similarity
 from .structure import CorrespondenceStructure, blend_update, init_structure
 
 DEFAULT_T_D = 32
@@ -76,6 +77,10 @@ class LearnerConfig:
             raise ConfigurationError("selection_count must be even and >= 2")
         if min(self.n_cmc, self.max_iterations, self.t_d) < 1 or self.tolerance < 0:
             raise ConfigurationError("n_cmc, max_iterations, t_d must be positive")
+        if not 0.0 <= self.t_c < 1.0:
+            raise ConfigurationError(f"t_c must lie in [0, 1), got {self.t_c!r}")
+        if not math.isfinite(self.kappa):
+            raise ConfigurationError(f"kappa must be finite, got {self.kappa!r}")
 
 
 @dataclass(frozen=True)
@@ -88,6 +93,8 @@ class IterationStats:
     sum_ranks: int
     max_row_sum_error: float
     min_entry: float
+    gate_components: int   # connected components of the ranking gate
+    component_solves: int  # (component, pair) cases solved exactly
 
 
 @dataclass
@@ -244,7 +251,7 @@ class _TrainingContext:
             sigma = self.model.sigma_at(i)
             d = self.probe_stack[:, i, None, :] - self.gallery_stack[None, :, j, :]
             dist = np.einsum("pgk,kl,pgl->pg", d, m, d)
-            self._sim_log[key] = -np.minimum(np.maximum(dist, 0.0) / sigma, 700.0)
+            self._sim_log[key] = -np.minimum(np.maximum(dist, 0.0) / sigma, MAX_EXPONENT)
         return self._sim_log[key]
 
     def joint_matrix(self, alpha: int) -> np.ndarray:
@@ -258,33 +265,22 @@ class _TrainingContext:
             self._joint[alpha] = imp[:, None] * cond
         return self._joint[alpha]
 
-    def rank_correct_matches(self, structure: CorrespondenceStructure) -> np.ndarray:
-        """1-based rank of each probe's correct match under the structure."""
+    def rank_correct_matches(self, structure: CorrespondenceStructure
+                             ) -> tuple[np.ndarray, GateScores]:
+        """1-based rank of each probe's correct match under the structure,
+        with the scores of all n_train^2 pairs (pair index p * n_train + g)."""
         mask = structure.probs > self.config.t_c
         log_p = np.log(structure.probs, out=np.full_like(structure.probs, -np.inf),
                        where=mask)
-        row_cols = [np.flatnonzero(mask[i]) for i in range(self.n_a)]
-        blocks = [np.stack([self._pair_log_similarity(i, int(j)) for j in cols])
-                  if len(cols) else np.empty((0, self.n_train, self.n_train))
-                  for i, cols in enumerate(row_cols)]
-        log_p_rows = [log_p[i, cols] for i, cols in enumerate(row_cols)]
-
-        ranks = np.empty(self.n_train, dtype=np.int64)
-        for p in range(self.n_train):
-            scores = []
-            for g in range(self.n_train):
-                row_vals = [blocks[i][:, p, g] + log_p_rows[i] for i in range(self.n_a)]
-                match = solve_sparse(row_cols, row_vals, self.n_b, self.config.kappa)
-                total = 0.0
-                for i, j in enumerate(match):
-                    if j < 0:
-                        total += self.config.kappa
-                    else:
-                        pos = int(np.searchsorted(row_cols[i], j))
-                        total += float(row_vals[i][pos])
-                scores.append(total)
-            ranks[p] = rank_of_scores(scores, p)
-        return ranks
+        rows, cols = np.nonzero(mask)
+        values = np.empty((len(rows), self.n_train * self.n_train))
+        for k, (i, j) in enumerate(zip(rows.tolist(), cols.tolist())):
+            values[k] = self._pair_log_similarity(i, j).ravel() + log_p[i, j]
+        scored = score_gate(mask, values, self.config.kappa)
+        scores = scored.totals.reshape(self.n_train, self.n_train)
+        ranks = np.array([rank_of_scores(list(scores[p]), p) for p in range(self.n_train)],
+                         dtype=np.int64)
+        return ranks, scored
 
 
 def learn_structure(probe_stack: np.ndarray, gallery_stack: np.ndarray,
@@ -319,7 +315,7 @@ def learn_structure(probe_stack: np.ndarray, gallery_stack: np.ndarray,
     converged = False
 
     for iteration in range(1, config.max_iterations + 1):
-        ranks = ctx.rank_correct_matches(structure)
+        ranks, scored = ctx.rank_correct_matches(structure)
         cutoff = float(np.quantile(ranks, config.top_fraction))
         top = np.flatnonzero(ranks <= cutoff)  # cutoff ties count as well-ranked
         bottom = np.flatnonzero(ranks > cutoff)
@@ -351,6 +347,8 @@ def learn_structure(probe_stack: np.ndarray, gallery_stack: np.ndarray,
             sum_ranks=int(ranks.sum()),
             max_row_sum_error=float(np.abs(new_structure.probs.sum(axis=1) - 1.0).max()),
             min_entry=float(new_structure.probs.min()),
+            gate_components=scored.components,
+            component_solves=scored.solves,
         ))
         structure = new_structure
         if delta < config.tolerance:

@@ -54,20 +54,49 @@ class CorrelationMatrix:
         return cols, vals
 
 
+def gated_correlations(probe_stack: np.ndarray, gallery_stack: np.ndarray,
+                       structure: CorrespondenceStructure, model: MetricModel,
+                       t_c: float = DEFAULT_T_C) -> tuple[np.ndarray, np.ndarray]:
+    """Gated correlations of every probe image against every gallery image.
+
+    ``probe_stack`` is (n_probe_images, N_A, dim) and ``gallery_stack``
+    (n_gallery_images, N_B, dim).  Returns the gate ``probs > t_c`` and an
+    (n_cells, n_probe_images * n_gallery_images) array of
+    log(similarity * probability), one row per gated cell in
+    ``np.nonzero(gate)`` order; pair p * n_gallery_images + g is probe p
+    against gallery g.
+    """
+    n_a, n_b = structure.probs.shape
+    if probe_stack.shape[1] != n_a or gallery_stack.shape[1] != n_b:
+        raise ValueError("descriptor counts do not match the structure grids")
+    gate = structure.probs > t_c
+    n_p, n_g, dim = probe_stack.shape[0], gallery_stack.shape[0], probe_stack.shape[2]
+    values = np.empty((int(gate.sum()), n_p * n_g))
+    lo = 0
+    for i in range(n_a):  # one probe location, hence one metric, per batch
+        cols = np.flatnonzero(gate[i])
+        if not len(cols):
+            continue
+        shape = (len(cols), n_p, n_g, dim)
+        f_a = np.broadcast_to(probe_stack[None, :, None, i, :], shape).reshape(-1, dim)
+        f_b = np.broadcast_to(gallery_stack[:, cols, :].transpose(1, 0, 2)[:, None],
+                              shape).reshape(-1, dim)
+        sims = batched_similarity(model, f_a, f_b, np.full(len(f_a), i))
+        values[lo:lo + len(cols)] = np.log(sims.reshape(len(cols), -1)
+                                           * structure.probs[i, cols][:, None])
+        lo += len(cols)
+    return gate, values
+
+
 def correlation_matrix(probe_desc: np.ndarray, gallery_desc: np.ndarray,
                        structure: CorrespondenceStructure, model: MetricModel,
                        t_c: float = DEFAULT_T_C) -> CorrelationMatrix:
     """Structure-gated correlations: log(similarity * probability), else excluded."""
-    n_a, n_b = structure.probs.shape
-    if probe_desc.shape[0] != n_a or gallery_desc.shape[0] != n_b:
-        raise ValueError("descriptor counts do not match the structure grids")
-    mask = structure.probs > t_c
-    rows, cols = np.nonzero(mask)
-    values = np.full((n_a, n_b), -np.inf)
-    if len(rows):
-        sims = batched_similarity(model, probe_desc[rows], gallery_desc[cols], rows)
-        values[rows, cols] = np.log(sims * structure.probs[rows, cols])
-    return CorrelationMatrix(values=values, assignable=mask)
+    gate, cells = gated_correlations(probe_desc[None], gallery_desc[None],
+                                     structure, model, t_c)
+    values = np.full(gate.shape, -np.inf)
+    values[gate] = cells[:, 0]
+    return CorrelationMatrix(values=values, assignable=gate)
 
 
 def binary_correlation(probe_desc: np.ndarray, gallery_desc: np.ndarray,
@@ -92,13 +121,25 @@ def score_correlation(corr: CorrelationMatrix, kappa: float = DEFAULT_KAPPA) -> 
     return solve_assignment(corr.values, corr.assignable, kappa=kappa)
 
 
+def greedy_scores(gate: np.ndarray, values: np.ndarray,
+                  kappa: float = DEFAULT_KAPPA) -> np.ndarray:
+    """Row-wise best correlations summed without the one-to-one constraint.
+
+    Scores every pair sharing one gate; ``values`` is (n_cells, n_pairs) in
+    ``np.nonzero(gate)`` order, as ``gated_correlations`` returns it.  A row
+    without cells adds ``kappa``; rows are summed in ascending order.
+    """
+    bounds = np.concatenate(([0], np.cumsum(gate.sum(axis=1))))
+    totals = np.zeros(values.shape[1])
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        totals += values[lo:hi].max(axis=0) if hi > lo else kappa
+    return totals
+
+
 def greedy_score(corr: CorrelationMatrix, kappa: float = DEFAULT_KAPPA) -> float:
     """Row-wise best correlations summed without the one-to-one constraint."""
-    total = 0.0
-    for i in range(corr.values.shape[0]):
-        row = corr.values[i, corr.assignable[i]]
-        total += float(row.max()) if len(row) else kappa
-    return total
+    cells = corr.values[corr.assignable][:, None]
+    return float(greedy_scores(corr.assignable, cells, kappa)[0])
 
 
 def match_score(probe_desc: np.ndarray, gallery_desc: np.ndarray,

@@ -1,7 +1,8 @@
 """Independent reference implementations used to check the real code paths.
 
 Everything in here favors obviousness over speed and deliberately avoids
-importing the algorithms under test.
+importing the algorithms under test.  The one exception is the per-pair
+``solve_assignment``, which serves as the reference for batched ranking.
 """
 from __future__ import annotations
 
@@ -62,3 +63,29 @@ def dp_best_score(values: np.ndarray, assignable: np.ndarray, kappa: float) -> f
             new[dst] = np.maximum(new[dst], dp[src] + values[r, j])
         dp = new
     return float(dp.max())
+
+
+def rank_correct_matches(pair_log_similarity, probs: np.ndarray, t_c: float,
+                         kappa: float, n_train: int) -> list[int]:
+    """Training ranks with one lexicographic ``solve_assignment`` per pair.
+
+    ``pair_log_similarity(i, j)`` is the (n_train, n_train) log similarity of
+    probe patch i against gallery patch j; a pair's cell value adds the log
+    probability of a gated cell.  Ranks are 1-based, ties keep gallery order.
+    """
+    from corrmatch.assignment import solve_assignment
+
+    mask = probs > t_c
+    log_p = np.log(probs, out=np.full_like(probs, -np.inf), where=mask)
+    cells = list(zip(*np.nonzero(mask)))
+    ranks = []
+    for p in range(n_train):
+        scores = []
+        for g in range(n_train):
+            values = np.full(probs.shape, -np.inf)
+            for i, j in cells:
+                values[i, j] = pair_log_similarity(i, j)[p, g] + log_p[i, j]
+            scores.append(solve_assignment(values, mask, kappa=kappa).score)
+        ranks.append(1 + sum(1 for g, s in enumerate(scores)
+                             if s > scores[p] or (s == scores[p] and g < p)))
+    return ranks

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from corrmatch.assignment import Assignment, solve_assignment
+from corrmatch.assignment import Assignment, score_gate, solve_assignment
 
 from oracles import brute_force_best, dp_best_score
 
@@ -171,3 +173,63 @@ def test_permutation_equivariance():
 def test_rejects_nan_values():
     with pytest.raises(ValueError):
         solve_assignment(np.array([[np.nan]]))
+
+
+# ------------------------------------------------------ batched scoring
+
+@st.composite
+def gate_instances(draw):
+    """A shared gate, per-pair cell values and kappa on a quarter-step grid.
+
+    The grid keeps every sum exact and makes tied cells and cells equal to
+    kappa common; sparse masks split into several components and leave
+    some rows with no cell at all.
+    """
+    n_rows = draw(st.integers(1, 6))
+    n_cols = draw(st.integers(1, 6))
+    n_pairs = draw(st.integers(1, 4))
+    flags = draw(st.lists(st.booleans(), min_size=n_rows * n_cols,
+                          max_size=n_rows * n_cols))
+    gate = np.array(flags, dtype=bool).reshape(n_rows, n_cols)
+    n_cells = int(gate.sum())
+    quarters = draw(st.lists(st.integers(-8, 0), min_size=n_cells * n_pairs,
+                             max_size=n_cells * n_pairs))
+    values = np.array(quarters, dtype=np.float64).reshape(n_cells, n_pairs) / 4.0
+    kappa = draw(st.integers(-8, 0)) / 4.0
+    return gate, values, kappa
+
+
+# Two components, one with a clash the greedy picks cannot settle, tied
+# cells, an all-excluded row, and cells equal to and below kappa.
+@example((np.array([[1, 1, 0, 0], [1, 1, 0, 0], [0, 0, 1, 1], [0, 0, 0, 0]], dtype=bool),
+          np.array([[-1.0, -2.0], [-1.0, -0.5], [-0.5, -1.0], [-1.5, -0.75],
+                    [-0.5, -0.5], [-1.0, -0.5]]), -1.0))
+@settings(max_examples=300, deadline=None)
+@given(gate_instances())
+def test_score_gate_matches_per_pair_solvers(instance):
+    gate, values, kappa = instance
+    scored = score_gate(gate, values, kappa)
+    for p in range(values.shape[1]):
+        dense = np.full(gate.shape, -np.inf)
+        dense[gate] = values[:, p]
+        assert scored.totals[p] == solve_assignment(dense, gate, kappa=kappa).score
+        assert scored.totals[p] == dp_best_score(dense, gate, kappa)
+
+
+def test_score_gate_counts_components_and_exact_solves():
+    # Rows 0-1 share columns 0-1; row 2 alone owns column 3; row 3 has no cell.
+    gate = np.array([[1, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 0, 0]], dtype=bool)
+    # Cells in row order: (0,0), (0,1), (1,0), (2,3); one column per pair.
+    values = np.array([[-1.0, -2.0], [-2.0, -1.0], [-1.0, -1.0], [-3.0, -3.0]])
+    scored = score_gate(gate, values, kappa=KAPPA)
+    assert scored.components == 2
+    assert scored.solves == 1  # pair 0: rows 0 and 1 both pick column 0
+    assert scored.totals.tolist() == [-2.0 - 1.0 - 3.0 + KAPPA, -1.0 - 1.0 - 3.0 + KAPPA]
+
+
+def test_score_gate_rejects_bad_values():
+    gate = np.array([[True, False]])
+    with pytest.raises(ValueError):
+        score_gate(gate, np.zeros((2, 1)))
+    with pytest.raises(ValueError):
+        score_gate(gate, np.array([[np.nan]]))

@@ -69,3 +69,26 @@ def test_grids_and_learner_config():
     assert lc.epsilon == c.epsilon
     assert lc.t_c == c.t_c
     assert lc.adjacency_ranges == c.adjacency_ranges
+
+
+@pytest.mark.parametrize("line", ["kappa = nan", "kappa = inf", "kappa = -inf",
+                                  "t_c = 1.5", "t_c = 1.0", "t_c = -0.1", "t_c = nan"])
+def test_out_of_range_gate_values_rejected(line):
+    with pytest.raises(ConfigurationError):
+        parse_config(line)
+
+
+def test_gate_value_edges_accepted():
+    assert parse_config("t_c = 0.0").t_c == 0.0
+    assert parse_config("kappa = 0.0").kappa == 0.0
+
+
+def test_cli_reports_bad_config_as_one_error_line(tmp_path, capsys):
+    from corrmatch.cli import main
+    path = tmp_path / "bad.cfg"
+    path.write_text("kappa = nan\n")
+    code = main(["synth", "--out", str(tmp_path / "data"), "--identities", "4",
+                 "--config", str(path)])
+    assert code == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ConfigurationError")

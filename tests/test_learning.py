@@ -8,6 +8,8 @@ from corrmatch.learning import (CmcCurve, LearnerConfig, cmc_curve, compute_upda
                                 structure_prior)
 from corrmatch.matching import BinaryMappingStructure
 
+import oracles
+
 
 # ----------------------------------------------------------------- CMC
 
@@ -241,6 +243,22 @@ def test_learn_structure_fixed_seed_bitwise_identical():
     second = learn_structure(probe, gallery, model, pg, gg, config)
     assert np.array_equal(first.structure.probs, second.structure.probs)
     assert first.diagnostics == second.diagnostics
+    assert all(d.gate_components > 0 for d in first.diagnostics)
+
+
+def test_rank_correct_matches_equals_per_pair_reference():
+    from corrmatch.learning import _TrainingContext, learn_structure
+    from corrmatch.structure import init_structure
+    probe, gallery, model, pg, gg = _tiny_training_world()
+    config = LearnerConfig(max_iterations=4, tolerance=0.0, selection_count=2, seed=13)
+    learned = learn_structure(probe, gallery, model, pg, gg, config)
+    ctx = _TrainingContext(probe, gallery, model, pg, gg, config)
+    for structure in (init_structure(pg, gg, config.t_d), learned.structure):
+        ranks, scored = ctx.rank_correct_matches(structure)
+        assert scored.solves > 0  # the exact fallback ran, not only greedy picks
+        expect = oracles.rank_correct_matches(ctx._pair_log_similarity, structure.probs,
+                                              config.t_c, config.kappa, ctx.n_train)
+        assert ranks.tolist() == expect
 
 
 def test_learn_structure_rejects_single_identity():
