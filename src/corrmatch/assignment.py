@@ -11,8 +11,8 @@ The solver runs successive shortest augmenting paths over a sparse edge
 list, with a private "skip" slot per row priced at ``kappa`` so a complete
 row assignment always exists.  ``score_gate`` scores many pairs that share
 one assignable mask at once: it splits the mask into connected components,
-settles every component whose greedy row picks do not collide, and solves
-only the rest exactly.
+settles every component whose greedy row picks do not collide or whose rows
+all bid for one shared column, and solves only the rest exactly.
 """
 from __future__ import annotations
 
@@ -78,7 +78,7 @@ class GateScores:
 
     totals: np.ndarray  # (n_pairs,) optimal score per pair
     components: int     # connected components of the gate that hold a cell
-    solves: int         # (component, pair) cases the greedy picks left open
+    solves: int         # (component, pair) cases solved exactly
 
 
 def score_gate(gate: np.ndarray, values: np.ndarray,
@@ -87,10 +87,13 @@ def score_gate(gate: np.ndarray, values: np.ndarray,
 
     ``gate`` is the (n_rows, n_cols) mask common to all pairs; ``values`` is
     (n_cells, n_pairs) with one row per gated cell in ``np.nonzero(gate)``
-    order.  Each total equals ``solve_assignment(...).score`` of that pair,
-    bit for bit: a row's contribution is the value of its cell in an optimal
+    order.  A row's contribution is the value of its cell in an optimal
     matching (``kappa`` when skipped), and contributions are summed in
-    ascending row order.  Only the score is computed; no tie-break is made.
+    ascending row order, so each total equals ``solve_assignment(...).score``
+    of that pair bit for bit.  Only the score is computed and no tie-break is
+    made (a column whose bidders hold no other cell goes to its first best
+    bidder); where tied optima sum to totals an ulp apart, the per-pair
+    solver keeps the larger and the two may differ in that last bit.
     """
     gate = np.asarray(gate, dtype=bool)
     values = np.asarray(values, dtype=np.float64)
@@ -120,6 +123,7 @@ def score_gate(gate: np.ndarray, values: np.ndarray,
         picked[i] = np.where(take, cols[cell], -1)
 
     components = _gate_components(rows, cols, n_rows)
+    single_cell = np.diff(bounds) == 1
     solves = 0
     for comp in components:
         if len(comp) < 2:
@@ -127,7 +131,15 @@ def score_gate(gate: np.ndarray, values: np.ndarray,
         skips = -1 - np.arange(len(comp))[:, None]  # distinct per row, never collide
         picks = np.sort(np.where(picked[comp] < 0, skips, picked[comp]), axis=0)
         clash = np.flatnonzero((picks[1:] == picks[:-1]).any(axis=0))
-        if clash.size:
+        if not clash.size:
+            continue
+        if single_cell[comp].all():
+            # One shared column: its best bidder (the first row on a tie,
+            # as the lexicographic order has it) takes it; the rest skip.
+            bids = values[bounds[comp]][:, clash]
+            won = np.arange(len(comp))[:, None] == bids.argmax(axis=0)
+            chosen[np.ix_(comp, clash)] = np.where(won, bids, kappa)
+        else:
             solves += clash.size
             _solve_component(comp, bounds, cols, values, clash, kappa, chosen)
 

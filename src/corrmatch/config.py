@@ -5,6 +5,7 @@ default; files may override any subset.  Lines starting with # are comments.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 from .errors import ConfigurationError
@@ -42,6 +43,14 @@ class RunConfig:
 
     def __post_init__(self) -> None:
         self.learner_config()  # range checks on the learner keys fail here
+        if not (math.isfinite(self.sigma_scale) and self.sigma_scale > 0):
+            raise ConfigurationError(f"sigma_scale must be positive and finite, "
+                                     f"got {self.sigma_scale!r}")
+        if self.repeats < 1:
+            raise ConfigurationError(f"repeats must be >= 1, got {self.repeats}")
+        if not self.rank_points or min(self.rank_points) < 1:
+            raise ConfigurationError(f"rank_points must be non-empty and >= 1, "
+                                     f"got {self.rank_points}")
 
     def probe_grid(self) -> GridSpec:
         return GridSpec(self.image_width, self.image_height, self.patch_width,

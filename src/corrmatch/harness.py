@@ -449,9 +449,3 @@ def run_ablations(manifest: DatasetManifest, splits: SplitPlan, arms, config: Ru
         mean_values = np.mean([c.values for c in curves], axis=0)
         out[arm] = (CmcCurve(values=mean_values, gallery_size=curves[0].gallery_size), curves)
     return out
-
-
-def run_ablation(manifest: DatasetManifest, splits: SplitPlan, arm: str,
-                 config: RunConfig):
-    """Single-arm convenience wrapper around run_ablations."""
-    return run_ablations(manifest, splits, [arm], config)[arm]

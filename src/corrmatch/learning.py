@@ -21,8 +21,8 @@ from .errors import ConfigurationError
 from .geometry import GridSpec
 from .matching import (DEFAULT_ADJACENCY_RANGES, DEFAULT_T_C, BinaryMappingStructure,
                        adjacency_candidates, best_binary_structure,
-                       binary_structure_score_matrix, rank_of_scores)
-from .metric import MAX_EXPONENT, MetricModel, build_avg_similarity
+                       binary_structure_score_matrix, gated_correlations, rank_of_scores)
+from .metric import MetricModel, build_avg_similarity, log_similarity
 from .structure import CorrespondenceStructure, blend_update, init_structure
 
 DEFAULT_T_D = 32
@@ -77,6 +77,8 @@ class LearnerConfig:
             raise ConfigurationError("selection_count must be even and >= 2")
         if min(self.n_cmc, self.max_iterations, self.t_d) < 1 or self.tolerance < 0:
             raise ConfigurationError("n_cmc, max_iterations, t_d must be positive")
+        if not 0.0 < self.top_fraction <= 1.0:
+            raise ConfigurationError(f"top_fraction must lie in (0, 1], got {self.top_fraction!r}")
         if not 0.0 <= self.t_c < 1.0:
             raise ConfigurationError(f"t_c must lie in [0, 1), got {self.t_c!r}")
         if not math.isfinite(self.kappa):
@@ -105,14 +107,9 @@ class LearnResult:
     converged: bool = False
 
 
-def link_impact(i: int, s: int, t_d: int = DEFAULT_T_D) -> float:
-    """Spatial influence of a link anchored at probe patch s onto patch i."""
-    d = abs(i - s)
-    return 0.0 if d >= t_d else 1.0 / (d + 1.0)
-
-
 def impact_table(n_probe: int, t_d: int) -> np.ndarray:
-    """impact[i, s] over all probe ordinal pairs."""
+    """impact[i, s]: spatial influence of a link anchored at probe patch s
+    onto patch i, 1 / (|i - s| + 1) within t_d and 0 beyond."""
     idx = np.arange(n_probe)
     d = np.abs(idx[:, None] - idx[None, :]).astype(np.float64)
     return np.where(d >= t_d, 0.0, 1.0 / (d + 1.0))
@@ -151,11 +148,6 @@ def structure_prior(cmc_scores) -> np.ndarray:
     if total == 0.0:
         return np.full(scores.size, 1.0 / scores.size)
     return scores / total
-
-
-def link_importance(cmc_scores) -> np.ndarray:
-    """Normalized per-link rank-n CMC scores; uniform when all are zero."""
-    return structure_prior(cmc_scores)
 
 
 def patch_importance(binary: BinaryMappingStructure, link_importances: dict,
@@ -216,7 +208,6 @@ class _TrainingContext:
         self._structure_cmc: dict[int, float] = {}
         self._link_cmc: dict[tuple[int, int], float] = {}
         self._joint: dict[int, np.ndarray] = {}
-        self._sim_log: dict[tuple[int, int], np.ndarray] = {}
 
     def find_binary_structures(self) -> None:
         self.binary_structures = find_binary_structures(
@@ -245,20 +236,14 @@ class _TrainingContext:
 
     def _pair_log_similarity(self, i: int, j: int) -> np.ndarray:
         """log similarity of probe patch i vs gallery patch j across all images."""
-        key = (i, j)
-        if key not in self._sim_log:
-            m = self.model.matrix_at(i)
-            sigma = self.model.sigma_at(i)
-            d = self.probe_stack[:, i, None, :] - self.gallery_stack[None, :, j, :]
-            dist = np.einsum("pgk,kl,pgl->pg", d, m, d)
-            self._sim_log[key] = -np.minimum(np.maximum(dist, 0.0) / sigma, MAX_EXPONENT)
-        return self._sim_log[key]
+        d = self.probe_stack[:, i, None, :] - self.gallery_stack[None, :, j, :]
+        return log_similarity(self.model, i, d)
 
     def joint_matrix(self, alpha: int) -> np.ndarray:
         """Importance-weighted conditional matrix for structure alpha."""
         if alpha not in self._joint:
             binary = self.binary_structures[alpha]
-            importances = link_importance([self.link_cmc(m) for m in binary.links])
+            importances = structure_prior([self.link_cmc(m) for m in binary.links])
             link_imp = dict(zip(binary.links, importances))
             imp = patch_importance(binary, link_imp, self.n_a, self.config.t_d)
             cond = conditional_matrix(binary, self.avg_table)
@@ -269,14 +254,9 @@ class _TrainingContext:
                              ) -> tuple[np.ndarray, GateScores]:
         """1-based rank of each probe's correct match under the structure,
         with the scores of all n_train^2 pairs (pair index p * n_train + g)."""
-        mask = structure.probs > self.config.t_c
-        log_p = np.log(structure.probs, out=np.full_like(structure.probs, -np.inf),
-                       where=mask)
-        rows, cols = np.nonzero(mask)
-        values = np.empty((len(rows), self.n_train * self.n_train))
-        for k, (i, j) in enumerate(zip(rows.tolist(), cols.tolist())):
-            values[k] = self._pair_log_similarity(i, j).ravel() + log_p[i, j]
-        scored = score_gate(mask, values, self.config.kappa)
+        gate, values = gated_correlations(self.probe_stack, self.gallery_stack, structure,
+                                          self.model, self.config.t_c)
+        scored = score_gate(gate, values, self.config.kappa)
         scores = scored.totals.reshape(self.n_train, self.n_train)
         ranks = np.array([rank_of_scores(list(scores[p]), p) for p in range(self.n_train)],
                          dtype=np.int64)

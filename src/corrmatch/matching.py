@@ -2,11 +2,11 @@
 
 The correlation between probe patch i and gallery patch j combines the
 learned appearance similarity with the correspondence structure:
-log(similarity * probability), gated so low-probability cells are excluded
-outright.  A global one-to-one assignment over the correlation matrix
-yields the image matching score used for ranking; binary mapping structures
-(hard 0/1 link sets) reuse the same machinery with uniform per-row
-probabilities and no gate.
+log similarity + log probability, gated so low-probability cells are
+excluded outright.  A global one-to-one assignment over the correlation
+matrix yields the image matching score used for ranking; binary mapping
+structures (hard 0/1 link sets) reuse the same machinery as a gate over
+their links with log weight -log(degree).
 """
 from __future__ import annotations
 
@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assignment import DEFAULT_KAPPA, Assignment, solve_assignment
+from .assignment import DEFAULT_KAPPA, Assignment, score_gate, solve_assignment
 from .geometry import GridSpec, colocated_patch, patch_at
-from .metric import MAX_EXPONENT, MetricModel, batched_similarity
+from .metric import MetricModel, log_similarity
 from .structure import CorrespondenceStructure
 
 DEFAULT_T_C = 0.05
@@ -54,66 +54,78 @@ class CorrelationMatrix:
         return cols, vals
 
 
+def _cell_values(probe_stack: np.ndarray, gallery_stack: np.ndarray, model: MetricModel,
+                 gate: np.ndarray, log_weight: np.ndarray) -> np.ndarray:
+    """log similarity + log weight of every gated cell for all image pairs.
+
+    Returns (n_cells, n_probe_images * n_gallery_images), one row per cell in
+    ``np.nonzero(gate)`` order; pair p * n_gallery_images + g is probe p
+    against gallery g.
+    """
+    if probe_stack.shape[1] != gate.shape[0] or gallery_stack.shape[1] != gate.shape[1]:
+        raise ValueError("descriptor counts do not match the structure grids")
+    values = np.empty((int(gate.sum()), len(probe_stack) * len(gallery_stack)))
+    lo = 0
+    for i in range(gate.shape[0]):  # one probe location, hence one metric, per batch
+        cols = np.flatnonzero(gate[i])
+        if not len(cols):
+            continue
+        d = (probe_stack[None, :, None, i, :]                          # (1, P, 1, dim)
+             - gallery_stack[:, cols, :].transpose(1, 0, 2)[:, None])  # (C, 1, G, dim)
+        values[lo:lo + len(cols)] = (log_similarity(model, i, d).reshape(len(cols), -1)
+                                     + log_weight[i, cols][:, None])
+        lo += len(cols)
+    return values
+
+
+def _one_pair(gate: np.ndarray, cells: np.ndarray) -> CorrelationMatrix:
+    """The dense matrix of a single pair's cell values (-inf off the gate)."""
+    values = np.full(gate.shape, -np.inf)
+    values[gate] = cells[:, 0]
+    return CorrelationMatrix(values=values, assignable=gate)
+
+
 def gated_correlations(probe_stack: np.ndarray, gallery_stack: np.ndarray,
                        structure: CorrespondenceStructure, model: MetricModel,
                        t_c: float = DEFAULT_T_C) -> tuple[np.ndarray, np.ndarray]:
     """Gated correlations of every probe image against every gallery image.
 
     ``probe_stack`` is (n_probe_images, N_A, dim) and ``gallery_stack``
-    (n_gallery_images, N_B, dim).  Returns the gate ``probs > t_c`` and an
-    (n_cells, n_probe_images * n_gallery_images) array of
-    log(similarity * probability), one row per gated cell in
-    ``np.nonzero(gate)`` order; pair p * n_gallery_images + g is probe p
-    against gallery g.
+    (n_gallery_images, N_B, dim).  Returns the gate ``probs > t_c`` and the
+    cell values log similarity + log probability, laid out as
+    ``_cell_values`` describes.
     """
-    n_a, n_b = structure.probs.shape
-    if probe_stack.shape[1] != n_a or gallery_stack.shape[1] != n_b:
-        raise ValueError("descriptor counts do not match the structure grids")
     gate = structure.probs > t_c
-    n_p, n_g, dim = probe_stack.shape[0], gallery_stack.shape[0], probe_stack.shape[2]
-    values = np.empty((int(gate.sum()), n_p * n_g))
-    lo = 0
-    for i in range(n_a):  # one probe location, hence one metric, per batch
-        cols = np.flatnonzero(gate[i])
-        if not len(cols):
-            continue
-        shape = (len(cols), n_p, n_g, dim)
-        f_a = np.broadcast_to(probe_stack[None, :, None, i, :], shape).reshape(-1, dim)
-        f_b = np.broadcast_to(gallery_stack[:, cols, :].transpose(1, 0, 2)[:, None],
-                              shape).reshape(-1, dim)
-        sims = batched_similarity(model, f_a, f_b, np.full(len(f_a), i))
-        values[lo:lo + len(cols)] = np.log(sims.reshape(len(cols), -1)
-                                           * structure.probs[i, cols][:, None])
-        lo += len(cols)
-    return gate, values
+    log_p = np.log(structure.probs, out=np.zeros_like(structure.probs), where=gate)
+    return gate, _cell_values(probe_stack, gallery_stack, model, gate, log_p)
 
 
 def correlation_matrix(probe_desc: np.ndarray, gallery_desc: np.ndarray,
                        structure: CorrespondenceStructure, model: MetricModel,
                        t_c: float = DEFAULT_T_C) -> CorrelationMatrix:
-    """Structure-gated correlations: log(similarity * probability), else excluded."""
-    gate, cells = gated_correlations(probe_desc[None], gallery_desc[None],
-                                     structure, model, t_c)
-    values = np.full(gate.shape, -np.inf)
-    values[gate] = cells[:, 0]
-    return CorrelationMatrix(values=values, assignable=gate)
+    """Structure-gated correlations: log similarity + log probability, else excluded."""
+    return _one_pair(*gated_correlations(probe_desc[None], gallery_desc[None],
+                                         structure, model, t_c))
+
+
+def _binary_gate(binary: BinaryMappingStructure, n_probe: int,
+                 n_gallery: int) -> tuple[np.ndarray, np.ndarray]:
+    """A 0/1 structure as a gate over its links with log weight -log(degree)."""
+    gate = np.zeros((n_probe, n_gallery), dtype=bool)
+    if binary.links:
+        gate[tuple(np.array(binary.links).T)] = True
+    degree = np.maximum(gate.sum(axis=1, keepdims=True), 1)
+    return gate, np.where(gate, -np.log(degree), 0.0)
 
 
 def binary_correlation(probe_desc: np.ndarray, gallery_desc: np.ndarray,
                        binary: BinaryMappingStructure, model: MetricModel,
                        n_probe: int, n_gallery: int) -> CorrelationMatrix:
-    """Correlations under a 0/1 structure: uniform 1/degree rows, no gate."""
-    values = np.full((n_probe, n_gallery), -np.inf)
-    mask = np.zeros((n_probe, n_gallery), dtype=bool)
-    per_row = binary.links_per_row()
-    if per_row:
-        rows = np.array([i for i, js in sorted(per_row.items()) for _ in js])
-        cols = np.array([j for _, js in sorted(per_row.items()) for j in js])
-        degrees = np.array([len(per_row[i]) for i in rows], dtype=np.float64)
-        sims = batched_similarity(model, probe_desc[rows], gallery_desc[cols], rows)
-        values[rows, cols] = np.log(sims / degrees)
-        mask[rows, cols] = True
-    return CorrelationMatrix(values=values, assignable=mask)
+    """Correlations under a 0/1 structure: log similarity - log degree on
+    the links, else excluded."""
+    gate, log_weight = _binary_gate(binary, n_probe, n_gallery)
+    return _one_pair(gate, _cell_values(probe_desc[None], gallery_desc[None], model,
+                                        gate, log_weight))
 
 
 def score_correlation(corr: CorrelationMatrix, kappa: float = DEFAULT_KAPPA) -> Assignment:
@@ -160,8 +172,9 @@ def rank_gallery(probe_desc: np.ndarray, gallery_descs, structure: Correspondenc
     """
     if not len(gallery_descs):
         raise ValueError("gallery set must be non-empty")
-    scores = [match_score(probe_desc, g, structure, model, t_c, kappa).score
-              for g in gallery_descs]
+    gate, values = gated_correlations(probe_desc[None], np.stack(gallery_descs),
+                                      structure, model, t_c)
+    scores = score_gate(gate, values, kappa).totals.tolist()
     order = sorted(range(len(scores)), key=lambda idx: (-scores[idx], idx))
     ranked = [(idx, scores[idx]) for idx in order]
     rank = None if correct_index is None else order.index(correct_index) + 1
@@ -201,8 +214,7 @@ def adjacency_candidates(probe_desc: np.ndarray, gallery_desc: np.ndarray,
         for i in range(n_a):
             co = colocated_patch(probe_grid, gallery_grid, patch_at(probe_grid, i))
             window = np.flatnonzero(np.abs(gallery_rows - co.row) <= span)
-            sims = batched_similarity(model, np.repeat(probe_desc[i][None, :], len(window), axis=0),
-                                      gallery_desc[window], np.full(len(window), i))
+            sims = np.exp(log_similarity(model, i, probe_desc[i] - gallery_desc[window]))
             dist = np.abs(ordinals[window] - co.ordinal)
             best = min(range(len(window)), key=lambda k: (-sims[k], dist[k], window[k]))
             links.append((i, int(window[best])))
@@ -218,51 +230,13 @@ def binary_structure_score_matrix(probe_stack: np.ndarray, gallery_stack: np.nda
 
     ``probe_stack`` is (n_probe_images, N_A, dim), ``gallery_stack``
     (n_gallery_images, N_B, dim); the result is (n_probe_images,
-    n_gallery_images).  When every probe patch carries at most one link the
-    one-to-one conflict resolution has a closed form (each contested gallery
-    patch goes to its best bidder, losers take the skip penalty), evaluated
-    per row in ascending order so scores match the generic solver path
-    bit for bit.
+    n_gallery_images).  The link set is scored as a gate with log weight
+    -log(degree), through the same batched assignment as a learned structure.
     """
-    n_probe_imgs = probe_stack.shape[0]
-    n_imgs = gallery_stack.shape[0]
-    n_a = probe_stack.shape[1]
-    per_row = binary.links_per_row()
-
-    if all(len(js) <= 1 for js in per_row.values()):
-        values = {}  # probe patch -> (n_probe_imgs, n_imgs) log correlation
-        by_col: dict[int, list[int]] = {}
-        for i, js in per_row.items():
-            (j,) = js
-            m = model.matrix_at(i)
-            sigma = model.sigma_at(i)
-            d = probe_stack[:, i, None, :] - gallery_stack[None, :, j, :]
-            dist = np.einsum("pgk,kl,pgl->pg", d, m, d)
-            exponent = np.minimum(np.maximum(dist, 0.0) / sigma, MAX_EXPONENT)
-            values[i] = np.log(np.exp(-exponent))  # matches the generic log(phi) path
-            by_col.setdefault(j, []).append(i)
-        winner: dict[int, np.ndarray] = {}
-        for j, bidders in by_col.items():
-            stacked = np.stack([values[i] for i in bidders])
-            top = stacked.argmax(axis=0)
-            for k, i in enumerate(bidders):
-                winner[i] = top == k
-        scores = np.zeros((n_probe_imgs, n_imgs))
-        for i in range(n_a):  # ascending rows keep the canonical sum order
-            if i in values:
-                contribution = np.where(winner[i], np.maximum(values[i], kappa), kappa)
-            else:
-                contribution = kappa
-            scores = scores + contribution
-        return scores
-
-    scores = np.empty((n_probe_imgs, n_imgs))
-    for p in range(n_probe_imgs):
-        for g in range(n_imgs):
-            corr = binary_correlation(probe_stack[p], gallery_stack[g], binary,
-                                      model, n_a, n_gallery_patches)
-            scores[p, g] = score_correlation(corr, kappa).score
-    return scores
+    gate, log_weight = _binary_gate(binary, probe_stack.shape[1], n_gallery_patches)
+    values = _cell_values(probe_stack, gallery_stack, model, gate, log_weight)
+    return score_gate(gate, values, kappa).totals.reshape(len(probe_stack),
+                                                          len(gallery_stack))
 
 
 def binary_structure_scores(probe_desc: np.ndarray, gallery_stack: np.ndarray,

@@ -56,6 +56,10 @@ class MetricModel:
             raise ValueError("sigma count does not match location count")
         if self.global_matrix.shape != (dim, dim):
             raise ValueError("global matrix dimension mismatch")
+        if not (np.all(np.isfinite(self.matrices)) and np.all(np.isfinite(self.global_matrix))):
+            raise ValueError("matrices must be finite")
+        if not (np.all(np.isfinite(self.sigmas)) and np.isfinite(self.global_sigma)):
+            raise ValueError("sigmas must be finite")
         if np.any(self.sigmas <= 0) or self.global_sigma <= 0:
             raise ValueError("sigmas must be positive")
         asym = np.abs(self.matrices - self.matrices.transpose(0, 2, 1)).max(initial=0.0)
@@ -79,11 +83,16 @@ class MetricModel:
         return self.global_sigma if self.fallback[loc] else float(self.sigmas[loc])
 
 
-def _difference_moment(pairs: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """Second moment (about zero) of descriptor differences."""
-    a, b = pairs
-    d = np.asarray(a, dtype=np.float64) - np.asarray(b, dtype=np.float64)
-    return d.T @ d / len(d)
+def _quadratic_form(matrix: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """d . M . d over the last axis of a stack of differences."""
+    return np.einsum("...k,...k->...", d @ matrix, d)
+
+
+def log_similarity(model: MetricModel, loc: int, d: np.ndarray) -> np.ndarray:
+    """log similarity of descriptor differences ``d`` (..., dim) at probe
+    location ``loc``: -min(max(d . M . d, 0) / sigma, MAX_EXPONENT)."""
+    dist = _quadratic_form(model.matrix_at(loc), d)
+    return -np.minimum(np.maximum(dist, 0.0) / model.sigma_at(loc), MAX_EXPONENT)
 
 
 def _ridge(matrix: np.ndarray) -> np.ndarray:
@@ -104,12 +113,11 @@ def _learn_matrix(similar_moment: np.ndarray, dissimilar_moment: np.ndarray) -> 
     return (clipped + clipped.T) / 2.0
 
 
-def _scale_for(matrix: np.ndarray, similar: tuple[np.ndarray, np.ndarray],
-               sigma_scale: float) -> float:
-    a, b = similar
-    d = np.asarray(a, dtype=np.float64) - np.asarray(b, dtype=np.float64)
-    dist = np.einsum("nk,kl,nl->n", d, matrix, d)
-    return max(sigma_scale * float(np.maximum(dist, 0.0).mean()), SIGMA_FLOOR)
+def _scale_for(matrix: np.ndarray, diffs, sigma_scale: float) -> float:
+    """Bandwidth from the mean clamped distance over chunks of similar-pair
+    differences."""
+    dist = np.concatenate([np.maximum(_quadratic_form(matrix, d), 0.0) for d in diffs])
+    return max(sigma_scale * float(dist.mean()), SIGMA_FLOOR)
 
 
 def train_metric(similar_pairs, dissimilar_pairs,
@@ -140,26 +148,28 @@ def train_metric(similar_pairs, dissimilar_pairs,
         raise ValueError(f"inconsistent descriptor dims {dims}")
     dim = dims.pop()
 
-    pooled_similar = (np.concatenate([a for a, _ in similar_pairs]),
-                      np.concatenate([b for _, b in similar_pairs]))
-    pooled_dissimilar = (np.concatenate([a for a, _ in dissimilar_pairs]),
-                         np.concatenate([b for _, b in dissimilar_pairs]))
-    global_matrix = _learn_matrix(_difference_moment(pooled_similar),
-                                  _difference_moment(pooled_dissimilar))
-    global_sigma = _scale_for(global_matrix, pooled_similar, sigma_scale)
+    def differences(pairs):
+        return [np.asarray(a, dtype=np.float64) - np.asarray(b, dtype=np.float64)
+                for a, b in pairs]
+
+    def moment(diffs):  # second moment (about zero) of the pooled differences
+        return sum(d.T @ d for d in diffs) / sum(len(d) for d in diffs)
+
+    sim_diffs, dis_diffs = differences(similar_pairs), differences(dissimilar_pairs)
+    global_matrix = _learn_matrix(moment(sim_diffs), moment(dis_diffs))
+    global_sigma = _scale_for(global_matrix, sim_diffs, sigma_scale)
 
     matrices = np.empty((n_loc, dim, dim))
     sigmas = np.empty(n_loc)
     fallback = np.zeros(n_loc, dtype=bool)
-    for i in range(n_loc):
-        sim, dis = similar_pairs[i], dissimilar_pairs[i]
-        if len(sim[0]) < dim + 1 or len(dis[0]) < dim + 1:
+    for i, (sim, dis) in enumerate(zip(sim_diffs, dis_diffs)):
+        if len(sim) < dim + 1 or len(dis) < dim + 1:
             matrices[i] = global_matrix
             sigmas[i] = global_sigma
             fallback[i] = True
             continue
-        matrices[i] = _learn_matrix(_difference_moment(sim), _difference_moment(dis))
-        sigmas[i] = _scale_for(matrices[i], sim, sigma_scale)
+        matrices[i] = _learn_matrix(moment([sim]), moment([dis]))
+        sigmas[i] = _scale_for(matrices[i], [sim], sigma_scale)
     return MetricModel(matrices=matrices, sigmas=sigmas, global_matrix=global_matrix,
                        global_sigma=global_sigma, fallback=fallback)
 
@@ -173,9 +183,7 @@ def appearance_similarity(model: MetricModel, f_a: np.ndarray, f_b: np.ndarray,
         raise ValueError(f"descriptors must have dim {model.dim}")
     if not 0 <= loc < model.n_locations:
         raise ValueError(f"location {loc} outside [0, {model.n_locations})")
-    d = f_a - f_b
-    dist = float(d @ model.matrix_at(loc) @ d)
-    return float(np.exp(-min(max(dist, 0.0) / model.sigma_at(loc), MAX_EXPONENT)))
+    return float(np.exp(log_similarity(model, loc, f_a - f_b)))
 
 
 def batched_similarity(model: MetricModel, f_a: np.ndarray, f_b: np.ndarray,
@@ -192,10 +200,7 @@ def batched_similarity(model: MetricModel, f_a: np.ndarray, f_b: np.ndarray,
     out = np.empty(len(d))
     for loc in np.unique(locs):
         sel = locs == loc
-        dd = d[sel]
-        dist = np.einsum("nk,kl,nl->n", dd, model.matrix_at(int(loc)), dd)
-        exponent = np.minimum(np.maximum(dist, 0.0) / model.sigma_at(int(loc)), MAX_EXPONENT)
-        out[sel] = np.exp(-exponent)
+        out[sel] = np.exp(log_similarity(model, int(loc), d[sel]))
     return out
 
 
@@ -250,9 +255,7 @@ def build_avg_similarity(probe_descriptors, gallery_descriptors, model: MetricMo
     table = np.empty((n_a, n_b))
     for i in range(n_a):
         d = probe_stack[:, i, None, :] - gallery_stack          # (n_pairs, N_B, dim)
-        dist = np.einsum("pjk,kl,pjl->pj", d, model.matrix_at(i), d)
-        exponent = np.minimum(np.maximum(dist, 0.0) / model.sigma_at(i), MAX_EXPONENT)
-        table[i] = np.exp(-exponent).mean(axis=0)
+        table[i] = np.exp(log_similarity(model, i, d)).mean(axis=0)
     return table
 
 

@@ -65,6 +65,13 @@ def dp_best_score(values: np.ndarray, assignable: np.ndarray, kappa: float) -> f
     return float(dp.max())
 
 
+def log_similarity(matrix: np.ndarray, sigma: float, d: np.ndarray,
+                   max_exponent: float = 700.0) -> np.ndarray:
+    """-min(max(d . M . d, 0) / sigma, max_exponent) with a three-operand einsum."""
+    dist = np.einsum("...k,kl,...l->...", d, matrix, d)
+    return -np.minimum(np.maximum(dist, 0.0) / sigma, max_exponent)
+
+
 def rank_correct_matches(pair_log_similarity, probs: np.ndarray, t_c: float,
                          kappa: float, n_train: int) -> list[int]:
     """Training ranks with one lexicographic ``solve_assignment`` per pair.

@@ -227,6 +227,37 @@ def test_score_gate_counts_components_and_exact_solves():
     assert scored.totals.tolist() == [-2.0 - 1.0 - 3.0 + KAPPA, -1.0 - 1.0 - 3.0 + KAPPA]
 
 
+def test_score_gate_single_column_component_tie():
+    # Row 0 owns column 0; rows 1-3 hold one cell each, all on column 1.
+    gate = np.array([[1, 0], [0, 1], [0, 1], [0, 1]], dtype=bool)
+    # Pair 0: rows 1 and 2 tie for column 1.  Pair 1: row 3 outbids both.
+    values = np.array([[-1.5, -0.25], [-0.75, -1.0], [-0.75, -0.75], [-2.0, -0.5]])
+    scored = score_gate(gate, values, kappa=KAPPA)
+    assert scored.components == 2
+    assert scored.solves == 0  # settled without an exact solve
+    assert scored.totals.tolist() == [-1.5 - 0.75 + 2 * KAPPA, -0.25 + 2 * KAPPA - 0.5]
+    for p in range(values.shape[1]):
+        dense = np.full(gate.shape, -np.inf)
+        dense[gate] = values[:, p]
+        assert scored.totals[p] == solve_assignment(dense, gate, kappa=KAPPA).score
+        assert scored.totals[p] == dp_best_score(dense, gate, KAPPA)
+
+
+def test_score_gate_single_column_tie_goes_to_first_row():
+    # -1.9 + -0.8 + kappa and -1.9 + kappa + -0.8 differ in the last bit, so
+    # the row-order total shows which of the tied rows took the column: the
+    # first one.  Tied optima can sum a bit apart, and the per-pair solver
+    # keeps the larger sum, so here it lands within one ulp of this total.
+    gate = np.array([[1, 0], [0, 1], [0, 1]], dtype=bool)
+    values = np.array([[-1.9], [-0.8], [-0.8]])
+    total = score_gate(gate, values, kappa=KAPPA).totals[0]
+    assert (-1.9 + -0.8) + KAPPA != (-1.9 + KAPPA) + -0.8
+    assert total == (-1.9 + -0.8) + KAPPA
+    dense = np.array([[-1.9, -np.inf], [-np.inf, -0.8], [-np.inf, -0.8]])
+    assert total == pytest.approx(solve_assignment(dense, gate, kappa=KAPPA).score,
+                                  rel=1e-15)
+
+
 def test_score_gate_rejects_bad_values():
     gate = np.array([[True, False]])
     with pytest.raises(ValueError):

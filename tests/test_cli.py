@@ -1,8 +1,11 @@
 import pytest
 
+import numpy as np
+
 from corrmatch.cli import main
 from corrmatch.config import RunConfig, save_config
-from corrmatch.structure import load_structure
+from corrmatch.metric import MetricModel, save_metric
+from corrmatch.structure import init_structure, load_structure, save_structure
 
 
 @pytest.fixture(scope="module")
@@ -87,3 +90,25 @@ def test_cli_error_is_single_line_nonzero(tmp_path, capsys):
     err = capsys.readouterr().err.strip()
     assert err.startswith("error:")
     assert "\n" not in err
+
+
+def test_match_with_non_finite_metric_is_one_error_line(dataset, tmp_path, capsys):
+    config = RunConfig()
+    structure = init_structure(config.probe_grid(), config.gallery_grid(), config.t_d)
+    save_structure(tmp_path / "structure.bin", structure)
+    n_loc, dim = structure.probs.shape[0], 2
+    path = tmp_path / "metric.bin"
+    save_metric(path, MetricModel(matrices=np.repeat(np.eye(dim)[None], n_loc, axis=0),
+                                  sigmas=np.ones(n_loc), global_matrix=np.eye(dim),
+                                  global_sigma=1.0))
+    blob = bytearray(path.read_bytes())
+    blob[24:32] = np.array([np.nan], dtype="<f8").tobytes()  # first matrix entry
+    path.write_bytes(bytes(blob))
+    code = main(["match", "--probe", f"{dataset}/imgs/id0000_A.ppm",
+                 "--gallery", f"{dataset}/imgs/id0000_B.ppm",
+                 "--structure", str(tmp_path / "structure.bin"), "--metric", str(path)])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "finite" in err[0]

@@ -72,7 +72,10 @@ def test_grids_and_learner_config():
 
 
 @pytest.mark.parametrize("line", ["kappa = nan", "kappa = inf", "kappa = -inf",
-                                  "t_c = 1.5", "t_c = 1.0", "t_c = -0.1", "t_c = nan"])
+                                  "t_c = 1.5", "t_c = 1.0", "t_c = -0.1", "t_c = nan",
+                                  "top_fraction = 0", "top_fraction = 1.5",
+                                  "sigma_scale = -1", "sigma_scale = nan", "repeats = 0",
+                                  "rank_points =", "rank_points = 0,5"])
 def test_out_of_range_gate_values_rejected(line):
     with pytest.raises(ConfigurationError):
         parse_config(line)

@@ -4,8 +4,7 @@ import pytest
 from corrmatch.errors import ConfigurationError
 from corrmatch.learning import (CmcCurve, LearnerConfig, cmc_curve, compute_update,
                                 conditional_matrix, conditional_prob, impact_table,
-                                link_impact, link_importance, patch_importance,
-                                structure_prior)
+                                patch_importance, structure_prior)
 from corrmatch.matching import BinaryMappingStructure
 
 import oracles
@@ -64,17 +63,13 @@ def test_structure_prior_all_zero_uniform():
     assert np.allclose(structure_prior([0.0, 0.0, 0.0, 0.0]), 0.25)
 
 
-def test_link_importance_matches_prior_semantics():
-    assert np.allclose(link_importance([0.1, 0.3]), [0.25, 0.75])
-    assert np.allclose(link_importance([0.0, 0.0]), [0.5, 0.5])
-
-
 # ----------------------------------------------------------- impacts
 
-def test_link_impact_examples():
-    assert link_impact(5, 5, t_d=32) == 1.0
-    assert link_impact(0, 32, t_d=32) == 0.0
-    assert link_impact(4, 7, t_d=32) == 0.25
+def test_impact_table_examples():
+    table = impact_table(40, t_d=32)
+    assert table[5, 5] == 1.0
+    assert table[0, 32] == 0.0
+    assert table[4, 7] == 0.25
 
 
 def test_impact_table_symmetry():
@@ -89,7 +84,7 @@ def test_patch_importance_single_link_peaks_and_decays():
     imp = patch_importance(binary, {(3, 7): 1.0}, n_probe=8, t_d=32)
     assert imp.sum() == pytest.approx(1.0, abs=1e-12)
     assert np.argmax(imp) == 3
-    raw = np.array([link_impact(i, 3) for i in range(8)])
+    raw = impact_table(8, t_d=32)[:, 3]
     assert np.allclose(imp, raw / raw.sum(), atol=1e-12)
 
 
@@ -259,6 +254,43 @@ def test_rank_correct_matches_equals_per_pair_reference():
         expect = oracles.rank_correct_matches(ctx._pair_log_similarity, structure.probs,
                                               config.t_c, config.kappa, ctx.n_train)
         assert ranks.tolist() == expect
+
+
+def test_training_and_evaluation_score_a_pair_bit_for_bit_alike():
+    from corrmatch.assignment import score_gate
+    from corrmatch.learning import _TrainingContext, learn_structure
+    from corrmatch.matching import gated_correlations, rank_gallery
+    from corrmatch.metric import MetricModel
+    from corrmatch.structure import init_structure
+    probe, gallery, _, pg, gg = _tiny_training_world(seed=3, dim=32)
+    # Random PSD matrices: with identity matrices every formula is exact
+    # and a split between two formulas could not show.
+    rng = np.random.default_rng(17)
+    a = rng.standard_normal((pg.n_patches, 32, 32))
+    mats = a @ a.transpose(0, 2, 1) / 32.0
+    model = MetricModel(matrices=mats, sigmas=rng.random(pg.n_patches) + 4.0,
+                        global_matrix=mats[0], global_sigma=4.0)
+    config = LearnerConfig(max_iterations=3, tolerance=0.0, selection_count=2, seed=5)
+    learned = learn_structure(probe, gallery, model, pg, gg, config)
+    ctx = _TrainingContext(probe, gallery, model, pg, gg, config)
+    n = ctx.n_train
+    for structure in (init_structure(pg, gg, config.t_d), learned.structure):
+        _, trained = ctx.rank_correct_matches(structure)
+        gate, values = gated_correlations(probe, gallery, structure, model, config.t_c)
+        evaluated = score_gate(gate, values, config.kappa).totals
+        assert np.array_equal(trained.totals, evaluated)
+        for p in range(n):  # the serving path scores one probe at a time
+            ranked, _ = rank_gallery(probe[p], list(gallery), structure, model,
+                                     config.t_c, config.kappa)
+            served = [score for _, score in sorted(ranked)]
+            assert np.array_equal(served, trained.totals[p * n:(p + 1) * n])
+        # Each cell is log similarity + log p; the other way to write it,
+        # log(similarity * p), would move some of these bits.
+        log_sim = np.stack([ctx._pair_log_similarity(i, j).ravel()
+                            for i, j in zip(*np.nonzero(gate))])
+        probs = structure.probs[gate][:, None]
+        assert np.array_equal(values, log_sim + np.log(probs))
+        assert not np.array_equal(values, np.log(np.exp(log_sim) * probs))
 
 
 def test_learn_structure_rejects_single_identity():

@@ -3,9 +3,11 @@ import pytest
 
 from corrmatch.errors import ConfigurationError, FormatError
 from corrmatch.geometry import GridSpec
-from corrmatch.metric import (MetricModel, appearance_similarity, batched_similarity,
-                              build_avg_similarity, build_training_pairs, load_metric,
-                              save_metric, train_metric)
+from corrmatch.metric import (MAX_EXPONENT, MetricModel, appearance_similarity,
+                              batched_similarity, build_avg_similarity, build_training_pairs,
+                              load_metric, log_similarity, save_metric, train_metric)
+
+import oracles
 
 
 def scalar_model(m, sigma):
@@ -103,6 +105,24 @@ def test_batched_matches_scalar():
             appearance_similarity(model, fa[k], fb[k], int(locs[k])), abs=1e-12)
 
 
+def test_log_similarity_matches_three_operand_reference():
+    rng = np.random.default_rng(7)
+    dim, n_loc = 32, 3
+    a = rng.standard_normal((n_loc, dim, dim))
+    mats = a @ a.transpose(0, 2, 1) / dim                    # PSD per location
+    model = MetricModel(matrices=mats, sigmas=rng.random(n_loc) + 0.5,
+                        global_matrix=mats[0], global_sigma=1.0)
+    d = rng.standard_normal((5, 7, dim)) * 0.3
+    for loc in range(n_loc):
+        got = log_similarity(model, loc, d)
+        expect = oracles.log_similarity(mats[loc], model.sigma_at(loc), d, MAX_EXPONENT)
+        assert got.shape == (5, 7)
+        assert np.all(expect < 0.0)
+        assert np.allclose(got, expect, rtol=1e-12, atol=0.0)
+    huge = log_similarity(model, 0, d * 1e4)                 # clamped exponents
+    assert np.all(huge == -MAX_EXPONENT)
+
+
 def test_fallback_when_location_underpopulated():
     rng = np.random.default_rng(4)
     dim = 3
@@ -197,4 +217,29 @@ def test_metric_load_rejects_bad_magic(tmp_path):
     path = tmp_path / "bad.bin"
     path.write_bytes(b"WRONGMAGIC123456" + bytes(64))
     with pytest.raises(FormatError):
+        load_metric(path)
+
+
+def _metric_blob(tmp_path):
+    rng = np.random.default_rng(8)
+    dim, n_loc = 3, 2
+    mats = np.repeat(np.eye(dim)[None], n_loc, axis=0)
+    model = MetricModel(matrices=mats, sigmas=rng.random(n_loc) + 0.5,
+                        global_matrix=np.eye(dim), global_sigma=0.9)
+    path = tmp_path / "m.bin"
+    save_metric(path, model)
+    return path, dim, n_loc
+
+
+@pytest.mark.parametrize("field", ["matrix", "sigma", "global_matrix", "global_sigma"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_metric_load_rejects_non_finite_values(tmp_path, field, bad):
+    path, dim, n_loc = _metric_blob(tmp_path)
+    offset = 24 + {"matrix": 0, "sigma": n_loc * dim * dim,
+                   "global_matrix": n_loc * dim * dim + n_loc,
+                   "global_sigma": (n_loc + 1) * dim * dim + n_loc}[field] * 8
+    blob = bytearray(path.read_bytes())
+    blob[offset:offset + 8] = np.array([bad], dtype="<f8").tobytes()
+    path.write_bytes(bytes(blob))
+    with pytest.raises(ValueError, match="finite"):
         load_metric(path)
