@@ -4,8 +4,13 @@ Maximizes the total correlation of a one-to-one pairing between probe rows
 and gallery columns.  Excluded cells are non-assignable rather than merely
 expensive; a probe row left unmatched (because its cells are all excluded,
 or because better rows claim its columns) contributes the floor penalty
-``kappa`` to the score.  Ties between optima are broken toward the
-lexicographically smallest pair set.
+``kappa`` to the score, and scores are float sums taken in ascending row
+order.  Among optimal pair sets the solver prefers the lexicographically
+smallest, but it moves to a smaller one only when that one's float sum is
+not below the current one's.  Optima whose sums are exactly equal therefore
+resolve to the lexicographically smallest pair set; where tied optima's
+float sums round an ulp apart, the pair set returned may be neither the
+smallest nor the one with the largest sum.
 
 The solver runs successive shortest augmenting paths over a sparse edge
 list, with a private "skip" slot per row priced at ``kappa`` so a complete
@@ -20,8 +25,6 @@ import heapq
 from dataclasses import dataclass
 
 import numpy as np
-
-DEFAULT_KAPPA = -50.0
 
 _INF = float("inf")
 
@@ -40,14 +43,16 @@ class Assignment:
             raise ValueError("assignment must be one-to-one")
 
 
-def solve_assignment(values: np.ndarray, assignable: np.ndarray | None = None,
-                     kappa: float = DEFAULT_KAPPA) -> Assignment:
+def solve_assignment(values: np.ndarray, assignable: np.ndarray | None = None, *,
+                     kappa: float) -> Assignment:
     """Best one-to-one assignment for a correlation matrix.
 
     ``values`` is (n_rows, n_cols); cells where ``assignable`` is False (or
     where values are -inf when no mask is given) cannot be used.  The score
     sums chosen cell values plus ``kappa`` per unmatched row, accumulated in
-    ascending row order.
+    ascending row order.  Among optima with exactly equal sums the
+    lexicographically smallest pair set is returned; the module docstring
+    says what happens when tied optima's sums round apart.
     """
     values = np.asarray(values, dtype=np.float64)
     if values.ndim != 2:
@@ -81,8 +86,7 @@ class GateScores:
     solves: int         # (component, pair) cases solved exactly
 
 
-def score_gate(gate: np.ndarray, values: np.ndarray,
-               kappa: float = DEFAULT_KAPPA) -> GateScores:
+def score_gate(gate: np.ndarray, values: np.ndarray, kappa: float) -> GateScores:
     """Optimal assignment score of every pair that shares one assignable mask.
 
     ``gate`` is the (n_rows, n_cols) mask common to all pairs; ``values`` is
@@ -198,9 +202,11 @@ def solve_sparse(row_cols, row_vals, n_cols: int, kappa: float) -> list[int]:
     """Optimal assignment over sparse rows; returns a column per row (-1 = skip).
 
     ``row_cols[i]`` / ``row_vals[i]`` list the assignable columns of row i in
-    ascending column order with their values.  Ties between optima resolve
-    to the lexicographically smallest pair set; a skipped row sorts before
-    any pair of that row only when the whole remaining suffix is skipped too.
+    ascending column order with their values.  Optima whose row-order float
+    sums are exactly equal resolve to the lexicographically smallest pair
+    set (see the module docstring for sums that round apart); a skipped row
+    sorts before any pair of that row only when the whole remaining suffix
+    is skipped too.
     """
     rows = [[(int(c), float(x)) for c, x in zip(cols, vals)]
             for cols, vals in zip(row_cols, row_vals)]

@@ -58,8 +58,7 @@ def cmd_train(args) -> int:
     identities = manifest.identities()
     probe_stack, gallery_stack = bank.stacks(identities)
     metric = train_split_metric(probe_stack, gallery_stack, config)
-    result = learn_structure(probe_stack, gallery_stack, metric, config.probe_grid(),
-                             config.gallery_grid(), config.learner_config())
+    result = learn_structure(probe_stack, gallery_stack, metric, config)
     save_structure(os.path.join(args.out, "structure.bin"), result.structure)
     export_structure_csv(os.path.join(args.out, "structure.csv"), result.structure)
     save_metric(os.path.join(args.out, "metric.bin"), metric)

@@ -1,7 +1,10 @@
 """Flat key = value run configuration.
 
-Every tunable numeric constant of the pipeline is a named key with its
-default; files may override any subset.  Lines starting with # are comments.
+``RunConfig`` is the one configuration of the pipeline: every tunable
+constant is a named key with its default, and every range check runs when
+a config is built or parsed.  Library functions take the values they need
+(``kappa``, ``t_c``, ...) as explicit arguments.  Files may override any
+subset of keys; lines starting with # are comments.
 """
 from __future__ import annotations
 
@@ -10,7 +13,6 @@ from dataclasses import dataclass, fields
 
 from .errors import ConfigurationError
 from .geometry import GridSpec
-from .learning import LearnerConfig
 
 
 @dataclass(frozen=True)
@@ -35,6 +37,12 @@ class RunConfig:
     adjacency_ranges: tuple[int, ...] = (1, 2, 3, 4)
     color_bins: int = 8
     gradient_bins: int = 8
+    # The similarity bandwidth is this fraction of the mean similar-pair
+    # distance.  Training pairs come from a wide spatial window, so their mean
+    # distance is dominated by content mismatches; using it directly as the
+    # exp(-d / sigma) bandwidth would (by Jensen's inequality) pin the average
+    # in-window similarity ratio above e^-1 and flatten every learned
+    # correspondence row below the match-time probability gate.
     sigma_scale: float = 0.15
     seed: int = 0
     repeats: int = 10
@@ -42,7 +50,20 @@ class RunConfig:
     use_first_image: bool = True
 
     def __post_init__(self) -> None:
-        self.learner_config()  # range checks on the learner keys fail here
+        self.probe_grid(), self.gallery_grid()  # bad geometry fails here
+        if not 0 < self.epsilon <= 1:
+            raise ConfigurationError("epsilon must lie in (0, 1]")
+        if self.selection_count < 2 or self.selection_count % 2:
+            raise ConfigurationError("selection_count must be even and >= 2")
+        if min(self.n_cmc, self.max_iterations, self.t_d) < 1 or not self.tolerance >= 0:
+            raise ConfigurationError("n_cmc, max_iterations, t_d must be positive "
+                                     "and tolerance non-negative")
+        if not 0.0 < self.top_fraction <= 1.0:
+            raise ConfigurationError(f"top_fraction must lie in (0, 1], got {self.top_fraction!r}")
+        if not 0.0 <= self.t_c < 1.0:
+            raise ConfigurationError(f"t_c must lie in [0, 1), got {self.t_c!r}")
+        if not math.isfinite(self.kappa):
+            raise ConfigurationError(f"kappa must be finite, got {self.kappa!r}")
         if not (math.isfinite(self.sigma_scale) and self.sigma_scale > 0):
             raise ConfigurationError(f"sigma_scale must be positive and finite, "
                                      f"got {self.sigma_scale!r}")
@@ -51,6 +72,14 @@ class RunConfig:
         if not self.rank_points or min(self.rank_points) < 1:
             raise ConfigurationError(f"rank_points must be non-empty and >= 1, "
                                      f"got {self.rank_points}")
+        if not self.adjacency_ranges or min(self.adjacency_ranges) < 1:
+            raise ConfigurationError(f"adjacency_ranges must be non-empty and >= 1, "
+                                     f"got {self.adjacency_ranges}")
+        if min(self.color_bins, self.gradient_bins) < 1:
+            raise ConfigurationError(f"color_bins and gradient_bins must be >= 1, got "
+                                     f"{self.color_bins} and {self.gradient_bins}")
+        if self.seed < 0:
+            raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
 
     def probe_grid(self) -> GridSpec:
         return GridSpec(self.image_width, self.image_height, self.patch_width,
@@ -59,15 +88,6 @@ class RunConfig:
     def gallery_grid(self) -> GridSpec:
         return GridSpec(self.image_width, self.image_height, self.patch_width,
                         self.patch_height, self.gallery_stride_x, self.gallery_stride_y)
-
-    def learner_config(self) -> LearnerConfig:
-        return LearnerConfig(epsilon=self.epsilon, n_cmc=self.n_cmc,
-                             selection_count=self.selection_count,
-                             top_fraction=self.top_fraction,
-                             max_iterations=self.max_iterations,
-                             tolerance=self.tolerance, t_d=self.t_d, t_c=self.t_c,
-                             kappa=self.kappa, adjacency_ranges=self.adjacency_ranges,
-                             seed=self.seed)
 
 
 def _parse_value(name: str, raw: str, kind):

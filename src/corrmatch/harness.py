@@ -23,7 +23,7 @@ from .imaging import RgbImage, extract_descriptors, load_image, save_image, scal
 from .learning import (CmcCurve, LearnResult, cmc_curve, find_binary_structures,
                        learn_structure)
 from .matching import (BinaryMappingStructure, binary_structure_score_matrix,
-                       gated_correlations, greedy_scores)
+                       gated_correlations, greedy_scores, rank_of_scores)
 from .metric import MetricModel, build_training_pairs, train_metric
 from .structure import CorrespondenceStructure
 
@@ -122,7 +122,7 @@ class SplitPlan:
     splits: tuple[tuple[tuple[str, ...], tuple[str, ...]], ...]  # (train, test) per repeat
 
 
-def make_splits(manifest: DatasetManifest, seed: int, repeats: int = 10) -> SplitPlan:
+def make_splits(manifest: DatasetManifest, seed: int, repeats: int) -> SplitPlan:
     """Seeded repeated 50/50 identity splits; odd counts favor training."""
     identities = manifest.identities()
     if len(identities) < 4:
@@ -359,27 +359,14 @@ def train_on_split(bank: DescriptorBank, train_ids, config: RunConfig,
     learned = None
     binaries = None
     if need_structure:
-        learned = learn_structure(probe_stack, gallery_stack, metric,
-                                  config.probe_grid(), config.gallery_grid(),
-                                  config.learner_config())
+        learned = learn_structure(probe_stack, gallery_stack, metric, config)
     elif need_binaries:
-        binaries = find_binary_structures(probe_stack, gallery_stack, metric,
-                                          config.probe_grid(), config.gallery_grid(),
-                                          config.learner_config())
+        binaries = find_binary_structures(probe_stack, gallery_stack, metric, config)
     return SplitArtifacts(metric=metric, learned=learned, binaries=binaries)
 
 
-def _rank_of_owner(scores, owners, target: int) -> int:
-    """1-based rank of the first gallery image belonging to ``target``."""
-    order = sorted(range(len(scores)), key=lambda idx: (-scores[idx], idx))
-    for pos, idx in enumerate(order, start=1):
-        if owners[idx] == target:
-            return pos
-    raise ValueError("correct identity missing from the gallery pool")
-
-
 def _test_ranks(bank: DescriptorBank, test_ids, artifacts: SplitArtifacts,
-                arm: str, config: RunConfig) -> tuple[list[int], int]:
+                arm: str, config: RunConfig) -> tuple[np.ndarray, int]:
     """Correct-match ranks per probe and the gallery pool size.
 
     With use_first_image the gallery holds one image per identity;
@@ -400,8 +387,7 @@ def _test_ranks(bank: DescriptorBank, test_ids, artifacts: SplitArtifacts,
                                                colocated_links(config), metric,
                                                config.gallery_grid().n_patches,
                                                config.kappa)
-        return ([_rank_of_owner(list(scores[p]), owners, p) for p in range(n)],
-                len(gallery_stack))
+        return rank_of_scores(scores, np.arange(n), owners), len(gallery_stack)
 
     if arm == "simple-average":
         structure = simple_average_structure(artifacts.binary_structures(), config)
@@ -419,7 +405,7 @@ def _test_ranks(bank: DescriptorBank, test_ids, artifacts: SplitArtifacts,
     else:
         totals = score_gate(gate, values, config.kappa).totals
     scores = totals.reshape(n, len(gallery_stack))
-    return [_rank_of_owner(list(scores[p]), owners, p) for p in range(n)], len(gallery_stack)
+    return rank_of_scores(scores, np.arange(n), owners), len(gallery_stack)
 
 
 def run_ablations(manifest: DatasetManifest, splits: SplitPlan, arms, config: RunConfig):

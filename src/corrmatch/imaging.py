@@ -1,11 +1,11 @@
 """Image loading, canonical rescaling, and per-patch descriptor extraction.
 
 Images are 8-bit RGB held as numpy arrays of shape (height, width, 3).
-Each patch yields a 32-dim descriptor: a 24-dim CIELAB color block
-(8 bins per channel, marginal histograms, jointly L1-normalized) followed
-by an 8-bin magnitude-weighted gradient-orientation histogram computed on
-luminance.  The gradient block is all-zero for patches with no gradient
-energy, otherwise L1-normalized.
+Each patch yields a descriptor of 3 * color_bins + gradient_bins values (32
+at the default 8 and 8): a CIELAB color block (marginal histograms, jointly
+L1-normalized) followed by a magnitude-weighted gradient-orientation
+histogram computed on luminance.  The gradient block is all-zero for
+patches with no gradient energy, otherwise L1-normalized.
 """
 from __future__ import annotations
 
@@ -15,12 +15,8 @@ import numpy as np
 
 from .geometry import GridSpec, patch_at
 
-DEFAULT_COLOR_BINS = 8
-DEFAULT_GRADIENT_BINS = 8
 
-
-def descriptor_dim(color_bins: int = DEFAULT_COLOR_BINS,
-                   gradient_bins: int = DEFAULT_GRADIENT_BINS) -> int:
+def descriptor_dim(color_bins: int, gradient_bins: int) -> int:
     return 3 * color_bins + gradient_bins
 
 
@@ -214,9 +210,8 @@ def _gradient_orientation(y_plane: np.ndarray, gradient_bins: int):
     return low % gradient_bins, (low + 1) % gradient_bins, 1.0 - frac, frac, magnitude
 
 
-def extract_descriptors(img: RgbImage, grid: GridSpec,
-                        color_bins: int = DEFAULT_COLOR_BINS,
-                        gradient_bins: int = DEFAULT_GRADIENT_BINS) -> np.ndarray:
+def extract_descriptors(img: RgbImage, grid: GridSpec, color_bins: int,
+                        gradient_bins: int) -> np.ndarray:
     """Per-patch descriptors in zig-zag order, shape (n_patches, dim).
 
     Histograms are accumulated through per-bin summed-area tables so each

@@ -10,22 +10,18 @@ iterations since the underlying binary structures never change.
 """
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .assignment import DEFAULT_KAPPA, GateScores, score_gate
+from .assignment import GateScores, score_gate
+from .config import RunConfig
 from .errors import ConfigurationError
-from .geometry import GridSpec
-from .matching import (DEFAULT_ADJACENCY_RANGES, DEFAULT_T_C, BinaryMappingStructure,
-                       adjacency_candidates, best_binary_structure,
+from .matching import (BinaryMappingStructure, adjacency_candidates, best_binary_structure,
                        binary_structure_score_matrix, gated_correlations, rank_of_scores)
 from .metric import MetricModel, build_avg_similarity, log_similarity
 from .structure import CorrespondenceStructure, blend_update, init_structure
-
-DEFAULT_T_D = 32
 
 
 @dataclass(frozen=True)
@@ -54,35 +50,6 @@ def cmc_curve(ranks, gallery_size: int) -> CmcCurve:
         raise ValueError("ranks must lie in [1, gallery_size]")
     counts = np.bincount(ranks, minlength=gallery_size + 1)[1:]
     return CmcCurve(values=np.cumsum(counts) / ranks.size, gallery_size=gallery_size)
-
-
-@dataclass(frozen=True)
-class LearnerConfig:
-    epsilon: float = 0.2
-    n_cmc: int = 5
-    selection_count: int = 20
-    top_fraction: float = 0.5
-    max_iterations: int = 300
-    tolerance: float = 1e-4
-    t_d: int = DEFAULT_T_D
-    t_c: float = DEFAULT_T_C
-    kappa: float = DEFAULT_KAPPA
-    adjacency_ranges: tuple[int, ...] = DEFAULT_ADJACENCY_RANGES
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if not 0 < self.epsilon <= 1:
-            raise ConfigurationError("epsilon must lie in (0, 1]")
-        if self.selection_count < 2 or self.selection_count % 2:
-            raise ConfigurationError("selection_count must be even and >= 2")
-        if min(self.n_cmc, self.max_iterations, self.t_d) < 1 or self.tolerance < 0:
-            raise ConfigurationError("n_cmc, max_iterations, t_d must be positive")
-        if not 0.0 < self.top_fraction <= 1.0:
-            raise ConfigurationError(f"top_fraction must lie in (0, 1], got {self.top_fraction!r}")
-        if not 0.0 <= self.t_c < 1.0:
-            raise ConfigurationError(f"t_c must lie in [0, 1), got {self.t_c!r}")
-        if not math.isfinite(self.kappa):
-            raise ConfigurationError(f"kappa must be finite, got {self.kappa!r}")
 
 
 @dataclass(frozen=True)
@@ -151,7 +118,7 @@ def structure_prior(cmc_scores) -> np.ndarray:
 
 
 def patch_importance(binary: BinaryMappingStructure, link_importances: dict,
-                     n_probe: int, t_d: int = DEFAULT_T_D) -> np.ndarray:
+                     n_probe: int, t_d: int) -> np.ndarray:
     """Importance of each probe patch: impact-weighted sum of link importances."""
     weights = np.zeros(n_probe)
     for (s, _t), imp in link_importances.items():
@@ -175,10 +142,9 @@ def compute_update(joint_matrices, priors) -> np.ndarray:
 
 
 def find_binary_structures(probe_stack: np.ndarray, gallery_stack: np.ndarray,
-                           model: MetricModel, probe_grid: GridSpec,
-                           gallery_grid: GridSpec,
-                           config: LearnerConfig) -> list[BinaryMappingStructure]:
+                           model: MetricModel, config: RunConfig) -> list[BinaryMappingStructure]:
     """Best adjacency-search link set per training probe (loop step 1)."""
+    probe_grid, gallery_grid = config.probe_grid(), config.gallery_grid()
     out = []
     for alpha in range(probe_stack.shape[0]):
         candidates = adjacency_candidates(probe_stack[alpha], gallery_stack[alpha],
@@ -192,13 +158,12 @@ def find_binary_structures(probe_stack: np.ndarray, gallery_stack: np.ndarray,
 class _TrainingContext:
     """Per-split caches shared across boosting iterations."""
 
-    def __init__(self, probe_stack, gallery_stack, model, probe_grid, gallery_grid, config):
+    def __init__(self, probe_stack, gallery_stack, model, config: RunConfig):
         self.probe_stack = probe_stack
         self.gallery_stack = gallery_stack
         self.model = model
-        self.probe_grid = probe_grid
-        self.gallery_grid = gallery_grid
         self.config = config
+        probe_grid, gallery_grid = config.probe_grid(), config.gallery_grid()
         self.n_train = probe_stack.shape[0]
         self.n_a = probe_grid.n_patches
         self.n_b = gallery_grid.n_patches
@@ -211,8 +176,7 @@ class _TrainingContext:
 
     def find_binary_structures(self) -> None:
         self.binary_structures = find_binary_structures(
-            self.probe_stack, self.gallery_stack, self.model,
-            self.probe_grid, self.gallery_grid, self.config)
+            self.probe_stack, self.gallery_stack, self.model, self.config)
 
     def structure_cmc(self, alpha: int) -> float:
         """Rank-n CMC over the training set with structure alpha as the model."""
@@ -220,8 +184,7 @@ class _TrainingContext:
             scores = binary_structure_score_matrix(self.probe_stack, self.gallery_stack,
                                                    self.binary_structures[alpha],
                                                    self.model, self.n_b, self.config.kappa)
-            ranks = [rank_of_scores(list(scores[p]), p) for p in range(self.n_train)]
-            curve = cmc_curve(ranks, self.n_train)
+            curve = cmc_curve(rank_of_scores(scores, np.arange(self.n_train)), self.n_train)
             self._structure_cmc[alpha] = curve.at_rank(self.config.n_cmc)
         return self._structure_cmc[alpha]
 
@@ -229,8 +192,7 @@ class _TrainingContext:
         """Rank-n CMC using one link alone; ranks depend on that cell only."""
         if link not in self._link_cmc:
             s, t = link
-            sims = self._pair_log_similarity(s, t)
-            ranks = [rank_of_scores(list(sims[p]), p) for p in range(self.n_train)]
+            ranks = rank_of_scores(self._pair_log_similarity(s, t), np.arange(self.n_train))
             self._link_cmc[link] = cmc_curve(ranks, self.n_train).at_rank(self.config.n_cmc)
         return self._link_cmc[link]
 
@@ -258,14 +220,11 @@ class _TrainingContext:
                                           self.model, self.config.t_c)
         scored = score_gate(gate, values, self.config.kappa)
         scores = scored.totals.reshape(self.n_train, self.n_train)
-        ranks = np.array([rank_of_scores(list(scores[p]), p) for p in range(self.n_train)],
-                         dtype=np.int64)
-        return ranks, scored
+        return rank_of_scores(scores, np.arange(self.n_train)), scored
 
 
 def learn_structure(probe_stack: np.ndarray, gallery_stack: np.ndarray,
-                    model: MetricModel, probe_grid: GridSpec, gallery_grid: GridSpec,
-                    config: LearnerConfig,
+                    model: MetricModel, config: RunConfig,
                     binary_structures: list[BinaryMappingStructure] | None = None) -> LearnResult:
     """Run the full boosting loop and return the learned structure.
 
@@ -279,8 +238,7 @@ def learn_structure(probe_stack: np.ndarray, gallery_stack: np.ndarray,
     if probe_stack.shape[0] < 2:
         raise ConfigurationError("training requires at least two identities")
 
-    ctx = _TrainingContext(probe_stack, gallery_stack, model, probe_grid,
-                           gallery_grid, config)
+    ctx = _TrainingContext(probe_stack, gallery_stack, model, config)
     if binary_structures is None:
         ctx.find_binary_structures()
     else:
@@ -288,7 +246,7 @@ def learn_structure(probe_stack: np.ndarray, gallery_stack: np.ndarray,
             raise ValueError("need one binary structure per training identity")
         ctx.binary_structures = list(binary_structures)
 
-    structure = init_structure(probe_grid, gallery_grid, config.t_d)
+    structure = init_structure(config.probe_grid(), config.gallery_grid(), config.t_d)
     rng = np.random.default_rng(config.seed)
     half = config.selection_count // 2
     diagnostics: list[IterationStats] = []

@@ -14,13 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assignment import DEFAULT_KAPPA, Assignment, score_gate, solve_assignment
+from .assignment import Assignment, score_gate, solve_assignment
 from .geometry import GridSpec, colocated_patch, patch_at
 from .metric import MetricModel, log_similarity
 from .structure import CorrespondenceStructure
-
-DEFAULT_T_C = 0.05
-DEFAULT_ADJACENCY_RANGES = (1, 2, 3, 4)
 
 
 @dataclass(frozen=True)
@@ -47,11 +44,6 @@ class CorrelationMatrix:
 
     values: np.ndarray
     assignable: np.ndarray
-
-    def sparse_rows(self):
-        cols = [np.flatnonzero(self.assignable[i]) for i in range(self.values.shape[0])]
-        vals = [self.values[i, c] for i, c in enumerate(cols)]
-        return cols, vals
 
 
 def _cell_values(probe_stack: np.ndarray, gallery_stack: np.ndarray, model: MetricModel,
@@ -87,7 +79,7 @@ def _one_pair(gate: np.ndarray, cells: np.ndarray) -> CorrelationMatrix:
 
 def gated_correlations(probe_stack: np.ndarray, gallery_stack: np.ndarray,
                        structure: CorrespondenceStructure, model: MetricModel,
-                       t_c: float = DEFAULT_T_C) -> tuple[np.ndarray, np.ndarray]:
+                       t_c: float) -> tuple[np.ndarray, np.ndarray]:
     """Gated correlations of every probe image against every gallery image.
 
     ``probe_stack`` is (n_probe_images, N_A, dim) and ``gallery_stack``
@@ -102,7 +94,7 @@ def gated_correlations(probe_stack: np.ndarray, gallery_stack: np.ndarray,
 
 def correlation_matrix(probe_desc: np.ndarray, gallery_desc: np.ndarray,
                        structure: CorrespondenceStructure, model: MetricModel,
-                       t_c: float = DEFAULT_T_C) -> CorrelationMatrix:
+                       t_c: float) -> CorrelationMatrix:
     """Structure-gated correlations: log similarity + log probability, else excluded."""
     return _one_pair(*gated_correlations(probe_desc[None], gallery_desc[None],
                                          structure, model, t_c))
@@ -128,13 +120,13 @@ def binary_correlation(probe_desc: np.ndarray, gallery_desc: np.ndarray,
                                         gate, log_weight))
 
 
-def score_correlation(corr: CorrelationMatrix, kappa: float = DEFAULT_KAPPA) -> Assignment:
+def score_correlation(corr: CorrelationMatrix, kappa: float) -> Assignment:
     """Optimal one-to-one assignment over a correlation matrix."""
     return solve_assignment(corr.values, corr.assignable, kappa=kappa)
 
 
 def greedy_scores(gate: np.ndarray, values: np.ndarray,
-                  kappa: float = DEFAULT_KAPPA) -> np.ndarray:
+                  kappa: float) -> np.ndarray:
     """Row-wise best correlations summed without the one-to-one constraint.
 
     Scores every pair sharing one gate; ``values`` is (n_cells, n_pairs) in
@@ -148,7 +140,7 @@ def greedy_scores(gate: np.ndarray, values: np.ndarray,
     return totals
 
 
-def greedy_score(corr: CorrelationMatrix, kappa: float = DEFAULT_KAPPA) -> float:
+def greedy_score(corr: CorrelationMatrix, kappa: float) -> float:
     """Row-wise best correlations summed without the one-to-one constraint."""
     cells = corr.values[corr.assignable][:, None]
     return float(greedy_scores(corr.assignable, cells, kappa)[0])
@@ -156,15 +148,15 @@ def greedy_score(corr: CorrelationMatrix, kappa: float = DEFAULT_KAPPA) -> float
 
 def match_score(probe_desc: np.ndarray, gallery_desc: np.ndarray,
                 structure: CorrespondenceStructure, model: MetricModel,
-                t_c: float = DEFAULT_T_C, kappa: float = DEFAULT_KAPPA) -> Assignment:
+                t_c: float, kappa: float) -> Assignment:
     """Image matching score: correlation matrix plus global assignment."""
     return score_correlation(correlation_matrix(probe_desc, gallery_desc,
                                                 structure, model, t_c), kappa)
 
 
 def rank_gallery(probe_desc: np.ndarray, gallery_descs, structure: CorrespondenceStructure,
-                 model: MetricModel, t_c: float = DEFAULT_T_C,
-                 kappa: float = DEFAULT_KAPPA, correct_index: int | None = None):
+                 model: MetricModel, t_c: float, kappa: float,
+                 correct_index: int | None = None):
     """Galleries ordered by descending score; ties keep input order.
 
     Returns (ordered list of (gallery index, score), rank of correct_index
@@ -181,16 +173,25 @@ def rank_gallery(probe_desc: np.ndarray, gallery_descs, structure: Correspondenc
     return ranked, rank
 
 
-def rank_of_scores(scores, correct_index: int) -> int:
-    """1-based rank of correct_index when scores sort descending, stable."""
-    order = sorted(range(len(scores)), key=lambda idx: (-scores[idx], idx))
-    return order.index(correct_index) + 1
+def rank_of_scores(scores, correct, owners=None) -> np.ndarray:
+    """1-based rank of each row's correct gallery when the row's scores sort
+    descending; ties keep gallery order.
+
+    ``scores`` is (n_rows, n_galleries) and ``correct[r]`` is row r's correct
+    gallery index.  With ``owners`` (one owner per gallery) ``correct[r]``
+    names an owner instead, and the owner's best-placed gallery counts.
+    """
+    order = np.argsort(-np.asarray(scores, dtype=np.float64), axis=1, kind="stable")
+    owned = order if owners is None else np.asarray(owners)[order]
+    hits = owned == np.asarray(correct)[:, None]
+    if not hits.any(axis=1).all():
+        raise ValueError("a row's correct gallery is missing")
+    return hits.argmax(axis=1) + 1
 
 
 def adjacency_candidates(probe_desc: np.ndarray, gallery_desc: np.ndarray,
                          model: MetricModel, probe_grid: GridSpec,
-                         gallery_grid: GridSpec,
-                         ranges=DEFAULT_ADJACENCY_RANGES) -> list[BinaryMappingStructure]:
+                         gallery_grid: GridSpec, ranges) -> list[BinaryMappingStructure]:
     """Candidate link sets from appearance search in widening row bands.
 
     For each search range l, every probe patch links to the gallery patch
@@ -224,8 +225,7 @@ def adjacency_candidates(probe_desc: np.ndarray, gallery_desc: np.ndarray,
 
 def binary_structure_score_matrix(probe_stack: np.ndarray, gallery_stack: np.ndarray,
                                   binary: BinaryMappingStructure, model: MetricModel,
-                                  n_gallery_patches: int,
-                                  kappa: float = DEFAULT_KAPPA) -> np.ndarray:
+                                  n_gallery_patches: int, kappa: float) -> np.ndarray:
     """Matching scores of every probe image against every gallery image.
 
     ``probe_stack`` is (n_probe_images, N_A, dim), ``gallery_stack``
@@ -239,25 +239,17 @@ def binary_structure_score_matrix(probe_stack: np.ndarray, gallery_stack: np.nda
                                                           len(gallery_stack))
 
 
-def binary_structure_scores(probe_desc: np.ndarray, gallery_stack: np.ndarray,
-                            binary: BinaryMappingStructure, model: MetricModel,
-                            kappa: float = DEFAULT_KAPPA) -> np.ndarray:
-    """Matching score of one probe image against every gallery in a stack."""
-    return binary_structure_score_matrix(probe_desc[None, :, :], gallery_stack,
-                                         binary, model, gallery_stack.shape[1],
-                                         kappa)[0]
-
-
 def best_binary_structure(probe_desc: np.ndarray, gallery_stack: np.ndarray,
                           correct_index: int, candidates, model: MetricModel,
-                          kappa: float = DEFAULT_KAPPA) -> BinaryMappingStructure:
+                          kappa: float) -> BinaryMappingStructure:
     """Candidate whose ranking places the correct gallery best; ties keep order."""
     if not candidates:
         raise ValueError("candidates must be non-empty")
     best_rank, best = None, None
     for cand in candidates:
-        scores = binary_structure_scores(probe_desc, gallery_stack, cand, model, kappa)
-        rank = rank_of_scores(list(scores), correct_index)
+        scores = binary_structure_score_matrix(probe_desc[None], gallery_stack, cand, model,
+                                               gallery_stack.shape[1], kappa)
+        rank = rank_of_scores(scores, [correct_index])[0]
         if best_rank is None or rank < best_rank:
             best_rank, best = rank, cand
     return best

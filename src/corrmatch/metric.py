@@ -20,13 +20,6 @@ from .geometry import GridSpec, colocated_patch, patch_at
 
 RIDGE_FACTOR = 1e-3
 SIGMA_FLOOR = 1e-6
-# The similarity bandwidth is this fraction of the mean similar-pair
-# distance.  Training pairs come from a wide spatial window, so their mean
-# distance is dominated by content mismatches; using it directly as the
-# exp(-d / sigma) bandwidth would (by Jensen's inequality) pin the average
-# in-window similarity ratio above e^-1 and flatten every learned
-# correspondence row below the match-time probability gate.
-DEFAULT_SIGMA_SCALE = 0.15
 # Cap on distance / sigma before exponentiation: keeps similarities strictly
 # positive (exp(-700) is the order of the smallest normal double).
 MAX_EXPONENT = 700.0
@@ -120,8 +113,7 @@ def _scale_for(matrix: np.ndarray, diffs, sigma_scale: float) -> float:
     return max(sigma_scale * float(dist.mean()), SIGMA_FLOOR)
 
 
-def train_metric(similar_pairs, dissimilar_pairs,
-                 sigma_scale: float = DEFAULT_SIGMA_SCALE) -> MetricModel:
+def train_metric(similar_pairs, dissimilar_pairs, sigma_scale: float) -> MetricModel:
     """Learn per-location metrics from descriptor-pair lists.
 
     ``similar_pairs[i]`` and ``dissimilar_pairs[i]`` are (A, B) array pairs of
@@ -129,7 +121,7 @@ def train_metric(similar_pairs, dissimilar_pairs,
     location i.  A location needs at least dim + 1 similar and dissimilar
     pairs, otherwise it falls back to the global metric pooled over all
     locations.  ``sigma_scale`` scales the mean similar-pair distance into
-    the exp(-d / sigma) bandwidth.
+    the exp(-d / sigma) bandwidth (``RunConfig.sigma_scale`` says why).
     """
     if len(similar_pairs) != len(dissimilar_pairs):
         raise ValueError("similar and dissimilar lists must align per location")

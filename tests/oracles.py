@@ -65,6 +65,13 @@ def dp_best_score(values: np.ndarray, assignable: np.ndarray, kappa: float) -> f
     return float(dp.max())
 
 
+def rank_of_owner(scores, owners, target) -> int:
+    """1-based position of the first gallery owned by ``target`` once the
+    scores are sorted descending, ties keeping gallery order."""
+    order = sorted(range(len(scores)), key=lambda idx: (-scores[idx], idx))
+    return 1 + [owners[idx] for idx in order].index(target)
+
+
 def log_similarity(matrix: np.ndarray, sigma: float, d: np.ndarray,
                    max_exponent: float = 700.0) -> np.ndarray:
     """-min(max(d . M . d, 0) / sigma, max_exponent) with a three-operand einsum."""

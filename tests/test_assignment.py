@@ -141,6 +141,16 @@ def test_lexicographic_prefix_rule_with_tied_kappa():
     assert res.score == -100.0
 
 
+def test_tied_optima_whose_sums_round_apart_keep_the_larger_sum():
+    # (0, 0), (1, 1) and (0, 0), (2, 1) tie in exact arithmetic, but summed
+    # in row order the second rounds up: it is the optimum, not a tie.
+    values = np.array([[-1.9, -np.inf], [-np.inf, -0.8], [-np.inf, -0.8]])
+    res = solve_assignment(values, kappa=KAPPA)
+    assert res.pairs == ((0, 0), (2, 1))
+    assert res.score == -52.699999999999996
+    assert (res.pairs, res.score) == brute_force_best(values, ~np.isneginf(values), KAPPA)
+
+
 def test_score_monotone_in_single_cell():
     rng = np.random.default_rng(15)
     for _ in range(50):
@@ -172,7 +182,7 @@ def test_permutation_equivariance():
 
 def test_rejects_nan_values():
     with pytest.raises(ValueError):
-        solve_assignment(np.array([[np.nan]]))
+        solve_assignment(np.array([[np.nan]]), kappa=KAPPA)
 
 
 # ------------------------------------------------------ batched scoring
@@ -261,6 +271,6 @@ def test_score_gate_single_column_tie_goes_to_first_row():
 def test_score_gate_rejects_bad_values():
     gate = np.array([[True, False]])
     with pytest.raises(ValueError):
-        score_gate(gate, np.zeros((2, 1)))
+        score_gate(gate, np.zeros((2, 1)), KAPPA)
     with pytest.raises(ValueError):
-        score_gate(gate, np.array([[np.nan]]))
+        score_gate(gate, np.array([[np.nan]]), KAPPA)

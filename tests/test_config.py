@@ -1,4 +1,8 @@
+import math
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from corrmatch.config import RunConfig, format_config, load_config, parse_config, save_config
 from corrmatch.errors import ConfigurationError
@@ -61,21 +65,22 @@ def test_format_is_parseable():
     assert parse_config(format_config(c)) == c
 
 
-def test_grids_and_learner_config():
+def test_grids():
     c = RunConfig()
     assert c.probe_grid().n_patches == 84
     assert c.gallery_grid().n_patches == 297
-    lc = c.learner_config()
-    assert lc.epsilon == c.epsilon
-    assert lc.t_c == c.t_c
-    assert lc.adjacency_ranges == c.adjacency_ranges
 
 
 @pytest.mark.parametrize("line", ["kappa = nan", "kappa = inf", "kappa = -inf",
                                   "t_c = 1.5", "t_c = 1.0", "t_c = -0.1", "t_c = nan",
                                   "top_fraction = 0", "top_fraction = 1.5",
                                   "sigma_scale = -1", "sigma_scale = nan", "repeats = 0",
-                                  "rank_points =", "rank_points = 0,5"])
+                                  "rank_points =", "rank_points = 0,5",
+                                  "epsilon = 0.0", "selection_count = 7", "max_iterations = 0",
+                                  "probe_stride_x = 0", "patch_width = 100", "image_width = 0",
+                                  "gallery_stride_y = 5", "color_bins = 0", "gradient_bins = 0",
+                                  "color_bins = -2", "adjacency_ranges =",
+                                  "adjacency_ranges = 0", "tolerance = nan", "seed = -1"])
 def test_out_of_range_gate_values_rejected(line):
     with pytest.raises(ConfigurationError):
         parse_config(line)
@@ -95,3 +100,81 @@ def test_cli_reports_bad_config_as_one_error_line(tmp_path, capsys):
     assert code == 1
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error: ConfigurationError")
+
+
+@st.composite
+def valid_configs(draw):
+    """Any config the range checks accept, geometry included."""
+    geometry = {}
+    for axis, size, patch in (("x", "image_width", "patch_width"),
+                              ("y", "image_height", "patch_height")):
+        probe, gallery = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+        patch_len = draw(st.integers(1, 30))
+        geometry.update({patch: patch_len, f"probe_stride_{axis}": probe,
+                         f"gallery_stride_{axis}": gallery,
+                         size: patch_len + draw(st.integers(0, 4)) * math.lcm(probe, gallery)})
+    unit = st.floats(0.0, 1.0, exclude_min=True)
+    positive = st.lists(st.integers(1, 500), min_size=1, max_size=6).map(tuple)
+    return RunConfig(
+        **geometry,
+        t_c=draw(st.floats(0.0, 1.0, exclude_max=True)),
+        t_d=draw(st.integers(1, 400)),
+        epsilon=draw(unit),
+        n_cmc=draw(st.integers(1, 50)),
+        selection_count=2 * draw(st.integers(1, 50)),
+        top_fraction=draw(unit),
+        max_iterations=draw(st.integers(1, 10_000)),
+        tolerance=draw(st.floats(min_value=0.0)),
+        kappa=draw(st.floats(allow_nan=False, allow_infinity=False)),
+        adjacency_ranges=draw(positive),
+        color_bins=draw(st.integers(1, 32)),
+        gradient_bins=draw(st.integers(1, 32)),
+        sigma_scale=draw(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)),
+        seed=draw(st.integers(0, 2**64)),
+        repeats=draw(st.integers(1, 100)),
+        rank_points=draw(positive),
+        use_first_image=draw(st.booleans()))
+
+
+@settings(deadline=None)
+@given(valid_configs())
+def test_format_then_parse_round_trips(config):
+    assert parse_config(format_config(config)) == config
+
+
+def _with_one_below_one():
+    good = st.lists(st.integers(1, 50), max_size=3)
+    return st.one_of(st.just([]), st.tuples(good, st.integers(max_value=0), good)
+                     .map(lambda parts: parts[0] + [parts[1]] + parts[2]))
+
+
+_NOT_POSITIVE = st.integers(max_value=0)
+_OUTSIDE_UNIT = st.one_of(st.floats(max_value=0.0), st.just(math.nan),
+                          st.floats(min_value=1.0, exclude_min=True))
+OUT_OF_RANGE = {
+    **{key: _NOT_POSITIVE for key in (
+        "image_width", "image_height", "patch_width", "patch_height", "probe_stride_x",
+        "probe_stride_y", "gallery_stride_x", "gallery_stride_y", "t_d", "n_cmc",
+        "max_iterations", "repeats", "color_bins", "gradient_bins")},
+    "epsilon": _OUTSIDE_UNIT,
+    "top_fraction": _OUTSIDE_UNIT,
+    "selection_count": st.one_of(_NOT_POSITIVE, st.integers().map(lambda k: 2 * k + 1)),
+    "tolerance": st.one_of(st.floats(max_value=0.0, exclude_max=True), st.just(math.nan)),
+    "t_c": st.one_of(st.floats(max_value=0.0, exclude_max=True), st.floats(min_value=1.0),
+                     st.just(math.nan)),
+    "kappa": st.sampled_from([math.inf, -math.inf, math.nan]),
+    "sigma_scale": st.one_of(st.floats(max_value=0.0), st.sampled_from([math.inf, math.nan])),
+    "seed": st.integers(max_value=-1),
+    "rank_points": _with_one_below_one(),
+    "adjacency_ranges": _with_one_below_one(),
+}
+
+
+@settings(deadline=None)
+@given(st.sampled_from(sorted(OUT_OF_RANGE)).flatmap(
+    lambda key: st.tuples(st.just(key), OUT_OF_RANGE[key])))
+def test_any_single_out_of_range_value_raises_configuration_error(case):
+    key, value = case
+    text = ",".join(map(str, value)) if isinstance(value, list) else repr(value)
+    with pytest.raises(ConfigurationError):
+        parse_config(f"{key} = {text}")

@@ -120,8 +120,8 @@ def test_upscale_matches_scalar_reference():
 def test_descriptor_shape_and_range():
     rng = np.random.default_rng(4)
     img = make_image(rng.integers(0, 256, size=(128, 48, 3)))
-    desc = extract_descriptors(img, CANONICAL)
-    assert desc.shape == (84, descriptor_dim())
+    desc = extract_descriptors(img, CANONICAL, 8, 8)
+    assert desc.shape == (84, descriptor_dim(8, 8))
     assert np.all(desc >= 0.0) and np.all(desc <= 1.0)
     color = desc[:, :24].sum(axis=1)
     grad = desc[:, 24:].sum(axis=1)
@@ -131,7 +131,7 @@ def test_descriptor_shape_and_range():
 
 def test_uniform_gray_patch_has_zero_gradient_block():
     img = make_image(np.full((128, 48, 3), 128))
-    desc = extract_descriptors(img, CANONICAL)
+    desc = extract_descriptors(img, CANONICAL, 8, 8)
     assert np.all(desc[:, 24:] == 0.0)
     # single color: mass confined to at most two adjacent bins per channel
     # (soft assignment splits values that sit between bin centers)
@@ -193,7 +193,7 @@ def test_vertical_step_edge_matches_reference_histogram():
     pixels = np.zeros((128, 48, 3), dtype=np.uint8)
     pixels[:, 24:, :] = 255  # vertical black/white edge at x = 24
     img = make_image(pixels)
-    desc = extract_descriptors(img, CANONICAL)
+    desc = extract_descriptors(img, CANONICAL, 8, 8)
     y_plane = luminance(pixels)
     # probe patch (row 0, col 3) covers x in [18, 36): the edge crosses it
     ref = reference_orientation_histogram(y_plane, 18, 0, 18, 24)
@@ -205,7 +205,7 @@ def test_vertical_step_edge_matches_reference_histogram():
 def test_descriptor_matches_scalar_reference_on_random_image():
     rng = np.random.default_rng(11)
     pixels = rng.integers(0, 256, size=(128, 48, 3)).astype(np.uint8)
-    desc = extract_descriptors(make_image(pixels), CANONICAL)
+    desc = extract_descriptors(make_image(pixels), CANONICAL, 8, 8)
     lab = rgb_to_lab(pixels)
     y_plane = luminance(pixels)
     for k in (0, 17, 42, 83):
@@ -225,8 +225,8 @@ def patch_ref_origin(ordinal):
 def test_identical_content_identical_descriptors():
     rng = np.random.default_rng(5)
     pixels = rng.integers(0, 256, size=(128, 48, 3)).astype(np.uint8)
-    d1 = extract_descriptors(make_image(pixels), CANONICAL)
-    d2 = extract_descriptors(make_image(pixels.copy()), CANONICAL)
+    d1 = extract_descriptors(make_image(pixels), CANONICAL, 8, 8)
+    d2 = extract_descriptors(make_image(pixels.copy()), CANONICAL, 8, 8)
     assert np.array_equal(d1, d2)
 
 
@@ -240,8 +240,8 @@ def test_hue_change_with_same_luminance_leaves_gradient_block():
     colored[..., 2] -= 30.0
     colored = np.clip(colored, 0, 255)
     assert np.allclose(luminance(colored), luminance(gray), atol=0.5)
-    d_gray = extract_descriptors(make_image(gray), CANONICAL)
-    d_col = extract_descriptors(make_image(np.round(colored).astype(np.uint8)), CANONICAL)
+    d_gray = extract_descriptors(make_image(gray), CANONICAL, 8, 8)
+    d_col = extract_descriptors(make_image(np.round(colored).astype(np.uint8)), CANONICAL, 8, 8)
     # gradient blocks nearly identical, color blocks clearly different
     assert np.allclose(d_gray[:, 24:], d_col[:, 24:], atol=0.02)
     assert np.abs(d_gray[:, :24] - d_col[:, :24]).max() > 0.05
@@ -250,7 +250,7 @@ def test_hue_change_with_same_luminance_leaves_gradient_block():
 def test_grid_size_mismatch_rejected():
     img = make_image(np.zeros((64, 48, 3)))
     with pytest.raises(ValueError):
-        extract_descriptors(img, CANONICAL)
+        extract_descriptors(img, CANONICAL, 8, 8)
 
 
 def test_lab_conversion_known_values():

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from corrmatch.config import RunConfig
 from corrmatch.errors import ConfigurationError
-from corrmatch.learning import (CmcCurve, LearnerConfig, cmc_curve, compute_update,
+from corrmatch.learning import (CmcCurve, cmc_curve, compute_update,
                                 conditional_matrix, conditional_prob, impact_table,
                                 patch_importance, structure_prior)
 from corrmatch.matching import BinaryMappingStructure
@@ -200,15 +201,6 @@ def test_compute_update_desk_scale_chain():
     assert np.all(update >= 0) and np.all(np.isfinite(update))
 
 
-def test_learner_config_validation():
-    with pytest.raises(ConfigurationError):
-        LearnerConfig(epsilon=0.0)
-    with pytest.raises(ConfigurationError):
-        LearnerConfig(selection_count=7)
-    with pytest.raises(ConfigurationError):
-        LearnerConfig(max_iterations=0)
-
-
 def test_cmc_curve_type_validation():
     with pytest.raises(ValueError):
         CmcCurve(values=np.array([0.5, 0.4, 1.0]), gallery_size=3)
@@ -216,12 +208,17 @@ def test_cmc_curve_type_validation():
         CmcCurve(values=np.array([0.5, 0.9]), gallery_size=2)
 
 
+def _tiny_config(**learner) -> RunConfig:
+    """3x5 = 15 probe patches and 5x9 = 45 gallery patches."""
+    return RunConfig(image_width=12, image_height=20, patch_width=4, patch_height=4,
+                     probe_stride_x=4, probe_stride_y=4, gallery_stride_x=2,
+                     gallery_stride_y=2, **learner)
+
+
 def _tiny_training_world(seed=0, n_ids=6, dim=6):
     rng = np.random.default_rng(seed)
-    from corrmatch.geometry import GridSpec
     from corrmatch.metric import MetricModel
-    probe_grid = GridSpec(12, 20, 4, 4, 4, 4)    # 3x5 = 15 probe patches
-    gallery_grid = GridSpec(12, 20, 4, 4, 2, 2)  # 5x9 = 45 gallery patches
+    probe_grid, gallery_grid = _tiny_config().probe_grid(), _tiny_config().gallery_grid()
     mats = np.repeat(np.eye(dim)[None], probe_grid.n_patches, axis=0)
     model = MetricModel(matrices=mats, sigmas=np.full(probe_grid.n_patches, 0.5),
                         global_matrix=np.eye(dim), global_sigma=0.5)
@@ -233,9 +230,9 @@ def _tiny_training_world(seed=0, n_ids=6, dim=6):
 def test_learn_structure_fixed_seed_bitwise_identical():
     from corrmatch.learning import learn_structure
     probe, gallery, model, pg, gg = _tiny_training_world()
-    config = LearnerConfig(max_iterations=4, tolerance=0.0, selection_count=2, seed=13)
-    first = learn_structure(probe, gallery, model, pg, gg, config)
-    second = learn_structure(probe, gallery, model, pg, gg, config)
+    config = _tiny_config(max_iterations=4, tolerance=0.0, selection_count=2, seed=13)
+    first = learn_structure(probe, gallery, model, config)
+    second = learn_structure(probe, gallery, model, config)
     assert np.array_equal(first.structure.probs, second.structure.probs)
     assert first.diagnostics == second.diagnostics
     assert all(d.gate_components > 0 for d in first.diagnostics)
@@ -245,9 +242,9 @@ def test_rank_correct_matches_equals_per_pair_reference():
     from corrmatch.learning import _TrainingContext, learn_structure
     from corrmatch.structure import init_structure
     probe, gallery, model, pg, gg = _tiny_training_world()
-    config = LearnerConfig(max_iterations=4, tolerance=0.0, selection_count=2, seed=13)
-    learned = learn_structure(probe, gallery, model, pg, gg, config)
-    ctx = _TrainingContext(probe, gallery, model, pg, gg, config)
+    config = _tiny_config(max_iterations=4, tolerance=0.0, selection_count=2, seed=13)
+    learned = learn_structure(probe, gallery, model, config)
+    ctx = _TrainingContext(probe, gallery, model, config)
     for structure in (init_structure(pg, gg, config.t_d), learned.structure):
         ranks, scored = ctx.rank_correct_matches(structure)
         assert scored.solves > 0  # the exact fallback ran, not only greedy picks
@@ -270,9 +267,9 @@ def test_training_and_evaluation_score_a_pair_bit_for_bit_alike():
     mats = a @ a.transpose(0, 2, 1) / 32.0
     model = MetricModel(matrices=mats, sigmas=rng.random(pg.n_patches) + 4.0,
                         global_matrix=mats[0], global_sigma=4.0)
-    config = LearnerConfig(max_iterations=3, tolerance=0.0, selection_count=2, seed=5)
-    learned = learn_structure(probe, gallery, model, pg, gg, config)
-    ctx = _TrainingContext(probe, gallery, model, pg, gg, config)
+    config = _tiny_config(max_iterations=3, tolerance=0.0, selection_count=2, seed=5)
+    learned = learn_structure(probe, gallery, model, config)
+    ctx = _TrainingContext(probe, gallery, model, config)
     n = ctx.n_train
     for structure in (init_structure(pg, gg, config.t_d), learned.structure):
         _, trained = ctx.rank_correct_matches(structure)
@@ -297,4 +294,4 @@ def test_learn_structure_rejects_single_identity():
     from corrmatch.learning import learn_structure
     probe, gallery, model, pg, gg = _tiny_training_world(n_ids=1)
     with pytest.raises(ConfigurationError):
-        learn_structure(probe, gallery, model, pg, gg, LearnerConfig())
+        learn_structure(probe, gallery, model, _tiny_config())

@@ -4,11 +4,13 @@ import pytest
 from corrmatch.geometry import GridSpec, colocated_patch, patch_at
 from corrmatch.matching import (BinaryMappingStructure, adjacency_candidates,
                                 best_binary_structure, binary_correlation,
-                                binary_structure_score_matrix, binary_structure_scores,
+                                binary_structure_score_matrix,
                                 correlation_matrix, greedy_score, match_score,
                                 rank_gallery, rank_of_scores, score_correlation)
 from corrmatch.metric import MetricModel
 from corrmatch.structure import CorrespondenceStructure
+
+import oracles
 
 PROBE_1 = GridSpec(4, 4, 4, 4, 1, 1)       # one probe patch
 GALLERY_2 = GridSpec(4, 4, 4, 2, 2, 2)     # two gallery patches
@@ -54,7 +56,8 @@ def test_perfect_match_degenerate_grids_scores_zero():
     structure = CorrespondenceStructure(probs=np.array([[1.0]]),
                                         probe_grid=probe, gallery_grid=gallery)
     model = flat_model(1, 1)
-    result = match_score(np.array([[0.3]]), np.array([[0.3]]), structure, model)
+    result = match_score(np.array([[0.3]]), np.array([[0.3]]), structure, model,
+                         t_c=0.05, kappa=-50.0)
     assert result.score == 0.0
     assert result.pairs == ((0, 0),)
 
@@ -78,7 +81,7 @@ def test_match_score_two_patch_hand_computed():
     model = flat_model(1, 2)
     probe = np.array([[0.0], [1.0]])
     gallery = np.array([[0.0], [1.0]])
-    result = match_score(probe, gallery, structure, model, t_c=0.05)
+    result = match_score(probe, gallery, structure, model, t_c=0.05, kappa=-50.0)
     # diagonal pairs: phi = 1 each, C = log 0.8 twice
     assert result.pairs == ((0, 0), (1, 1))
     assert result.score == pytest.approx(np.log(0.8) + np.log(0.8), abs=1e-12)
@@ -92,7 +95,8 @@ def test_rank_gallery_exact_duplicate_first():
     duplicate = probe.copy().repeat(2, axis=0).reshape(2, 1)[:2]
     noise = [np.array([[0.9], [0.1]]), np.array([[0.0], [0.77]])]
     galleries = [noise[0], np.array([[0.42], [0.42]]), noise[1]]
-    ranked, rank = rank_gallery(probe, galleries, structure, model, correct_index=1)
+    ranked, rank = rank_gallery(probe, galleries, structure, model, t_c=0.05, kappa=-50.0,
+                                correct_index=1)
     assert ranked[0][0] == 1
     assert rank == 1
 
@@ -103,15 +107,35 @@ def test_rank_gallery_tie_keeps_input_order():
     probe = np.array([[0.5]])
     same = np.array([[0.5], [0.5]])
     ranked, rank = rank_gallery(probe, [same, same.copy()], structure, model,
-                                correct_index=1)
+                                t_c=0.05, kappa=-50.0, correct_index=1)
     assert [idx for idx, _ in ranked] == [0, 1]
     assert rank == 2
 
 
 def test_rank_of_scores_stable():
-    assert rank_of_scores([1.0, 3.0, 3.0, 0.5], 2) == 2
-    assert rank_of_scores([1.0, 3.0, 3.0, 0.5], 1) == 1
-    assert rank_of_scores([1.0, 3.0, 3.0, 0.5], 3) == 4
+    rows = [[1.0, 3.0, 3.0, 0.5]] * 3
+    assert rank_of_scores(rows, [2, 1, 3]).tolist() == [2, 1, 4]
+
+
+def test_rank_of_scores_matches_sort_reference():
+    # Scores from a four-value set (signed zeros included) tie often; owners
+    # hold several galleries each, and every probe's owner holds at least one.
+    rng = np.random.default_rng(9)
+    for _ in range(300):
+        n_rows, n_gal = int(rng.integers(1, 6)), int(rng.integers(1, 10))
+        scores = rng.choice([-1.5, -0.0, 0.0, 2.0], size=(n_rows, n_gal))
+        owners = rng.integers(0, n_gal, size=n_gal) if rng.random() < 0.5 else np.arange(n_gal)
+        correct = rng.choice(owners, size=n_rows)
+        got = rank_of_scores(scores, correct, owners)
+        assert got.tolist() == [oracles.rank_of_owner(list(scores[r]), owners, correct[r])
+                                for r in range(n_rows)]
+        if np.array_equal(owners, np.arange(n_gal)):
+            assert np.array_equal(rank_of_scores(scores, correct), got)
+
+
+def test_rank_of_scores_rejects_missing_owner():
+    with pytest.raises(ValueError):
+        rank_of_scores([[1.0, 2.0]], [3], owners=[0, 0])
 
 
 def test_greedy_score_matches_row_maxima():
@@ -119,7 +143,8 @@ def test_greedy_score_matches_row_maxima():
     model = flat_model(1, 1)
     corr = correlation_matrix(np.array([[0.3]]), np.array([[0.3], [0.9]]),
                               structure, model, t_c=0.05)
-    assert greedy_score(corr) == pytest.approx(float(corr.values[0].max()), abs=1e-15)
+    assert greedy_score(corr, kappa=-50.0) == pytest.approx(float(corr.values[0].max()),
+                                                            abs=1e-15)
 
 
 CANON_PROBE = GridSpec(48, 128, 18, 24, 6, 8)
@@ -187,14 +212,13 @@ def test_binary_score_matrix_matches_generic_path():
     gallery_stack = rng.random((4, n_gal, dim))
     links = tuple((i, int(rng.integers(0, n_gal))) for i in range(n_probe))
     binary = BinaryMappingStructure(links=links)
-    fast = binary_structure_score_matrix(probe_stack, gallery_stack, binary, model, n_gal)
+    fast = binary_structure_score_matrix(probe_stack, gallery_stack, binary, model, n_gal,
+                                         kappa=-50.0)
     for p in range(3):
         for g in range(4):
             corr = binary_correlation(probe_stack[p], gallery_stack[g], binary,
                                       model, n_probe, n_gal)
-            assert fast[p, g] == score_correlation(corr).score
-    single = binary_structure_scores(probe_stack[0], gallery_stack, binary, model)
-    assert np.array_equal(single, fast[0])
+            assert fast[p, g] == score_correlation(corr, kappa=-50.0).score
 
 
 def test_binary_score_matrix_with_conflicts_matches_generic_path():
@@ -205,12 +229,13 @@ def test_binary_score_matrix_with_conflicts_matches_generic_path():
     gallery_stack = rng.random((3, n_gal, dim))
     # heavy column contention plus an unlinked probe patch
     binary = BinaryMappingStructure(links=((0, 1), (1, 1), (2, 1), (3, 0)))
-    fast = binary_structure_score_matrix(probe_stack, gallery_stack, binary, model, n_gal)
+    fast = binary_structure_score_matrix(probe_stack, gallery_stack, binary, model, n_gal,
+                                         kappa=-50.0)
     for p in range(2):
         for g in range(3):
             corr = binary_correlation(probe_stack[p], gallery_stack[g], binary,
                                       model, n_probe, n_gal)
-            assert fast[p, g] == score_correlation(corr).score
+            assert fast[p, g] == score_correlation(corr, kappa=-50.0).score
 
 
 def test_binary_score_multi_link_row_falls_back_to_solver():
@@ -220,12 +245,13 @@ def test_binary_score_multi_link_row_falls_back_to_solver():
     probe_stack = rng.random((2, n_probe, dim))
     gallery_stack = rng.random((2, n_gal, dim))
     binary = BinaryMappingStructure(links=((0, 0), (0, 2), (1, 1), (2, 1)))
-    scores = binary_structure_score_matrix(probe_stack, gallery_stack, binary, model, n_gal)
+    scores = binary_structure_score_matrix(probe_stack, gallery_stack, binary, model, n_gal,
+                                           kappa=-50.0)
     for p in range(2):
         for g in range(2):
             corr = binary_correlation(probe_stack[p], gallery_stack[g], binary,
                                       model, n_probe, n_gal)
-            assert scores[p, g] == score_correlation(corr).score
+            assert scores[p, g] == score_correlation(corr, kappa=-50.0).score
 
 
 def test_best_binary_structure_prefers_lower_rank():
@@ -239,7 +265,7 @@ def test_best_binary_structure_prefers_lower_rank():
     # gallery image holds an exact copy of probe patch 0: correct can't rank 1
     galleries[0, 5] = probe[0]
     bad = BinaryMappingStructure(links=tuple((i, n_gal - 1) for i in range(n_probe)))
-    chosen = best_binary_structure(probe, galleries, 2, [bad, good], model)
+    chosen = best_binary_structure(probe, galleries, 2, [bad, good], model, kappa=-50.0)
     assert chosen == good
 
 
@@ -249,7 +275,7 @@ def test_best_binary_structure_single_candidate():
     galleries = rng.random((3, 4, 2))
     probe = rng.random((3, 2))
     only = BinaryMappingStructure(links=((0, 0), (1, 1), (2, 2)))
-    assert best_binary_structure(probe, galleries, 0, [only], model) == only
+    assert best_binary_structure(probe, galleries, 0, [only], model, kappa=-50.0) == only
 
 
 def test_duplicate_links_rejected():

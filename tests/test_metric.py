@@ -27,7 +27,7 @@ def test_scalar_kissme_hand_arithmetic():
     # (second moment exactly 4); ridge gamma = 1e-3 * trace / dim.
     similar = [pairs_from_diffs([1.0, -1.0])]
     dissimilar = [pairs_from_diffs([2.0, -2.0])]
-    model = train_metric(similar, dissimilar)
+    model = train_metric(similar, dissimilar, sigma_scale=0.15)
     expected_m = 1.0 / (1.0 + 1e-3) - 1.0 / (4.0 + 4e-3)
     assert abs(float(model.matrices[0][0, 0]) - expected_m) <= 1e-12
     # sigma = bandwidth scale * mean of max(0, d^T M d) over similar diffs
@@ -36,7 +36,7 @@ def test_scalar_kissme_hand_arithmetic():
 
 def test_identical_distributions_give_zero_matrix():
     same = pairs_from_diffs([0.5, -0.5, 1.5, -1.5])
-    model = train_metric([same], [same])
+    model = train_metric([same], [same], sigma_scale=0.15)
     assert abs(float(model.matrices[0][0, 0])) <= 1e-15
 
 
@@ -45,7 +45,7 @@ def test_learned_matrix_is_symmetric():
     dim = 6
     sim = (rng.random((40, dim)), rng.random((40, dim)))
     dis = (rng.random((40, dim)), rng.random((40, dim)) * 3.0)
-    model = train_metric([sim], [dis])
+    model = train_metric([sim], [dis], sigma_scale=0.15)
     assert np.abs(model.matrices[0] - model.matrices[0].T).max() <= 1e-9
 
 
@@ -129,7 +129,7 @@ def test_fallback_when_location_underpopulated():
     rich_sim = (rng.random((20, dim)), rng.random((20, dim)))
     rich_dis = (rng.random((20, dim)), rng.random((20, dim)) * 2)
     poor = (rng.random((2, dim)), rng.random((2, dim)))  # < dim + 1
-    model = train_metric([rich_sim, poor], [rich_dis, poor])
+    model = train_metric([rich_sim, poor], [rich_dis, poor], sigma_scale=0.15)
     assert not model.fallback[0]
     assert model.fallback[1]
     assert np.array_equal(model.matrix_at(1), model.global_matrix)
@@ -137,10 +137,10 @@ def test_fallback_when_location_underpopulated():
 
 def test_empty_training_set_rejected():
     with pytest.raises(ConfigurationError):
-        train_metric([], [])
+        train_metric([], [], sigma_scale=0.15)
     empty = (np.empty((0, 3)), np.empty((0, 3)))
     with pytest.raises(ConfigurationError):
-        train_metric([empty], [empty])
+        train_metric([empty], [empty], sigma_scale=0.15)
 
 
 def test_dim_mismatch_rejected():
