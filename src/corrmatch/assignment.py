@@ -4,20 +4,17 @@ Maximizes the total correlation of a one-to-one pairing between probe rows
 and gallery columns.  Excluded cells are non-assignable rather than merely
 expensive; a probe row left unmatched (because its cells are all excluded,
 or because better rows claim its columns) contributes the floor penalty
-``kappa`` to the score, and scores are float sums taken in ascending row
-order.  Among optimal pair sets the solver prefers the lexicographically
-smallest, but it moves to a smaller one only when that one's float sum is
-not below the current one's.  Optima whose sums are exactly equal therefore
-resolve to the lexicographically smallest pair set; where tied optima's
-float sums round an ulp apart, the pair set returned may be neither the
-smallest nor the one with the largest sum.
+``kappa`` to the score.  The pairs returned are an optimal one-to-one set,
+the score is their float sum taken in ascending row order, and which of
+several tied optima is returned is unspecified.
 
-The solver runs successive shortest augmenting paths over a sparse edge
-list, with a private "skip" slot per row priced at ``kappa`` so a complete
-row assignment always exists.  ``score_gate`` scores many pairs that share
-one assignable mask at once: it splits the mask into connected components,
-settles every component whose greedy row picks do not collide or whose rows
-all bid for one shared column, and solves only the rest exactly.
+The solver runs successive shortest augmenting paths (Jonker & Volgenant,
+*Computing* 38, 1987) over a sparse edge list, with a private "skip" slot
+per row priced at ``kappa`` so a complete row assignment always exists.
+``score_gate`` scores many pairs that share one assignable mask at once: it
+splits the mask into connected components, settles every component whose
+greedy row picks do not collide or whose rows all bid for one shared
+column, and solves only the rest exactly.
 """
 from __future__ import annotations
 
@@ -50,9 +47,8 @@ def solve_assignment(values: np.ndarray, assignable: np.ndarray | None = None, *
     ``values`` is (n_rows, n_cols); cells where ``assignable`` is False (or
     where values are -inf when no mask is given) cannot be used.  The score
     sums chosen cell values plus ``kappa`` per unmatched row, accumulated in
-    ascending row order.  Among optima with exactly equal sums the
-    lexicographically smallest pair set is returned; the module docstring
-    says what happens when tied optima's sums round apart.
+    ascending row order; which of several tied optima is returned is
+    unspecified.
     """
     values = np.asarray(values, dtype=np.float64)
     if values.ndim != 2:
@@ -66,10 +62,9 @@ def solve_assignment(values: np.ndarray, assignable: np.ndarray | None = None, *
     if values.size and not np.all(np.isfinite(values[assignable])):
         raise ValueError("assignable values must be finite")
 
-    n_rows, n_cols = values.shape
-    row_cols = [np.flatnonzero(assignable[i]) for i in range(n_rows)]
-    row_vals = [values[i, cols] for i, cols in enumerate(row_cols)]
-    match = solve_sparse(row_cols, row_vals, n_cols, kappa)
+    rows = [list(zip(np.flatnonzero(mask).tolist(), vals[mask].tolist()))
+            for mask, vals in zip(assignable, values)]
+    match = _shortest_path_matching(rows, values.shape[1], kappa)
     pairs = tuple((i, j) for i, j in enumerate(match) if j >= 0)
     score = 0.0
     for i, j in enumerate(match):
@@ -94,10 +89,10 @@ def score_gate(gate: np.ndarray, values: np.ndarray, kappa: float) -> GateScores
     order.  A row's contribution is the value of its cell in an optimal
     matching (``kappa`` when skipped), and contributions are summed in
     ascending row order, so each total equals ``solve_assignment(...).score``
-    of that pair bit for bit.  Only the score is computed and no tie-break is
-    made (a column whose bidders hold no other cell goes to its first best
-    bidder); where tied optima sum to totals an ulp apart, the per-pair
-    solver keeps the larger and the two may differ in that last bit.
+    of that pair bit for bit, except where tied optima sum to totals an ulp
+    apart: either side may then report either sum.  Only the score is
+    computed (a column whose bidders hold no other cell goes to its first
+    best bidder).
     """
     gate = np.asarray(gate, dtype=bool)
     values = np.asarray(values, dtype=np.float64)
@@ -138,8 +133,8 @@ def score_gate(gate: np.ndarray, values: np.ndarray, kappa: float) -> GateScores
         if not clash.size:
             continue
         if single_cell[comp].all():
-            # One shared column: its best bidder (the first row on a tie,
-            # as the lexicographic order has it) takes it; the rest skip.
+            # One shared column: its best bidder (the first row on a tie)
+            # takes it; the rest skip.
             bids = values[bounds[comp]][:, clash]
             won = np.arange(len(comp))[:, None] == bids.argmax(axis=0)
             chosen[np.ix_(comp, clash)] = np.where(won, bids, kappa)
@@ -193,38 +188,17 @@ def _solve_component(comp, bounds, cols, values, pairs, kappa, chosen) -> None:
     for p, vals in zip(pairs.tolist(), values[cells][:, pairs].T.tolist()):
         edges = [[(c, x) for c, x in zip(local_cols[a:b], vals[a:b]) if x > kappa]
                  for a, b in zip(offsets[:-1], offsets[1:])]
-        match = _shortest_path_matching(edges, len(local), kappa)[0]
+        match = _shortest_path_matching(edges, len(local), kappa)
         for r, row_edges, j in zip(comp, edges, match):
             chosen[r, p] = kappa if j < 0 else dict(row_edges)[j]
 
 
-def solve_sparse(row_cols, row_vals, n_cols: int, kappa: float) -> list[int]:
-    """Optimal assignment over sparse rows; returns a column per row (-1 = skip).
-
-    ``row_cols[i]`` / ``row_vals[i]`` list the assignable columns of row i in
-    ascending column order with their values.  Optima whose row-order float
-    sums are exactly equal resolve to the lexicographically smallest pair
-    set (see the module docstring for sums that round apart); a skipped row
-    sorts before any pair of that row only when the whole remaining suffix
-    is skipped too.
-    """
-    rows = [[(int(c), float(x)) for c, x in zip(cols, vals)]
-            for cols, vals in zip(row_cols, row_vals)]
-    if not rows:
-        return []
-    match, u, v, shift = _shortest_path_matching(rows, n_cols, kappa)
-    return _refine_lexicographic(rows, n_cols, kappa, match, u, v, shift)
-
-
-def _shortest_path_matching(rows, n_cols, kappa, forced=None):
+def _shortest_path_matching(rows, n_cols, kappa) -> list[int]:
     """Min-cost complete matching of rows onto real or skip columns.
 
-    Values are negated and shifted so all edge costs are non-negative, which
-    keeps plain Dijkstra valid.  ``forced`` optionally pins a row to one
-    column (or to its skip slot with -1); pinned columns must be distinct.
-    Returns (match, u, v, shift): match[i] is a real column or -1 for skip,
-    and u, v are dual potentials on rows and (real + skip) columns for the
-    shifted costs.
+    ``rows[i]`` lists row i's assignable (column, value) cells.  Values are
+    negated and shifted so all edge costs are non-negative, which keeps
+    plain Dijkstra valid.  Returns a real column or -1 (skip) per row.
     """
     n_rows = len(rows)
     hi = kappa
@@ -241,19 +215,8 @@ def _shortest_path_matching(rows, n_cols, kappa, forced=None):
     u = [0.0] * n_rows
     v = [0.0] * total_cols
 
-    adj = []
-    for r in range(n_rows):
-        pin = None if forced is None else forced[r]
-        if pin is None:
-            edges = [(j, shift - val) for j, val in rows[r]]
-            edges.append((n_cols + r, skip_cost))
-        elif pin == -1:
-            edges = [(n_cols + r, skip_cost)]
-        else:
-            edges = [(j, shift - val) for j, val in rows[r] if j == pin]
-            if not edges:
-                raise ValueError(f"row {r} cannot be pinned to column {pin}")
-        adj.append(edges)
+    adj = [[(j, shift - val) for j, val in edges] + [(n_cols + r, skip_cost)]
+           for r, edges in enumerate(rows)]
 
     for root in range(n_rows):
         dist = [_INF] * total_cols
@@ -308,85 +271,4 @@ def _shortest_path_matching(rows, n_cols, kappa, forced=None):
                 break
             j = prev
 
-    return [j if j < n_cols else -1 for j in match_col], u, v, shift
-
-
-def _refine_lexicographic(rows, n_cols, kappa, match, u, v, shift):
-    """Rework an optimal matching into the lexicographically smallest one.
-
-    Processes rows in order; a row prefers its smallest usable column, and
-    prefers being skipped only when the entire remaining suffix can also be
-    skipped at no cost to the score.  Candidate moves are prescreened with
-    the dual potentials (a cell can join an optimum only if its reduced cost
-    is zero), so re-solves only trigger on genuine ties.
-    """
-    n_rows = len(rows)
-    tol = 1e-9 * max(1.0, abs(shift), abs(kappa))
-    value_of = [dict(edges) for edges in rows]
-
-    def score_of(m):
-        total = 0.0
-        for i, j in enumerate(m):
-            total += kappa if j < 0 else value_of[i][j]
-        return total
-
-    # suffix_skippable[r]: every skip slot from row r on has zero reduced cost.
-    skip_tight = [(shift - kappa) - u[t] - v[n_cols + t] <= tol for t in range(n_rows)]
-    suffix_skippable = [False] * (n_rows + 1)
-    suffix_skippable[n_rows] = True
-    for t in range(n_rows - 1, -1, -1):
-        suffix_skippable[t] = skip_tight[t] and suffix_skippable[t + 1]
-
-    best = score_of(match)
-    work = list(match)
-    owner = [-1] * n_cols
-    for t, j in enumerate(work):
-        if j >= 0:
-            owner[j] = t
-    matched_after = sum(1 for j in work if j >= 0)
-    for r in range(n_rows):
-        if work[r] >= 0:
-            matched_after -= 1
-        suffix_has_match = matched_after > 0 or work[r] >= 0
-        if not suffix_has_match:
-            continue  # suffix already all-skip, nothing smaller exists
-        if suffix_skippable[r]:
-            candidate = work[:r] + [-1] * (n_rows - r)
-            cand_score = score_of(candidate)
-            if cand_score >= best:
-                work = candidate
-                break
-        cur = work[r]
-        cur_val = value_of[r][cur] if cur >= 0 else kappa
-        cur_v = v[cur] if cur >= 0 else v[n_cols + r]
-        limit = cur if cur >= 0 else n_cols
-        for j, val in rows[r]:
-            if j >= limit:
-                break
-            if owner[j] >= 0 and owner[j] < r:
-                continue  # claimed by the fixed prefix
-            if (shift - val) - u[r] - v[j] > tol:
-                continue
-            # Exact tied swap onto a free column: adopt without re-solving.
-            if owner[j] == -1 and val == cur_val and abs(v[j]) <= tol and abs(cur_v) <= tol:
-                if cur >= 0:
-                    owner[cur] = -1
-                owner[j] = r
-                work[r] = j
-                break
-            forced = [None] * n_rows
-            for t in range(r):
-                forced[t] = work[t] if work[t] >= 0 else -1
-            forced[r] = j
-            candidate, _, _, _ = _shortest_path_matching(rows, n_cols, kappa, forced=forced)
-            cand_score = score_of(candidate)
-            if cand_score >= best:
-                matched_after = sum(1 for t in range(r + 1, n_rows) if candidate[t] >= 0)
-                work = candidate
-                best = cand_score
-                owner = [-1] * n_cols
-                for t, jj in enumerate(work):
-                    if jj >= 0:
-                        owner[jj] = t
-                break
-    return work
+    return [j if j < n_cols else -1 for j in match_col]

@@ -9,13 +9,15 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import astuple
 
+from .assignment import solve_assignment
 from .config import RunConfig, load_config, save_config
 from .harness import (ARMS, DescriptorBank, generate_synthetic, load_manifest,
                       make_splits, run_ablations, train_split_metric)
 from .imaging import extract_descriptors, load_image, scale_to_canonical
 from .learning import learn_structure
-from .matching import correlation_matrix, score_correlation
+from .matching import correlation_matrix
 from .metric import load_metric, save_metric
 from .structure import export_structure_csv, load_structure, save_structure
 
@@ -25,11 +27,12 @@ def _config_from(args) -> RunConfig:
 
 
 def _write_diagnostics(path, diagnostics) -> None:
+    """One row per iteration: every ``IterationStats`` field, in field order."""
     with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("iter,mean_rank,cmc1,cmc5,delta\n")
+        fh.write("iter,mean_rank,cmc1,cmc5,delta,sum_ranks,max_row_sum_error,min_entry,"
+                 "gate_components,component_solves\n")
         for row in diagnostics:
-            fh.write(f"{row.iteration},{row.mean_rank!r},{row.cmc1!r},"
-                     f"{row.cmc5!r},{row.delta!r}\n")
+            fh.write(",".join(repr(value) for value in astuple(row)) + "\n")
 
 
 def _write_cmc_csv(path, averaged, per_split, rank_points) -> None:
@@ -97,12 +100,12 @@ def cmd_match(args) -> int:
     gallery_desc = extract_descriptors(gallery, structure.gallery_grid,
                                        config.color_bins, config.gradient_bins)
     corr = correlation_matrix(probe_desc, gallery_desc, structure, metric, config.t_c)
-    result = score_correlation(corr, config.kappa)
+    result = solve_assignment(corr, kappa=config.kappa)
     out = open(args.out, "w", encoding="ascii", newline="\n") if args.out else sys.stdout
     try:
         out.write("i,j,correlation\n")
         for i, j in result.pairs:
-            out.write(f"{i},{j},{float(corr.values[i, j])!r}\n")
+            out.write(f"{i},{j},{float(corr[i, j])!r}\n")
     finally:
         if args.out:
             out.close()

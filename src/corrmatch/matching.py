@@ -38,14 +38,6 @@ class BinaryMappingStructure:
         return out
 
 
-@dataclass(frozen=True)
-class CorrelationMatrix:
-    """Correlation values with an explicit assignable mask (-inf: excluded)."""
-
-    values: np.ndarray
-    assignable: np.ndarray
-
-
 def _cell_values(probe_stack: np.ndarray, gallery_stack: np.ndarray, model: MetricModel,
                  gate: np.ndarray, log_weight: np.ndarray) -> np.ndarray:
     """log similarity + log weight of every gated cell for all image pairs.
@@ -70,11 +62,11 @@ def _cell_values(probe_stack: np.ndarray, gallery_stack: np.ndarray, model: Metr
     return values
 
 
-def _one_pair(gate: np.ndarray, cells: np.ndarray) -> CorrelationMatrix:
+def _one_pair(gate: np.ndarray, cells: np.ndarray) -> np.ndarray:
     """The dense matrix of a single pair's cell values (-inf off the gate)."""
     values = np.full(gate.shape, -np.inf)
     values[gate] = cells[:, 0]
-    return CorrelationMatrix(values=values, assignable=gate)
+    return values
 
 
 def gated_correlations(probe_stack: np.ndarray, gallery_stack: np.ndarray,
@@ -94,8 +86,8 @@ def gated_correlations(probe_stack: np.ndarray, gallery_stack: np.ndarray,
 
 def correlation_matrix(probe_desc: np.ndarray, gallery_desc: np.ndarray,
                        structure: CorrespondenceStructure, model: MetricModel,
-                       t_c: float) -> CorrelationMatrix:
-    """Structure-gated correlations: log similarity + log probability, else excluded."""
+                       t_c: float) -> np.ndarray:
+    """Structure-gated correlations: log similarity + log probability, else -inf."""
     return _one_pair(*gated_correlations(probe_desc[None], gallery_desc[None],
                                          structure, model, t_c))
 
@@ -112,17 +104,12 @@ def _binary_gate(binary: BinaryMappingStructure, n_probe: int,
 
 def binary_correlation(probe_desc: np.ndarray, gallery_desc: np.ndarray,
                        binary: BinaryMappingStructure, model: MetricModel,
-                       n_probe: int, n_gallery: int) -> CorrelationMatrix:
+                       n_probe: int, n_gallery: int) -> np.ndarray:
     """Correlations under a 0/1 structure: log similarity - log degree on
-    the links, else excluded."""
+    the links, else -inf."""
     gate, log_weight = _binary_gate(binary, n_probe, n_gallery)
     return _one_pair(gate, _cell_values(probe_desc[None], gallery_desc[None], model,
                                         gate, log_weight))
-
-
-def score_correlation(corr: CorrelationMatrix, kappa: float) -> Assignment:
-    """Optimal one-to-one assignment over a correlation matrix."""
-    return solve_assignment(corr.values, corr.assignable, kappa=kappa)
 
 
 def greedy_scores(gate: np.ndarray, values: np.ndarray,
@@ -140,18 +127,12 @@ def greedy_scores(gate: np.ndarray, values: np.ndarray,
     return totals
 
 
-def greedy_score(corr: CorrelationMatrix, kappa: float) -> float:
-    """Row-wise best correlations summed without the one-to-one constraint."""
-    cells = corr.values[corr.assignable][:, None]
-    return float(greedy_scores(corr.assignable, cells, kappa)[0])
-
-
 def match_score(probe_desc: np.ndarray, gallery_desc: np.ndarray,
                 structure: CorrespondenceStructure, model: MetricModel,
                 t_c: float, kappa: float) -> Assignment:
     """Image matching score: correlation matrix plus global assignment."""
-    return score_correlation(correlation_matrix(probe_desc, gallery_desc,
-                                                structure, model, t_c), kappa)
+    corr = correlation_matrix(probe_desc, gallery_desc, structure, model, t_c)
+    return solve_assignment(corr, kappa=kappa)
 
 
 def rank_gallery(probe_desc: np.ndarray, gallery_descs, structure: CorrespondenceStructure,

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, FormatError
+from .errors import ConfigurationError, FormatError, as_format_error
 from .geometry import GridSpec, colocated_patch, patch_at
 
 RIDGE_FACTOR = 1e-3
@@ -55,7 +55,8 @@ class MetricModel:
             raise ValueError("sigmas must be finite")
         if np.any(self.sigmas <= 0) or self.global_sigma <= 0:
             raise ValueError("sigmas must be positive")
-        asym = np.abs(self.matrices - self.matrices.transpose(0, 2, 1)).max(initial=0.0)
+        with np.errstate(over="ignore"):  # entries near the float limit: asym is inf
+            asym = np.abs(self.matrices - self.matrices.transpose(0, 2, 1)).max(initial=0.0)
         if asym > 1e-9:
             raise ValueError(f"matrices must be symmetric, worst asymmetry {asym:g}")
         if self.fallback is None:
@@ -268,6 +269,8 @@ def load_metric(path) -> MetricModel:
         blob = fh.read()
     if blob[:16] != _MAGIC:
         raise FormatError(f"bad metric magic {blob[:16]!r}")
+    if len(blob) < 24:
+        raise FormatError(f"metric header has {len(blob)} bytes, expected 24")
     n_loc, dim = struct.unpack_from("<II", blob, 16)
     offset = 24
     sizes = [n_loc * dim * dim * 8, n_loc * 8, dim * dim * 8, 8, n_loc]
@@ -285,5 +288,6 @@ def load_metric(path) -> MetricModel:
     (global_sigma,) = struct.unpack_from("<d", blob, offset)
     offset += 8
     fallback = np.frombuffer(blob, dtype=np.uint8, count=n_loc, offset=offset).astype(bool)
-    return MetricModel(matrices=matrices, sigmas=sigmas, global_matrix=global_matrix,
-                       global_sigma=global_sigma, fallback=fallback)
+    with as_format_error():
+        return MetricModel(matrices=matrices, sigmas=sigmas, global_matrix=global_matrix,
+                           global_sigma=global_sigma, fallback=fallback)

@@ -12,12 +12,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, FormatError
+from .errors import ConfigurationError, FormatError, as_format_error
 from .geometry import GridSpec, colocated_patch, patch_at
 
 ROW_SUM_TOL = 1e-9
 
 _MAGIC = b"CSTR1"
+_HEADER_BYTES = len(_MAGIC) + 7 + 8 + 2 * 24  # magic, version, counts, grids
 _GRID_FIELDS = ("image_width", "image_height", "patch_width", "patch_height",
                 "stride_x", "stride_y")
 
@@ -36,8 +37,8 @@ class CorrespondenceStructure:
             raise ValueError(
                 f"probability matrix {self.probs.shape} does not match grids "
                 f"({n_a}, {n_b})")
-        if not np.all(np.isfinite(self.probs)) or np.any(self.probs < 0):
-            raise ValueError("probabilities must be finite and non-negative")
+        if not np.all((self.probs >= 0) & (self.probs <= 1)):  # NaN fails too
+            raise ValueError("probabilities must be finite and within [0, 1]")
         row_err = np.abs(self.probs.sum(axis=1) - 1.0)
         if row_err.max() > ROW_SUM_TOL:
             raise ValueError(f"rows must sum to 1, worst error {row_err.max():g}")
@@ -123,16 +124,18 @@ def load_structure(path) -> CorrespondenceStructure:
         blob = fh.read()
     if blob[:5] != _MAGIC:
         raise FormatError(f"bad structure magic {blob[:5]!r}")
+    if len(blob) < _HEADER_BYTES:
+        raise FormatError(f"structure header has {len(blob)} bytes, expected {_HEADER_BYTES}")
     version = blob[5]
     if version != 1:
         raise FormatError(f"unsupported structure version {version}")
     offset = 5 + 7
     n_a, n_b = struct.unpack_from("<II", blob, offset)
     offset += 8
-    probe_grid = _unpack_grid(blob[offset:offset + 24])
-    offset += 24
-    gallery_grid = _unpack_grid(blob[offset:offset + 24])
-    offset += 24
+    with as_format_error():
+        probe_grid = _unpack_grid(blob[offset:offset + 24])
+        gallery_grid = _unpack_grid(blob[offset + 24:offset + 48])
+    offset += 48
     if (probe_grid.n_patches, gallery_grid.n_patches) != (n_a, n_b):
         raise FormatError(
             f"header counts ({n_a}, {n_b}) disagree with grids "
@@ -142,7 +145,9 @@ def load_structure(path) -> CorrespondenceStructure:
     if len(payload) != expected:
         raise FormatError(f"payload has {len(payload)} bytes, expected {expected}")
     probs = np.frombuffer(payload, dtype="<f8").reshape(n_a, n_b).copy()
-    return CorrespondenceStructure(probs=probs, probe_grid=probe_grid, gallery_grid=gallery_grid)
+    with as_format_error():
+        return CorrespondenceStructure(probs=probs, probe_grid=probe_grid,
+                                       gallery_grid=gallery_grid)
 
 
 def export_structure_csv(path, structure: CorrespondenceStructure) -> None:

@@ -81,7 +81,7 @@ def log_similarity(matrix: np.ndarray, sigma: float, d: np.ndarray,
 
 def rank_correct_matches(pair_log_similarity, probs: np.ndarray, t_c: float,
                          kappa: float, n_train: int) -> list[int]:
-    """Training ranks with one lexicographic ``solve_assignment`` per pair.
+    """Training ranks with one whole-matrix ``solve_assignment`` per pair.
 
     ``pair_log_similarity(i, j)`` is the (n_train, n_train) log similarity of
     probe patch i against gallery patch j; a pair's cell value adds the log

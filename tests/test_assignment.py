@@ -10,6 +10,20 @@ from oracles import brute_force_best, dp_best_score
 KAPPA = -50.0
 
 
+def assert_pairs_give_score(res, values, assignable, kappa):
+    """The pairs are one-to-one and assignable, and their row-order sum
+    (``kappa`` per skipped row) is the score bit for bit."""
+    rows = [i for i, _ in res.pairs]
+    cols = [j for _, j in res.pairs]
+    assert len(set(rows)) == len(rows) and len(set(cols)) == len(cols)
+    assert all(assignable[i, j] for i, j in res.pairs)
+    chosen = dict(res.pairs)
+    total = 0.0
+    for i in range(values.shape[0]):
+        total += values[i, chosen[i]] if i in chosen else kappa
+    assert total == res.score
+
+
 def test_diagonal_dominance():
     res = solve_assignment(np.array([[0.0, -1.0], [-1.0, 0.0]]), kappa=KAPPA)
     assert res.pairs == ((0, 0), (1, 1))
@@ -106,18 +120,17 @@ def test_oracles_agree_with_each_other():
         assert dp_best_score(values, assignable, KAPPA) == expect
 
 
-def test_lexicographic_tie_break_on_tied_matrix():
+def test_tied_matrix_returns_an_optimum():
     # All-zero matrices make every complete matching optimal.
-    values = np.zeros((2, 2))
-    res = solve_assignment(values, kappa=KAPPA)
-    assert res.pairs == ((0, 0), (1, 1))
+    for shape in ((2, 2), (2, 3)):
+        values = np.zeros(shape)
+        assignable = np.ones(shape, dtype=bool)
+        res = solve_assignment(values, kappa=KAPPA)
+        assert res.score == brute_force_best(values, assignable, KAPPA)[1] == 0.0
+        assert_pairs_give_score(res, values, assignable, KAPPA)
 
-    values = np.zeros((2, 3))
-    res = solve_assignment(values, kappa=KAPPA)
-    assert res.pairs == ((0, 0), (1, 1))
 
-
-def test_lexicographic_tie_break_matches_enumeration():
+def test_tied_optima_match_enumeration_score():
     # Duplicated columns and quantized values produce frequent exact ties.
     rng = np.random.default_rng(14)
     for _ in range(200):
@@ -126,29 +139,31 @@ def test_lexicographic_tie_break_matches_enumeration():
         values = -1.0 * rng.integers(0, 3, size=(n_rows, n_cols)).astype(float)
         assignable = rng.random((n_rows, n_cols)) > 0.25
         values = np.where(assignable, values, -np.inf)
-        expect_pairs, expect_score = brute_force_best(values, assignable, KAPPA)
         res = solve_assignment(values, assignable, kappa=KAPPA)
-        assert res.score == expect_score
-        assert res.pairs == expect_pairs
+        assert res.score == brute_force_best(values, assignable, KAPPA)[1]
+        assert res.score == dp_best_score(values, assignable, KAPPA)
+        assert_pairs_give_score(res, values, assignable, KAPPA)
 
 
-def test_lexicographic_prefix_rule_with_tied_kappa():
-    # kappa equal to the only cell value: skipping everything ties with
-    # matching, and the empty suffix is the lexicographically smaller set.
+def test_cells_tied_with_kappa():
+    # kappa equal to the only cell values: matching and skipping tie.
     values = np.array([[-50.0, -np.inf], [-np.inf, -50.0]])
+    assignable = ~np.isneginf(values)
     res = solve_assignment(values, kappa=-50.0)
-    assert res.pairs == ()
-    assert res.score == -100.0
+    assert res.score == brute_force_best(values, assignable, -50.0)[1] == -100.0
+    assert_pairs_give_score(res, values, assignable, -50.0)
 
 
-def test_tied_optima_whose_sums_round_apart_keep_the_larger_sum():
-    # (0, 0), (1, 1) and (0, 0), (2, 1) tie in exact arithmetic, but summed
-    # in row order the second rounds up: it is the optimum, not a tie.
+def test_tied_optima_whose_sums_round_apart():
+    # (0, 0), (1, 1) and (0, 0), (2, 1) tie in exact arithmetic, but their
+    # row-order sums differ by one ulp: either may be returned.
     values = np.array([[-1.9, -np.inf], [-np.inf, -0.8], [-np.inf, -0.8]])
+    assignable = ~np.isneginf(values)
     res = solve_assignment(values, kappa=KAPPA)
-    assert res.pairs == ((0, 0), (2, 1))
-    assert res.score == -52.699999999999996
-    assert (res.pairs, res.score) == brute_force_best(values, ~np.isneginf(values), KAPPA)
+    best = brute_force_best(values, assignable, KAPPA)[1]
+    assert abs(res.score - best) <= np.spacing(abs(best))
+    assert res.score in ((-1.9 + -0.8) + KAPPA, (-1.9 + KAPPA) + -0.8)
+    assert_pairs_give_score(res, values, assignable, KAPPA)
 
 
 def test_score_monotone_in_single_cell():
@@ -222,8 +237,10 @@ def test_score_gate_matches_per_pair_solvers(instance):
     for p in range(values.shape[1]):
         dense = np.full(gate.shape, -np.inf)
         dense[gate] = values[:, p]
-        assert scored.totals[p] == solve_assignment(dense, gate, kappa=kappa).score
+        res = solve_assignment(dense, gate, kappa=kappa)
+        assert scored.totals[p] == res.score
         assert scored.totals[p] == dp_best_score(dense, gate, kappa)
+        assert_pairs_give_score(res, dense, gate, kappa)
 
 
 def test_score_gate_counts_components_and_exact_solves():
@@ -256,8 +273,8 @@ def test_score_gate_single_column_component_tie():
 def test_score_gate_single_column_tie_goes_to_first_row():
     # -1.9 + -0.8 + kappa and -1.9 + kappa + -0.8 differ in the last bit, so
     # the row-order total shows which of the tied rows took the column: the
-    # first one.  Tied optima can sum a bit apart, and the per-pair solver
-    # keeps the larger sum, so here it lands within one ulp of this total.
+    # first one.  The per-pair solver may return either tied optimum, so it
+    # lands within one ulp of this total.
     gate = np.array([[1, 0], [0, 1], [0, 1]], dtype=bool)
     values = np.array([[-1.9], [-0.8], [-0.8]])
     total = score_gate(gate, values, kappa=KAPPA).totals[0]

@@ -1,9 +1,11 @@
+from pathlib import Path
+
 import pytest
 
 import numpy as np
 
 from corrmatch.cli import main
-from corrmatch.config import RunConfig, save_config
+from corrmatch.config import RunConfig, load_config, save_config
 from corrmatch.metric import MetricModel, save_metric
 from corrmatch.structure import init_structure, load_structure, save_structure
 
@@ -25,6 +27,15 @@ def dataset(tmp_path_factory, small_config):
     return out
 
 
+@pytest.fixture(scope="module")
+def run(tmp_path_factory, dataset, small_config):
+    out = str(tmp_path_factory.mktemp("run"))
+    code = main(["train", "--manifest", f"{dataset}/manifest.csv",
+                 "--config", small_config, "--out", out])
+    assert code == 0
+    return out
+
+
 def test_synth_writes_dataset(dataset):
     import os
     assert os.path.isfile(os.path.join(dataset, "manifest.csv"))
@@ -32,18 +43,19 @@ def test_synth_writes_dataset(dataset):
     assert os.path.isfile(os.path.join(dataset, "imgs", "id0000_A.ppm"))
 
 
-def test_train_writes_artifacts(dataset, small_config, tmp_path):
-    out = str(tmp_path / "run")
-    code = main(["train", "--manifest", f"{dataset}/manifest.csv",
-                 "--config", small_config, "--out", out])
-    assert code == 0
-    structure = load_structure(f"{out}/structure.bin")
+def test_train_writes_artifacts(run):
+    structure = load_structure(f"{run}/structure.bin")
     assert structure.probs.shape == (84, 297)
-    header = open(f"{out}/diagnostics.csv").readline().strip()
-    assert header == "iter,mean_rank,cmc1,cmc5,delta"
-    lines = open(f"{out}/diagnostics.csv").read().strip().split("\n")
+    lines = Path(run, "diagnostics.csv").read_text().strip().split("\n")
+    assert lines[0] == ("iter,mean_rank,cmc1,cmc5,delta,sum_ranks,max_row_sum_error,"
+                        "min_entry,gate_components,component_solves")
     assert len(lines) == 1 + 4  # header + max_iterations rows (tolerance 0)
-    csv_rows = open(f"{out}/structure.csv").read().strip().split("\n")
+    for iteration, line in enumerate(lines[1:], start=1):
+        fields = line.split(",")
+        assert len(fields) == 10 and int(fields[0]) == iteration
+        assert int(fields[5]) >= 8  # sum_ranks: each of the 8 ranks is >= 1
+        assert int(fields[8]) > 0   # gate_components
+    csv_rows = Path(run, "structure.csv").read_text().strip().split("\n")
     assert len(csv_rows) == 84
 
 
@@ -52,16 +64,13 @@ def test_evaluate_writes_cmc_files(dataset, small_config, tmp_path, capsys):
     code = main(["evaluate", "--manifest", f"{dataset}/manifest.csv",
                  "--config", small_config, "--out", out, "--arm", "no-structure"])
     assert code == 0
-    lines = open(f"{out}/cmc_no-structure.csv").read().strip().split("\n")
+    lines = Path(out, "cmc_no-structure.csv").read_text().strip().split("\n")
     assert lines[0].startswith("split,r1")
     assert lines[-1].startswith("avg,")
     assert len(lines) == 1 + 2 + 1  # header + repeats + average
 
 
-def test_match_and_export(dataset, small_config, tmp_path):
-    run = str(tmp_path / "run")
-    assert main(["train", "--manifest", f"{dataset}/manifest.csv",
-                 "--config", small_config, "--out", run]) == 0
+def test_match_and_export(dataset, small_config, run, tmp_path):
     pairs_csv = str(tmp_path / "pairs.csv")
     code = main(["match", "--probe", f"{dataset}/imgs/id0000_A.ppm",
                  "--gallery", f"{dataset}/imgs/id0000_B.ppm",
@@ -69,7 +78,7 @@ def test_match_and_export(dataset, small_config, tmp_path):
                  "--metric", f"{run}/metric.bin",
                  "--config", small_config, "--out", pairs_csv])
     assert code == 0
-    lines = open(pairs_csv).read().strip().split("\n")
+    lines = Path(pairs_csv).read_text().strip().split("\n")
     assert lines[0] == "i,j,correlation"
     assert len(lines) > 1
     for line in lines[1:]:
@@ -80,7 +89,28 @@ def test_match_and_export(dataset, small_config, tmp_path):
     heat = str(tmp_path / "heat.csv")
     assert main(["export-structure", "--structure", f"{run}/structure.bin",
                  "--out", heat]) == 0
-    assert len(open(heat).read().strip().split("\n")) == 84
+    assert len(Path(heat).read_text().strip().split("\n")) == 84
+
+
+def test_match_psi_is_row_order_sum_of_reported_pairs(dataset, small_config, run,
+                                                       tmp_path, capsys):
+    pairs_csv = tmp_path / "pairs.csv"
+    code = main(["match", "--probe", f"{dataset}/imgs/id0001_A.ppm",
+                 "--gallery", f"{dataset}/imgs/id0002_B.ppm",
+                 "--structure", f"{run}/structure.bin",
+                 "--metric", f"{run}/metric.bin",
+                 "--config", small_config, "--out", str(pairs_csv)])
+    assert code == 0
+    _, eq, psi, over, matched, *_ = capsys.readouterr().out.strip().splitlines()[-1].split()
+    assert (eq, over) == ("=", "over")
+    rows = [line.split(",") for line in pairs_csv.read_text().strip().split("\n")[1:]]
+    correlation = {int(i): float(c) for i, _, c in rows}
+    assert list(correlation) == sorted(correlation) and len(rows) == int(matched)
+    kappa = load_config(small_config).kappa
+    total = 0.0
+    for i in range(load_structure(f"{run}/structure.bin").n_probe):
+        total += correlation.get(i, kappa)  # ascending probe patches, as psi sums
+    assert total == float(psi)
 
 
 def test_cli_error_is_single_line_nonzero(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -141,8 +142,8 @@ def test_synthetic_same_seed_bitwise_identical(tmp_path):
     m2, _ = make_synthetic_manifest(tmp_path / "b", n=3, seed=11)
     for ident in m1.identities():
         for cam in ("A", "B"):
-            b1 = open(m1.image_path(ident, cam), "rb").read()
-            b2 = open(m2.image_path(ident, cam), "rb").read()
+            b1 = Path(m1.image_path(ident, cam)).read_bytes()
+            b2 = Path(m2.image_path(ident, cam)).read_bytes()
             assert b1 == b2
 
 
@@ -150,8 +151,8 @@ def test_synthetic_different_seed_differs(tmp_path):
     m1, _ = make_synthetic_manifest(tmp_path / "a", n=2, seed=11)
     m2, _ = make_synthetic_manifest(tmp_path / "b", n=2, seed=12)
     ident = m1.identities()[0]
-    assert open(m1.image_path(ident, "A"), "rb").read() != \
-        open(m2.image_path(ident, "A"), "rb").read()
+    assert (Path(m1.image_path(ident, "A")).read_bytes()
+            != Path(m2.image_path(ident, "A")).read_bytes())
 
 
 def test_synthetic_shift_out_of_bounds_rejected(tmp_path):

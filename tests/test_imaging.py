@@ -2,12 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from corrmatch.geometry import GridSpec
-from corrmatch.imaging import (MalformedHeaderError, RgbImage, TruncatedPayloadError,
-                               UnsupportedFormatError, decode_ppm, descriptor_dim,
-                               extract_descriptors, load_image, luminance, rgb_to_lab,
-                               save_image, scale_to_canonical)
+from corrmatch.imaging import (MalformedHeaderError, PpmError, RgbImage,
+                               TruncatedPayloadError, UnsupportedFormatError, decode_ppm,
+                               descriptor_dim, extract_descriptors, load_image, luminance,
+                               rgb_to_lab, save_image, scale_to_canonical)
+
+from blobs import mutated
 
 CANONICAL = GridSpec(48, 128, 18, 24, 6, 8)
 
@@ -48,6 +52,19 @@ def test_wrong_magic_is_malformed():
 def test_truncated_payload():
     with pytest.raises(TruncatedPayloadError):
         decode_ppm(b"P6\n2 2\n255\n" + bytes(5))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.binary(max_size=64),
+                 st.binary(max_size=48).map(lambda tail: b"P6" + tail),
+                 st.tuples(st.sampled_from([b"P6", b"P6 ", b"P6\n2 2\n", b"P6\n2 2\n255"]),
+                           st.binary(max_size=24)).map(b"".join),
+                 mutated(b"P6\n2 2\n255\n" + bytes(range(12)))))
+def test_decode_raises_only_ppm_error(data):
+    try:
+        decode_ppm(data)
+    except PpmError:
+        pass
 
 
 def test_missing_file(tmp_path):

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
+from corrmatch.assignment import solve_assignment
 from corrmatch.geometry import GridSpec, colocated_patch, patch_at
 from corrmatch.matching import (BinaryMappingStructure, adjacency_candidates,
                                 best_binary_structure, binary_correlation,
-                                binary_structure_score_matrix,
-                                correlation_matrix, greedy_score, match_score,
-                                rank_gallery, rank_of_scores, score_correlation)
+                                binary_structure_score_matrix, correlation_matrix,
+                                gated_correlations, greedy_scores, match_score,
+                                rank_gallery, rank_of_scores)
 from corrmatch.metric import MetricModel
 from corrmatch.structure import CorrespondenceStructure
 
@@ -32,9 +33,8 @@ def test_correlation_gates_low_probability():
     model = flat_model(1, 1)
     corr = correlation_matrix(np.array([[0.5]]), np.array([[0.5], [0.5]]),
                               structure, model, t_c=0.05)
-    assert not corr.assignable[0, 1]
-    assert corr.values[0, 1] == -np.inf
-    assert corr.assignable[0, 0]
+    assert corr[0, 1] == -np.inf
+    assert np.isfinite(corr[0, 0])
 
 
 def test_correlation_exact_values_and_nonpositive():
@@ -44,10 +44,10 @@ def test_correlation_exact_values_and_nonpositive():
     gallery = np.array([[1.0], [0.0]])
     corr = correlation_matrix(probe, gallery, structure, model, t_c=0.05)
     # identical descriptors: phi = 1, C = log(0.5)
-    assert corr.values[0, 0] == pytest.approx(np.log(0.5), abs=1e-12)
+    assert corr[0, 0] == pytest.approx(np.log(0.5), abs=1e-12)
     # difference 1: phi = e^-1, C = log(e^-1 * 0.5)
-    assert corr.values[0, 1] == pytest.approx(-1.0 + np.log(0.5), abs=1e-12)
-    assert np.all(corr.values[corr.assignable] <= 0.0)
+    assert corr[0, 1] == pytest.approx(-1.0 + np.log(0.5), abs=1e-12)
+    assert np.all(corr <= 0.0)
 
 
 def test_perfect_match_degenerate_grids_scores_zero():
@@ -67,7 +67,8 @@ def test_all_rows_excluded_gives_kappa_floor():
     model = flat_model(1, 1)
     corr = correlation_matrix(np.array([[0.5]]), np.array([[0.5], [0.5]]),
                               structure, model, t_c=0.9)
-    result = score_correlation(corr, kappa=-50.0)
+    assert np.all(corr == -np.inf)
+    result = solve_assignment(corr, kappa=-50.0)
     assert result.pairs == ()
     assert result.score == -50.0
 
@@ -141,10 +142,11 @@ def test_rank_of_scores_rejects_missing_owner():
 def test_greedy_score_matches_row_maxima():
     structure = tiny_structure([[0.5, 0.5]])
     model = flat_model(1, 1)
-    corr = correlation_matrix(np.array([[0.3]]), np.array([[0.3], [0.9]]),
-                              structure, model, t_c=0.05)
-    assert greedy_score(corr, kappa=-50.0) == pytest.approx(float(corr.values[0].max()),
-                                                            abs=1e-15)
+    probe, gallery = np.array([[0.3]]), np.array([[0.3], [0.9]])
+    corr = correlation_matrix(probe, gallery, structure, model, t_c=0.05)
+    gate, values = gated_correlations(probe[None], gallery[None], structure, model, t_c=0.05)
+    (total,) = greedy_scores(gate, values, kappa=-50.0)
+    assert total == pytest.approx(float(corr[0].max()), abs=1e-15)
 
 
 CANON_PROBE = GridSpec(48, 128, 18, 24, 6, 8)
@@ -218,7 +220,7 @@ def test_binary_score_matrix_matches_generic_path():
         for g in range(4):
             corr = binary_correlation(probe_stack[p], gallery_stack[g], binary,
                                       model, n_probe, n_gal)
-            assert fast[p, g] == score_correlation(corr, kappa=-50.0).score
+            assert fast[p, g] == solve_assignment(corr, kappa=-50.0).score
 
 
 def test_binary_score_matrix_with_conflicts_matches_generic_path():
@@ -235,7 +237,7 @@ def test_binary_score_matrix_with_conflicts_matches_generic_path():
         for g in range(3):
             corr = binary_correlation(probe_stack[p], gallery_stack[g], binary,
                                       model, n_probe, n_gal)
-            assert fast[p, g] == score_correlation(corr, kappa=-50.0).score
+            assert fast[p, g] == solve_assignment(corr, kappa=-50.0).score
 
 
 def test_binary_score_multi_link_row_falls_back_to_solver():
@@ -251,7 +253,7 @@ def test_binary_score_multi_link_row_falls_back_to_solver():
         for g in range(2):
             corr = binary_correlation(probe_stack[p], gallery_stack[g], binary,
                                       model, n_probe, n_gal)
-            assert scores[p, g] == score_correlation(corr, kappa=-50.0).score
+            assert scores[p, g] == solve_assignment(corr, kappa=-50.0).score
 
 
 def test_best_binary_structure_prefers_lower_rank():
@@ -294,4 +296,4 @@ def test_correlation_value_example_e_inverse():
     f_diff = np.sqrt(1.0)  # distance 1 under the identity metric, sigma 1
     corr = correlation_matrix(np.array([[f_diff]]), np.array([[0.0], [0.0]]),
                               structure, model, t_c=0.05)
-    assert corr.values[0, 0] == pytest.approx(-2.0, abs=1e-12)
+    assert corr[0, 0] == pytest.approx(-2.0, abs=1e-12)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from corrmatch.errors import ConfigurationError, FormatError
 from corrmatch.geometry import GridSpec
@@ -8,6 +10,7 @@ from corrmatch.metric import (MAX_EXPONENT, MetricModel, appearance_similarity,
                               load_metric, log_similarity, save_metric, train_metric)
 
 import oracles
+from blobs import mutated, non_finite, truncated
 
 
 def scalar_model(m, sigma):
@@ -241,5 +244,49 @@ def test_metric_load_rejects_non_finite_values(tmp_path, field, bad):
     blob = bytearray(path.read_bytes())
     blob[offset:offset + 8] = np.array([bad], dtype="<f8").tobytes()
     path.write_bytes(bytes(blob))
-    with pytest.raises(ValueError, match="finite"):
+    with pytest.raises(FormatError, match="finite"):
         load_metric(path)
+
+
+def test_metric_load_rejects_asymmetry_at_the_float_limit(tmp_path):
+    path, dim, _ = _metric_blob(tmp_path)
+    blob = bytearray(path.read_bytes())
+    blob[32:40] = np.array([1e308], dtype="<f8").tobytes()             # matrix 0, (0, 1)
+    blob[24 + 8 * dim:32 + 8 * dim] = np.array([-1e308], dtype="<f8").tobytes()  # (1, 0)
+    path.write_bytes(bytes(blob))
+    with pytest.raises(FormatError, match="symmetric"):
+        load_metric(path)
+
+
+def test_metric_load_rejects_short_header(tmp_path):
+    path, _, _ = _metric_blob(tmp_path)
+    path.write_bytes(path.read_bytes()[:20])
+    with pytest.raises(FormatError):
+        load_metric(path)
+
+
+@pytest.fixture(scope="module")
+def metric_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("metric")
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_metric_load_rejects_truncated_and_non_finite_blobs(metric_dir, data):
+    path, dim, n_loc = _metric_blob(metric_dir)
+    blob = path.read_bytes()
+    n_doubles = (n_loc + 1) * dim * dim + n_loc + 1  # matrices, sigmas, global pair
+    path.write_bytes(data.draw(st.one_of(truncated(blob), non_finite(blob, 24, n_doubles))))
+    with pytest.raises(FormatError):
+        load_metric(path)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_metric_load_mutated_blob_raises_only_format_error(metric_dir, data):
+    path, _, _ = _metric_blob(metric_dir)
+    path.write_bytes(data.draw(mutated(path.read_bytes())))
+    try:
+        load_metric(path)
+    except FormatError:
+        pass

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from corrmatch.errors import FormatError
 from corrmatch.geometry import GridSpec, colocated_patch, patch_at
@@ -7,8 +9,12 @@ from corrmatch.structure import (CorrespondenceStructure, blend_update,
                                  export_structure_csv, init_structure, load_structure,
                                  save_structure, thresholded)
 
+from blobs import mutated, non_finite, truncated
+
 PROBE = GridSpec(48, 128, 18, 24, 6, 8)
 GALLERY = GridSpec(48, 128, 18, 24, 3, 4)
+# Two probe patches by three gallery patches: a 68-byte header and six doubles.
+TINY = init_structure(GridSpec(4, 8, 4, 4, 1, 4), GridSpec(4, 8, 2, 8, 1, 1), t_d=2)
 
 
 def small_structure(probs):
@@ -146,6 +152,55 @@ def test_load_rejects_truncated_payload(tmp_path):
     bad.write_bytes(blob[:-16])
     with pytest.raises(FormatError):
         load_structure(bad)
+
+
+def _tiny_blob(path) -> bytes:
+    save_structure(path, TINY)
+    return path.read_bytes()
+
+
+@pytest.fixture(scope="module")
+def blob_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("structure") / "s.bin"
+
+
+@pytest.mark.parametrize("damage", ["magic only", "first 20 bytes", "zero stride",
+                                    "nan payload", "row sum overflows"])
+def test_load_rejects_short_or_invalid_fields_as_format_error(tmp_path, damage):
+    blob = bytearray(_tiny_blob(tmp_path / "s.bin"))
+    if damage == "magic only":
+        blob = blob[:5]
+    elif damage == "first 20 bytes":
+        blob = blob[:20]
+    elif damage == "zero stride":
+        blob[36:40] = bytes(4)  # the probe grid's stride_x
+    elif damage == "nan payload":
+        blob[68:76] = np.array([np.nan], dtype="<f8").tobytes()
+    else:  # rejected before the row sums, which would overflow and warn
+        blob[68:84] = np.array([1e308, 1e308], dtype="<f8").tobytes()
+    path = tmp_path / "bad.bin"
+    path.write_bytes(bytes(blob))
+    with pytest.raises(FormatError):
+        load_structure(path)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_load_rejects_truncated_and_non_finite_blobs(blob_file, data):
+    blob = _tiny_blob(blob_file)
+    blob_file.write_bytes(data.draw(st.one_of(truncated(blob), non_finite(blob, 68, 6))))
+    with pytest.raises(FormatError):
+        load_structure(blob_file)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_load_mutated_blob_raises_only_format_error(blob_file, data):
+    blob_file.write_bytes(data.draw(mutated(_tiny_blob(blob_file))))
+    try:
+        load_structure(blob_file)
+    except FormatError:
+        pass
 
 
 def test_csv_export_shape(tmp_path):
