@@ -6,7 +6,7 @@ from .geometry import GridSpec, PatchRef, colocated_patch, patch_positions, zigz
 from .learning import CmcCurve, cmc_curve, learn_structure
 from .matching import BinaryMappingStructure, match_score, rank_gallery
 from .metric import MetricModel, appearance_similarity, build_avg_similarity, train_metric
-from .structure import CorrespondenceStructure, blend_update, init_structure, thresholded
+from .structure import CorrespondenceStructure, blend_update, init_structure
 
 __version__ = "0.1.0"
 
@@ -15,6 +15,6 @@ __all__ = [
     "GridSpec", "MetricModel", "PatchRef", "RunConfig", "appearance_similarity",
     "blend_update", "build_avg_similarity", "cmc_curve", "colocated_patch",
     "init_structure", "learn_structure", "match_score", "patch_positions",
-    "rank_gallery", "solve_assignment", "thresholded", "train_metric",
+    "rank_gallery", "solve_assignment", "train_metric",
     "zigzag_distance", "__version__",
 ]

@@ -8,22 +8,27 @@ or because better rows claim its columns) contributes the floor penalty
 the score is their float sum taken in ascending row order, and which of
 several tied optima is returned is unspecified.
 
-The solver runs successive shortest augmenting paths (Jonker & Volgenant,
-*Computing* 38, 1987) over a sparse edge list, with a private "skip" slot
-per row priced at ``kappa`` so a complete row assignment always exists.
-``score_gate`` scores many pairs that share one assignable mask at once: it
-splits the mask into connected components, settles every component whose
-greedy row picks do not collide or whose rows all bid for one shared
-column, and solves only the rest exactly.
+One exact pass runs successive shortest augmenting paths (Jonker &
+Volgenant, *Computing* 38, 1987) in numpy over many pairs at once.  A row
+keeps a padded list of its edges (cells above ``kappa``) and a private
+"skip" slot priced at ``kappa``, so a complete row assignment always exists.
+A warm start gives each row its cheapest edge in row order; only rows whose
+column is taken root a Dijkstra search, whose steps relax just the popped
+row's edges.  Pairs go in chunks of at most ``_CHUNK_CELLS`` cells.
+``solve_assignment`` is that pass on one pair; ``score_gate`` splits a mask
+shared by many pairs into connected components, settles each component
+whose greedy row picks do not collide or whose rows all bid for one shared
+column, and passes the rest to the exact pass.
 """
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 
 import numpy as np
 
-_INF = float("inf")
+# Most (pair, row, slot) cells one chunk of the exact pass holds: it bounds
+# the pass's dense arrays however many pairs share a component.
+_CHUNK_CELLS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -62,13 +67,12 @@ def solve_assignment(values: np.ndarray, assignable: np.ndarray | None = None, *
     if values.size and not np.all(np.isfinite(values[assignable])):
         raise ValueError("assignable values must be finite")
 
-    rows = [list(zip(np.flatnonzero(mask).tolist(), vals[mask].tolist()))
-            for mask, vals in zip(assignable, values)]
-    match = _shortest_path_matching(rows, values.shape[1], kappa)
-    pairs = tuple((i, j) for i, j in enumerate(match) if j >= 0)
+    rows, cols = np.nonzero(assignable)
+    match = _solve_exact(assignable.sum(axis=1), cols, values[rows, cols][:, None], kappa)[:, 0]
+    pairs = tuple((i, int(cols[m])) for i, m in enumerate(match.tolist()) if m >= 0)
     score = 0.0
-    for i, j in enumerate(match):
-        score += kappa if j < 0 else float(values[i, j])
+    for i, m in enumerate(match.tolist()):
+        score += kappa if m < 0 else float(values[i, cols[m]])
     return Assignment(pairs=pairs, score=score)
 
 
@@ -140,7 +144,11 @@ def score_gate(gate: np.ndarray, values: np.ndarray, kappa: float) -> GateScores
             chosen[np.ix_(comp, clash)] = np.where(won, bids, kappa)
         else:
             solves += clash.size
-            _solve_component(comp, bounds, cols, values, clash, kappa, chosen)
+            cells = np.concatenate([np.arange(bounds[r], bounds[r + 1]) for r in comp])
+            block = values[cells][:, clash]
+            match = _solve_exact(np.diff(bounds)[comp], cols[cells], block, kappa)
+            chosen[np.ix_(comp, clash)] = np.where(
+                match < 0, kappa, block[match, np.arange(clash.size)])
 
     totals = np.zeros(n_pairs)
     for contribution in chosen:  # ascending rows, as solve_assignment sums
@@ -174,101 +182,105 @@ def _gate_components(rows: np.ndarray, cols: np.ndarray, n_rows: int) -> list[li
     return list(groups.values())
 
 
-def _solve_component(comp, bounds, cols, values, pairs, kappa, chosen) -> None:
-    """Exact score-only solve of one gate component for the listed pairs.
+def _solve_exact(degree: np.ndarray, cell_cols: np.ndarray, values: np.ndarray,
+                 kappa: float) -> np.ndarray:
+    """Cell each row takes in an optimal matching of every pair, -1 for a skip.
 
-    Writes each row's contribution into ``chosen``.  Cells at or below
-    ``kappa`` are dropped: skipping the row scores at least as well.
+    Row i holds the next ``degree[i]`` cells: their columns, ascending within
+    the row, in ``cell_cols`` and their (n_cells, n_pairs) values.  Cells at
+    or below ``kappa`` are dropped, since skipping the row scores at least as
+    well.  A cell costs ``shift - value``, ``shift`` being the pair's largest
+    value or ``kappa``, so no cost is negative.
     """
-    spans = [(int(bounds[r]), int(bounds[r + 1])) for r in comp]
-    cells = np.concatenate([np.arange(lo, hi) for lo, hi in spans])
-    local = {c: k for k, c in enumerate(sorted(set(cols[cells].tolist())))}
-    local_cols = [local[c] for c in cols[cells].tolist()]
-    offsets = np.cumsum([0] + [hi - lo for lo, hi in spans]).tolist()
-    for p, vals in zip(pairs.tolist(), values[cells][:, pairs].T.tolist()):
-        edges = [[(c, x) for c, x in zip(local_cols[a:b], vals[a:b]) if x > kappa]
-                 for a, b in zip(offsets[:-1], offsets[1:])]
-        match = _shortest_path_matching(edges, len(local), kappa)
-        for r, row_edges, j in zip(comp, edges, match):
-            chosen[r, p] = kappa if j < 0 else dict(row_edges)[j]
+    n_rows, n_pairs = len(degree), values.shape[1]
+    if not len(cell_cols):
+        return np.full((n_rows, n_pairs), -1)
+    slots = np.arange(int(degree.max()) + 1)  # the last slot is the row's skip
+    real = slots < degree[:, None]
+    slot_cell = np.where(real, np.cumsum(degree)[:, None] - degree[:, None] + slots, -1)
+    cell_cols = np.unique(cell_cols, return_inverse=True)[1]
+    n_cols = int(cell_cols.max()) + 1
+    pad = n_cols + n_rows  # the column of every unused slot; it is never reached
+    slot_col = np.where(real, cell_cols[slot_cell], pad)
+    slot_col[:, -1] = n_cols + np.arange(n_rows)
+    step = max(1, _CHUNK_CELLS // slot_col.size)
+    match = []
+    for lo in range(0, n_pairs, step):
+        vals = values[:, lo:lo + step].T[:, slot_cell]  # (pairs, rows, slots)
+        shift = np.max(vals, axis=(1, 2), initial=kappa, where=real)[:, None, None]
+        cost = np.where(real & (vals > kappa), shift - vals, np.inf)
+        cost[:, :, -1] = shift[:, :, 0] - kappa
+        taken = _shortest_paths(cost, slot_col, pad + 1)[:, :, None]
+        match.append(slot_cell[np.arange(n_rows), (slot_col == taken).argmax(axis=2)].T)
+    return np.concatenate(match, axis=1)
 
 
-def _shortest_path_matching(rows, n_cols, kappa) -> list[int]:
-    """Min-cost complete matching of rows onto real or skip columns.
+def _shortest_paths(cost: np.ndarray, slot_col: np.ndarray, n_cols: int) -> np.ndarray:
+    """Min-cost complete matching of rows onto columns for every pair.
 
-    ``rows[i]`` lists row i's assignable (column, value) cells.  Values are
-    negated and shifted so all edge costs are non-negative, which keeps
-    plain Dijkstra valid.  Returns a real column or -1 (skip) per row.
+    ``cost`` is (n_pairs, n_rows, n_slots), inf where a slot holds no edge,
+    and ``slot_col`` gives each slot's column; a column private to each row
+    makes a complete matching exist.  Warm start: u holds each row's
+    cheapest cost, v is 0 and rows take their cheapest column in row order.
+    Each row left out roots one Dijkstra search over reduced costs; a step
+    pops the nearest column (the lowest on ties) of every live search.
+    Returns the (n_pairs, n_rows) column of each row.
     """
-    n_rows = len(rows)
-    hi = kappa
-    for edges in rows:
-        for _, val in edges:
-            if val > hi:
-                hi = val
-    shift = hi  # cost = shift - value >= 0 for every slot
-    skip_cost = shift - kappa
+    n_pairs, n_rows, _ = cost.shape
+    every = np.arange(n_pairs)
+    u = cost.min(axis=2)
+    cheapest = slot_col[np.arange(n_rows), cost.argmin(axis=2)]
+    match_row = np.full((n_pairs, n_cols), -1)
+    match_col = np.full((n_pairs, n_rows), -1)
+    for i in range(n_rows):
+        free = every[match_row[every, cheapest[:, i]] < 0]
+        match_row[free, cheapest[free, i]] = i
+        match_col[free, i] = cheapest[free, i]
+    pending = match_col < 0
+    v = np.zeros((n_pairs, n_cols))
+    dist = np.full((n_pairs, n_cols), np.inf)
+    done = np.zeros((n_pairs, n_cols), dtype=bool)
+    pred = np.zeros((n_pairs, n_cols), dtype=np.int64)
+    reached = np.zeros((n_pairs, n_rows))  # distance at which a row joined
+    seen = np.zeros((n_pairs, n_rows), dtype=bool)
 
-    total_cols = n_cols + n_rows  # skip slot of row i is column n_cols + i
-    match_row = [-1] * total_cols
-    match_col = [-1] * n_rows
-    u = [0.0] * n_rows
-    v = [0.0] * total_cols
+    def relax(p, r, d):  # the searches of pairs p reach row r at distance d
+        reached[p, r], seen[p, r] = d, True
+        at = (p[:, None], slot_col[r])
+        step = d[:, None] + (cost[p, r] - u[p, r][:, None] - v[at])
+        better = (step < dist[at]) & ~done[at]
+        dist[at] = np.where(better, step, dist[at])
+        pred[at] = np.where(better, r[:, None], pred[at])
 
-    adj = [[(j, shift - val) for j, val in edges] + [(n_cols + r, skip_cost)]
-           for r, edges in enumerate(rows)]
+    def start(p):  # the next search of pairs p, from their first pending row
+        r = pending[p].argmax(axis=1)
+        pending[p, r] = False
+        dist[p], done[p], seen[p] = np.inf, False, False
+        relax(p, r, np.zeros(len(p)))
 
-    for root in range(n_rows):
-        dist = [_INF] * total_cols
-        pred_row = [-1] * total_cols
-        entry = {root: 0.0}
-        done = []
-        done_mask = [False] * total_cols
-        heap = []
-        u_root = u[root]
-        for j, cost in adj[root]:
-            d = cost - u_root - v[j]
-            if d < dist[j]:
-                dist[j] = d
-                pred_row[j] = root
-                heapq.heappush(heap, (d, j))
-        sink = -1
-        while heap:
-            d, j = heapq.heappop(heap)
-            if done_mask[j] or d > dist[j]:
-                continue
-            done_mask[j] = True
-            done.append(j)
-            r = match_row[j]
-            if r == -1:
-                sink = j
-                break
-            entry[r] = d
-            u_r = u[r]
-            for j2, cost in adj[r]:
-                if done_mask[j2]:
-                    continue
-                nd = d + (cost - u_r - v[j2])
-                if nd < dist[j2]:
-                    dist[j2] = nd
-                    pred_row[j2] = r
-                    heapq.heappush(heap, (nd, j2))
-        assert sink >= 0, "skip slots guarantee an augmenting path"
-        delta = dist[sink]
-        for r, d in entry.items():
-            u[r] += delta - d
-        for j in done:
-            if j != sink:
-                v[j] -= delta - dist[j]
-        # Augment: walk predecessors back to the root.
-        j = sink
-        while True:
-            r = pred_row[j]
-            prev = match_col[r]
-            match_row[j] = r
-            match_col[r] = j
-            if r == root:
-                break
-            j = prev
-
-    return [j if j < n_cols else -1 for j in match_col]
+    live = every[pending.any(axis=1)]
+    start(live)
+    while live.size:
+        open_dist = np.where(done[live], np.inf, dist[live])
+        col = open_dist.argmin(axis=1)
+        done[live, col] = True
+        row = match_row[live, col]
+        grow = row >= 0
+        relax(live[grow], row[grow], open_dist[grow, col[grow]])
+        p, col = live[~grow], col[~grow]
+        # Potentials move once per augmentation, then the path flips.
+        delta = dist[p, col][:, None]
+        u[p] = np.where(seen[p], u[p] + (delta - reached[p]), u[p])
+        done[p, col] = False
+        v[p] = np.where(done[p], v[p] - (delta - dist[p]), v[p])
+        finished = p
+        while p.size:
+            row = pred[p, col]
+            prev = match_col[p, row]
+            match_row[p, col], match_col[p, row] = row, col
+            on = prev >= 0  # only the root had no column
+            p, col = p[on], prev[on]
+        again = finished[pending[finished].any(axis=1)]
+        start(again)
+        live = np.concatenate((live[grow], again))
+    return match_col

@@ -11,13 +11,12 @@ import os
 import sys
 from dataclasses import astuple
 
-from .assignment import solve_assignment
 from .config import RunConfig, load_config, save_config
 from .harness import (ARMS, DescriptorBank, generate_synthetic, load_manifest,
                       make_splits, run_ablations, train_split_metric)
 from .imaging import extract_descriptors, load_image, scale_to_canonical
 from .learning import learn_structure
-from .matching import correlation_matrix
+from .matching import match_score
 from .metric import load_metric, save_metric
 from .structure import export_structure_csv, load_structure, save_structure
 
@@ -99,8 +98,8 @@ def cmd_match(args) -> int:
                                      config.color_bins, config.gradient_bins)
     gallery_desc = extract_descriptors(gallery, structure.gallery_grid,
                                        config.color_bins, config.gradient_bins)
-    corr = correlation_matrix(probe_desc, gallery_desc, structure, metric, config.t_c)
-    result = solve_assignment(corr, kappa=config.kappa)
+    corr, result = match_score(probe_desc, gallery_desc, structure, metric,
+                               config.t_c, config.kappa)
     out = open(args.out, "w", encoding="ascii", newline="\n") if args.out else sys.stdout
     try:
         out.write("i,j,correlation\n")

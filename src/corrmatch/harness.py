@@ -136,12 +136,6 @@ def make_splits(manifest: DatasetManifest, seed: int, repeats: int) -> SplitPlan
     return SplitPlan(seed=seed, repeats=repeats, splits=tuple(splits))
 
 
-def _triangle_wave(y: np.ndarray, period: float, phase: float) -> np.ndarray:
-    """Symmetric triangle wave in [0, 1]."""
-    frac = ((y - phase) / period) % 1.0
-    return 1.0 - np.abs(2.0 * frac - 1.0)
-
-
 _PALETTE = np.array([
     [200, 60, 50], [60, 140, 200], [70, 180, 90], [210, 180, 60],
     [160, 80, 190], [220, 120, 40], [90, 200, 200], [190, 90, 120],

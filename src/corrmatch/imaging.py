@@ -90,12 +90,10 @@ def decode_ppm(data: bytes) -> RgbImage:
     magic = next_token()
     if magic != b"P6":
         raise MalformedHeaderError(f"not a binary PPM (magic {magic!r})")
-    try:
-        width = int(next_token())
-        height = int(next_token())
-        maxval = int(next_token())
-    except ValueError as exc:
-        raise MalformedHeaderError(f"non-numeric PPM header field: {exc}") from exc
+    fields = [next_token() for _ in range(3)]
+    if not all(field.isdigit() for field in fields):
+        raise MalformedHeaderError(f"non-decimal PPM header field in {b' '.join(fields)!r}")
+    width, height, maxval = map(int, fields)
     if width < 1 or height < 1:
         raise MalformedHeaderError(f"bad PPM dimensions {width}x{height}")
     if maxval != 255:

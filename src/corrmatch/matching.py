@@ -129,10 +129,10 @@ def greedy_scores(gate: np.ndarray, values: np.ndarray,
 
 def match_score(probe_desc: np.ndarray, gallery_desc: np.ndarray,
                 structure: CorrespondenceStructure, model: MetricModel,
-                t_c: float, kappa: float) -> Assignment:
-    """Image matching score: correlation matrix plus global assignment."""
+                t_c: float, kappa: float) -> tuple[np.ndarray, Assignment]:
+    """Image matching score: the correlation matrix and its global assignment."""
     corr = correlation_matrix(probe_desc, gallery_desc, structure, model, t_c)
-    return solve_assignment(corr, kappa=kappa)
+    return corr, solve_assignment(corr, kappa=kappa)
 
 
 def rank_gallery(probe_desc: np.ndarray, gallery_descs, structure: CorrespondenceStructure,
@@ -187,19 +187,19 @@ def adjacency_candidates(probe_desc: np.ndarray, gallery_desc: np.ndarray,
     gallery_rows = np.array([patch_at(gallery_grid, j).row
                              for j in range(gallery_grid.n_patches)])
     ordinals = np.arange(gallery_grid.n_patches)
+    colocated = [colocated_patch(probe_grid, gallery_grid, patch_at(probe_grid, i))
+                 for i in range(n_a)]
 
     candidates = []
     for span in ranges:
         if span < 1:
             raise ValueError(f"search range must be >= 1, got {span}")
         links = []
-        for i in range(n_a):
-            co = colocated_patch(probe_grid, gallery_grid, patch_at(probe_grid, i))
+        for i, co in enumerate(colocated):
             window = np.flatnonzero(np.abs(gallery_rows - co.row) <= span)
             sims = np.exp(log_similarity(model, i, probe_desc[i] - gallery_desc[window]))
             dist = np.abs(ordinals[window] - co.ordinal)
-            best = min(range(len(window)), key=lambda k: (-sims[k], dist[k], window[k]))
-            links.append((i, int(window[best])))
+            links.append((i, int(window[np.lexsort((window, dist, -sims))[0]])))
         candidates.append(BinaryMappingStructure(links=tuple(links)))
     return candidates
 

@@ -74,12 +74,6 @@ def init_structure(probe_grid: GridSpec, gallery_grid: GridSpec, t_d: int) -> Co
     return CorrespondenceStructure(probs=probs, probe_grid=probe_grid, gallery_grid=gallery_grid)
 
 
-def thresholded(structure: CorrespondenceStructure, i: int, j: int, t_c: float) -> float:
-    """P(i, j) when it strictly exceeds t_c, else 0."""
-    p = float(structure.probs[i, j])
-    return p if p > t_c else 0.0
-
-
 def blend_update(structure: CorrespondenceStructure, update: np.ndarray,
                  epsilon: float) -> CorrespondenceStructure:
     """New structure (1 - epsilon) * P + epsilon * update, rows renormalized."""

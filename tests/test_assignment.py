@@ -1,8 +1,11 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from corrmatch import assignment
 from corrmatch.assignment import Assignment, score_gate, solve_assignment
 
 from oracles import brute_force_best, dp_best_score
@@ -291,3 +294,72 @@ def test_score_gate_rejects_bad_values():
         score_gate(gate, np.zeros((2, 1)), KAPPA)
     with pytest.raises(ValueError):
         score_gate(gate, np.array([[np.nan]]), KAPPA)
+
+
+# ------------------------------------------------------ the exact pass
+
+@st.composite
+def clashing_gates(draw):
+    """Gates whose rows each hold two or more of a few shared columns.
+
+    Components then span several multi-cell rows, and quarter-step values
+    make greedy picks collide often, so most pairs reach the exact pass.
+    Values run from -2 to 0 and kappa from -2 to -0.5: many cells sit at or
+    below kappa.
+    """
+    n_rows = draw(st.integers(2, 6))
+    n_cols = draw(st.integers(2, 5))
+    gate = np.zeros((n_rows, n_cols), dtype=bool)
+    for i in range(n_rows):
+        gate[i, draw(st.lists(st.integers(0, n_cols - 1), min_size=2, unique=True))] = True
+    n_pairs = draw(st.integers(1, 6))
+    n_cells = int(gate.sum())
+    quarters = draw(st.lists(st.integers(-8, 0), min_size=n_cells * n_pairs,
+                             max_size=n_cells * n_pairs))
+    values = np.array(quarters, dtype=np.float64).reshape(n_cells, n_pairs) / 4.0
+    return gate, values, draw(st.integers(-8, -2)) / 4.0
+
+
+def assert_gate_totals_are_optimal(gate, values, kappa):
+    scored = score_gate(gate, values, kappa)
+    for p in range(values.shape[1]):
+        dense = np.full(gate.shape, -np.inf)
+        dense[gate] = values[:, p]
+        assert scored.totals[p] == dp_best_score(dense, gate, kappa)
+    return scored
+
+
+@pytest.mark.parametrize("chunk_cells", [assignment._CHUNK_CELLS, 1])
+@settings(max_examples=200, deadline=None)
+@given(clashing_gates())
+def test_exact_pass_matches_dp_oracle(chunk_cells, instance):
+    # A budget of one cell puts every pair in its own chunk, so chunk
+    # boundaries fall inside every (component, pairs) block.
+    with mock.patch.object(assignment, "_CHUNK_CELLS", chunk_cells):
+        assert_gate_totals_are_optimal(*instance)
+
+
+def test_exact_pass_on_banded_gate():
+    # 12 rows x 14 columns, row i holding columns i, i+1 and i+2: one
+    # component whose greedy picks mostly collide.
+    n_rows, n_pairs, kappa = 12, 16, -1.5
+    gate = np.zeros((n_rows, n_rows + 2), dtype=bool)
+    for i in range(n_rows):
+        gate[i, i:i + 3] = True
+    values = np.random.default_rng(0).integers(-8, 1, size=(3 * n_rows, n_pairs)) / 4.0
+    best = values.reshape(n_rows, 3, n_pairs)
+    picks = np.where(best.max(axis=1) > kappa,
+                     np.arange(n_rows)[:, None] + best.argmax(axis=1),
+                     -1 - np.arange(n_rows)[:, None])
+    colliding = (picks[:, None] == picks[None]).sum(axis=1) > 1
+    assert colliding.mean() > 0.3
+    for chunk_cells in (assignment._CHUNK_CELLS, 100):
+        with mock.patch.object(assignment, "_CHUNK_CELLS", chunk_cells):
+            scored = assert_gate_totals_are_optimal(gate, values, kappa)
+        assert scored.components == 1 and scored.solves == n_pairs
+    for p in range(n_pairs):
+        dense = np.full(gate.shape, -np.inf)
+        dense[gate] = values[:, p]
+        res = solve_assignment(dense, kappa=kappa)
+        assert res.score == dp_best_score(dense, gate, kappa) == scored.totals[p]
+        assert_pairs_give_score(res, dense, gate, kappa)

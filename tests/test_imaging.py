@@ -49,6 +49,14 @@ def test_wrong_magic_is_malformed():
         decode_ppm(b"P5\n1 1\n255\n\x00")
 
 
+@pytest.mark.parametrize("header", [b"P6 +1 1 255\n", b"P6 1 0_1 255\n", b"P6 1 1 2_55\n",
+                                    b"P6 -1 1 255\n", b"P6 +1 0_1 2_55\n"])
+def test_non_decimal_header_field_is_malformed(header):
+    # int() would accept each of these fields; a PPM header takes decimals only.
+    with pytest.raises(MalformedHeaderError):
+        decode_ppm(header + bytes(3))
+
+
 def test_truncated_payload():
     with pytest.raises(TruncatedPayloadError):
         decode_ppm(b"P6\n2 2\n255\n" + bytes(5))

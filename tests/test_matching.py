@@ -35,6 +35,10 @@ def test_correlation_gates_low_probability():
                               structure, model, t_c=0.05)
     assert corr[0, 1] == -np.inf
     assert np.isfinite(corr[0, 0])
+    # The gate is strict: a probability equal to t_c is excluded too.
+    corr = correlation_matrix(np.array([[0.5]]), np.array([[0.5], [0.5]]),
+                              tiny_structure([[0.95, 0.05]]), model, t_c=0.05)
+    assert corr[0, 1] == -np.inf and np.isfinite(corr[0, 0])
 
 
 def test_correlation_exact_values_and_nonpositive():
@@ -56,8 +60,8 @@ def test_perfect_match_degenerate_grids_scores_zero():
     structure = CorrespondenceStructure(probs=np.array([[1.0]]),
                                         probe_grid=probe, gallery_grid=gallery)
     model = flat_model(1, 1)
-    result = match_score(np.array([[0.3]]), np.array([[0.3]]), structure, model,
-                         t_c=0.05, kappa=-50.0)
+    _, result = match_score(np.array([[0.3]]), np.array([[0.3]]), structure, model,
+                            t_c=0.05, kappa=-50.0)
     assert result.score == 0.0
     assert result.pairs == ((0, 0),)
 
@@ -82,10 +86,11 @@ def test_match_score_two_patch_hand_computed():
     model = flat_model(1, 2)
     probe = np.array([[0.0], [1.0]])
     gallery = np.array([[0.0], [1.0]])
-    result = match_score(probe, gallery, structure, model, t_c=0.05, kappa=-50.0)
+    corr, result = match_score(probe, gallery, structure, model, t_c=0.05, kappa=-50.0)
     # diagonal pairs: phi = 1 each, C = log 0.8 twice
     assert result.pairs == ((0, 0), (1, 1))
     assert result.score == pytest.approx(np.log(0.8) + np.log(0.8), abs=1e-12)
+    assert result.score == corr[0, 0] + corr[1, 1]
 
 
 def test_rank_gallery_exact_duplicate_first():

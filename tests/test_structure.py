@@ -7,7 +7,7 @@ from corrmatch.errors import FormatError
 from corrmatch.geometry import GridSpec, colocated_patch, patch_at
 from corrmatch.structure import (CorrespondenceStructure, blend_update,
                                  export_structure_csv, init_structure, load_structure,
-                                 save_structure, thresholded)
+                                 save_structure)
 
 from blobs import mutated, non_finite, truncated
 
@@ -58,15 +58,6 @@ def test_init_distances_zero_one_two_normalization():
     # raw weights {1, 1/2, 1/3} normalize to {6/11, 3/11, 2/11}
     assert np.allclose(s.probs[0], [6 / 11, 3 / 11, 2 / 11])
     assert np.allclose(s.probs[1], [2 / 11, 3 / 11, 6 / 11])
-
-
-def test_thresholded_gate():
-    s = small_structure([[0.94, 0.06]])
-    assert thresholded(s, 0, 1, 0.05) == pytest.approx(0.06)
-    s = small_structure([[0.95, 0.05]])
-    assert thresholded(s, 0, 1, 0.05) == 0.0     # boundary is strict
-    s = small_structure([[1.0, 0.0]])
-    assert thresholded(s, 0, 1, 0.05) == 0.0
 
 
 def test_blend_update_example():
