@@ -83,6 +83,8 @@ class GateScores:
     totals: np.ndarray  # (n_pairs,) optimal score per pair
     components: int     # connected components of the gate that hold a cell
     solves: int         # (component, pair) cases solved exactly
+    cells: int          # cells of the gate
+    gated_rows: int     # rows of the gate that hold a cell
 
 
 def score_gate(gate: np.ndarray, values: np.ndarray, kappa: float) -> GateScores:
@@ -110,20 +112,15 @@ def score_gate(gate: np.ndarray, values: np.ndarray, kappa: float) -> GateScores
 
     n_rows, n_pairs = gate.shape[0], values.shape[1]
     bounds = np.concatenate(([0], np.cumsum(gate.sum(axis=1))))
-    every_pair = np.arange(n_pairs)
     # Greedy picks: each row's best cell when it beats kappa, else a skip.
     # They bound every row from above, so collision-free picks are optimal.
     chosen = np.full((n_rows, n_pairs), kappa)
     picked = np.full((n_rows, n_pairs), -1, dtype=np.int64)
-    for i in range(n_rows):
-        lo, hi = bounds[i], bounds[i + 1]
-        if lo == hi:
-            continue
-        cell = lo + values[lo:hi].argmax(axis=0)
-        best = values[cell, every_pair]
-        take = best > kappa
-        chosen[i] = np.where(take, best, kappa)
-        picked[i] = np.where(take, cols[cell], -1)
+    live, cell = row_best_cells(bounds, values)
+    best = np.take_along_axis(values, cell, axis=0)
+    take = best > kappa
+    chosen[live] = np.where(take, best, kappa)
+    picked[live] = np.where(take, cols[cell], -1)
 
     components = _gate_components(rows, cols, n_rows)
     single_cell = np.diff(bounds) == 1
@@ -153,7 +150,25 @@ def score_gate(gate: np.ndarray, values: np.ndarray, kappa: float) -> GateScores
     totals = np.zeros(n_pairs)
     for contribution in chosen:  # ascending rows, as solve_assignment sums
         totals += contribution
-    return GateScores(totals=totals, components=len(components), solves=solves)
+    return GateScores(totals=totals, components=len(components), solves=solves,
+                      cells=len(rows), gated_rows=len(live))
+
+
+def row_best_cells(bounds: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rows that hold a cell, and the first cell holding each such row's
+    largest value for every pair (``argmax`` over the row's cells).
+
+    Row i holds cells ``bounds[i]:bounds[i + 1]`` of the (n_cells, n_pairs)
+    ``values``.
+    """
+    live = np.flatnonzero(np.diff(bounds))
+    if not live.size:
+        return live, np.empty((0, values.shape[1]), dtype=np.int64)
+    starts = bounds[live]
+    best = np.maximum.reduceat(values, starts, axis=0)
+    owner = np.repeat(np.arange(len(live)), np.diff(bounds)[live])
+    cell = np.where(values == best[owner], np.arange(len(values))[:, None], len(values))
+    return live, np.minimum.reduceat(cell, starts, axis=0)
 
 
 def _gate_components(rows: np.ndarray, cols: np.ndarray, n_rows: int) -> list[list[int]]:

@@ -9,13 +9,13 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import astuple
+from dataclasses import astuple, fields
 
 from .config import RunConfig, load_config, save_config
 from .harness import (ARMS, DescriptorBank, generate_synthetic, load_manifest,
                       make_splits, run_ablations, train_split_metric)
 from .imaging import extract_descriptors, load_image, scale_to_canonical
-from .learning import learn_structure
+from .learning import IterationStats, learn_structure
 from .matching import match_score
 from .metric import load_metric, save_metric
 from .structure import export_structure_csv, load_structure, save_structure
@@ -26,10 +26,11 @@ def _config_from(args) -> RunConfig:
 
 
 def _write_diagnostics(path, diagnostics) -> None:
-    """One row per iteration: every ``IterationStats`` field, in field order."""
+    """One row per iteration: every ``IterationStats`` field, in field order,
+    under a header of the field names (``iter`` for ``iteration``)."""
+    names = ["iter"] + [f.name for f in fields(IterationStats)[1:]]
     with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("iter,mean_rank,cmc1,cmc5,delta,sum_ranks,max_row_sum_error,min_entry,"
-                 "gate_components,component_solves\n")
+        fh.write(",".join(names) + "\n")
         for row in diagnostics:
             fh.write(",".join(repr(value) for value in astuple(row)) + "\n")
 

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import ConfigurationError
 
 
@@ -99,28 +101,42 @@ def colocated_patch(probe_grid: GridSpec, gallery_grid: GridSpec, p: PatchRef) -
     """Gallery patch whose pixel origin is nearest to p's origin.
 
     Ties in Euclidean distance between origins are broken by the smaller
-    gallery ordinal.
+    gallery ordinal.  One row of ``colocated_table``.
+    """
+    _check_member(probe_grid, p)
+    return patch_at(gallery_grid, int(colocated_table(probe_grid, gallery_grid)[0][p.ordinal]))
+
+
+def patch_cells(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column of every patch, in zig-zag order (patch_at for all)."""
+    row, offset = np.divmod(np.arange(grid.n_patches), grid.n_cols)
+    return row, np.where(row % 2 == 0, offset, grid.n_cols - 1 - offset)
+
+
+def colocated_table(probe_grid: GridSpec, gallery_grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Ordinal and row of every probe patch's co-located gallery patch.
+
+    The candidates are the gallery lattice points around each probe patch's
+    pixel origin; the nearest one wins, the smaller ordinal on a tie.
     """
     if (probe_grid.image_width, probe_grid.image_height) != \
             (gallery_grid.image_width, gallery_grid.image_height):
         raise ValueError("probe and gallery grids cover different image sizes")
-    _check_member(probe_grid, p)
-    px, py = patch_origin(probe_grid, p)
+    probe_rows, probe_cols = patch_cells(probe_grid)
+    px, py = probe_cols * probe_grid.stride_x, probe_rows * probe_grid.stride_y
 
-    def axis_candidates(target: int, stride: int, count: int) -> list[int]:
-        lo = min(max(target // stride, 0), count - 1)
-        hi = min(lo + 1, count - 1)
-        return sorted({lo, hi})
+    def axis_candidates(target, stride: int, count: int) -> np.ndarray:
+        lo = np.minimum(target // stride, count - 1)
+        return np.stack([lo, np.minimum(lo + 1, count - 1)])  # (2, n_probe)
 
-    best: tuple[int, int] | None = None  # (squared distance, ordinal)
-    for row in axis_candidates(py, gallery_grid.stride_y, gallery_grid.n_rows):
-        for col in axis_candidates(px, gallery_grid.stride_x, gallery_grid.n_cols):
-            d2 = (col * gallery_grid.stride_x - px) ** 2 + (row * gallery_grid.stride_y - py) ** 2
-            key = (d2, zigzag_ordinal(gallery_grid, row, col))
-            if best is None or key < best:
-                best = key
-    assert best is not None
-    return patch_at(gallery_grid, best[1])
+    rows = axis_candidates(py, gallery_grid.stride_y, gallery_grid.n_rows)[:, None]
+    cols = axis_candidates(px, gallery_grid.stride_x, gallery_grid.n_cols)[None, :]
+    d2 = (cols * gallery_grid.stride_x - px) ** 2 + (rows * gallery_grid.stride_y - py) ** 2
+    ordinals = rows * gallery_grid.n_cols + np.where(rows % 2 == 0, cols,
+                                                     gallery_grid.n_cols - 1 - cols)
+    key = (d2 * gallery_grid.n_patches + ordinals).reshape(4, -1)
+    best = ordinals.reshape(4, -1)[key.argmin(axis=0), np.arange(probe_grid.n_patches)]
+    return best, best // gallery_grid.n_cols
 
 
 def _check_member(grid: GridSpec, patch: PatchRef) -> None:

@@ -18,13 +18,14 @@ import numpy as np
 from .assignment import score_gate
 from .config import RunConfig
 from .errors import ConfigurationError
-from .geometry import colocated_patch, patch_at
+from .geometry import colocated_table
 from .imaging import RgbImage, extract_descriptors, load_image, save_image, scale_to_canonical
 from .learning import (CmcCurve, LearnResult, cmc_curve, find_binary_structures,
                        learn_structure)
 from .matching import (BinaryMappingStructure, binary_structure_score_matrix,
                        gated_correlations, greedy_scores, rank_of_scores)
-from .metric import MetricModel, build_training_pairs, train_metric
+from .metric import (MetricModel, build_training_pairs, correct_pair_log_similarity,
+                     train_metric)
 from .structure import CorrespondenceStructure
 
 CAMERAS = ("A", "B")
@@ -308,10 +309,8 @@ def train_split_metric(probe_stack: np.ndarray, gallery_stack: np.ndarray,
 
 
 def colocated_links(config: RunConfig) -> BinaryMappingStructure:
-    probe_grid, gallery_grid = config.probe_grid(), config.gallery_grid()
-    links = tuple((i, colocated_patch(probe_grid, gallery_grid, patch_at(probe_grid, i)).ordinal)
-                  for i in range(probe_grid.n_patches))
-    return BinaryMappingStructure(links=links)
+    colocated, _ = colocated_table(config.probe_grid(), config.gallery_grid())
+    return BinaryMappingStructure(links=tuple(enumerate(colocated.tolist())))
 
 
 def simple_average_structure(binaries, config: RunConfig) -> CorrespondenceStructure:
@@ -355,7 +354,8 @@ def train_on_split(bank: DescriptorBank, train_ids, config: RunConfig,
     if need_structure:
         learned = learn_structure(probe_stack, gallery_stack, metric, config)
     elif need_binaries:
-        binaries = find_binary_structures(probe_stack, gallery_stack, metric, config)
+        table = correct_pair_log_similarity(probe_stack, gallery_stack, metric)
+        binaries = find_binary_structures(probe_stack, gallery_stack, table, metric, config)
     return SplitArtifacts(metric=metric, learned=learned, binaries=binaries)
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import GridSpec, patch_at
+from .geometry import GridSpec, patch_cells
 
 
 def descriptor_dim(color_bins: int, gradient_bins: int) -> int:
@@ -226,32 +226,32 @@ def extract_descriptors(img: RgbImage, grid: GridSpec, color_bins: int,
 
     h, w = img.height, img.width
     n_color = 3 * color_bins
-    planes = np.zeros((n_color + gradient_bins, h, w), dtype=np.float64)
-    rows_idx, cols_idx = np.indices((h, w))
+    n_planes = n_color + gradient_bins
+    bins, weights = [], []
     for ch, (lo, hi) in enumerate(_LAB_RANGES):
         b_lo, b_hi, w_lo, w_hi = _soft_channel_weights(lab[..., ch], lo, hi, color_bins)
-        np.add.at(planes, (ch * color_bins + b_lo, rows_idx, cols_idx), w_lo)
-        np.add.at(planes, (ch * color_bins + b_hi, rows_idx, cols_idx), w_hi)
-    np.add.at(planes, (n_color + g_lo, rows_idx, cols_idx), g_wlo * grad_mag)
-    np.add.at(planes, (n_color + g_hi, rows_idx, cols_idx), g_whi * grad_mag)
+        bins += [ch * color_bins + b_lo, ch * color_bins + b_hi]
+        weights += [w_lo, w_hi]
+    bins += [n_color + g_lo, n_color + g_hi]
+    weights += [g_wlo * grad_mag, g_whi * grad_mag]
+    # bincount adds in input order: a pixel whose low and high bins coincide
+    # (a single bin) sums 0 + low weight + high weight.
+    flat = (np.stack(bins) * (h * w) + np.arange(h * w).reshape(h, w)).ravel()
+    planes = np.bincount(flat, weights=np.stack(weights).ravel(),
+                         minlength=n_planes * h * w).reshape(n_planes, h, w)
 
-    # Summed-area tables with a zero top row / left column.
-    sat = np.zeros((planes.shape[0], h + 1, w + 1), dtype=np.float64)
-    sat[:, 1:, 1:] = np.cumsum(np.cumsum(planes, axis=1), axis=2)
+    # Summed-area tables with a zero top row / left column, planes last.
+    sat = np.zeros((h + 1, w + 1, n_planes), dtype=np.float64)
+    sat[1:, 1:] = np.cumsum(np.cumsum(planes, axis=1), axis=2).transpose(1, 2, 0)
 
-    descriptors = np.empty((grid.n_patches, n_color + gradient_bins), dtype=np.float64)
-    pw, ph = grid.patch_width, grid.patch_height
-    for k in range(grid.n_patches):
-        ref = patch_at(grid, k)
-        x0, y0 = ref.col * grid.stride_x, ref.row * grid.stride_y
-        counts = (sat[:, y0 + ph, x0 + pw] - sat[:, y0, x0 + pw]
-                  - sat[:, y0 + ph, x0] + sat[:, y0, x0])
-        color = counts[:n_color]
-        grad = counts[n_color:]
-        descriptors[k, :n_color] = color / color.sum()
-        grad_total = grad.sum()
-        if grad_total > 0.0:
-            descriptors[k, n_color:] = grad / grad_total
-        else:
-            descriptors[k, n_color:] = 0.0
+    rows, cols = patch_cells(grid)
+    x0, y0 = cols * grid.stride_x, rows * grid.stride_y
+    x1, y1 = x0 + grid.patch_width, y0 + grid.patch_height
+    counts = sat[y1, x1] - sat[y0, x1] - sat[y1, x0] + sat[y0, x0]  # (n_patches, n_planes)
+    color, grad = counts[:, :n_color], counts[:, n_color:]
+    grad_total = grad.sum(axis=1, keepdims=True)
+    descriptors = np.empty((grid.n_patches, n_planes), dtype=np.float64)
+    descriptors[:, :n_color] = color / color.sum(axis=1, keepdims=True)
+    descriptors[:, n_color:] = np.divide(grad, grad_total, out=np.zeros_like(grad),
+                                         where=grad_total > 0.0)
     return descriptors

@@ -10,7 +10,6 @@ iterations since the underlying binary structures never change.
 """
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,8 +18,9 @@ from .assignment import GateScores, score_gate
 from .config import RunConfig
 from .errors import ConfigurationError
 from .matching import (BinaryMappingStructure, adjacency_candidates, best_binary_structure,
-                       binary_structure_score_matrix, gated_correlations, rank_of_scores)
-from .metric import MetricModel, build_avg_similarity, log_similarity
+                       binary_structure_score_matrix, cell_log_similarity,
+                       gated_correlations, rank_of_scores)
+from .metric import MetricModel, build_avg_similarity, correct_pair_log_similarity
 from .structure import CorrespondenceStructure, blend_update, init_structure
 
 
@@ -64,6 +64,9 @@ class IterationStats:
     min_entry: float
     gate_components: int   # connected components of the ranking gate
     component_solves: int  # (component, pair) cases solved exactly
+    gate_cells: int        # cells of the ranking gate
+    gated_rows: int        # probe patches holding a gate cell
+    clamped: int           # 1 when a half had fewer candidates than its draws
 
 
 @dataclass
@@ -82,28 +85,25 @@ def impact_table(n_probe: int, t_d: int) -> np.ndarray:
     return np.where(d >= t_d, 0.0, 1.0 / (d + 1.0))
 
 
-def conditional_prob(binary: BinaryMappingStructure, i: int, avg_table: np.ndarray) -> np.ndarray:
-    """Distribution over gallery patches for probe patch i given a link set.
+def conditional_matrix(binary: BinaryMappingStructure, avg_table: np.ndarray) -> np.ndarray:
+    """Distribution over gallery patches for every probe patch given a link set.
 
     Linked patches get raw weight 1; unlinked ones get their average
-    appearance similarity relative to the summed similarity of i's linked
-    patches; with no links the raw row is the average-similarity row.  The
-    raw weights are normalized to sum 1.
+    appearance similarity relative to the summed similarity of the row's
+    linked patches; a row without links keeps its average-similarity row.
+    Each raw row is normalized to sum 1.
     """
-    js = sorted(binary.links_per_row().get(i, ()))
-    row = avg_table[i]
-    if js:
-        raw = row / row[js].sum()
-        raw[js] = 1.0
-    else:
-        raw = row.copy()
-    return raw / raw.sum()
-
-
-def conditional_matrix(binary: BinaryMappingStructure, avg_table: np.ndarray) -> np.ndarray:
-    """conditional_prob stacked for every probe patch."""
-    return np.stack([conditional_prob(binary, i, avg_table)
-                     for i in range(avg_table.shape[0])])
+    s, t = binary.link_arrays()
+    degree = np.bincount(s, minlength=avg_table.shape[0])
+    linked = degree > 0
+    # Links are sorted, so each row's links are one run.  A zero ahead of
+    # every run makes reduceat add a run as a 1-d sum of it does.
+    starts = (np.cumsum(degree) - degree)[linked]
+    runs = np.insert(avg_table[s, t], starts, 0.0)
+    raw = avg_table.copy()
+    raw[linked] /= np.add.reduceat(runs, starts + np.arange(len(starts)))[:, None]
+    raw[s, t] = 1.0
+    return raw / raw.sum(axis=1, keepdims=True)
 
 
 def structure_prior(cmc_scores) -> np.ndarray:
@@ -120,9 +120,9 @@ def structure_prior(cmc_scores) -> np.ndarray:
 def patch_importance(binary: BinaryMappingStructure, link_importances: dict,
                      n_probe: int, t_d: int) -> np.ndarray:
     """Importance of each probe patch: impact-weighted sum of link importances."""
-    weights = np.zeros(n_probe)
-    for (s, _t), imp in link_importances.items():
-        weights[s] += imp
+    anchors = np.array([s for s, _t in link_importances], dtype=np.int64)
+    weights = np.bincount(anchors, weights=np.fromiter(link_importances.values(), float),
+                          minlength=n_probe)
     out = impact_table(n_probe, t_d) @ weights
     total = out.sum()
     if total == 0.0:
@@ -142,14 +142,18 @@ def compute_update(joint_matrices, priors) -> np.ndarray:
 
 
 def find_binary_structures(probe_stack: np.ndarray, gallery_stack: np.ndarray,
-                           model: MetricModel, config: RunConfig) -> list[BinaryMappingStructure]:
-    """Best adjacency-search link set per training probe (loop step 1)."""
+                           pair_log_similarity: np.ndarray, model: MetricModel,
+                           config: RunConfig) -> list[BinaryMappingStructure]:
+    """Best adjacency-search link set per training probe (loop step 1).
+
+    ``pair_log_similarity`` is the ``correct_pair_log_similarity`` table of
+    the two stacks.
+    """
     probe_grid, gallery_grid = config.probe_grid(), config.gallery_grid()
     out = []
     for alpha in range(probe_stack.shape[0]):
-        candidates = adjacency_candidates(probe_stack[alpha], gallery_stack[alpha],
-                                          model, probe_grid, gallery_grid,
-                                          config.adjacency_ranges)
+        candidates = adjacency_candidates(pair_log_similarity[alpha], probe_grid,
+                                          gallery_grid, config.adjacency_ranges)
         out.append(best_binary_structure(probe_stack[alpha], gallery_stack, alpha,
                                          candidates, model, config.kappa))
     return out
@@ -163,12 +167,12 @@ class _TrainingContext:
         self.gallery_stack = gallery_stack
         self.model = model
         self.config = config
-        probe_grid, gallery_grid = config.probe_grid(), config.gallery_grid()
         self.n_train = probe_stack.shape[0]
-        self.n_a = probe_grid.n_patches
-        self.n_b = gallery_grid.n_patches
-        self.avg_table = build_avg_similarity(list(probe_stack), list(gallery_stack),
-                                              model, probe_grid, gallery_grid)
+        self.n_a = config.probe_grid().n_patches
+        self.n_b = config.gallery_grid().n_patches
+        self.pair_log_similarity = correct_pair_log_similarity(probe_stack, gallery_stack,
+                                                               model)
+        self.avg_table = build_avg_similarity(self.pair_log_similarity)
         self.binary_structures: list[BinaryMappingStructure] = []
         self._structure_cmc: dict[int, float] = {}
         self._link_cmc: dict[tuple[int, int], float] = {}
@@ -176,7 +180,8 @@ class _TrainingContext:
 
     def find_binary_structures(self) -> None:
         self.binary_structures = find_binary_structures(
-            self.probe_stack, self.gallery_stack, self.model, self.config)
+            self.probe_stack, self.gallery_stack, self.pair_log_similarity, self.model,
+            self.config)
 
     def structure_cmc(self, alpha: int) -> float:
         """Rank-n CMC over the training set with structure alpha as the model."""
@@ -188,24 +193,23 @@ class _TrainingContext:
             self._structure_cmc[alpha] = curve.at_rank(self.config.n_cmc)
         return self._structure_cmc[alpha]
 
-    def link_cmc(self, link: tuple[int, int]) -> float:
-        """Rank-n CMC using one link alone; ranks depend on that cell only."""
-        if link not in self._link_cmc:
-            s, t = link
-            ranks = rank_of_scores(self._pair_log_similarity(s, t), np.arange(self.n_train))
-            self._link_cmc[link] = cmc_curve(ranks, self.n_train).at_rank(self.config.n_cmc)
-        return self._link_cmc[link]
-
-    def _pair_log_similarity(self, i: int, j: int) -> np.ndarray:
-        """log similarity of probe patch i vs gallery patch j across all images."""
-        d = self.probe_stack[:, i, None, :] - self.gallery_stack[None, :, j, :]
-        return log_similarity(self.model, i, d)
+    def link_cmcs(self, links) -> list[float]:
+        """Rank-n CMC of each link used alone; ranks depend on that cell only."""
+        new = [link for link in links if link not in self._link_cmc]
+        if new:
+            s, t = np.array(new).T
+            scores = cell_log_similarity(self.probe_stack, self.gallery_stack, self.model,
+                                         s, t).reshape(-1, self.n_train)
+            ranks = rank_of_scores(scores, np.tile(np.arange(self.n_train), len(new)))
+            hits = np.count_nonzero(ranks.reshape(len(new), -1) <= self.config.n_cmc, axis=1)
+            self._link_cmc.update(zip(new, (hits / self.n_train).tolist()))
+        return [self._link_cmc[link] for link in links]
 
     def joint_matrix(self, alpha: int) -> np.ndarray:
         """Importance-weighted conditional matrix for structure alpha."""
         if alpha not in self._joint:
             binary = self.binary_structures[alpha]
-            importances = structure_prior([self.link_cmc(m) for m in binary.links])
+            importances = structure_prior(self.link_cmcs(binary.links))
             link_imp = dict(zip(binary.links, importances))
             imp = patch_importance(binary, link_imp, self.n_a, self.config.t_d)
             cond = conditional_matrix(binary, self.avg_table)
@@ -257,9 +261,6 @@ def learn_structure(probe_stack: np.ndarray, gallery_stack: np.ndarray,
         cutoff = float(np.quantile(ranks, config.top_fraction))
         top = np.flatnonzero(ranks <= cutoff)  # cutoff ties count as well-ranked
         bottom = np.flatnonzero(ranks > cutoff)
-        if len(top) < half or len(bottom) < half:
-            warnings.warn(f"selection clamped: halves have {len(top)}/{len(bottom)} "
-                          f"candidates for {half} draws", stacklevel=2)
         chosen = []
         for pool in (top, bottom):
             take = min(half, len(pool))
@@ -287,6 +288,9 @@ def learn_structure(probe_stack: np.ndarray, gallery_stack: np.ndarray,
             min_entry=float(new_structure.probs.min()),
             gate_components=scored.components,
             component_solves=scored.solves,
+            gate_cells=scored.cells,
+            gated_rows=scored.gated_rows,
+            clamped=int(len(top) < half or len(bottom) < half),
         ))
         structure = new_structure
         if delta < config.tolerance:

@@ -14,10 +14,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assignment import Assignment, score_gate, solve_assignment
-from .geometry import GridSpec, colocated_patch, patch_at
+from .assignment import Assignment, row_best_cells, score_gate, solve_assignment
+from .geometry import GridSpec, colocated_table, patch_cells
 from .metric import MetricModel, log_similarity
 from .structure import CorrespondenceStructure
+
+# Most (cell, image pair) values one log_similarity call computes: it bounds
+# the kernel's (cells, probes, galleries, dim) temporaries.
+_CHUNK_VALUES = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -31,11 +35,27 @@ class BinaryMappingStructure:
             raise ValueError("duplicate links")
         object.__setattr__(self, "links", tuple(sorted(self.links)))
 
-    def links_per_row(self) -> dict[int, list[int]]:
-        out: dict[int, list[int]] = {}
-        for i, j in self.links:
-            out.setdefault(i, []).append(j)
-        return out
+    def link_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """Probe and gallery patch of every link, in link order."""
+        return np.array(self.links, dtype=np.int64).reshape(-1, 2).T
+
+
+def cell_log_similarity(probe_stack: np.ndarray, gallery_stack: np.ndarray,
+                        model: MetricModel, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """log similarity of probe patch rows[c] against gallery patch cols[c]
+    for every probe image against every gallery image, shape
+    (n_cells, n_probe_images, n_gallery_images).
+
+    Cells go to the kernel in chunks of at most ``_CHUNK_VALUES`` values.
+    """
+    out = np.empty((len(rows), len(probe_stack), len(gallery_stack)))
+    step = max(1, _CHUNK_VALUES // (len(probe_stack) * len(gallery_stack)))
+    for lo in range(0, len(rows), step):
+        r, c = rows[lo:lo + step], cols[lo:lo + step]
+        d = (probe_stack[:, r, :].transpose(1, 0, 2)[:, :, None, :]    # (C, P, 1, dim)
+             - gallery_stack[:, c, :].transpose(1, 0, 2)[:, None])     # (C, 1, G, dim)
+        out[lo:lo + step] = log_similarity(model, r, d)
+    return out
 
 
 def _cell_values(probe_stack: np.ndarray, gallery_stack: np.ndarray, model: MetricModel,
@@ -48,18 +68,10 @@ def _cell_values(probe_stack: np.ndarray, gallery_stack: np.ndarray, model: Metr
     """
     if probe_stack.shape[1] != gate.shape[0] or gallery_stack.shape[1] != gate.shape[1]:
         raise ValueError("descriptor counts do not match the structure grids")
-    values = np.empty((int(gate.sum()), len(probe_stack) * len(gallery_stack)))
-    lo = 0
-    for i in range(gate.shape[0]):  # one probe location, hence one metric, per batch
-        cols = np.flatnonzero(gate[i])
-        if not len(cols):
-            continue
-        d = (probe_stack[None, :, None, i, :]                          # (1, P, 1, dim)
-             - gallery_stack[:, cols, :].transpose(1, 0, 2)[:, None])  # (C, 1, G, dim)
-        values[lo:lo + len(cols)] = (log_similarity(model, i, d).reshape(len(cols), -1)
-                                     + log_weight[i, cols][:, None])
-        lo += len(cols)
-    return values
+    rows, cols = np.nonzero(gate)
+    log_sim = cell_log_similarity(probe_stack, gallery_stack, model, rows, cols)
+    return (log_sim.reshape(len(rows), len(probe_stack) * len(gallery_stack))
+            + log_weight[rows, cols][:, None])
 
 
 def _one_pair(gate: np.ndarray, cells: np.ndarray) -> np.ndarray:
@@ -96,8 +108,7 @@ def _binary_gate(binary: BinaryMappingStructure, n_probe: int,
                  n_gallery: int) -> tuple[np.ndarray, np.ndarray]:
     """A 0/1 structure as a gate over its links with log weight -log(degree)."""
     gate = np.zeros((n_probe, n_gallery), dtype=bool)
-    if binary.links:
-        gate[tuple(np.array(binary.links).T)] = True
+    gate[tuple(binary.link_arrays())] = True
     degree = np.maximum(gate.sum(axis=1, keepdims=True), 1)
     return gate, np.where(gate, -np.log(degree), 0.0)
 
@@ -118,12 +129,16 @@ def greedy_scores(gate: np.ndarray, values: np.ndarray,
 
     Scores every pair sharing one gate; ``values`` is (n_cells, n_pairs) in
     ``np.nonzero(gate)`` order, as ``gated_correlations`` returns it.  A row
-    without cells adds ``kappa``; rows are summed in ascending order.
+    without cells adds ``kappa``; a row with cells adds its best one, even
+    below ``kappa``.  Rows are summed in ascending order.
     """
     bounds = np.concatenate(([0], np.cumsum(gate.sum(axis=1))))
+    contributions = np.full((gate.shape[0], values.shape[1]), kappa)
+    live, cell = row_best_cells(bounds, values)
+    contributions[live] = np.take_along_axis(values, cell, axis=0)
     totals = np.zeros(values.shape[1])
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        totals += values[lo:hi].max(axis=0) if hi > lo else kappa
+    for contribution in contributions:
+        totals += contribution
     return totals
 
 
@@ -170,37 +185,37 @@ def rank_of_scores(scores, correct, owners=None) -> np.ndarray:
     return hits.argmax(axis=1) + 1
 
 
-def adjacency_candidates(probe_desc: np.ndarray, gallery_desc: np.ndarray,
-                         model: MetricModel, probe_grid: GridSpec,
+def adjacency_candidates(log_sims: np.ndarray, probe_grid: GridSpec,
                          gallery_grid: GridSpec, ranges) -> list[BinaryMappingStructure]:
     """Candidate link sets from appearance search in widening row bands.
 
-    For each search range l, every probe patch links to the gallery patch
-    with the highest appearance similarity among gallery patches at most l
-    grid rows from the co-located row (all columns).  Similarity ties break
-    toward the smaller zig-zag distance from the co-located patch, then the
-    smaller ordinal.
+    ``log_sims`` (N_A, N_B) holds the log similarity of every probe patch
+    against every gallery patch of one correct image pair.  For each search
+    range l, every probe patch links to the gallery patch with the highest
+    appearance similarity among gallery patches at most l grid rows from the
+    co-located row (all columns).  Similarity ties break toward the smaller
+    zig-zag distance from the co-located patch, then the smaller ordinal.
     """
     if not ranges:
         raise ValueError("ranges must be non-empty")
-    n_a = probe_grid.n_patches
-    gallery_rows = np.array([patch_at(gallery_grid, j).row
-                             for j in range(gallery_grid.n_patches)])
-    ordinals = np.arange(gallery_grid.n_patches)
-    colocated = [colocated_patch(probe_grid, gallery_grid, patch_at(probe_grid, i))
-                 for i in range(n_a)]
+    n_b = gallery_grid.n_patches
+    if log_sims.shape != (probe_grid.n_patches, n_b):
+        raise ValueError(f"expected ({probe_grid.n_patches}, {n_b}) log similarities, "
+                         f"got {log_sims.shape}")
+    colocated, colocated_row = colocated_table(probe_grid, gallery_grid)
+    row_gap = np.abs(patch_cells(gallery_grid)[0] - colocated_row[:, None])
+    dist = np.abs(np.arange(n_b) - colocated[:, None])
+    sims = np.exp(log_sims)
 
     candidates = []
     for span in ranges:
         if span < 1:
             raise ValueError(f"search range must be >= 1, got {span}")
-        links = []
-        for i, co in enumerate(colocated):
-            window = np.flatnonzero(np.abs(gallery_rows - co.row) <= span)
-            sims = np.exp(log_similarity(model, i, probe_desc[i] - gallery_desc[window]))
-            dist = np.abs(ordinals[window] - co.ordinal)
-            links.append((i, int(window[np.lexsort((window, dist, -sims))[0]])))
-        candidates.append(BinaryMappingStructure(links=tuple(links)))
+        window = row_gap <= span
+        best = np.where(window, sims, -np.inf).max(axis=1, keepdims=True)
+        # argmin keeps the first of the nearest tied patches: the smaller ordinal.
+        pick = np.where(window & (sims == best), dist, n_b).argmin(axis=1)
+        candidates.append(BinaryMappingStructure(links=tuple(enumerate(pick.tolist()))))
     return candidates
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, FormatError, as_format_error
-from .geometry import GridSpec, colocated_patch, patch_at
+from .geometry import GridSpec, colocated_table
 
 RIDGE_FACTOR = 1e-3
 SIGMA_FLOOR = 1e-6
@@ -82,11 +82,30 @@ def _quadratic_form(matrix: np.ndarray, d: np.ndarray) -> np.ndarray:
     return np.einsum("...k,...k->...", d @ matrix, d)
 
 
-def log_similarity(model: MetricModel, loc: int, d: np.ndarray) -> np.ndarray:
+def log_similarity(model: MetricModel, loc, d: np.ndarray) -> np.ndarray:
     """log similarity of descriptor differences ``d`` (..., dim) at probe
-    location ``loc``: -min(max(d . M . d, 0) / sigma, MAX_EXPONENT)."""
-    dist = _quadratic_form(model.matrix_at(loc), d)
-    return -np.minimum(np.maximum(dist, 0.0) / model.sigma_at(loc), MAX_EXPONENT)
+    location ``loc``: -min(max(d . M . d, 0) / sigma, MAX_EXPONENT).
+
+    ``loc`` may also be an array of locations aligned with the leading axis
+    of ``d`` (shape (n_loc, ..., n, dim)); each slice then takes its own
+    location's metric, with the fallback applied.  The product still runs as
+    one (n, dim) @ (dim, dim) matrix product per slice, so a slice's values
+    do not depend on what it is stacked with.
+    """
+    if np.ndim(loc) == 0:
+        matrix, sigma = model.matrix_at(loc), model.sigma_at(loc)
+    else:
+        loc = np.asarray(loc, dtype=np.int64)
+        if d.ndim < 3 or d.shape[0] != len(loc):
+            raise ValueError(f"stacked locations need d of shape ({len(loc)}, ..., n, dim), "
+                             f"got {d.shape}")
+        fallback = model.fallback[loc]
+        matrix = np.where(fallback[:, None, None], model.global_matrix, model.matrices[loc])
+        matrix = matrix.reshape((len(loc),) + (1,) * (d.ndim - 3) + matrix.shape[1:])
+        sigma = np.where(fallback, model.global_sigma, model.sigmas[loc])
+        sigma = sigma.reshape((len(loc),) + (1,) * (d.ndim - 2))
+    dist = _quadratic_form(matrix, d)
+    return -np.minimum(np.maximum(dist, 0.0) / sigma, MAX_EXPONENT)
 
 
 def _ridge(matrix: np.ndarray) -> np.ndarray:
@@ -213,8 +232,8 @@ def build_training_pairs(probe_descriptors, gallery_descriptors, wrong_gallery_d
     if not probe_descriptors:
         raise ConfigurationError("empty training set")
     n_loc = probe_grid.n_patches
-    n_gal = gallery_grid.n_patches
-    ordinals = np.arange(n_gal)
+    ordinals = np.arange(gallery_grid.n_patches)
+    colocated, _ = colocated_table(probe_grid, gallery_grid)
 
     probe_stack = np.stack(probe_descriptors)          # (n_imgs, n_loc, dim)
     gallery_stack = np.stack(gallery_descriptors)      # (n_imgs, n_gal, dim)
@@ -222,34 +241,36 @@ def build_training_pairs(probe_descriptors, gallery_descriptors, wrong_gallery_d
 
     similar, dissimilar = [], []
     for i in range(n_loc):
-        co = colocated_patch(probe_grid, gallery_grid, patch_at(probe_grid, i))
-        window = np.flatnonzero(np.abs(ordinals - co.ordinal) < t_d)
+        window = np.flatnonzero(np.abs(ordinals - colocated[i]) < t_d)
         probe_side = np.repeat(probe_stack[:, i, :], len(window), axis=0)
         similar.append((probe_side, gallery_stack[:, window, :].reshape(len(probe_stack) * len(window), -1)))
         dissimilar.append((probe_side, wrong_stack[:, window, :].reshape(len(probe_stack) * len(window), -1)))
     return similar, dissimilar
 
 
-def build_avg_similarity(probe_descriptors, gallery_descriptors, model: MetricModel,
-                         probe_grid: GridSpec, gallery_grid: GridSpec) -> np.ndarray:
-    """Mean patch-pair similarity over correct match pairs, shape (N_A, N_B).
+def correct_pair_log_similarity(probe_stack: np.ndarray, gallery_stack: np.ndarray,
+                                model: MetricModel) -> np.ndarray:
+    """log similarity of every probe patch against every gallery patch of
+    the same image pair, shape (n_pairs, N_A, N_B).
 
-    ``probe_descriptors[k]`` and ``gallery_descriptors[k]`` belong to the k-th
-    correct match image pair of the training set.
+    Pair k is ``probe_stack[k]`` (N_A, dim) against ``gallery_stack[k]``
+    (N_B, dim); probe patch i uses location i's metric.
     """
-    if len(probe_descriptors) != len(gallery_descriptors) or not probe_descriptors:
-        raise ValueError("need aligned, non-empty correct-pair descriptor lists")
-    probe_stack = np.stack(probe_descriptors)    # (n_pairs, N_A, dim)
-    gallery_stack = np.stack(gallery_descriptors)  # (n_pairs, N_B, dim)
-    n_a = probe_grid.n_patches
-    n_b = gallery_grid.n_patches
-    if probe_stack.shape[1] != n_a or gallery_stack.shape[1] != n_b:
-        raise ValueError("descriptor counts do not match grids")
-    table = np.empty((n_a, n_b))
-    for i in range(n_a):
-        d = probe_stack[:, i, None, :] - gallery_stack          # (n_pairs, N_B, dim)
-        table[i] = np.exp(log_similarity(model, i, d)).mean(axis=0)
+    n_pairs, n_a, _ = probe_stack.shape
+    if gallery_stack.shape[0] != n_pairs or not n_pairs:
+        raise ValueError("need aligned, non-empty correct-pair descriptor stacks")
+    if n_a != model.n_locations:
+        raise ValueError(f"{n_a} probe patches for a {model.n_locations}-location metric")
+    table = np.empty((n_pairs, n_a, gallery_stack.shape[1]))
+    for i in range(n_a):  # one (n_pairs, N_B, dim) batch per location
+        table[:, i] = log_similarity(model, i, probe_stack[:, i, None, :] - gallery_stack)
     return table
+
+
+def build_avg_similarity(pair_log_similarity: np.ndarray) -> np.ndarray:
+    """Mean patch-pair similarity over correct match pairs, shape (N_A, N_B),
+    from the ``correct_pair_log_similarity`` table."""
+    return np.exp(pair_log_similarity).mean(axis=0)
 
 
 def save_metric(path, model: MetricModel) -> None:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, FormatError, as_format_error
-from .geometry import GridSpec, colocated_patch, patch_at
+from .geometry import GridSpec, colocated_table
 
 ROW_SUM_TOL = 1e-9
 
@@ -61,16 +61,11 @@ def init_structure(probe_grid: GridSpec, gallery_grid: GridSpec, t_d: int) -> Co
     """
     if t_d < 1:
         raise ConfigurationError(f"t_d must be >= 1, got {t_d}")
-    n_a, n_b = probe_grid.n_patches, gallery_grid.n_patches
-    ordinals = np.arange(n_b, dtype=np.int64)
-    probs = np.zeros((n_a, n_b), dtype=np.float64)
-    for i in range(n_a):
-        co = colocated_patch(probe_grid, gallery_grid, patch_at(probe_grid, i))
-        dist = np.abs(ordinals - co.ordinal)
-        raw = np.where(dist >= t_d, 0.0, 1.0 / (dist + 1.0))
-        total = raw.sum()
-        assert total > 0.0, "co-located patch always contributes mass at distance 0"
-        probs[i] = raw / total
+    colocated, _ = colocated_table(probe_grid, gallery_grid)
+    dist = np.abs(np.arange(gallery_grid.n_patches) - colocated[:, None])
+    raw = np.where(dist >= t_d, 0.0, 1.0 / (dist + 1.0))
+    # The co-located patch (distance 0) gives every row positive mass.
+    probs = raw / raw.sum(axis=1, keepdims=True)
     return CorrespondenceStructure(probs=probs, probe_grid=probe_grid, gallery_grid=gallery_grid)
 
 

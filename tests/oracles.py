@@ -1,8 +1,11 @@
 """Independent reference implementations used to check the real code paths.
 
 Everything in here favors obviousness over speed and deliberately avoids
-importing the algorithms under test.  The one exception is the per-pair
-``solve_assignment``, which serves as the reference for batched ranking.
+importing the algorithms under test.  Two exceptions: the per-pair
+``solve_assignment`` serves as the reference for batched ranking, and the
+per-location references below call ``log_similarity`` with one location at
+a time, the way the batched paths used to, and the imaging helpers that
+compute per-pixel weights.
 """
 from __future__ import annotations
 
@@ -103,3 +106,132 @@ def rank_correct_matches(pair_log_similarity, probs: np.ndarray, t_c: float,
         ranks.append(1 + sum(1 for g, s in enumerate(scores)
                              if s > scores[p] or (s == scores[p] and g < p)))
     return ranks
+
+
+def cell_values(probe_stack, gallery_stack, model, gate, log_weight) -> np.ndarray:
+    """Per-row reference for ``matching._cell_values``: one kernel call per
+    probe row, over that row's gated cells."""
+    from corrmatch.metric import log_similarity
+
+    values = np.empty((int(gate.sum()), len(probe_stack) * len(gallery_stack)))
+    lo = 0
+    for i in range(gate.shape[0]):
+        cols = np.flatnonzero(gate[i])
+        if not len(cols):
+            continue
+        d = (probe_stack[None, :, None, i, :]
+             - gallery_stack[:, cols, :].transpose(1, 0, 2)[:, None])
+        values[lo:lo + len(cols)] = (log_similarity(model, i, d).reshape(len(cols), -1)
+                                     + log_weight[i, cols][:, None])
+        lo += len(cols)
+    return values
+
+
+def adjacency_links(probe_desc, gallery_desc, model, probe_grid, gallery_grid, ranges):
+    """Per-window reference for ``matching.adjacency_candidates``: the link
+    tuple of each range, from one kernel call per (range, probe patch) over
+    the patch's window only."""
+    from corrmatch.geometry import colocated_patch, patch_at
+    from corrmatch.metric import log_similarity
+
+    gallery_rows = np.array([patch_at(gallery_grid, j).row
+                             for j in range(gallery_grid.n_patches)])
+    ordinals = np.arange(gallery_grid.n_patches)
+    out = []
+    for span in ranges:
+        links = []
+        for i in range(probe_grid.n_patches):
+            co = colocated_patch(probe_grid, gallery_grid, patch_at(probe_grid, i))
+            window = np.flatnonzero(np.abs(gallery_rows - co.row) <= span)
+            sims = np.exp(log_similarity(model, i, probe_desc[i] - gallery_desc[window]))
+            dist = np.abs(ordinals[window] - co.ordinal)
+            best = min(range(len(window)), key=lambda k: (-sims[k], dist[k], window[k]))
+            links.append((i, int(window[best])))
+        out.append(tuple(links))
+    return out
+
+
+def conditional_prob(links, i: int, avg_table: np.ndarray) -> np.ndarray:
+    """Per-row reference for ``learning.conditional_matrix``: probe patch i's
+    distribution over gallery patches given the link set."""
+    js = sorted(j for s, j in links if s == i)
+    row = avg_table[i]
+    if js:
+        raw = row / row[js].sum()
+        raw[js] = 1.0
+    else:
+        raw = row.copy()
+    return raw / raw.sum()
+
+
+def row_argmax(bounds, values):
+    """Per-row reference for ``assignment.row_best_cells``: the rows holding
+    a cell and, per pair, the first of each row's cells with its largest
+    value."""
+    live, cells = [], []
+    for i in range(len(bounds) - 1):
+        lo, hi = bounds[i], bounds[i + 1]
+        if hi > lo:
+            live.append(i)
+            cells.append(lo + values[lo:hi].argmax(axis=0))
+    return np.array(live, dtype=np.int64), np.array(cells, dtype=np.int64).reshape(
+        len(live), values.shape[1])
+
+
+def descriptors(img, grid, color_bins: int, gradient_bins: int) -> np.ndarray:
+    """Per-patch reference for ``imaging.extract_descriptors``: planes filled
+    with ``np.add.at`` and one summed-area lookup per patch."""
+    from corrmatch.geometry import patch_at
+    from corrmatch.imaging import (_LAB_RANGES, _gradient_orientation, _soft_channel_weights,
+                                   luminance, rgb_to_lab)
+
+    lab = rgb_to_lab(img.pixels)
+    g_lo, g_hi, g_wlo, g_whi, grad_mag = _gradient_orientation(luminance(img.pixels),
+                                                               gradient_bins)
+    h, w = img.height, img.width
+    n_color = 3 * color_bins
+    planes = np.zeros((n_color + gradient_bins, h, w))
+    rows_idx, cols_idx = np.indices((h, w))
+    for ch, (lo, hi) in enumerate(_LAB_RANGES):
+        b_lo, b_hi, w_lo, w_hi = _soft_channel_weights(lab[..., ch], lo, hi, color_bins)
+        np.add.at(planes, (ch * color_bins + b_lo, rows_idx, cols_idx), w_lo)
+        np.add.at(planes, (ch * color_bins + b_hi, rows_idx, cols_idx), w_hi)
+    np.add.at(planes, (n_color + g_lo, rows_idx, cols_idx), g_wlo * grad_mag)
+    np.add.at(planes, (n_color + g_hi, rows_idx, cols_idx), g_whi * grad_mag)
+    sat = np.zeros((planes.shape[0], h + 1, w + 1))
+    sat[:, 1:, 1:] = np.cumsum(np.cumsum(planes, axis=1), axis=2)
+
+    out = np.empty((grid.n_patches, n_color + gradient_bins))
+    pw, ph = grid.patch_width, grid.patch_height
+    for k in range(grid.n_patches):
+        ref = patch_at(grid, k)
+        x0, y0 = ref.col * grid.stride_x, ref.row * grid.stride_y
+        counts = (sat[:, y0 + ph, x0 + pw] - sat[:, y0, x0 + pw]
+                  - sat[:, y0 + ph, x0] + sat[:, y0, x0])
+        color, grad = counts[:n_color], counts[n_color:]
+        out[k, :n_color] = color / color.sum()
+        grad_total = grad.sum()
+        out[k, n_color:] = grad / grad_total if grad_total > 0.0 else 0.0
+    return out
+
+
+def colocated_patch(probe_grid, gallery_grid, p):
+    """Scalar reference for ``geometry.colocated_table``: (ordinal, row) of
+    the gallery patch whose origin is nearest to probe patch p's origin,
+    ties to the smaller ordinal, by trying the lattice points around it."""
+    from corrmatch.geometry import zigzag_ordinal
+
+    px, py = p.col * probe_grid.stride_x, p.row * probe_grid.stride_y
+
+    def axis_candidates(target, stride, count):
+        lo = min(max(target // stride, 0), count - 1)
+        return sorted({lo, min(lo + 1, count - 1)})
+
+    best = None  # (squared distance, ordinal, row)
+    for row in axis_candidates(py, gallery_grid.stride_y, gallery_grid.n_rows):
+        for col in axis_candidates(px, gallery_grid.stride_x, gallery_grid.n_cols):
+            d2 = (col * gallery_grid.stride_x - px) ** 2 + (row * gallery_grid.stride_y - py) ** 2
+            key = (d2, zigzag_ordinal(gallery_grid, row, col), row)
+            if best is None or key < best:
+                best = key
+    return best[1], best[2]

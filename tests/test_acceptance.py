@@ -8,7 +8,6 @@ import os
 import subprocess
 import sys
 import time
-import warnings
 
 import numpy as np
 import pytest
@@ -48,7 +47,6 @@ def report(name: str) -> None:
 
 @pytest.fixture(scope="module")
 def shift_run(tmp_path_factory):
-    warnings.filterwarnings("ignore")
     out = str(tmp_path_factory.mktemp("shift"))
     config = RunConfig(seed=3)
     started = time.perf_counter()
@@ -64,7 +62,6 @@ def shift_run(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def ablation_run(tmp_path_factory):
-    warnings.filterwarnings("ignore")
     out = str(tmp_path_factory.mktemp("ablation"))
     config = RunConfig(**ABLATION_CONFIG)
     rows = ["identity,camera,path"]
@@ -107,7 +104,6 @@ def test_solver_oracle_equivalence():
 
 
 def test_probability_invariants_300_iterations(tmp_path):
-    warnings.filterwarnings("ignore")
     config = RunConfig(seed=3, max_iterations=300, tolerance=0.0)
     manifest, _ = generate_synthetic(str(tmp_path), 12, 2, 0.05, 7, config)
     splits = make_splits(manifest, seed=3, repeats=1)

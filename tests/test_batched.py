@@ -1,0 +1,144 @@
+"""Batched paths against their per-location references, bit for bit.
+
+Each batched path replaced a loop over probe rows, windows, patches or
+links; ``oracles`` keeps those loops, and every comparison here is
+``np.array_equal``, not a tolerance.
+"""
+from unittest import mock
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from corrmatch import matching
+from corrmatch.assignment import row_best_cells
+from corrmatch.geometry import GridSpec, colocated_table, patch_at
+from corrmatch.imaging import RgbImage, extract_descriptors
+from corrmatch.learning import conditional_matrix
+from corrmatch.matching import BinaryMappingStructure, adjacency_candidates, greedy_scores
+from corrmatch.metric import MetricModel, correct_pair_log_similarity, log_similarity
+
+import oracles
+
+
+def random_model(rng, n_loc: int, dim: int) -> MetricModel:
+    """Random PSD metrics, with some locations on the global fallback."""
+    a = rng.standard_normal((n_loc + 1, dim, dim))
+    mats = a @ a.transpose(0, 2, 1) / dim
+    return MetricModel(matrices=mats[1:], sigmas=rng.random(n_loc) + 0.2,
+                       global_matrix=mats[0], global_sigma=0.7,
+                       fallback=rng.random(n_loc) < 0.3)
+
+
+@st.composite
+def grid_pairs(draw, min_side=1):
+    """Two valid lattices on one small canvas."""
+    width, height = draw(st.integers(min_side, 16)), draw(st.integers(min_side, 16))
+
+    def one():
+        pw, ph = draw(st.integers(1, width)), draw(st.integers(1, height))
+        sx = draw(st.sampled_from([s for s in range(1, width + 1) if (width - pw) % s == 0]))
+        sy = draw(st.sampled_from([s for s in range(1, height + 1) if (height - ph) % s == 0]))
+        return GridSpec(width, height, pw, ph, sx, sy)
+    return one(), one()
+
+
+@settings(max_examples=200, deadline=None)
+@given(grid_pairs())
+def test_colocated_table_matches_per_patch_oracle(pair):
+    probe, gallery = pair
+    ordinals, rows = colocated_table(probe, gallery)
+    for i in range(probe.n_patches):
+        expect = oracles.colocated_patch(probe, gallery, patch_at(probe, i))
+        assert (ordinals[i], rows[i]) == expect
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_probe=st.integers(1, 3), n_gallery=st.integers(1, 4),
+       n_a=st.integers(1, 6), n_b=st.integers(1, 7), dim=st.integers(1, 9),
+       budget=st.sampled_from([1, 2, 7, 40, matching._CHUNK_VALUES]))
+def test_cell_values_match_per_row_oracle(seed, n_probe, n_gallery, n_a, n_b, dim, budget):
+    rng = np.random.default_rng(seed)
+    model = random_model(rng, n_a, dim)
+    probe = rng.standard_normal((n_probe, n_a, dim))
+    gallery = rng.standard_normal((n_gallery, n_b, dim))
+    gallery[:, 0] = probe[0, 0]  # identical descriptors: log similarity -0.0
+    gate = rng.random((n_a, n_b)) < 0.4  # rows without cells included
+    log_weight = np.where(gate, np.log(rng.random((n_a, n_b)) + 0.01), 0.0)
+    with mock.patch.object(matching, "_CHUNK_VALUES", budget):
+        got = matching._cell_values(probe, gallery, model, gate, log_weight)
+        rows, cols = np.nonzero(gate)
+        links = matching.cell_log_similarity(probe, gallery, model, rows, cols)
+    assert np.array_equal(got, oracles.cell_values(probe, gallery, model, gate, log_weight))
+    for c, (i, j) in enumerate(zip(rows, cols)):  # the per-link form training used
+        alone = log_similarity(model, int(i), probe[:, i, None, :] - gallery[None, :, j, :])
+        assert np.array_equal(links[c], alone)
+
+
+@settings(max_examples=60, deadline=None)
+@given(pair=grid_pairs(), seed=st.integers(0, 2**32 - 1), palette=st.integers(1, 4),
+       ranges=st.lists(st.integers(1, 5), min_size=1, max_size=3))
+def test_adjacency_candidates_match_per_window_oracle(pair, seed, palette, ranges):
+    probe_grid, gallery_grid = pair
+    rng = np.random.default_rng(seed)
+    dim = 3
+    model = random_model(rng, probe_grid.n_patches, dim)
+    # Descriptors from a small palette tie many similarities exactly.
+    colors = rng.standard_normal((palette, dim))
+    probe = colors[rng.integers(0, palette, probe_grid.n_patches)]
+    gallery = colors[rng.integers(0, palette, gallery_grid.n_patches)]
+    table = correct_pair_log_similarity(probe[None], gallery[None], model)[0]
+    got = adjacency_candidates(table, probe_grid, gallery_grid, ranges)
+    expect = oracles.adjacency_links(probe, gallery, model, probe_grid, gallery_grid, ranges)
+    assert [cand.links for cand in got] == expect
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_a=st.integers(1, 8), n_b=st.integers(1, 30),
+       density=st.floats(0.0, 1.0))
+def test_conditional_matrix_matches_per_row_oracle(seed, n_a, n_b, density):
+    rng = np.random.default_rng(seed)
+    avg = rng.random((n_a, n_b)) * 10.0 ** rng.integers(-3, 1, (n_a, n_b)) + 1e-3
+    # Unlinked rows, single links and rows with many links, some past the
+    # eight-term blocks of numpy's pairwise sum.
+    links = tuple(zip(*np.nonzero(rng.random((n_a, n_b)) < density)))
+    binary = BinaryMappingStructure(links=tuple((int(i), int(j)) for i, j in links))
+    got = conditional_matrix(binary, avg)
+    expect = np.stack([oracles.conditional_prob(binary.links, i, avg) for i in range(n_a)])
+    assert np.array_equal(got, expect)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_a=st.integers(1, 6), n_pairs=st.integers(1, 5),
+       kappa=st.sampled_from([-50.0, -1.0, 0.0]))
+def test_row_best_cells_and_greedy_scores_match_per_row_argmax(seed, n_a, n_pairs, kappa):
+    rng = np.random.default_rng(seed)
+    degree = rng.integers(0, 4, n_a)  # rows without cells included
+    bounds = np.concatenate(([0], np.cumsum(degree)))
+    # Few distinct values, signed zeros among them: ties everywhere.
+    values = rng.choice([-2.0, -0.5, -0.0, 0.0, 1.5], size=(int(bounds[-1]), n_pairs))
+    live, cells = row_best_cells(bounds, values)
+    expect_live, expect_cells = oracles.row_argmax(bounds, values)
+    assert np.array_equal(live, expect_live) and np.array_equal(cells, expect_cells)
+
+    gate = np.arange(4)[None, :] < degree[:, None]
+    totals = np.zeros(n_pairs)
+    for i in range(n_a):  # the old per-row loop: row maxima, kappa for empty rows
+        lo, hi = bounds[i], bounds[i + 1]
+        totals += values[lo:hi].max(axis=0) if hi > lo else kappa
+    assert np.array_equal(greedy_scores(gate, values, kappa), totals)
+
+
+@settings(max_examples=40, deadline=None)
+@given(pair=grid_pairs(min_side=2), seed=st.integers(0, 2**32 - 1), color_bins=st.integers(1, 8),
+       gradient_bins=st.integers(1, 8), flat=st.booleans())
+def test_descriptors_match_per_patch_oracle(pair, seed, color_bins, gradient_bins, flat):
+    grid = pair[0]  # np.gradient needs two pixels a side
+    rng = np.random.default_rng(seed)
+    pixels = rng.integers(0, 256, size=(grid.image_height, grid.image_width, 3))
+    if flat:  # constant blocks: patches inside one have no gradient at all
+        pixels = np.repeat(np.repeat(pixels[::4, ::4], 4, axis=0), 4, axis=1)
+        pixels = pixels[:grid.image_height, :grid.image_width]
+    img = RgbImage(pixels=np.ascontiguousarray(pixels, dtype=np.uint8))
+    got = extract_descriptors(img, grid, color_bins, gradient_bins)
+    assert np.array_equal(got, oracles.descriptors(img, grid, color_bins, gradient_bins))

@@ -209,19 +209,30 @@ def test_train_split_metric_runs(tmp_path):
     assert model.dim == 32
 
 
+def test_binaries_without_structure_match_the_learners(tmp_path):
+    # The simple-average arm alone trains no structure: the split still
+    # builds its correct-pair table and finds the learner's binary structures.
+    from corrmatch.harness import train_on_split
+    config = RunConfig(seed=1, max_iterations=1)
+    manifest, _ = make_synthetic_manifest(tmp_path, n=4, config=config)
+    bank = DescriptorBank(manifest, config)
+    ids = manifest.identities()
+    alone = train_on_split(bank, ids, config, need_structure=False)
+    learned = train_on_split(bank, ids, config)
+    assert alone.learned is None and len(alone.binaries) == 4
+    assert alone.binary_structures() == learned.binary_structures()
+
+
 def test_unshifted_training_keeps_colocated_argmax(tmp_path):
     # With no displacement the proximity init is already right and learning
     # must not move the row maxima away from the co-located patches.
-    import warnings
     from corrmatch.geometry import colocated_patch, patch_at
     from corrmatch.harness import train_on_split, make_splits
     config = RunConfig(seed=2, max_iterations=10, selection_count=4)
     manifest, _ = generate_synthetic(str(tmp_path), 8, 0, 0.05, 7, config)
     splits = make_splits(manifest, seed=2, repeats=1)
     bank = DescriptorBank(manifest, config)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        artifacts = train_on_split(bank, splits.splits[0][0], config)
+    artifacts = train_on_split(bank, splits.splits[0][0], config)
     pg, gg = config.probe_grid(), config.gallery_grid()
     probs = artifacts.learned.structure.probs
     agree = 0

@@ -4,9 +4,9 @@ import pytest
 from corrmatch.config import RunConfig
 from corrmatch.errors import ConfigurationError
 from corrmatch.learning import (CmcCurve, cmc_curve, compute_update,
-                                conditional_matrix, conditional_prob, impact_table,
+                                conditional_matrix, impact_table,
                                 patch_importance, structure_prior)
-from corrmatch.matching import BinaryMappingStructure
+from corrmatch.matching import BinaryMappingStructure, cell_log_similarity
 
 import oracles
 
@@ -114,7 +114,7 @@ def test_patch_importance_uniform_coverage_is_near_uniform():
 def test_conditional_single_link_hand_computed():
     avg = np.array([[0.2, 0.5, 0.3]])
     binary = BinaryMappingStructure(links=((0, 1),))
-    out = conditional_prob(binary, 0, avg)
+    out = conditional_matrix(binary, avg)[0]
     raw = np.array([0.2 / 0.5, 1.0, 0.3 / 0.5])
     assert np.allclose(out, raw / raw.sum(), atol=1e-12)
     assert out.sum() == pytest.approx(1.0, abs=1e-12)
@@ -125,7 +125,7 @@ def test_conditional_linked_patch_tops_uniform_table():
     # linked patch ties the row maximum instead of strictly beating it.
     avg = np.full((1, 5), 0.4)
     binary = BinaryMappingStructure(links=((0, 2),))
-    out = conditional_prob(binary, 0, avg)
+    out = conditional_matrix(binary, avg)[0]
     assert out[2] == out.max()
     assert np.allclose(out, 0.2, atol=1e-12)
 
@@ -135,7 +135,7 @@ def test_conditional_linked_patch_strictly_dominates_decaying_table():
     # patch holds the strict row maximum.
     avg = np.array([[0.39, 0.38, 0.4, 0.37, 0.2]])
     binary = BinaryMappingStructure(links=((0, 2),))
-    out = conditional_prob(binary, 0, avg)
+    out = conditional_matrix(binary, avg)[0]
     assert np.argmax(out) == 2
     assert out[2] > out[0]
 
@@ -143,7 +143,7 @@ def test_conditional_linked_patch_strictly_dominates_decaying_table():
 def test_conditional_two_links_denominator():
     avg = np.array([[0.2, 0.4, 0.3, 0.1]])
     binary = BinaryMappingStructure(links=((0, 0), (0, 1)))
-    out = conditional_prob(binary, 0, avg)
+    out = conditional_matrix(binary, avg)[0]
     raw = np.array([1.0, 1.0, 0.3 / 0.6, 0.1 / 0.6])
     assert np.allclose(out, raw / raw.sum(), atol=1e-12)
 
@@ -151,7 +151,7 @@ def test_conditional_two_links_denominator():
 def test_conditional_no_links_falls_back_to_table_row():
     avg = np.array([[0.2, 0.4, 0.4], [0.5, 0.25, 0.25]])
     binary = BinaryMappingStructure(links=((0, 1),))
-    out = conditional_prob(binary, 1, avg)
+    out = conditional_matrix(binary, avg)[1]
     assert np.allclose(out, [0.5, 0.25, 0.25], atol=1e-12)
 
 
@@ -245,10 +245,14 @@ def test_rank_correct_matches_equals_per_pair_reference():
     config = _tiny_config(max_iterations=4, tolerance=0.0, selection_count=2, seed=13)
     learned = learn_structure(probe, gallery, model, config)
     ctx = _TrainingContext(probe, gallery, model, config)
+
+    def pair_log_similarity(i, j):
+        return cell_log_similarity(probe, gallery, model, [i], [j])[0]
+
     for structure in (init_structure(pg, gg, config.t_d), learned.structure):
         ranks, scored = ctx.rank_correct_matches(structure)
         assert scored.solves > 0  # the exact fallback ran, not only greedy picks
-        expect = oracles.rank_correct_matches(ctx._pair_log_similarity, structure.probs,
+        expect = oracles.rank_correct_matches(pair_log_similarity, structure.probs,
                                               config.t_c, config.kappa, ctx.n_train)
         assert ranks.tolist() == expect
 
@@ -283,8 +287,8 @@ def test_training_and_evaluation_score_a_pair_bit_for_bit_alike():
             assert np.array_equal(served, trained.totals[p * n:(p + 1) * n])
         # Each cell is log similarity + log p; the other way to write it,
         # log(similarity * p), would move some of these bits.
-        log_sim = np.stack([ctx._pair_log_similarity(i, j).ravel()
-                            for i, j in zip(*np.nonzero(gate))])
+        log_sim = cell_log_similarity(probe, gallery, model,
+                                      *np.nonzero(gate)).reshape(len(values), -1)
         probs = structure.probs[gate][:, None]
         assert np.array_equal(values, log_sim + np.log(probs))
         assert not np.array_equal(values, np.log(np.exp(log_sim) * probs))
@@ -295,3 +299,15 @@ def test_learn_structure_rejects_single_identity():
     probe, gallery, model, pg, gg = _tiny_training_world(n_ids=1)
     with pytest.raises(ConfigurationError):
         learn_structure(probe, gallery, model, _tiny_config())
+
+
+def test_diagnostics_record_gate_size_and_clamped_selection():
+    from corrmatch.learning import learn_structure
+    from corrmatch.structure import init_structure
+    probe, gallery, model, pg, gg = _tiny_training_world()
+    # Halves of 10 draws each from 6 probes: every selection is clamped.
+    config = _tiny_config(max_iterations=2, tolerance=0.0, selection_count=20, seed=13)
+    first = learn_structure(probe, gallery, model, config).diagnostics[0]
+    gate = init_structure(pg, gg, config.t_d).probs > config.t_c
+    assert (first.gate_cells, first.gated_rows) == (gate.sum(), gate.any(axis=1).sum())
+    assert first.clamped == 1

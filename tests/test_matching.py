@@ -8,7 +8,7 @@ from corrmatch.matching import (BinaryMappingStructure, adjacency_candidates,
                                 binary_structure_score_matrix, correlation_matrix,
                                 gated_correlations, greedy_scores, match_score,
                                 rank_gallery, rank_of_scores)
-from corrmatch.metric import MetricModel
+from corrmatch.metric import MetricModel, correct_pair_log_similarity
 from corrmatch.structure import CorrespondenceStructure
 
 import oracles
@@ -168,6 +168,11 @@ def striped_descriptors(rng, grid, n_patterns=32):
     return out
 
 
+def pair_table(probe_desc, gallery_desc, model):
+    """Log similarities of one image pair, as the adjacency search takes them."""
+    return correct_pair_log_similarity(probe_desc[None], gallery_desc[None], model)[0]
+
+
 def test_adjacency_candidates_self_match_links_colocated():
     rng = np.random.default_rng(1)
     model = flat_model(8, 84)
@@ -177,7 +182,7 @@ def test_adjacency_candidates_self_match_links_colocated():
     for i in range(84):
         co = colocated_patch(CANON_PROBE, CANON_GALLERY, patch_at(CANON_PROBE, i))
         probe_desc[i] = gallery_desc[co.ordinal]
-    for cand in adjacency_candidates(probe_desc, gallery_desc, model,
+    for cand in adjacency_candidates(pair_table(probe_desc, gallery_desc, model),
                                      CANON_PROBE, CANON_GALLERY, ranges=(1, 3)):
         for i, j in cand.links:
             co = colocated_patch(CANON_PROBE, CANON_GALLERY, patch_at(CANON_PROBE, i))
@@ -190,7 +195,7 @@ def test_adjacency_candidates_window_respects_range():
     probe_desc = rng.random((84, 8))
     gallery_desc = rng.random((297, 8))
     for span in (1, 2, 4):
-        (cand,) = adjacency_candidates(probe_desc, gallery_desc, model,
+        (cand,) = adjacency_candidates(pair_table(probe_desc, gallery_desc, model),
                                        CANON_PROBE, CANON_GALLERY, ranges=(span,))
         for i, j in cand.links:
             co = colocated_patch(CANON_PROBE, CANON_GALLERY, patch_at(CANON_PROBE, i))
@@ -202,7 +207,7 @@ def test_adjacency_large_range_is_global_argmax():
     model = flat_model(8, 84)
     probe_desc = rng.random((84, 8))
     gallery_desc = rng.random((297, 8))
-    (cand,) = adjacency_candidates(probe_desc, gallery_desc, model,
+    (cand,) = adjacency_candidates(pair_table(probe_desc, gallery_desc, model),
                                    CANON_PROBE, CANON_GALLERY, ranges=(27,))
     from corrmatch.metric import batched_similarity
     for i, j in cand.links:

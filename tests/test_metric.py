@@ -7,7 +7,7 @@ from corrmatch.errors import ConfigurationError, FormatError
 from corrmatch.geometry import GridSpec
 from corrmatch.metric import (MAX_EXPONENT, MetricModel, appearance_similarity,
                               batched_similarity, build_avg_similarity, build_training_pairs,
-                              load_metric, log_similarity, save_metric, train_metric)
+                              correct_pair_log_similarity, load_metric, log_similarity, save_metric, train_metric)
 
 import oracles
 from blobs import mutated, non_finite, truncated
@@ -153,13 +153,12 @@ def test_dim_mismatch_rejected():
 
 
 def test_avg_similarity_single_pair_and_duplicate():
-    probe_grid = GridSpec(4, 4, 4, 4, 1, 1)    # 1 patch
-    gallery_grid = GridSpec(4, 4, 4, 2, 2, 2)  # 2 patches
     model = scalar_model(1.0, 1.0)
-    p = np.array([[0.5]])
-    g = np.array([[0.5], [0.9]])
-    one = build_avg_similarity([p], [g], model, probe_grid, gallery_grid)
-    dup = build_avg_similarity([p, p], [g, g], model, probe_grid, gallery_grid)
+    p = np.array([[0.5]])          # 1 probe patch
+    g = np.array([[0.5], [0.9]])   # 2 gallery patches
+    one = build_avg_similarity(correct_pair_log_similarity(p[None], g[None], model))
+    dup = build_avg_similarity(correct_pair_log_similarity(np.stack([p, p]),
+                                                           np.stack([g, g]), model))
     assert np.array_equal(one, dup)
     assert one[0, 0] == 1.0
     assert one[0, 1] == pytest.approx(np.exp(-0.16), abs=1e-12)
@@ -167,12 +166,11 @@ def test_avg_similarity_single_pair_and_duplicate():
 
 
 def test_avg_similarity_two_pair_mean():
-    probe_grid = GridSpec(4, 4, 4, 4, 1, 1)
-    gallery_grid = GridSpec(4, 4, 4, 4, 1, 1)
     model = scalar_model(1.0, 1.0)
     p1, g1 = np.array([[0.0]]), np.array([[1.0]])
     p2, g2 = np.array([[0.0]]), np.array([[2.0]])
-    table = build_avg_similarity([p1, p2], [g1, g2], model, probe_grid, gallery_grid)
+    table = build_avg_similarity(correct_pair_log_similarity(np.stack([p1, p2]),
+                                                             np.stack([g1, g2]), model))
     s1, s2 = np.exp(-1.0), np.exp(-4.0)
     assert table[0, 0] == pytest.approx((s1 + s2) / 2, abs=1e-14)
     assert 0.0 < table[0, 0] <= 1.0
