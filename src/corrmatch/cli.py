@@ -13,9 +13,9 @@ from dataclasses import astuple, fields
 
 from .config import RunConfig, load_config, save_config
 from .harness import (ARMS, DescriptorBank, generate_synthetic, load_manifest,
-                      make_splits, run_ablations, train_split_metric)
+                      make_splits, run_ablations, train_on_split)
 from .imaging import extract_descriptors, load_image, scale_to_canonical
-from .learning import IterationStats, learn_structure
+from .learning import IterationStats
 from .matching import match_score
 from .metric import load_metric, save_metric
 from .structure import export_structure_csv, load_structure, save_structure
@@ -57,11 +57,9 @@ def cmd_train(args) -> int:
     config = _config_from(args)
     manifest = load_manifest(args.manifest)
     os.makedirs(args.out, exist_ok=True)
-    bank = DescriptorBank(manifest, config)
     identities = manifest.identities()
-    probe_stack, gallery_stack = bank.stacks(identities)
-    metric = train_split_metric(probe_stack, gallery_stack, config)
-    result = learn_structure(probe_stack, gallery_stack, metric, config)
+    artifacts = train_on_split(DescriptorBank(manifest, config), identities, config)
+    result, metric = artifacts.learned, artifacts.metric
     save_structure(os.path.join(args.out, "structure.bin"), result.structure)
     export_structure_csv(os.path.join(args.out, "structure.csv"), result.structure)
     save_metric(os.path.join(args.out, "metric.bin"), metric)

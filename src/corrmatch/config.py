@@ -50,6 +50,9 @@ class RunConfig:
     use_first_image: bool = True
 
     def __post_init__(self) -> None:
+        if min(self.image_width, self.image_height) < 2:  # np.gradient needs 2 px a side
+            raise ConfigurationError(f"image canvas must be at least 2 px a side, got "
+                                     f"{self.image_width}x{self.image_height}")
         self.probe_grid(), self.gallery_grid()  # bad geometry fails here
         if not 0 < self.epsilon <= 1:
             raise ConfigurationError("epsilon must lie in (0, 1]")

@@ -300,11 +300,10 @@ def train_split_metric(probe_stack: np.ndarray, gallery_stack: np.ndarray,
                        config: RunConfig) -> MetricModel:
     """Metric from a training split; wrong-identity pairs come from the next
     identity in the split order (a fixed derangement keeps this seedless)."""
-    n = probe_stack.shape[0]
-    wrong = [gallery_stack[(k + 1) % n] for k in range(n)]
-    similar, dissimilar = build_training_pairs(list(probe_stack), list(gallery_stack),
-                                               wrong, config.probe_grid(),
-                                               config.gallery_grid(), config.t_d)
+    similar, dissimilar = build_training_pairs(probe_stack, gallery_stack,
+                                               np.roll(gallery_stack, -1, axis=0),
+                                               config.probe_grid(), config.gallery_grid(),
+                                               config.t_d)
     return train_metric(similar, dissimilar, sigma_scale=config.sigma_scale)
 
 

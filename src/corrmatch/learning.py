@@ -178,11 +178,6 @@ class _TrainingContext:
         self._link_cmc: dict[tuple[int, int], float] = {}
         self._joint: dict[int, np.ndarray] = {}
 
-    def find_binary_structures(self) -> None:
-        self.binary_structures = find_binary_structures(
-            self.probe_stack, self.gallery_stack, self.pair_log_similarity, self.model,
-            self.config)
-
     def structure_cmc(self, alpha: int) -> float:
         """Rank-n CMC over the training set with structure alpha as the model."""
         if alpha not in self._structure_cmc:
@@ -228,8 +223,7 @@ class _TrainingContext:
 
 
 def learn_structure(probe_stack: np.ndarray, gallery_stack: np.ndarray,
-                    model: MetricModel, config: RunConfig,
-                    binary_structures: list[BinaryMappingStructure] | None = None) -> LearnResult:
+                    model: MetricModel, config: RunConfig) -> LearnResult:
     """Run the full boosting loop and return the learned structure.
 
     ``probe_stack[k]`` and ``gallery_stack[k]`` hold the descriptor arrays of
@@ -243,13 +237,8 @@ def learn_structure(probe_stack: np.ndarray, gallery_stack: np.ndarray,
         raise ConfigurationError("training requires at least two identities")
 
     ctx = _TrainingContext(probe_stack, gallery_stack, model, config)
-    if binary_structures is None:
-        ctx.find_binary_structures()
-    else:
-        if len(binary_structures) != ctx.n_train:
-            raise ValueError("need one binary structure per training identity")
-        ctx.binary_structures = list(binary_structures)
-
+    ctx.binary_structures = find_binary_structures(probe_stack, gallery_stack,
+                                                   ctx.pair_log_similarity, model, config)
     structure = init_structure(config.probe_grid(), config.gallery_grid(), config.t_d)
     rng = np.random.default_rng(config.seed)
     half = config.selection_count // 2

@@ -32,7 +32,9 @@ class MetricModel:
     """Learned similarity model: one matrix and scale per probe location.
 
     ``fallback`` flags locations that were data-starved and use the pooled
-    global matrix/scale instead of their own.
+    global matrix/scale instead of their own.  Construction writes the global
+    pair into those locations' rows of ``matrices`` and ``sigmas``, so every
+    reader takes a location's metric from its own row.
     """
 
     matrices: np.ndarray          # (n_locations, dim, dim)
@@ -59,8 +61,14 @@ class MetricModel:
             asym = np.abs(self.matrices - self.matrices.transpose(0, 2, 1)).max(initial=0.0)
         if asym > 1e-9:
             raise ValueError(f"matrices must be symmetric, worst asymmetry {asym:g}")
-        if self.fallback is None:
-            object.__setattr__(self, "fallback", np.zeros(n_loc, dtype=bool))
+        fallback = (np.zeros(n_loc, dtype=bool) if self.fallback is None
+                    else np.asarray(self.fallback, dtype=bool))
+        if fallback.shape != (n_loc,):
+            raise ValueError("fallback flag count does not match location count")
+        object.__setattr__(self, "fallback", fallback)
+        object.__setattr__(self, "matrices", np.where(fallback[:, None, None],
+                                                      self.global_matrix, self.matrices))
+        object.__setattr__(self, "sigmas", np.where(fallback, self.global_sigma, self.sigmas))
 
     @property
     def n_locations(self) -> int:
@@ -70,12 +78,6 @@ class MetricModel:
     def dim(self) -> int:
         return self.matrices.shape[1]
 
-    def matrix_at(self, loc: int) -> np.ndarray:
-        return self.global_matrix if self.fallback[loc] else self.matrices[loc]
-
-    def sigma_at(self, loc: int) -> float:
-        return self.global_sigma if self.fallback[loc] else float(self.sigmas[loc])
-
 
 def _quadratic_form(matrix: np.ndarray, d: np.ndarray) -> np.ndarray:
     """d . M . d over the last axis of a stack of differences."""
@@ -83,28 +85,20 @@ def _quadratic_form(matrix: np.ndarray, d: np.ndarray) -> np.ndarray:
 
 
 def log_similarity(model: MetricModel, loc, d: np.ndarray) -> np.ndarray:
-    """log similarity of descriptor differences ``d`` (..., dim) at probe
-    location ``loc``: -min(max(d . M . d, 0) / sigma, MAX_EXPONENT).
+    """log similarity -min(max(d . M . d, 0) / sigma, MAX_EXPONENT) of
+    descriptor differences ``d`` of shape (n_loc, ..., n, dim).
 
-    ``loc`` may also be an array of locations aligned with the leading axis
-    of ``d`` (shape (n_loc, ..., n, dim)); each slice then takes its own
-    location's metric, with the fallback applied.  The product still runs as
+    ``loc`` is an array of probe locations aligned with the leading axis of
+    ``d``; each slice takes its own location's metric.  The product runs as
     one (n, dim) @ (dim, dim) matrix product per slice, so a slice's values
     do not depend on what it is stacked with.
     """
-    if np.ndim(loc) == 0:
-        matrix, sigma = model.matrix_at(loc), model.sigma_at(loc)
-    else:
-        loc = np.asarray(loc, dtype=np.int64)
-        if d.ndim < 3 or d.shape[0] != len(loc):
-            raise ValueError(f"stacked locations need d of shape ({len(loc)}, ..., n, dim), "
-                             f"got {d.shape}")
-        fallback = model.fallback[loc]
-        matrix = np.where(fallback[:, None, None], model.global_matrix, model.matrices[loc])
-        matrix = matrix.reshape((len(loc),) + (1,) * (d.ndim - 3) + matrix.shape[1:])
-        sigma = np.where(fallback, model.global_sigma, model.sigmas[loc])
-        sigma = sigma.reshape((len(loc),) + (1,) * (d.ndim - 2))
-    dist = _quadratic_form(matrix, d)
+    loc = np.asarray(loc, dtype=np.int64)
+    if loc.ndim != 1 or d.ndim < 3 or d.shape[0] != len(loc):
+        raise ValueError(f"locations need d of shape ({loc.size}, ..., n, dim), got {d.shape}")
+    lead = (len(loc),) + (1,) * (d.ndim - 3)
+    dist = _quadratic_form(model.matrices[loc].reshape(lead + (model.dim, model.dim)), d)
+    sigma = model.sigmas[loc].reshape(lead + (1,))
     return -np.minimum(np.maximum(dist, 0.0) / sigma, MAX_EXPONENT)
 
 
@@ -133,48 +127,38 @@ def _scale_for(matrix: np.ndarray, diffs, sigma_scale: float) -> float:
     return max(sigma_scale * float(dist.mean()), SIGMA_FLOOR)
 
 
-def train_metric(similar_pairs, dissimilar_pairs, sigma_scale: float) -> MetricModel:
-    """Learn per-location metrics from descriptor-pair lists.
+def train_metric(similar_diffs, dissimilar_diffs, sigma_scale: float) -> MetricModel:
+    """Learn per-location metrics from descriptor differences.
 
-    ``similar_pairs[i]`` and ``dissimilar_pairs[i]`` are (A, B) array pairs of
-    shape (n_i, dim) holding the two sides of each training pair at probe
-    location i.  A location needs at least dim + 1 similar and dissimilar
-    pairs, otherwise it falls back to the global metric pooled over all
-    locations.  ``sigma_scale`` scales the mean similar-pair distance into
-    the exp(-d / sigma) bandwidth (``RunConfig.sigma_scale`` says why).
+    ``similar_diffs[i]`` and ``dissimilar_diffs[i]`` are (n_i, dim) arrays of
+    the descriptor differences of the training pairs at probe location i.  A
+    location needs at least dim + 1 similar and dissimilar pairs, otherwise
+    it falls back to the global metric pooled over all locations.
+    ``sigma_scale`` scales the mean similar-pair distance into the
+    exp(-d / sigma) bandwidth (``RunConfig.sigma_scale`` says why).
     """
-    if len(similar_pairs) != len(dissimilar_pairs):
+    if len(similar_diffs) != len(dissimilar_diffs):
         raise ValueError("similar and dissimilar lists must align per location")
-    n_loc = len(similar_pairs)
+    n_loc = len(similar_diffs)
     if n_loc == 0:
         raise ConfigurationError("no locations to train")
-
-    total_similar = sum(len(a) for a, _ in similar_pairs)
-    total_dissimilar = sum(len(a) for a, _ in dissimilar_pairs)
-    if total_similar == 0 or total_dissimilar == 0:
+    if not sum(map(len, similar_diffs)) or not sum(map(len, dissimilar_diffs)):
         raise ConfigurationError("training set has no similar or no dissimilar pairs")
-
-    dims = {a.shape[1] for a, _ in similar_pairs if len(a)}
-    dims |= {a.shape[1] for a, _ in dissimilar_pairs if len(a)}
+    dims = {d.shape[1] for d in [*similar_diffs, *dissimilar_diffs] if len(d)}
     if len(dims) != 1:
         raise ValueError(f"inconsistent descriptor dims {dims}")
     dim = dims.pop()
 
-    def differences(pairs):
-        return [np.asarray(a, dtype=np.float64) - np.asarray(b, dtype=np.float64)
-                for a, b in pairs]
-
     def moment(diffs):  # second moment (about zero) of the pooled differences
         return sum(d.T @ d for d in diffs) / sum(len(d) for d in diffs)
 
-    sim_diffs, dis_diffs = differences(similar_pairs), differences(dissimilar_pairs)
-    global_matrix = _learn_matrix(moment(sim_diffs), moment(dis_diffs))
-    global_sigma = _scale_for(global_matrix, sim_diffs, sigma_scale)
+    global_matrix = _learn_matrix(moment(similar_diffs), moment(dissimilar_diffs))
+    global_sigma = _scale_for(global_matrix, similar_diffs, sigma_scale)
 
     matrices = np.empty((n_loc, dim, dim))
     sigmas = np.empty(n_loc)
     fallback = np.zeros(n_loc, dtype=bool)
-    for i, (sim, dis) in enumerate(zip(sim_diffs, dis_diffs)):
+    for i, (sim, dis) in enumerate(zip(similar_diffs, dissimilar_diffs)):
         if len(sim) < dim + 1 or len(dis) < dim + 1:
             matrices[i] = global_matrix
             sigmas[i] = global_sigma
@@ -195,56 +179,44 @@ def appearance_similarity(model: MetricModel, f_a: np.ndarray, f_b: np.ndarray,
         raise ValueError(f"descriptors must have dim {model.dim}")
     if not 0 <= loc < model.n_locations:
         raise ValueError(f"location {loc} outside [0, {model.n_locations})")
-    return float(np.exp(log_similarity(model, loc, f_a - f_b)))
+    return float(batched_similarity(model, f_a[None], f_b[None], [loc])[0])
 
 
 def batched_similarity(model: MetricModel, f_a: np.ndarray, f_b: np.ndarray,
                        locs: np.ndarray) -> np.ndarray:
-    """Vectorized similarity for stacked descriptor pairs at given locations.
+    """Similarity of stacked descriptor pairs: ``f_a`` and ``f_b`` have shape
+    (n, dim), ``locs`` (n,); pair k is scored at location ``locs[k]``."""
+    d = np.asarray(f_a, dtype=np.float64) - np.asarray(f_b, dtype=np.float64)
+    return np.exp(log_similarity(model, locs, d[:, None, :]))[:, 0]
 
-    ``f_a`` and ``f_b`` have shape (n, dim), ``locs`` (n,).  Pairs are grouped
-    per location so each group uses one matrix.
+
+def build_training_pairs(probe_stack: np.ndarray, gallery_stack: np.ndarray,
+                         wrong_stack: np.ndarray, probe_grid: GridSpec,
+                         gallery_grid: GridSpec, t_d: int):
+    """Similar/dissimilar descriptor differences per probe location.
+
+    ``probe_stack[k]`` (N_A, dim), ``gallery_stack[k]`` (N_B, dim) and
+    ``wrong_stack[k]`` (N_B, dim) are the k-th training identity's probe
+    image, its correct-match gallery image and a wrong-identity gallery
+    image.  Probe patch i pairs with every gallery patch within zig-zag
+    distance < t_d of its co-located patch; the same gallery positions of the
+    wrong image form the dissimilar pairs.  Location i's entry is the
+    (n_images * window, dim) array of probe minus gallery descriptors,
+    image-major.
     """
-    f_a = np.asarray(f_a, dtype=np.float64)
-    f_b = np.asarray(f_b, dtype=np.float64)
-    locs = np.asarray(locs, dtype=np.int64)
-    d = f_a - f_b
-    out = np.empty(len(d))
-    for loc in np.unique(locs):
-        sel = locs == loc
-        out[sel] = np.exp(log_similarity(model, int(loc), d[sel]))
-    return out
-
-
-def build_training_pairs(probe_descriptors, gallery_descriptors, wrong_gallery_descriptors,
-                         probe_grid: GridSpec, gallery_grid: GridSpec, t_d: int):
-    """Similar/dissimilar descriptor pairs per probe location.
-
-    For each correct match pair, probe patch i pairs with every gallery patch
-    within zig-zag distance < t_d of its co-located patch; the same gallery
-    positions taken from a wrong-identity image form the dissimilar pairs.
-
-    ``probe_descriptors`` / ``gallery_descriptors`` / ``wrong_gallery_descriptors``
-    are aligned lists of per-image descriptor arrays.
-    """
-    if not (len(probe_descriptors) == len(gallery_descriptors) == len(wrong_gallery_descriptors)):
-        raise ValueError("descriptor lists must align")
-    if not probe_descriptors:
+    if not (len(probe_stack) == len(gallery_stack) == len(wrong_stack)):
+        raise ValueError("descriptor stacks must align")
+    if not len(probe_stack):
         raise ConfigurationError("empty training set")
-    n_loc = probe_grid.n_patches
     ordinals = np.arange(gallery_grid.n_patches)
     colocated, _ = colocated_table(probe_grid, gallery_grid)
-
-    probe_stack = np.stack(probe_descriptors)          # (n_imgs, n_loc, dim)
-    gallery_stack = np.stack(gallery_descriptors)      # (n_imgs, n_gal, dim)
-    wrong_stack = np.stack(wrong_gallery_descriptors)
-
+    dim = probe_stack.shape[2]
     similar, dissimilar = [], []
-    for i in range(n_loc):
+    for i in range(probe_grid.n_patches):
         window = np.flatnonzero(np.abs(ordinals - colocated[i]) < t_d)
-        probe_side = np.repeat(probe_stack[:, i, :], len(window), axis=0)
-        similar.append((probe_side, gallery_stack[:, window, :].reshape(len(probe_stack) * len(window), -1)))
-        dissimilar.append((probe_side, wrong_stack[:, window, :].reshape(len(probe_stack) * len(window), -1)))
+        probe_side = probe_stack[:, i, None]
+        similar.append((probe_side - gallery_stack[:, window]).reshape(-1, dim))
+        dissimilar.append((probe_side - wrong_stack[:, window]).reshape(-1, dim))
     return similar, dissimilar
 
 
@@ -262,8 +234,9 @@ def correct_pair_log_similarity(probe_stack: np.ndarray, gallery_stack: np.ndarr
     if n_a != model.n_locations:
         raise ValueError(f"{n_a} probe patches for a {model.n_locations}-location metric")
     table = np.empty((n_pairs, n_a, gallery_stack.shape[1]))
-    for i in range(n_a):  # one (n_pairs, N_B, dim) batch per location
-        table[:, i] = log_similarity(model, i, probe_stack[:, i, None, :] - gallery_stack)
+    for i in range(n_a):  # per location: one call for all would hold n_a times the temporaries
+        table[:, i] = log_similarity(model, [i], probe_stack[None, :, i, None]
+                                     - gallery_stack[None])[0]
     return table
 
 

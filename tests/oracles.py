@@ -3,9 +3,9 @@
 Everything in here favors obviousness over speed and deliberately avoids
 importing the algorithms under test.  Two exceptions: the per-pair
 ``solve_assignment`` serves as the reference for batched ranking, and the
-per-location references below call ``log_similarity`` with one location at
-a time, the way the batched paths used to, and the imaging helpers that
-compute per-pixel weights.
+imaging helpers that compute per-pixel weights.  The per-location
+references below score through ``location_log_similarity``, the kernel as
+it was before locations were stacked.
 """
 from __future__ import annotations
 
@@ -82,6 +82,37 @@ def log_similarity(matrix: np.ndarray, sigma: float, d: np.ndarray,
     return -np.minimum(np.maximum(dist, 0.0) / sigma, max_exponent)
 
 
+def location_log_similarity(model, loc: int, d: np.ndarray) -> np.ndarray:
+    """Scalar-location reference for ``metric.log_similarity``: location
+    ``loc``'s metric on differences ``d`` (..., dim), with the global metric
+    picked here for a fallback location rather than read from its row."""
+    if model.fallback[loc]:
+        matrix, sigma = model.global_matrix, model.global_sigma
+    else:
+        matrix, sigma = model.matrices[loc], float(model.sigmas[loc])
+    dist = np.einsum("...k,...k->...", d @ matrix, d)
+    return -np.minimum(np.maximum(dist, 0.0) / sigma, 700.0)
+
+
+def training_pairs(probe_descriptors, gallery_descriptors, wrong_gallery_descriptors,
+                   probe_grid, gallery_grid, t_d: int):
+    """Per-location (A, B) pair reference for ``metric.build_training_pairs``:
+    the probe side repeated once per window patch, the gallery side gathered
+    from each image's window, image-major."""
+    from corrmatch.geometry import patch_at
+
+    ordinals = np.arange(gallery_grid.n_patches)
+    similar, dissimilar = [], []
+    for i in range(probe_grid.n_patches):
+        co, _ = colocated_patch(probe_grid, gallery_grid, patch_at(probe_grid, i))
+        window = np.flatnonzero(np.abs(ordinals - co) < t_d)
+        probe_side = np.stack([p[i] for p in probe_descriptors for _ in window])
+        similar.append((probe_side, np.concatenate([g[window] for g in gallery_descriptors])))
+        dissimilar.append((probe_side,
+                           np.concatenate([g[window] for g in wrong_gallery_descriptors])))
+    return similar, dissimilar
+
+
 def rank_correct_matches(pair_log_similarity, probs: np.ndarray, t_c: float,
                          kappa: float, n_train: int) -> list[int]:
     """Training ranks with one whole-matrix ``solve_assignment`` per pair.
@@ -111,8 +142,6 @@ def rank_correct_matches(pair_log_similarity, probs: np.ndarray, t_c: float,
 def cell_values(probe_stack, gallery_stack, model, gate, log_weight) -> np.ndarray:
     """Per-row reference for ``matching._cell_values``: one kernel call per
     probe row, over that row's gated cells."""
-    from corrmatch.metric import log_similarity
-
     values = np.empty((int(gate.sum()), len(probe_stack) * len(gallery_stack)))
     lo = 0
     for i in range(gate.shape[0]):
@@ -121,7 +150,7 @@ def cell_values(probe_stack, gallery_stack, model, gate, log_weight) -> np.ndarr
             continue
         d = (probe_stack[None, :, None, i, :]
              - gallery_stack[:, cols, :].transpose(1, 0, 2)[:, None])
-        values[lo:lo + len(cols)] = (log_similarity(model, i, d).reshape(len(cols), -1)
+        values[lo:lo + len(cols)] = (location_log_similarity(model, i, d).reshape(len(cols), -1)
                                      + log_weight[i, cols][:, None])
         lo += len(cols)
     return values
@@ -132,7 +161,6 @@ def adjacency_links(probe_desc, gallery_desc, model, probe_grid, gallery_grid, r
     tuple of each range, from one kernel call per (range, probe patch) over
     the patch's window only."""
     from corrmatch.geometry import colocated_patch, patch_at
-    from corrmatch.metric import log_similarity
 
     gallery_rows = np.array([patch_at(gallery_grid, j).row
                              for j in range(gallery_grid.n_patches)])
@@ -143,7 +171,8 @@ def adjacency_links(probe_desc, gallery_desc, model, probe_grid, gallery_grid, r
         for i in range(probe_grid.n_patches):
             co = colocated_patch(probe_grid, gallery_grid, patch_at(probe_grid, i))
             window = np.flatnonzero(np.abs(gallery_rows - co.row) <= span)
-            sims = np.exp(log_similarity(model, i, probe_desc[i] - gallery_desc[window]))
+            sims = np.exp(location_log_similarity(model, i,
+                                                  probe_desc[i] - gallery_desc[window]))
             dist = np.abs(ordinals[window] - co.ordinal)
             best = min(range(len(window)), key=lambda k: (-sims[k], dist[k], window[k]))
             links.append((i, int(window[best])))

@@ -243,8 +243,8 @@ def test_metric_sanity():
         assert appearance_similarity(model, descriptors[k], descriptors[k], k % n_loc) == 1.0
 
     # scalar training case, hand arithmetic with ridge gamma = 1e-3 * trace / dim
-    similar = [(np.array([[1.0], [-1.0]]), np.zeros((2, 1)))]
-    dissimilar = [(np.array([[2.0], [-2.0]]), np.zeros((2, 1)))]
+    similar = [np.array([[1.0], [-1.0]])]
+    dissimilar = [np.array([[2.0], [-2.0]])]
     trained = train_metric(similar, dissimilar, sigma_scale=0.15)
     expected = 1.0 / (1.0 + 1e-3) - 1.0 / (4.0 + 4e-3)
     assert abs(float(trained.matrices[0][0, 0]) - expected) <= 1e-12

@@ -16,7 +16,8 @@ from corrmatch.geometry import GridSpec, colocated_table, patch_at
 from corrmatch.imaging import RgbImage, extract_descriptors
 from corrmatch.learning import conditional_matrix
 from corrmatch.matching import BinaryMappingStructure, adjacency_candidates, greedy_scores
-from corrmatch.metric import MetricModel, correct_pair_log_similarity, log_similarity
+from corrmatch.metric import (MetricModel, appearance_similarity, batched_similarity,
+                              build_training_pairs, correct_pair_log_similarity, log_similarity)
 
 import oracles
 
@@ -71,8 +72,68 @@ def test_cell_values_match_per_row_oracle(seed, n_probe, n_gallery, n_a, n_b, di
         links = matching.cell_log_similarity(probe, gallery, model, rows, cols)
     assert np.array_equal(got, oracles.cell_values(probe, gallery, model, gate, log_weight))
     for c, (i, j) in enumerate(zip(rows, cols)):  # the per-link form training used
-        alone = log_similarity(model, int(i), probe[:, i, None, :] - gallery[None, :, j, :])
+        alone = log_similarity(model, [i],
+                               (probe[:, i, None, :] - gallery[None, :, j, :])[None])[0]
         assert np.array_equal(links[c], alone)
+
+
+@settings(max_examples=100, deadline=None)
+@given(pair=grid_pairs(), seed=st.integers(0, 2**32 - 1), n_imgs=st.integers(1, 3),
+       dim=st.integers(1, 5), data=st.data())
+def test_training_differences_match_pair_oracle(pair, seed, n_imgs, dim, data):
+    probe_grid, gallery_grid = pair
+    # Small t_d clips windows at both ends of the zig-zag order; t_d past
+    # the gallery patch count takes every patch.
+    t_d = data.draw(st.integers(1, gallery_grid.n_patches + 2))
+    rng = np.random.default_rng(seed)
+    probe = rng.standard_normal((n_imgs, probe_grid.n_patches, dim))
+    gallery = rng.standard_normal((n_imgs, gallery_grid.n_patches, dim))
+    wrong = np.roll(gallery, -1, axis=0)
+    similar, dissimilar = build_training_pairs(probe, gallery, wrong, probe_grid,
+                                               gallery_grid, t_d)
+    expect = oracles.training_pairs(list(probe), list(gallery), list(wrong), probe_grid,
+                                    gallery_grid, t_d)
+    for got, pairs in zip((similar, dissimilar), expect):
+        assert len(got) == probe_grid.n_patches
+        for d, (a, b) in zip(got, pairs):
+            assert np.array_equal(d, a - b)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_loc=st.integers(1, 6), n_calls=st.integers(1, 5),
+       mid=st.integers(1, 3), rows=st.integers(1, 6), dim=st.integers(1, 9))
+def test_log_similarity_matches_location_reference(seed, n_loc, n_calls, mid, rows, dim):
+    rng = np.random.default_rng(seed)
+    model = random_model(rng, n_loc, dim)
+    locs = rng.integers(0, n_loc, n_calls)  # repeats and fallback locations included
+    d = rng.standard_normal((n_calls, mid, rows, dim))
+    d[0, 0, 0] = 0.0  # identical descriptors: log similarity -0.0
+    got = log_similarity(model, locs, d)
+    for k, loc in enumerate(locs):
+        assert np.array_equal(got[k], oracles.location_log_similarity(model, loc, d[k]))
+
+    n_b = rng.integers(1, 7)
+    probe = rng.standard_normal((mid, n_loc, dim))
+    gallery = rng.standard_normal((mid, n_b, dim))
+    table = correct_pair_log_similarity(probe, gallery, model)
+    for i in range(n_loc):  # the per-location form training used
+        alone = oracles.location_log_similarity(model, i, probe[:, i, None, :] - gallery)
+        assert np.array_equal(table[:, i], alone)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_loc=st.integers(1, 6), n=st.integers(1, 12),
+       dim=st.integers(1, 9))
+def test_batched_similarity_takes_the_one_row_path(seed, n_loc, n, dim):
+    rng = np.random.default_rng(seed)
+    model = random_model(rng, n_loc, dim)
+    fa, fb = rng.standard_normal((n, dim)), rng.standard_normal((n, dim))
+    locs = rng.integers(0, n_loc, n)
+    sims = batched_similarity(model, fa, fb, locs)
+    for k, loc in enumerate(locs):
+        one = appearance_similarity(model, fa[k], fb[k], int(loc))
+        assert sims[k] == one
+        assert one == np.exp(oracles.location_log_similarity(model, loc, fa[k] - fb[k]))
 
 
 @settings(max_examples=60, deadline=None)

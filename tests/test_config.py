@@ -102,6 +102,23 @@ def test_cli_reports_bad_config_as_one_error_line(tmp_path, capsys):
     assert len(err) == 1 and err[0].startswith("error: ConfigurationError")
 
 
+@pytest.mark.parametrize("axis", ["x", "y"])
+def test_canvas_under_two_pixels_rejected(tmp_path, capsys, axis):
+    # A 1 px lattice fits, but the first image would fail inside np.gradient.
+    size, patch = {"x": ("image_width", "patch_width"),
+                   "y": ("image_height", "patch_height")}[axis]
+    one_px = {size: 1, patch: 1, f"probe_stride_{axis}": 1, f"gallery_stride_{axis}": 1}
+    with pytest.raises(ConfigurationError, match="2 px"):
+        RunConfig(**one_px)
+    from corrmatch.cli import main
+    path = tmp_path / "tiny.cfg"
+    path.write_text("".join(f"{key} = {value}\n" for key, value in one_px.items()))
+    code = main(["synth", "--out", str(tmp_path / "data"), "--identities", "4",
+                 "--config", str(path)])
+    err = capsys.readouterr().err.strip().splitlines()
+    assert code == 1 and len(err) == 1 and err[0].startswith("error: ConfigurationError")
+
+
 @st.composite
 def valid_configs(draw):
     """Any config the range checks accept, geometry included."""
@@ -110,9 +127,10 @@ def valid_configs(draw):
                               ("y", "image_height", "patch_height")):
         probe, gallery = draw(st.integers(1, 8)), draw(st.integers(1, 8))
         patch_len = draw(st.integers(1, 30))
+        steps = draw(st.integers(int(patch_len < 2), 4))  # canvases of at least 2 px
         geometry.update({patch: patch_len, f"probe_stride_{axis}": probe,
                          f"gallery_stride_{axis}": gallery,
-                         size: patch_len + draw(st.integers(0, 4)) * math.lcm(probe, gallery)})
+                         size: patch_len + steps * math.lcm(probe, gallery)})
     unit = st.floats(0.0, 1.0, exclude_min=True)
     positive = st.lists(st.integers(1, 500), min_size=1, max_size=6).map(tuple)
     return RunConfig(

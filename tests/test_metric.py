@@ -7,7 +7,8 @@ from corrmatch.errors import ConfigurationError, FormatError
 from corrmatch.geometry import GridSpec
 from corrmatch.metric import (MAX_EXPONENT, MetricModel, appearance_similarity,
                               batched_similarity, build_avg_similarity, build_training_pairs,
-                              correct_pair_log_similarity, load_metric, log_similarity, save_metric, train_metric)
+                              correct_pair_log_similarity, load_metric, log_similarity,
+                              save_metric, train_metric)
 
 import oracles
 from blobs import mutated, non_finite, truncated
@@ -19,26 +20,25 @@ def scalar_model(m, sigma):
                        global_matrix=np.array([[float(m)]]), global_sigma=float(sigma))
 
 
-def pairs_from_diffs(diffs):
-    """1-d diffs realized as (a, b) descriptor pairs with b = 0."""
-    a = np.asarray(diffs, dtype=np.float64)[:, None]
-    return a, np.zeros_like(a)
+def diff_column(diffs):
+    """1-d descriptor differences as an (n, 1) training array."""
+    return np.asarray(diffs, dtype=np.float64)[:, None]
 
 
 def test_scalar_kissme_hand_arithmetic():
     # Similar differences +/-1 (second moment exactly 1), dissimilar +/-2
     # (second moment exactly 4); ridge gamma = 1e-3 * trace / dim.
-    similar = [pairs_from_diffs([1.0, -1.0])]
-    dissimilar = [pairs_from_diffs([2.0, -2.0])]
+    similar = [diff_column([1.0, -1.0])]
+    dissimilar = [diff_column([2.0, -2.0])]
     model = train_metric(similar, dissimilar, sigma_scale=0.15)
     expected_m = 1.0 / (1.0 + 1e-3) - 1.0 / (4.0 + 4e-3)
     assert abs(float(model.matrices[0][0, 0]) - expected_m) <= 1e-12
     # sigma = bandwidth scale * mean of max(0, d^T M d) over similar diffs
-    assert abs(model.sigma_at(0) - 0.15 * expected_m) <= 1e-12
+    assert abs(float(model.sigmas[0]) - 0.15 * expected_m) <= 1e-12
 
 
 def test_identical_distributions_give_zero_matrix():
-    same = pairs_from_diffs([0.5, -0.5, 1.5, -1.5])
+    same = diff_column([0.5, -0.5, 1.5, -1.5])
     model = train_metric([same], [same], sigma_scale=0.15)
     assert abs(float(model.matrices[0][0, 0])) <= 1e-15
 
@@ -46,8 +46,8 @@ def test_identical_distributions_give_zero_matrix():
 def test_learned_matrix_is_symmetric():
     rng = np.random.default_rng(0)
     dim = 6
-    sim = (rng.random((40, dim)), rng.random((40, dim)))
-    dis = (rng.random((40, dim)), rng.random((40, dim)) * 3.0)
+    sim = rng.random((40, dim)) - rng.random((40, dim))
+    dis = rng.random((40, dim)) - rng.random((40, dim)) * 3.0
     model = train_metric([sim], [dis], sigma_scale=0.15)
     assert np.abs(model.matrices[0] - model.matrices[0].T).max() <= 1e-9
 
@@ -117,31 +117,31 @@ def test_log_similarity_matches_three_operand_reference():
                         global_matrix=mats[0], global_sigma=1.0)
     d = rng.standard_normal((5, 7, dim)) * 0.3
     for loc in range(n_loc):
-        got = log_similarity(model, loc, d)
-        expect = oracles.log_similarity(mats[loc], model.sigma_at(loc), d, MAX_EXPONENT)
+        got = log_similarity(model, [loc], d[None])[0]
+        expect = oracles.log_similarity(mats[loc], model.sigmas[loc], d, MAX_EXPONENT)
         assert got.shape == (5, 7)
         assert np.all(expect < 0.0)
         assert np.allclose(got, expect, rtol=1e-12, atol=0.0)
-    huge = log_similarity(model, 0, d * 1e4)                 # clamped exponents
+    huge = log_similarity(model, [0], d[None] * 1e4)         # clamped exponents
     assert np.all(huge == -MAX_EXPONENT)
 
 
 def test_fallback_when_location_underpopulated():
     rng = np.random.default_rng(4)
     dim = 3
-    rich_sim = (rng.random((20, dim)), rng.random((20, dim)))
-    rich_dis = (rng.random((20, dim)), rng.random((20, dim)) * 2)
-    poor = (rng.random((2, dim)), rng.random((2, dim)))  # < dim + 1
+    rich_sim = rng.random((20, dim)) - rng.random((20, dim))
+    rich_dis = rng.random((20, dim)) - rng.random((20, dim)) * 2
+    poor = rng.random((2, dim)) - rng.random((2, dim))  # < dim + 1
     model = train_metric([rich_sim, poor], [rich_dis, poor], sigma_scale=0.15)
     assert not model.fallback[0]
     assert model.fallback[1]
-    assert np.array_equal(model.matrix_at(1), model.global_matrix)
+    assert np.array_equal(model.matrices[1], model.global_matrix)
 
 
 def test_empty_training_set_rejected():
     with pytest.raises(ConfigurationError):
         train_metric([], [], sigma_scale=0.15)
-    empty = (np.empty((0, 3)), np.empty((0, 3)))
+    empty = np.empty((0, 3))
     with pytest.raises(ConfigurationError):
         train_metric([empty], [empty], sigma_scale=0.15)
 
@@ -181,19 +181,18 @@ def test_training_pair_builder_counts():
     gallery_grid = GridSpec(48, 128, 18, 24, 3, 4)
     rng = np.random.default_rng(5)
     n_imgs, dim = 3, 4
-    probes = [rng.random((84, dim)) for _ in range(n_imgs)]
-    galleries = [rng.random((297, dim)) for _ in range(n_imgs)]
-    wrong = [galleries[(k + 1) % n_imgs] for k in range(n_imgs)]
+    probes = np.stack([rng.random((84, dim)) for _ in range(n_imgs)])
+    galleries = np.stack([rng.random((297, dim)) for _ in range(n_imgs)])
+    wrong = np.roll(galleries, -1, axis=0)
     similar, dissimilar = build_training_pairs(probes, galleries, wrong,
                                                probe_grid, gallery_grid, t_d=32)
     assert len(similar) == 84
     for loc in range(84):
-        a, b = similar[loc]
-        assert len(a) == len(b)
-        assert len(a) <= n_imgs * 63    # at most 2 * t_d - 1 window patches
-        assert len(a) >= n_imgs * 32    # border rows keep at least t_d
-        da, db = dissimilar[loc]
-        assert len(da) == len(a)        # matched counts
+        d = similar[loc]
+        assert d.shape[1] == dim
+        assert len(d) <= n_imgs * 63    # at most 2 * t_d - 1 window patches
+        assert len(d) >= n_imgs * 32    # border rows keep at least t_d
+        assert dissimilar[loc].shape == d.shape  # matched counts
 
 
 def test_metric_serialization_round_trip(tmp_path):
