@@ -22,7 +22,7 @@ from .geometry import colocated_table
 from .imaging import RgbImage, extract_descriptors, load_image, save_image, scale_to_canonical
 from .learning import (CmcCurve, LearnResult, cmc_curve, find_binary_structures,
                        learn_structure)
-from .matching import (BinaryMappingStructure, binary_structure_score_matrix,
+from .matching import (BinaryMappingStructure, CellTable, binary_structure_score_matrix,
                        gated_correlations, greedy_scores, rank_of_scores)
 from .metric import (MetricModel, build_training_pairs, correct_pair_log_similarity,
                      train_metric)
@@ -358,29 +358,29 @@ def train_on_split(bank: DescriptorBank, train_ids, config: RunConfig,
     return SplitArtifacts(metric=metric, learned=learned, binaries=binaries)
 
 
-def _test_ranks(bank: DescriptorBank, test_ids, artifacts: SplitArtifacts,
-                arm: str, config: RunConfig) -> tuple[np.ndarray, int]:
-    """Correct-match ranks per probe and the gallery pool size.
+def _test_table(bank: DescriptorBank, test_ids, metric: MetricModel,
+               config: RunConfig) -> tuple[CellTable, np.ndarray]:
+    """The split's test cell table and the owner of each of its galleries.
 
     With use_first_image the gallery holds one image per identity;
-    otherwise every camera-B image of the test identities competes and the
-    best-ranked image of the correct identity counts.
+    otherwise every camera-B image of the test identities competes.
     """
-    probe_stack, _ = bank.stacks(test_ids)
-    n = len(test_ids)
-    if config.use_first_image:
-        gallery_stack = bank.stacks(test_ids)[1]
-        owners = np.arange(n)
-    else:
+    probe_stack, gallery_stack = bank.stacks(test_ids)
+    owners = np.arange(len(test_ids))
+    if not config.use_first_image:
         gallery_stack, owners = bank.gallery_pool(test_ids)
-    metric = artifacts.metric
+    return CellTable(probe_stack, gallery_stack, metric), owners
 
+
+def _test_ranks(table: CellTable, owners: np.ndarray, artifacts: SplitArtifacts,
+                arm: str, config: RunConfig) -> np.ndarray:
+    """Correct-match rank of each test probe under one arm; when an identity
+    owns several galleries its best-ranked one counts."""
+    correct = np.arange(table.n_probe)
     if arm == "no-structure":
-        scores = binary_structure_score_matrix(probe_stack, gallery_stack,
-                                               colocated_links(config), metric,
-                                               config.gallery_grid().n_patches,
-                                               config.kappa)
-        return rank_of_scores(scores, np.arange(n), owners), len(gallery_stack)
+        scores = binary_structure_score_matrix(table.probe_images, table.gallery_images,
+                                               colocated_links(config), table, config.kappa)
+        return rank_of_scores(scores, correct, owners)
 
     if arm == "simple-average":
         structure = simple_average_structure(artifacts.binary_structures(), config)
@@ -391,21 +391,20 @@ def _test_ranks(bank: DescriptorBank, test_ids, artifacts: SplitArtifacts,
     else:
         raise ValueError(f"unknown ablation arm {arm!r}")
 
-    gate, values = gated_correlations(probe_stack, gallery_stack, structure, metric,
-                                      config.t_c)
+    gate, values = gated_correlations(table, structure, config.t_c)
     if arm == "no-global":
         totals = greedy_scores(gate, values, config.kappa)
     else:
         totals = score_gate(gate, values, config.kappa).totals
-    scores = totals.reshape(n, len(gallery_stack))
-    return rank_of_scores(scores, np.arange(n), owners), len(gallery_stack)
+    return rank_of_scores(totals.reshape(table.n_probe, table.n_gallery), correct, owners)
 
 
 def run_ablations(manifest: DatasetManifest, splits: SplitPlan, arms, config: RunConfig):
     """Per-arm averaged and per-split CMC curves over the split plan.
 
     Returns {arm: (averaged CmcCurve, [per-split CmcCurve])}.  All arms of a
-    split share the same descriptors, metric, and trained structure.
+    split share the same descriptors, metric, trained structure and test
+    cell table.
     """
     for arm in arms:
         if arm not in ARMS:
@@ -416,9 +415,10 @@ def run_ablations(manifest: DatasetManifest, splits: SplitPlan, arms, config: Ru
     per_arm: dict[str, list[CmcCurve]] = {arm: [] for arm in arms}
     for train_ids, test_ids in splits.splits:
         artifacts = train_on_split(bank, train_ids, config, need_structure, need_binaries)
+        table, owners = _test_table(bank, test_ids, artifacts.metric, config)
         for arm in arms:
-            ranks, pool_size = _test_ranks(bank, test_ids, artifacts, arm, config)
-            per_arm[arm].append(cmc_curve(ranks, pool_size))
+            ranks = _test_ranks(table, owners, artifacts, arm, config)
+            per_arm[arm].append(cmc_curve(ranks, table.n_gallery))
     out = {}
     for arm in arms:
         curves = per_arm[arm]

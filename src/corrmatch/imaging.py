@@ -234,15 +234,16 @@ def extract_descriptors(img: RgbImage, grid: GridSpec, color_bins: int,
         weights += [w_lo, w_hi]
     bins += [n_color + g_lo, n_color + g_hi]
     weights += [g_wlo * grad_mag, g_whi * grad_mag]
-    # bincount adds in input order: a pixel whose low and high bins coincide
-    # (a single bin) sums 0 + low weight + high weight.
-    flat = (np.stack(bins) * (h * w) + np.arange(h * w).reshape(h, w)).ravel()
+    # Planes last.  bincount adds in input order: a pixel whose low and high
+    # bins coincide (a single bin) sums 0 + low weight + high weight.
+    flat = (np.arange(h * w).reshape(h, w) * n_planes + np.stack(bins)).ravel()
     planes = np.bincount(flat, weights=np.stack(weights).ravel(),
-                         minlength=n_planes * h * w).reshape(n_planes, h, w)
+                         minlength=h * w * n_planes).reshape(h, w, n_planes)
 
-    # Summed-area tables with a zero top row / left column, planes last.
+    # Summed-area tables with a zero top row / left column: rows, then columns.
     sat = np.zeros((h + 1, w + 1, n_planes), dtype=np.float64)
-    sat[1:, 1:] = np.cumsum(np.cumsum(planes, axis=1), axis=2).transpose(1, 2, 0)
+    np.cumsum(planes, axis=0, out=sat[1:, 1:])
+    np.cumsum(sat[1:, 1:], axis=1, out=sat[1:, 1:])
 
     rows, cols = patch_cells(grid)
     x0, y0 = cols * grid.stride_x, rows * grid.stride_y

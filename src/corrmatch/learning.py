@@ -17,8 +17,8 @@ import numpy as np
 from .assignment import GateScores, score_gate
 from .config import RunConfig
 from .errors import ConfigurationError
-from .matching import (BinaryMappingStructure, adjacency_candidates, best_binary_structure,
-                       binary_structure_score_matrix, cell_log_similarity,
+from .matching import (BinaryMappingStructure, CellTable, adjacency_candidates,
+                       best_binary_structure, binary_structure_score_matrix,
                        gated_correlations, rank_of_scores)
 from .metric import MetricModel, build_avg_similarity, correct_pair_log_similarity
 from .structure import CorrespondenceStructure, blend_update, init_structure
@@ -67,6 +67,7 @@ class IterationStats:
     gate_cells: int        # cells of the ranking gate
     gated_rows: int        # probe patches holding a gate cell
     clamped: int           # 1 when a half had fewer candidates than its draws
+    new_cells: int         # cells the split's cell table computed this iteration
 
 
 @dataclass
@@ -147,15 +148,16 @@ def find_binary_structures(probe_stack: np.ndarray, gallery_stack: np.ndarray,
     """Best adjacency-search link set per training probe (loop step 1).
 
     ``pair_log_similarity`` is the ``correct_pair_log_similarity`` table of
-    the two stacks.
+    the two stacks.  Each probe's candidates share one single-probe cell
+    table.
     """
     probe_grid, gallery_grid = config.probe_grid(), config.gallery_grid()
     out = []
     for alpha in range(probe_stack.shape[0]):
         candidates = adjacency_candidates(pair_log_similarity[alpha], probe_grid,
                                           gallery_grid, config.adjacency_ranges)
-        out.append(best_binary_structure(probe_stack[alpha], gallery_stack, alpha,
-                                         candidates, model, config.kappa))
+        table = CellTable(probe_stack[alpha:alpha + 1], gallery_stack, model)
+        out.append(best_binary_structure(table, alpha, candidates, config.kappa))
     return out
 
 
@@ -163,13 +165,10 @@ class _TrainingContext:
     """Per-split caches shared across boosting iterations."""
 
     def __init__(self, probe_stack, gallery_stack, model, config: RunConfig):
-        self.probe_stack = probe_stack
-        self.gallery_stack = gallery_stack
-        self.model = model
+        self.table = CellTable(probe_stack, gallery_stack, model)
         self.config = config
         self.n_train = probe_stack.shape[0]
         self.n_a = config.probe_grid().n_patches
-        self.n_b = config.gallery_grid().n_patches
         self.pair_log_similarity = correct_pair_log_similarity(probe_stack, gallery_stack,
                                                                model)
         self.avg_table = build_avg_similarity(self.pair_log_similarity)
@@ -181,9 +180,10 @@ class _TrainingContext:
     def structure_cmc(self, alpha: int) -> float:
         """Rank-n CMC over the training set with structure alpha as the model."""
         if alpha not in self._structure_cmc:
-            scores = binary_structure_score_matrix(self.probe_stack, self.gallery_stack,
+            scores = binary_structure_score_matrix(self.table.probe_images,
+                                                   self.table.gallery_images,
                                                    self.binary_structures[alpha],
-                                                   self.model, self.n_b, self.config.kappa)
+                                                   self.table, self.config.kappa)
             curve = cmc_curve(rank_of_scores(scores, np.arange(self.n_train)), self.n_train)
             self._structure_cmc[alpha] = curve.at_rank(self.config.n_cmc)
         return self._structure_cmc[alpha]
@@ -193,8 +193,7 @@ class _TrainingContext:
         new = [link for link in links if link not in self._link_cmc]
         if new:
             s, t = np.array(new).T
-            scores = cell_log_similarity(self.probe_stack, self.gallery_stack, self.model,
-                                         s, t).reshape(-1, self.n_train)
+            scores = self.table.values(s, t).reshape(-1, self.n_train)
             ranks = rank_of_scores(scores, np.tile(np.arange(self.n_train), len(new)))
             hits = np.count_nonzero(ranks.reshape(len(new), -1) <= self.config.n_cmc, axis=1)
             self._link_cmc.update(zip(new, (hits / self.n_train).tolist()))
@@ -215,8 +214,7 @@ class _TrainingContext:
                              ) -> tuple[np.ndarray, GateScores]:
         """1-based rank of each probe's correct match under the structure,
         with the scores of all n_train^2 pairs (pair index p * n_train + g)."""
-        gate, values = gated_correlations(self.probe_stack, self.gallery_stack, structure,
-                                          self.model, self.config.t_c)
+        gate, values = gated_correlations(self.table, structure, self.config.t_c)
         scored = score_gate(gate, values, self.config.kappa)
         scores = scored.totals.reshape(self.n_train, self.n_train)
         return rank_of_scores(scores, np.arange(self.n_train)), scored
@@ -246,6 +244,7 @@ def learn_structure(probe_stack: np.ndarray, gallery_stack: np.ndarray,
     converged = False
 
     for iteration in range(1, config.max_iterations + 1):
+        computed = ctx.table.computed
         ranks, scored = ctx.rank_correct_matches(structure)
         cutoff = float(np.quantile(ranks, config.top_fraction))
         top = np.flatnonzero(ranks <= cutoff)  # cutoff ties count as well-ranked
@@ -280,6 +279,7 @@ def learn_structure(probe_stack: np.ndarray, gallery_stack: np.ndarray,
             gate_cells=scored.cells,
             gated_rows=scored.gated_rows,
             clamped=int(len(top) < half or len(bottom) < half),
+            new_cells=ctx.table.computed - computed,
         ))
         structure = new_structure
         if delta < config.tolerance:

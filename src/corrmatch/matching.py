@@ -6,7 +6,8 @@ log similarity + log probability, gated so low-probability cells are
 excluded outright.  A global one-to-one assignment over the correlation
 matrix yields the image matching score used for ranking; binary mapping
 structures (hard 0/1 link sets) reuse the same machinery as a gate over
-their links with log weight -log(degree).
+their links with log weight -log(degree).  Every path reads its log
+similarities from a ``CellTable``, which computes each cell once.
 """
 from __future__ import annotations
 
@@ -58,20 +59,61 @@ def cell_log_similarity(probe_stack: np.ndarray, gallery_stack: np.ndarray,
     return out
 
 
-def _cell_values(probe_stack: np.ndarray, gallery_stack: np.ndarray, model: MetricModel,
-                 gate: np.ndarray, log_weight: np.ndarray) -> np.ndarray:
-    """log similarity + log weight of every gated cell for all image pairs.
+class CellTable:
+    """Memoized log similarities of (probe patch, gallery patch) cells.
+
+    Holds a probe stack (n_probe_images, N_A, dim), a gallery stack
+    (n_gallery_images, N_B, dim) and their metric.  ``values`` computes a
+    cell through ``cell_log_similarity`` the first time it is asked for and
+    reads it back after.  A cell's values do not depend on the cells it is
+    computed with, so a read equals a fresh computation bit for bit.  The
+    table holds at most N_A * N_B cells of n_probe_images * n_gallery_images
+    doubles each.
+    """
+
+    def __init__(self, probe_stack: np.ndarray, gallery_stack: np.ndarray,
+                 model: MetricModel):
+        self.probe_stack, self.gallery_stack, self.model = probe_stack, gallery_stack, model
+        self.n_probe, self.n_a = probe_stack.shape[:2]
+        self.n_gallery, self.n_b = gallery_stack.shape[:2]
+        self.probe_images = np.arange(self.n_probe)
+        self.gallery_images = np.arange(self.n_gallery)
+        self.computed = 0  # cells computed so far; rows 0:computed of _values hold them
+        self._slot = np.full(self.n_a * self.n_b, -1, dtype=np.int64)
+        self._values = np.empty((0, self.n_probe * self.n_gallery))
+
+    def values(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """log similarity of probe patch rows[c] against gallery patch
+        cols[c], shape (n_cells, n_probe_images * n_gallery_images); pair
+        p * n_gallery_images + g is probe p against gallery g."""
+        keys = np.ravel_multi_index((rows, cols), (self.n_a, self.n_b))
+        new = np.unique(keys[self._slot[keys] < 0])
+        if new.size:
+            end = self.computed + new.size
+            if end > len(self._values):
+                grown = np.empty((max(end, 2 * len(self._values)), self._values.shape[1]))
+                grown[:self.computed] = self._values[:self.computed]
+                self._values = grown
+            fresh = cell_log_similarity(self.probe_stack, self.gallery_stack, self.model,
+                                        *np.unravel_index(new, (self.n_a, self.n_b)))
+            self._values[self.computed:end] = fresh.reshape(new.size, -1)
+            self._slot[new] = np.arange(self.computed, end)
+            self.computed = end
+        return self._values[self._slot[keys]]
+
+
+def _cell_values(table: CellTable, gate: np.ndarray, log_weight: np.ndarray) -> np.ndarray:
+    """log similarity + log weight of every gated cell for all of the
+    table's image pairs.
 
     Returns (n_cells, n_probe_images * n_gallery_images), one row per cell in
     ``np.nonzero(gate)`` order; pair p * n_gallery_images + g is probe p
     against gallery g.
     """
-    if probe_stack.shape[1] != gate.shape[0] or gallery_stack.shape[1] != gate.shape[1]:
+    if gate.shape != (table.n_a, table.n_b):
         raise ValueError("descriptor counts do not match the structure grids")
     rows, cols = np.nonzero(gate)
-    log_sim = cell_log_similarity(probe_stack, gallery_stack, model, rows, cols)
-    return (log_sim.reshape(len(rows), len(probe_stack) * len(gallery_stack))
-            + log_weight[rows, cols][:, None])
+    return table.values(rows, cols) + log_weight[rows, cols][:, None]
 
 
 def _one_pair(gate: np.ndarray, cells: np.ndarray) -> np.ndarray:
@@ -81,27 +123,25 @@ def _one_pair(gate: np.ndarray, cells: np.ndarray) -> np.ndarray:
     return values
 
 
-def gated_correlations(probe_stack: np.ndarray, gallery_stack: np.ndarray,
-                       structure: CorrespondenceStructure, model: MetricModel,
+def gated_correlations(table: CellTable, structure: CorrespondenceStructure,
                        t_c: float) -> tuple[np.ndarray, np.ndarray]:
-    """Gated correlations of every probe image against every gallery image.
+    """Gated correlations of every probe image of the table against every
+    gallery image.
 
-    ``probe_stack`` is (n_probe_images, N_A, dim) and ``gallery_stack``
-    (n_gallery_images, N_B, dim).  Returns the gate ``probs > t_c`` and the
-    cell values log similarity + log probability, laid out as
-    ``_cell_values`` describes.
+    Returns the gate ``probs > t_c`` and the cell values log similarity +
+    log probability, laid out as ``_cell_values`` describes.
     """
     gate = structure.probs > t_c
     log_p = np.log(structure.probs, out=np.zeros_like(structure.probs), where=gate)
-    return gate, _cell_values(probe_stack, gallery_stack, model, gate, log_p)
+    return gate, _cell_values(table, gate, log_p)
 
 
 def correlation_matrix(probe_desc: np.ndarray, gallery_desc: np.ndarray,
                        structure: CorrespondenceStructure, model: MetricModel,
                        t_c: float) -> np.ndarray:
     """Structure-gated correlations: log similarity + log probability, else -inf."""
-    return _one_pair(*gated_correlations(probe_desc[None], gallery_desc[None],
-                                         structure, model, t_c))
+    table = CellTable(probe_desc[None], gallery_desc[None], model)
+    return _one_pair(*gated_correlations(table, structure, t_c))
 
 
 def _binary_gate(binary: BinaryMappingStructure, n_probe: int,
@@ -119,8 +159,8 @@ def binary_correlation(probe_desc: np.ndarray, gallery_desc: np.ndarray,
     """Correlations under a 0/1 structure: log similarity - log degree on
     the links, else -inf."""
     gate, log_weight = _binary_gate(binary, n_probe, n_gallery)
-    return _one_pair(gate, _cell_values(probe_desc[None], gallery_desc[None], model,
-                                        gate, log_weight))
+    table = CellTable(probe_desc[None], gallery_desc[None], model)
+    return _one_pair(gate, _cell_values(table, gate, log_weight))
 
 
 def greedy_scores(gate: np.ndarray, values: np.ndarray,
@@ -160,8 +200,8 @@ def rank_gallery(probe_desc: np.ndarray, gallery_descs, structure: Correspondenc
     """
     if not len(gallery_descs):
         raise ValueError("gallery set must be non-empty")
-    gate, values = gated_correlations(probe_desc[None], np.stack(gallery_descs),
-                                      structure, model, t_c)
+    table = CellTable(probe_desc[None], np.stack(gallery_descs), model)
+    gate, values = gated_correlations(table, structure, t_c)
     scores = score_gate(gate, values, kappa).totals.tolist()
     order = sorted(range(len(scores)), key=lambda idx: (-scores[idx], idx))
     ranked = [(idx, scores[idx]) for idx in order]
@@ -219,32 +259,35 @@ def adjacency_candidates(log_sims: np.ndarray, probe_grid: GridSpec,
     return candidates
 
 
-def binary_structure_score_matrix(probe_stack: np.ndarray, gallery_stack: np.ndarray,
-                                  binary: BinaryMappingStructure, model: MetricModel,
-                                  n_gallery_patches: int, kappa: float) -> np.ndarray:
-    """Matching scores of every probe image against every gallery image.
+def binary_structure_score_matrix(probes: np.ndarray, galleries: np.ndarray,
+                                  binary: BinaryMappingStructure, table: CellTable,
+                                  kappa: float) -> np.ndarray:
+    """Matching scores of the table's probe images ``probes`` against its
+    gallery images ``galleries`` (index arrays), shape (len(probes),
+    len(galleries)).
 
-    ``probe_stack`` is (n_probe_images, N_A, dim), ``gallery_stack``
-    (n_gallery_images, N_B, dim); the result is (n_probe_images,
-    n_gallery_images).  The link set is scored as a gate with log weight
-    -log(degree), through the same batched assignment as a learned structure.
+    The link set is scored as a gate with log weight -log(degree), through
+    the same batched assignment as a learned structure.
     """
-    gate, log_weight = _binary_gate(binary, probe_stack.shape[1], n_gallery_patches)
-    values = _cell_values(probe_stack, gallery_stack, model, gate, log_weight)
-    return score_gate(gate, values, kappa).totals.reshape(len(probe_stack),
-                                                          len(gallery_stack))
+    gate, log_weight = _binary_gate(binary, table.n_a, table.n_b)
+    pairs = (np.asarray(probes)[:, None] * table.n_gallery + np.asarray(galleries)).ravel()
+    values = _cell_values(table, gate, log_weight)[:, pairs]
+    return score_gate(gate, values, kappa).totals.reshape(len(probes), len(galleries))
 
 
-def best_binary_structure(probe_desc: np.ndarray, gallery_stack: np.ndarray,
-                          correct_index: int, candidates, model: MetricModel,
+def best_binary_structure(table: CellTable, correct_index: int, candidates,
                           kappa: float) -> BinaryMappingStructure:
-    """Candidate whose ranking places the correct gallery best; ties keep order."""
+    """Candidate whose ranking of the table's one probe image places the
+    correct gallery best; ties keep order.  The candidates share the
+    table, so a cell they have in common is computed once."""
     if not candidates:
         raise ValueError("candidates must be non-empty")
+    if table.n_probe != 1:
+        raise ValueError(f"expected a table of one probe image, got {table.n_probe}")
     best_rank, best = None, None
     for cand in candidates:
-        scores = binary_structure_score_matrix(probe_desc[None], gallery_stack, cand, model,
-                                               gallery_stack.shape[1], kappa)
+        scores = binary_structure_score_matrix(table.probe_images, table.gallery_images,
+                                               cand, table, kappa)
         rank = rank_of_scores(scores, [correct_index])[0]
         if best_rank is None or rank < best_rank:
             best_rank, best = rank, cand

@@ -281,7 +281,10 @@ def load_metric(path) -> MetricModel:
     offset += sizes[2]
     (global_sigma,) = struct.unpack_from("<d", blob, offset)
     offset += 8
-    fallback = np.frombuffer(blob, dtype=np.uint8, count=n_loc, offset=offset).astype(bool)
+    flags = np.frombuffer(blob, dtype=np.uint8, count=n_loc, offset=offset)
+    if np.any(flags > 1):
+        raise FormatError(f"fallback flag bytes must be 0 or 1, got {int(flags.max())}")
+    fallback = flags.astype(bool)
     with as_format_error():
         return MetricModel(matrices=matrices, sigmas=sigmas, global_matrix=global_matrix,
                            global_sigma=global_sigma, fallback=fallback)

@@ -7,6 +7,7 @@ links; ``oracles`` keeps those loops, and every comparison here is
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -67,7 +68,8 @@ def test_cell_values_match_per_row_oracle(seed, n_probe, n_gallery, n_a, n_b, di
     gate = rng.random((n_a, n_b)) < 0.4  # rows without cells included
     log_weight = np.where(gate, np.log(rng.random((n_a, n_b)) + 0.01), 0.0)
     with mock.patch.object(matching, "_CHUNK_VALUES", budget):
-        got = matching._cell_values(probe, gallery, model, gate, log_weight)
+        got = matching._cell_values(matching.CellTable(probe, gallery, model), gate,
+                                    log_weight)
         rows, cols = np.nonzero(gate)
         links = matching.cell_log_similarity(probe, gallery, model, rows, cols)
     assert np.array_equal(got, oracles.cell_values(probe, gallery, model, gate, log_weight))
@@ -75,6 +77,86 @@ def test_cell_values_match_per_row_oracle(seed, n_probe, n_gallery, n_a, n_b, di
         alone = log_similarity(model, [i],
                                (probe[:, i, None, :] - gallery[None, :, j, :])[None])[0]
         assert np.array_equal(links[c], alone)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_probe=st.integers(1, 3), n_gallery=st.integers(1, 4),
+       n_a=st.integers(1, 6), n_b=st.integers(1, 7), dim=st.integers(1, 9),
+       budget=st.sampled_from([1, 7, matching._CHUNK_VALUES]),
+       sizes=st.lists(st.integers(0, 12), min_size=1, max_size=5))
+def test_cell_table_reads_equal_fresh_values(seed, n_probe, n_gallery, n_a, n_b, dim, budget,
+                                             sizes):
+    rng = np.random.default_rng(seed)
+    model = random_model(rng, n_a, dim)
+    probe = rng.standard_normal((n_probe, n_a, dim))
+    gallery = rng.standard_normal((n_gallery, n_b, dim))
+    gallery[:, 0] = probe[0, 0]  # identical descriptors: log similarity -0.0
+    # Every cell, one kernel call per probe row; adding -0.0 keeps every bit.
+    every = oracles.cell_values(probe, gallery, model, np.ones((n_a, n_b), dtype=bool),
+                                np.full((n_a, n_b), -0.0))
+    with mock.patch.object(matching, "_CHUNK_VALUES", budget):
+        table = matching.CellTable(probe, gallery, model)
+        singles = [matching.CellTable(probe[p:p + 1], gallery, model) for p in range(n_probe)]
+        for size in sizes:  # small grids: requests repeat cells and overlap earlier ones
+            rows, cols = rng.integers(0, n_a, size), rng.integers(0, n_b, size)
+            got = table.values(rows, cols)
+            assert np.array_equal(got, every[rows * n_b + cols])
+            assert np.array_equal(got, matching.cell_log_similarity(
+                probe, gallery, model, rows, cols).reshape(size, n_probe * n_gallery))
+            by_probe = got.reshape(size, n_probe, n_gallery)
+            for p, single in enumerate(singles):
+                assert np.array_equal(single.values(rows, cols), by_probe[:, p])
+
+
+def test_cell_table_computes_each_distinct_cell_once():
+    rng = np.random.default_rng(11)
+    n_a, n_b = 5, 6
+    model = random_model(rng, n_a, 4)
+    table = matching.CellTable(rng.standard_normal((3, n_a, 4)),
+                               rng.standard_normal((2, n_b, 4)), model)
+    computed = []
+
+    def counting(probe, gallery, model, rows, cols):
+        computed.extend(zip(rows.tolist(), cols.tolist()))
+        return kernel(probe, gallery, model, rows, cols)
+
+    kernel = matching.cell_log_similarity
+    requested = set()
+    with mock.patch.object(matching, "cell_log_similarity", counting):
+        for size in (4, 9, 0, 30, 30, 12):
+            rows, cols = rng.integers(0, n_a, size), rng.integers(0, n_b, size)
+            table.values(rows, cols)
+            requested.update(zip(rows.tolist(), cols.tolist()))
+            assert len(computed) == len(set(computed)) == table.computed
+            assert set(computed) == requested
+
+
+@pytest.mark.parametrize("use_first_image", [True, False])
+def test_ablations_stack_a_splits_test_descriptors_once(tmp_path, use_first_image):
+    from corrmatch.config import RunConfig
+    from corrmatch.harness import (ARMS, DescriptorBank, generate_synthetic, make_splits,
+                                   run_ablations)
+    config = RunConfig(seed=2, max_iterations=2, selection_count=4, repeats=1,
+                       use_first_image=use_first_image)
+    manifest, _ = generate_synthetic(str(tmp_path), 8, 2, 0.05, 7, config)
+    splits = make_splits(manifest, seed=2, repeats=1)
+    calls = []
+    stacks, pool = DescriptorBank.stacks, DescriptorBank.gallery_pool
+
+    def counted(method):
+        def call(bank, identities):
+            calls.append((method.__name__, tuple(identities)))
+            return method(bank, identities)
+        return call
+
+    with mock.patch.object(DescriptorBank, "stacks", counted(stacks)), \
+            mock.patch.object(DescriptorBank, "gallery_pool", counted(pool)):
+        run_ablations(manifest, splits, list(ARMS), config)
+    train_ids, test_ids = (tuple(ids) for ids in splits.splits[0])
+    expect = [("stacks", train_ids), ("stacks", test_ids)]
+    if not use_first_image:
+        expect.append(("gallery_pool", test_ids))
+    assert calls == expect
 
 
 @settings(max_examples=100, deadline=None)

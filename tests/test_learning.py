@@ -260,7 +260,7 @@ def test_rank_correct_matches_equals_per_pair_reference():
 def test_training_and_evaluation_score_a_pair_bit_for_bit_alike():
     from corrmatch.assignment import score_gate
     from corrmatch.learning import _TrainingContext, learn_structure
-    from corrmatch.matching import gated_correlations, rank_gallery
+    from corrmatch.matching import CellTable, gated_correlations, rank_gallery
     from corrmatch.metric import MetricModel
     from corrmatch.structure import init_structure
     probe, gallery, _, pg, gg = _tiny_training_world(seed=3, dim=32)
@@ -277,7 +277,8 @@ def test_training_and_evaluation_score_a_pair_bit_for_bit_alike():
     n = ctx.n_train
     for structure in (init_structure(pg, gg, config.t_d), learned.structure):
         _, trained = ctx.rank_correct_matches(structure)
-        gate, values = gated_correlations(probe, gallery, structure, model, config.t_c)
+        gate, values = gated_correlations(CellTable(probe, gallery, model), structure,
+                                          config.t_c)
         evaluated = score_gate(gate, values, config.kappa).totals
         assert np.array_equal(trained.totals, evaluated)
         for p in range(n):  # the serving path scores one probe at a time
@@ -311,3 +312,4 @@ def test_diagnostics_record_gate_size_and_clamped_selection():
     gate = init_structure(pg, gg, config.t_d).probs > config.t_c
     assert (first.gate_cells, first.gated_rows) == (gate.sum(), gate.any(axis=1).sum())
     assert first.clamped == 1
+    assert first.new_cells >= gate.sum()  # the first ranking computes every gate cell

@@ -3,7 +3,7 @@ import pytest
 
 from corrmatch.assignment import solve_assignment
 from corrmatch.geometry import GridSpec, colocated_patch, patch_at
-from corrmatch.matching import (BinaryMappingStructure, adjacency_candidates,
+from corrmatch.matching import (BinaryMappingStructure, CellTable, adjacency_candidates,
                                 best_binary_structure, binary_correlation,
                                 binary_structure_score_matrix, correlation_matrix,
                                 gated_correlations, greedy_scores, match_score,
@@ -149,7 +149,8 @@ def test_greedy_score_matches_row_maxima():
     model = flat_model(1, 1)
     probe, gallery = np.array([[0.3]]), np.array([[0.3], [0.9]])
     corr = correlation_matrix(probe, gallery, structure, model, t_c=0.05)
-    gate, values = gated_correlations(probe[None], gallery[None], structure, model, t_c=0.05)
+    gate, values = gated_correlations(CellTable(probe[None], gallery[None], model), structure,
+                                      t_c=0.05)
     (total,) = greedy_scores(gate, values, kappa=-50.0)
     assert total == pytest.approx(float(corr[0].max()), abs=1e-15)
 
@@ -224,8 +225,9 @@ def test_binary_score_matrix_matches_generic_path():
     gallery_stack = rng.random((4, n_gal, dim))
     links = tuple((i, int(rng.integers(0, n_gal))) for i in range(n_probe))
     binary = BinaryMappingStructure(links=links)
-    fast = binary_structure_score_matrix(probe_stack, gallery_stack, binary, model, n_gal,
-                                         kappa=-50.0)
+    table = CellTable(probe_stack, gallery_stack, model)
+    fast = binary_structure_score_matrix(table.probe_images, table.gallery_images, binary,
+                                         table, kappa=-50.0)
     for p in range(3):
         for g in range(4):
             corr = binary_correlation(probe_stack[p], gallery_stack[g], binary,
@@ -241,8 +243,9 @@ def test_binary_score_matrix_with_conflicts_matches_generic_path():
     gallery_stack = rng.random((3, n_gal, dim))
     # heavy column contention plus an unlinked probe patch
     binary = BinaryMappingStructure(links=((0, 1), (1, 1), (2, 1), (3, 0)))
-    fast = binary_structure_score_matrix(probe_stack, gallery_stack, binary, model, n_gal,
-                                         kappa=-50.0)
+    table = CellTable(probe_stack, gallery_stack, model)
+    fast = binary_structure_score_matrix(table.probe_images, table.gallery_images, binary,
+                                         table, kappa=-50.0)
     for p in range(2):
         for g in range(3):
             corr = binary_correlation(probe_stack[p], gallery_stack[g], binary,
@@ -257,13 +260,27 @@ def test_binary_score_multi_link_row_falls_back_to_solver():
     probe_stack = rng.random((2, n_probe, dim))
     gallery_stack = rng.random((2, n_gal, dim))
     binary = BinaryMappingStructure(links=((0, 0), (0, 2), (1, 1), (2, 1)))
-    scores = binary_structure_score_matrix(probe_stack, gallery_stack, binary, model, n_gal,
-                                           kappa=-50.0)
+    table = CellTable(probe_stack, gallery_stack, model)
+    scores = binary_structure_score_matrix(table.probe_images, table.gallery_images, binary,
+                                           table, kappa=-50.0)
     for p in range(2):
         for g in range(2):
             corr = binary_correlation(probe_stack[p], gallery_stack[g], binary,
                                       model, n_probe, n_gal)
             assert scores[p, g] == solve_assignment(corr, kappa=-50.0).score
+
+
+def test_binary_score_matrix_scores_the_requested_images():
+    rng = np.random.default_rng(9)
+    n_probe, n_gal, dim = 4, 5, 3
+    model = flat_model(dim, n_probe)
+    table = CellTable(rng.random((3, n_probe, dim)), rng.random((4, n_gal, dim)), model)
+    binary = BinaryMappingStructure(links=((0, 1), (1, 1), (2, 3), (3, 0), (3, 4)))
+    full = binary_structure_score_matrix(table.probe_images, table.gallery_images, binary,
+                                         table, kappa=-50.0)
+    block = binary_structure_score_matrix(np.array([2, 0]), np.array([3, 1, 1]), binary,
+                                          table, kappa=-50.0)
+    assert np.array_equal(block, full[np.ix_([2, 0], [3, 1, 1])])
 
 
 def test_best_binary_structure_prefers_lower_rank():
@@ -277,7 +294,8 @@ def test_best_binary_structure_prefers_lower_rank():
     # gallery image holds an exact copy of probe patch 0: correct can't rank 1
     galleries[0, 5] = probe[0]
     bad = BinaryMappingStructure(links=tuple((i, n_gal - 1) for i in range(n_probe)))
-    chosen = best_binary_structure(probe, galleries, 2, [bad, good], model, kappa=-50.0)
+    chosen = best_binary_structure(CellTable(probe[None], galleries, model), 2, [bad, good],
+                                   kappa=-50.0)
     assert chosen == good
 
 
@@ -287,7 +305,8 @@ def test_best_binary_structure_single_candidate():
     galleries = rng.random((3, 4, 2))
     probe = rng.random((3, 2))
     only = BinaryMappingStructure(links=((0, 0), (1, 1), (2, 2)))
-    assert best_binary_structure(probe, galleries, 0, [only], model, kappa=-50.0) == only
+    table = CellTable(probe[None], galleries, model)
+    assert best_binary_structure(table, 0, [only], kappa=-50.0) == only
 
 
 def test_duplicate_links_rejected():

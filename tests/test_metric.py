@@ -255,6 +255,18 @@ def test_metric_load_rejects_asymmetry_at_the_float_limit(tmp_path):
         load_metric(path)
 
 
+@pytest.mark.parametrize("flag", [0x02, 0x7F])
+def test_metric_load_rejects_fallback_byte_other_than_0_or_1(tmp_path, flag):
+    # Read as a bool, such a byte would swap the location's metric for the
+    # global one without a word.
+    path, _, _ = _metric_blob(tmp_path)
+    blob = bytearray(path.read_bytes())
+    blob[-1] = flag  # the last location's fallback flag
+    path.write_bytes(bytes(blob))
+    with pytest.raises(FormatError, match="fallback flag"):
+        load_metric(path)
+
+
 def test_metric_load_rejects_short_header(tmp_path):
     path, _, _ = _metric_blob(tmp_path)
     path.write_bytes(path.read_bytes()[:20])
