@@ -309,20 +309,16 @@ def train_split_metric(probe_stack: np.ndarray, gallery_stack: np.ndarray,
 
 def colocated_links(config: RunConfig) -> BinaryMappingStructure:
     colocated, _ = colocated_table(config.probe_grid(), config.gallery_grid())
-    return BinaryMappingStructure(links=tuple(enumerate(colocated.tolist())))
+    return BinaryMappingStructure(targets=tuple(colocated.tolist()))
 
 
 def simple_average_structure(binaries, config: RunConfig) -> CorrespondenceStructure:
-    """Row-normalized mean of 0/1 link matrices from all training probes."""
+    """Mean of the training probes' 0/1 link matrices, one link per row."""
     probe_grid, gallery_grid = config.probe_grid(), config.gallery_grid()
-    acc = np.zeros((probe_grid.n_patches, gallery_grid.n_patches))
-    for binary in binaries:
-        for i, j in binary.links:
-            acc[i, j] += 1.0
-    totals = acc.sum(axis=1)
-    if np.any(totals == 0.0):
-        raise ConfigurationError("simple-average structure has an unlinked probe patch")
-    return CorrespondenceStructure(probs=acc / totals[:, None],
+    n_a, n_b = probe_grid.n_patches, gallery_grid.n_patches
+    cells = [np.arange(n_a) * n_b + b.target_array(n_a, n_b) for b in binaries]
+    counts = np.bincount(np.concatenate(cells), minlength=n_a * n_b).reshape(n_a, n_b)
+    return CorrespondenceStructure(probs=counts / len(binaries),
                                    probe_grid=probe_grid, gallery_grid=gallery_grid)
 
 

@@ -4,7 +4,8 @@ Each iteration ranks every training probe's correct match under the current
 structure, samples binary mapping structures from the well-ranked and the
 poorly-ranked halves, converts them into a probability update through a
 chain of rank-weighted priors, appearance-ratio conditionals, and spatial
-impact kernels, and blends the update into the structure.  Rank-based
+impact kernels, and blends the update into the structure.  Each binary
+structure links every probe patch to one gallery patch.  Rank-based
 quantities (structure priors, per-link importances) are memoized across
 iterations since the underlying binary structures never change.
 """
@@ -87,23 +88,14 @@ def impact_table(n_probe: int, t_d: int) -> np.ndarray:
 
 
 def conditional_matrix(binary: BinaryMappingStructure, avg_table: np.ndarray) -> np.ndarray:
-    """Distribution over gallery patches for every probe patch given a link set.
+    """Distribution over gallery patches for every probe patch given its link.
 
-    Linked patches get raw weight 1; unlinked ones get their average
-    appearance similarity relative to the summed similarity of the row's
-    linked patches; a row without links keeps its average-similarity row.
-    Each raw row is normalized to sum 1.
+    Every gallery patch gets its average appearance similarity relative to
+    the linked patch's, so the linked patch gets raw weight 1 (exactly: x / x
+    is 1 for any finite positive x).  Each raw row is normalized to sum 1.
     """
-    s, t = binary.link_arrays()
-    degree = np.bincount(s, minlength=avg_table.shape[0])
-    linked = degree > 0
-    # Links are sorted, so each row's links are one run.  A zero ahead of
-    # every run makes reduceat add a run as a 1-d sum of it does.
-    starts = (np.cumsum(degree) - degree)[linked]
-    runs = np.insert(avg_table[s, t], starts, 0.0)
-    raw = avg_table.copy()
-    raw[linked] /= np.add.reduceat(runs, starts + np.arange(len(starts)))[:, None]
-    raw[s, t] = 1.0
+    t = binary.target_array(*avg_table.shape)
+    raw = avg_table / avg_table[np.arange(len(avg_table)), t][:, None]
     return raw / raw.sum(axis=1, keepdims=True)
 
 
@@ -118,13 +110,9 @@ def structure_prior(cmc_scores) -> np.ndarray:
     return scores / total
 
 
-def patch_importance(binary: BinaryMappingStructure, link_importances: dict,
-                     n_probe: int, t_d: int) -> np.ndarray:
-    """Importance of each probe patch: impact-weighted sum of link importances."""
-    anchors = np.array([s for s, _t in link_importances], dtype=np.int64)
-    weights = np.bincount(anchors, weights=np.fromiter(link_importances.values(), float),
-                          minlength=n_probe)
-    out = impact_table(n_probe, t_d) @ weights
+def patch_importance(importances: np.ndarray, t_d: int) -> np.ndarray:
+    """Importance of each probe patch: impact-weighted sum of per-patch link importances."""
+    out = impact_table(len(importances), t_d) @ importances
     total = out.sum()
     if total == 0.0:
         raise ValueError("no probe patch is reachable from the structure's links")
@@ -168,13 +156,12 @@ class _TrainingContext:
         self.table = CellTable(probe_stack, gallery_stack, model)
         self.config = config
         self.n_train = probe_stack.shape[0]
-        self.n_a = config.probe_grid().n_patches
         self.pair_log_similarity = correct_pair_log_similarity(probe_stack, gallery_stack,
                                                                model)
         self.avg_table = build_avg_similarity(self.pair_log_similarity)
         self.binary_structures: list[BinaryMappingStructure] = []
         self._structure_cmc: dict[int, float] = {}
-        self._link_cmc: dict[tuple[int, int], float] = {}
+        self._link_cmc = np.full((self.table.n_a, self.table.n_b), np.nan)  # by cell
         self._joint: dict[int, np.ndarray] = {}
 
     def structure_cmc(self, alpha: int) -> float:
@@ -188,26 +175,25 @@ class _TrainingContext:
             self._structure_cmc[alpha] = curve.at_rank(self.config.n_cmc)
         return self._structure_cmc[alpha]
 
-    def link_cmcs(self, links) -> list[float]:
-        """Rank-n CMC of each link used alone; ranks depend on that cell only."""
-        new = [link for link in links if link not in self._link_cmc]
-        if new:
-            s, t = np.array(new).T
-            scores = self.table.values(s, t).reshape(-1, self.n_train)
-            ranks = rank_of_scores(scores, np.tile(np.arange(self.n_train), len(new)))
-            hits = np.count_nonzero(ranks.reshape(len(new), -1) <= self.config.n_cmc, axis=1)
-            self._link_cmc.update(zip(new, (hits / self.n_train).tolist()))
-        return [self._link_cmc[link] for link in links]
+    def link_cmcs(self, binary: BinaryMappingStructure) -> np.ndarray:
+        """Rank-n CMC of each probe patch's link alone; ranks depend on that
+        cell only, so each cell's is computed once per split."""
+        rows = np.arange(self.table.n_a)
+        targets = binary.target_array(self.table.n_a, self.table.n_b)
+        new = np.isnan(self._link_cmc[rows, targets])
+        s, t = rows[new], targets[new]
+        scores = self.table.values(s, t).reshape(-1, self.n_train)
+        ranks = rank_of_scores(scores, np.tile(np.arange(self.n_train), len(s)))
+        hits = np.count_nonzero(ranks.reshape(len(s), self.n_train) <= self.config.n_cmc, axis=1)
+        self._link_cmc[s, t] = hits / self.n_train
+        return self._link_cmc[rows, targets]
 
     def joint_matrix(self, alpha: int) -> np.ndarray:
         """Importance-weighted conditional matrix for structure alpha."""
         if alpha not in self._joint:
             binary = self.binary_structures[alpha]
-            importances = structure_prior(self.link_cmcs(binary.links))
-            link_imp = dict(zip(binary.links, importances))
-            imp = patch_importance(binary, link_imp, self.n_a, self.config.t_d)
-            cond = conditional_matrix(binary, self.avg_table)
-            self._joint[alpha] = imp[:, None] * cond
+            imp = patch_importance(structure_prior(self.link_cmcs(binary)), self.config.t_d)
+            self._joint[alpha] = imp[:, None] * conditional_matrix(binary, self.avg_table)
         return self._joint[alpha]
 
     def rank_correct_matches(self, structure: CorrespondenceStructure

@@ -4,10 +4,10 @@ The correlation between probe patch i and gallery patch j combines the
 learned appearance similarity with the correspondence structure:
 log similarity + log probability, gated so low-probability cells are
 excluded outright.  A global one-to-one assignment over the correlation
-matrix yields the image matching score used for ranking; binary mapping
-structures (hard 0/1 link sets) reuse the same machinery as a gate over
-their links with log weight -log(degree).  Every path reads its log
-similarities from a ``CellTable``, which computes each cell once.
+matrix yields the image matching score used for ranking; a binary mapping
+structure (one gallery patch per probe patch) reuses the same machinery as
+a gate of one cell per row.  Every path reads its log similarities from a
+``CellTable``, which computes each cell once.
 """
 from __future__ import annotations
 
@@ -27,18 +27,21 @@ _CHUNK_VALUES = 1 << 13
 
 @dataclass(frozen=True)
 class BinaryMappingStructure:
-    """Hard 0/1 link set between probe and gallery patches."""
+    """Hard 0/1 mapping: probe patch i links to gallery patch targets[i] only."""
 
-    links: tuple[tuple[int, int], ...]
+    targets: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if len(set(self.links)) != len(self.links):
-            raise ValueError("duplicate links")
-        object.__setattr__(self, "links", tuple(sorted(self.links)))
+        if min(self.targets, default=0) < 0:
+            raise ValueError(f"negative gallery patch {min(self.targets)} in targets")
 
-    def link_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Probe and gallery patch of every link, in link order."""
-        return np.array(self.links, dtype=np.int64).reshape(-1, 2).T
+    def target_array(self, n_a: int, n_b: int) -> np.ndarray:
+        """targets as an array, checked against N_A probe and N_B gallery patches."""
+        if len(self.targets) != n_a:
+            raise ValueError(f"{len(self.targets)} targets for {n_a} probe patches")
+        if max(self.targets, default=0) >= n_b:
+            raise ValueError(f"gallery patch {max(self.targets)} outside [0, {n_b})")
+        return np.array(self.targets, dtype=np.int64)
 
 
 def cell_log_similarity(probe_stack: np.ndarray, gallery_stack: np.ndarray,
@@ -73,6 +76,12 @@ class CellTable:
 
     def __init__(self, probe_stack: np.ndarray, gallery_stack: np.ndarray,
                  model: MetricModel):
+        if probe_stack.shape[1] != model.n_locations:
+            raise ValueError(f"{probe_stack.shape[1]} probe patches for a "
+                             f"{model.n_locations}-location metric")
+        if {probe_stack.shape[2], gallery_stack.shape[2]} != {model.dim}:
+            raise ValueError(f"descriptors of dimension {probe_stack.shape[2]} and "
+                             f"{gallery_stack.shape[2]} for a metric of dimension {model.dim}")
         self.probe_stack, self.gallery_stack, self.model = probe_stack, gallery_stack, model
         self.n_probe, self.n_a = probe_stack.shape[:2]
         self.n_gallery, self.n_b = gallery_stack.shape[:2]
@@ -102,38 +111,22 @@ class CellTable:
         return self._values[self._slot[keys]]
 
 
-def _cell_values(table: CellTable, gate: np.ndarray, log_weight: np.ndarray) -> np.ndarray:
-    """log similarity + log weight of every gated cell for all of the
-    table's image pairs.
-
-    Returns (n_cells, n_probe_images * n_gallery_images), one row per cell in
-    ``np.nonzero(gate)`` order; pair p * n_gallery_images + g is probe p
-    against gallery g.
-    """
-    if gate.shape != (table.n_a, table.n_b):
-        raise ValueError("descriptor counts do not match the structure grids")
-    rows, cols = np.nonzero(gate)
-    return table.values(rows, cols) + log_weight[rows, cols][:, None]
-
-
-def _one_pair(gate: np.ndarray, cells: np.ndarray) -> np.ndarray:
-    """The dense matrix of a single pair's cell values (-inf off the gate)."""
-    values = np.full(gate.shape, -np.inf)
-    values[gate] = cells[:, 0]
-    return values
-
-
 def gated_correlations(table: CellTable, structure: CorrespondenceStructure,
                        t_c: float) -> tuple[np.ndarray, np.ndarray]:
     """Gated correlations of every probe image of the table against every
     gallery image.
 
     Returns the gate ``probs > t_c`` and the cell values log similarity +
-    log probability, laid out as ``_cell_values`` describes.
+    log probability, shape (n_cells, n_probe_images * n_gallery_images): one
+    row per cell in ``np.nonzero(gate)`` order, and pair p * n_gallery_images
+    + g is probe p against gallery g.
     """
+    if structure.probs.shape != (table.n_a, table.n_b):
+        raise ValueError("descriptor counts do not match the structure grids")
     gate = structure.probs > t_c
     log_p = np.log(structure.probs, out=np.zeros_like(structure.probs), where=gate)
-    return gate, _cell_values(table, gate, log_p)
+    rows, cols = np.nonzero(gate)
+    return gate, table.values(rows, cols) + log_p[rows, cols][:, None]
 
 
 def correlation_matrix(probe_desc: np.ndarray, gallery_desc: np.ndarray,
@@ -141,26 +134,10 @@ def correlation_matrix(probe_desc: np.ndarray, gallery_desc: np.ndarray,
                        t_c: float) -> np.ndarray:
     """Structure-gated correlations: log similarity + log probability, else -inf."""
     table = CellTable(probe_desc[None], gallery_desc[None], model)
-    return _one_pair(*gated_correlations(table, structure, t_c))
-
-
-def _binary_gate(binary: BinaryMappingStructure, n_probe: int,
-                 n_gallery: int) -> tuple[np.ndarray, np.ndarray]:
-    """A 0/1 structure as a gate over its links with log weight -log(degree)."""
-    gate = np.zeros((n_probe, n_gallery), dtype=bool)
-    gate[tuple(binary.link_arrays())] = True
-    degree = np.maximum(gate.sum(axis=1, keepdims=True), 1)
-    return gate, np.where(gate, -np.log(degree), 0.0)
-
-
-def binary_correlation(probe_desc: np.ndarray, gallery_desc: np.ndarray,
-                       binary: BinaryMappingStructure, model: MetricModel,
-                       n_probe: int, n_gallery: int) -> np.ndarray:
-    """Correlations under a 0/1 structure: log similarity - log degree on
-    the links, else -inf."""
-    gate, log_weight = _binary_gate(binary, n_probe, n_gallery)
-    table = CellTable(probe_desc[None], gallery_desc[None], model)
-    return _one_pair(gate, _cell_values(table, gate, log_weight))
+    gate, cells = gated_correlations(table, structure, t_c)
+    values = np.full(gate.shape, -np.inf)
+    values[gate] = cells[:, 0]
+    return values
 
 
 def greedy_scores(gate: np.ndarray, values: np.ndarray,
@@ -227,7 +204,7 @@ def rank_of_scores(scores, correct, owners=None) -> np.ndarray:
 
 def adjacency_candidates(log_sims: np.ndarray, probe_grid: GridSpec,
                          gallery_grid: GridSpec, ranges) -> list[BinaryMappingStructure]:
-    """Candidate link sets from appearance search in widening row bands.
+    """Candidate binary structures from appearance search in widening row bands.
 
     ``log_sims`` (N_A, N_B) holds the log similarity of every probe patch
     against every gallery patch of one correct image pair.  For each search
@@ -255,7 +232,7 @@ def adjacency_candidates(log_sims: np.ndarray, probe_grid: GridSpec,
         best = np.where(window, sims, -np.inf).max(axis=1, keepdims=True)
         # argmin keeps the first of the nearest tied patches: the smaller ordinal.
         pick = np.where(window & (sims == best), dist, n_b).argmin(axis=1)
-        candidates.append(BinaryMappingStructure(links=tuple(enumerate(pick.tolist()))))
+        candidates.append(BinaryMappingStructure(targets=tuple(pick.tolist())))
     return candidates
 
 
@@ -266,29 +243,29 @@ def binary_structure_score_matrix(probes: np.ndarray, galleries: np.ndarray,
     gallery images ``galleries`` (index arrays), shape (len(probes),
     len(galleries)).
 
-    The link set is scored as a gate with log weight -log(degree), through
-    the same batched assignment as a learned structure.
+    The structure is a gate of one cell per probe patch, valued at its log
+    similarity alone, and goes through the same batched assignment as a
+    learned structure.
     """
-    gate, log_weight = _binary_gate(binary, table.n_a, table.n_b)
+    targets = binary.target_array(table.n_a, table.n_b)
+    gate = np.arange(table.n_b) == targets[:, None]
     pairs = (np.asarray(probes)[:, None] * table.n_gallery + np.asarray(galleries)).ravel()
-    values = _cell_values(table, gate, log_weight)[:, pairs]
+    values = table.values(np.arange(table.n_a), targets)[:, pairs]
     return score_gate(gate, values, kappa).totals.reshape(len(probes), len(galleries))
 
 
 def best_binary_structure(table: CellTable, correct_index: int, candidates,
                           kappa: float) -> BinaryMappingStructure:
     """Candidate whose ranking of the table's one probe image places the
-    correct gallery best; ties keep order.  The candidates share the
-    table, so a cell they have in common is computed once."""
-    if not candidates:
-        raise ValueError("candidates must be non-empty")
+    correct gallery best; ties keep order, and no candidate is a
+    ValueError.  The candidates share the table, so a cell they have in
+    common is computed once."""
     if table.n_probe != 1:
         raise ValueError(f"expected a table of one probe image, got {table.n_probe}")
-    best_rank, best = None, None
-    for cand in candidates:
+
+    def rank(cand: BinaryMappingStructure) -> int:
         scores = binary_structure_score_matrix(table.probe_images, table.gallery_images,
                                                cand, table, kappa)
-        rank = rank_of_scores(scores, [correct_index])[0]
-        if best_rank is None or rank < best_rank:
-            best_rank, best = rank, cand
-    return best
+        return rank_of_scores(scores, [correct_index])[0]
+
+    return min(candidates, key=rank)

@@ -139,9 +139,10 @@ def rank_correct_matches(pair_log_similarity, probs: np.ndarray, t_c: float,
     return ranks
 
 
-def cell_values(probe_stack, gallery_stack, model, gate, log_weight) -> np.ndarray:
-    """Per-row reference for ``matching._cell_values``: one kernel call per
-    probe row, over that row's gated cells."""
+def cell_values(probe_stack, gallery_stack, model, gate) -> np.ndarray:
+    """Per-row reference for ``matching.CellTable.values`` over the cells of
+    ``gate`` in ``np.nonzero`` order: one kernel call per probe row, over
+    that row's gated cells."""
     values = np.empty((int(gate.sum()), len(probe_stack) * len(gallery_stack)))
     lo = 0
     for i in range(gate.shape[0]):
@@ -150,16 +151,15 @@ def cell_values(probe_stack, gallery_stack, model, gate, log_weight) -> np.ndarr
             continue
         d = (probe_stack[None, :, None, i, :]
              - gallery_stack[:, cols, :].transpose(1, 0, 2)[:, None])
-        values[lo:lo + len(cols)] = (location_log_similarity(model, i, d).reshape(len(cols), -1)
-                                     + log_weight[i, cols][:, None])
+        values[lo:lo + len(cols)] = location_log_similarity(model, i, d).reshape(len(cols), -1)
         lo += len(cols)
     return values
 
 
-def adjacency_links(probe_desc, gallery_desc, model, probe_grid, gallery_grid, ranges):
-    """Per-window reference for ``matching.adjacency_candidates``: the link
-    tuple of each range, from one kernel call per (range, probe patch) over
-    the patch's window only."""
+def adjacency_targets(probe_desc, gallery_desc, model, probe_grid, gallery_grid, ranges):
+    """Per-window reference for ``matching.adjacency_candidates``: the
+    target tuple of each range, from one kernel call per (range, probe
+    patch) over the patch's window only."""
     from corrmatch.geometry import colocated_patch, patch_at
 
     gallery_rows = np.array([patch_at(gallery_grid, j).row
@@ -167,7 +167,7 @@ def adjacency_links(probe_desc, gallery_desc, model, probe_grid, gallery_grid, r
     ordinals = np.arange(gallery_grid.n_patches)
     out = []
     for span in ranges:
-        links = []
+        targets = []
         for i in range(probe_grid.n_patches):
             co = colocated_patch(probe_grid, gallery_grid, patch_at(probe_grid, i))
             window = np.flatnonzero(np.abs(gallery_rows - co.row) <= span)
@@ -175,22 +175,28 @@ def adjacency_links(probe_desc, gallery_desc, model, probe_grid, gallery_grid, r
                                                   probe_desc[i] - gallery_desc[window]))
             dist = np.abs(ordinals[window] - co.ordinal)
             best = min(range(len(window)), key=lambda k: (-sims[k], dist[k], window[k]))
-            links.append((i, int(window[best])))
-        out.append(tuple(links))
+            targets.append(int(window[best]))
+        out.append(tuple(targets))
     return out
 
 
-def conditional_prob(links, i: int, avg_table: np.ndarray) -> np.ndarray:
+def conditional_prob(targets, i: int, avg_table: np.ndarray) -> np.ndarray:
     """Per-row reference for ``learning.conditional_matrix``: probe patch i's
-    distribution over gallery patches given the link set."""
-    js = sorted(j for s, j in links if s == i)
+    distribution over gallery patches given its link to targets[i]."""
     row = avg_table[i]
-    if js:
-        raw = row / row[js].sum()
-        raw[js] = 1.0
-    else:
-        raw = row.copy()
+    raw = row / row[targets[i]]
+    raw[targets[i]] = 1.0
     return raw / raw.sum()
+
+
+def binary_correlation(probe_desc, gallery_desc, binary, model, n_gallery: int) -> np.ndarray:
+    """One-pair reference for ``matching.binary_structure_score_matrix``:
+    probe patch i's log similarity to gallery patch targets[i] at that
+    cell, -inf everywhere else."""
+    values = np.full((len(binary.targets), n_gallery), -np.inf)
+    for i, j in enumerate(binary.targets):
+        values[i, j] = location_log_similarity(model, i, probe_desc[i] - gallery_desc[[j]])[0]
+    return values
 
 
 def row_argmax(bounds, values):

@@ -66,13 +66,11 @@ def test_cell_values_match_per_row_oracle(seed, n_probe, n_gallery, n_a, n_b, di
     gallery = rng.standard_normal((n_gallery, n_b, dim))
     gallery[:, 0] = probe[0, 0]  # identical descriptors: log similarity -0.0
     gate = rng.random((n_a, n_b)) < 0.4  # rows without cells included
-    log_weight = np.where(gate, np.log(rng.random((n_a, n_b)) + 0.01), 0.0)
+    rows, cols = np.nonzero(gate)
     with mock.patch.object(matching, "_CHUNK_VALUES", budget):
-        got = matching._cell_values(matching.CellTable(probe, gallery, model), gate,
-                                    log_weight)
-        rows, cols = np.nonzero(gate)
+        got = matching.CellTable(probe, gallery, model).values(rows, cols)
         links = matching.cell_log_similarity(probe, gallery, model, rows, cols)
-    assert np.array_equal(got, oracles.cell_values(probe, gallery, model, gate, log_weight))
+    assert np.array_equal(got, oracles.cell_values(probe, gallery, model, gate))
     for c, (i, j) in enumerate(zip(rows, cols)):  # the per-link form training used
         alone = log_similarity(model, [i],
                                (probe[:, i, None, :] - gallery[None, :, j, :])[None])[0]
@@ -91,9 +89,8 @@ def test_cell_table_reads_equal_fresh_values(seed, n_probe, n_gallery, n_a, n_b,
     probe = rng.standard_normal((n_probe, n_a, dim))
     gallery = rng.standard_normal((n_gallery, n_b, dim))
     gallery[:, 0] = probe[0, 0]  # identical descriptors: log similarity -0.0
-    # Every cell, one kernel call per probe row; adding -0.0 keeps every bit.
-    every = oracles.cell_values(probe, gallery, model, np.ones((n_a, n_b), dtype=bool),
-                                np.full((n_a, n_b), -0.0))
+    # Every cell, one kernel call per probe row.
+    every = oracles.cell_values(probe, gallery, model, np.ones((n_a, n_b), dtype=bool))
     with mock.patch.object(matching, "_CHUNK_VALUES", budget):
         table = matching.CellTable(probe, gallery, model)
         singles = [matching.CellTable(probe[p:p + 1], gallery, model) for p in range(n_probe)]
@@ -232,23 +229,34 @@ def test_adjacency_candidates_match_per_window_oracle(pair, seed, palette, range
     gallery = colors[rng.integers(0, palette, gallery_grid.n_patches)]
     table = correct_pair_log_similarity(probe[None], gallery[None], model)[0]
     got = adjacency_candidates(table, probe_grid, gallery_grid, ranges)
-    expect = oracles.adjacency_links(probe, gallery, model, probe_grid, gallery_grid, ranges)
-    assert [cand.links for cand in got] == expect
+    expect = oracles.adjacency_targets(probe, gallery, model, probe_grid, gallery_grid, ranges)
+    assert [cand.targets for cand in got] == expect
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_a=st.integers(1, 8), n_b=st.integers(1, 30))
+def test_conditional_matrix_matches_per_row_oracle(seed, n_a, n_b):
+    rng = np.random.default_rng(seed)
+    avg = rng.random((n_a, n_b)) * 10.0 ** rng.integers(-3, 1, (n_a, n_b)) + 1e-3
+    binary = BinaryMappingStructure(targets=tuple(rng.integers(0, n_b, n_a).tolist()))
+    got = conditional_matrix(binary, avg)
+    expect = np.stack([oracles.conditional_prob(binary.targets, i, avg) for i in range(n_a)])
+    assert np.array_equal(got, expect)
 
 
 @settings(max_examples=100, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n_a=st.integers(1, 8), n_b=st.integers(1, 30),
-       density=st.floats(0.0, 1.0))
-def test_conditional_matrix_matches_per_row_oracle(seed, n_a, n_b, density):
+       span=st.integers(0, 6))
+def test_conditional_matrix_is_the_row_normalized_average_for_any_targets(seed, n_a, n_b,
+                                                                          span):
+    # Dividing a row by its linked entry scales the whole row by one factor,
+    # which the row normalization cancels: the link moves no entry by more
+    # than rounding.
     rng = np.random.default_rng(seed)
-    avg = rng.random((n_a, n_b)) * 10.0 ** rng.integers(-3, 1, (n_a, n_b)) + 1e-3
-    # Unlinked rows, single links and rows with many links, some past the
-    # eight-term blocks of numpy's pairwise sum.
-    links = tuple(zip(*np.nonzero(rng.random((n_a, n_b)) < density)))
-    binary = BinaryMappingStructure(links=tuple((int(i), int(j)) for i, j in links))
+    avg = (rng.random((n_a, n_b)) + 1e-3) * 10.0 ** -rng.integers(0, span + 1, (n_a, n_b))
+    binary = BinaryMappingStructure(targets=tuple(rng.integers(0, n_b, n_a).tolist()))
     got = conditional_matrix(binary, avg)
-    expect = np.stack([oracles.conditional_prob(binary.links, i, avg) for i in range(n_a)])
-    assert np.array_equal(got, expect)
+    assert np.abs(got - avg / avg.sum(axis=1, keepdims=True)).max() <= 1e-15
 
 
 @settings(max_examples=100, deadline=None)

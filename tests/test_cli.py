@@ -1,12 +1,13 @@
+import re
 from pathlib import Path
 
 import pytest
 
 import numpy as np
 
-from corrmatch.cli import main
+from corrmatch.cli import _write_diagnostics, main
 from corrmatch.config import RunConfig, load_config, save_config
-from corrmatch.metric import MetricModel, save_metric
+from corrmatch.metric import MetricModel, load_metric, save_metric
 from corrmatch.structure import init_structure, load_structure, save_structure
 
 
@@ -146,3 +147,42 @@ def test_match_with_non_finite_metric_is_one_error_line(dataset, tmp_path, capsy
     assert captured.out == ""
     err = captured.err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error:") and "finite" in err[0]
+
+
+def _metric_for(n_loc: int, dim: int) -> MetricModel:
+    return MetricModel(matrices=np.repeat(np.eye(dim)[None], n_loc, axis=0),
+                       sigmas=np.ones(n_loc), global_matrix=np.eye(dim), global_sigma=1.0)
+
+
+@pytest.mark.parametrize("metric_lattice", ["finer", "canonical"])
+def test_match_with_metric_of_another_lattice_is_one_error_line(dataset, run, tmp_path,
+                                                                capsys, metric_lattice):
+    # The canonical probe lattice has 84 patches; a vertical stride of 4
+    # gives a finer one.  Structure and metric come from different lattices.
+    canonical = load_structure(f"{run}/structure.bin")
+    fine = RunConfig(probe_stride_y=4)
+    fine_structure = init_structure(fine.probe_grid(), fine.gallery_grid(), fine.t_d)
+    dim = load_metric(f"{run}/metric.bin").dim
+    if metric_lattice == "finer":
+        structure, metric = canonical, _metric_for(fine.probe_grid().n_patches, dim)
+    else:
+        structure, metric = fine_structure, _metric_for(canonical.n_probe, dim)
+    save_structure(tmp_path / "structure.bin", structure)
+    save_metric(tmp_path / "metric.bin", metric)
+    code = main(["match", "--probe", f"{dataset}/imgs/id0000_A.ppm",
+                 "--gallery", f"{dataset}/imgs/id0000_B.ppm",
+                 "--structure", str(tmp_path / "structure.bin"),
+                 "--metric", str(tmp_path / "metric.bin")])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ValueError:")
+    assert f"{structure.n_probe} probe patches for a {metric.n_locations}-location" in err[0]
+
+
+def test_readme_lists_the_diagnostics_header(tmp_path):
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    listed = re.search(r"`diagnostics\.csv` \(`([^`]*)`", readme.read_text()).group(1)
+    _write_diagnostics(tmp_path / "diagnostics.csv", [])
+    assert listed == (tmp_path / "diagnostics.csv").read_text().strip()

@@ -175,19 +175,21 @@ def test_ground_truth_record_contents(tmp_path):
 
 def test_colocated_links_structure():
     links = colocated_links(SMALL)
-    assert len(links.links) == 84
+    assert len(links.targets) == 84
     from corrmatch.geometry import colocated_patch, patch_at
     pg, gg = SMALL.probe_grid(), SMALL.gallery_grid()
-    for i, j in links.links:
+    for i, j in enumerate(links.targets):
         assert j == colocated_patch(pg, gg, patch_at(pg, i)).ordinal
 
 
 def test_simple_average_structure_rows():
-    b1 = BinaryMappingStructure(links=tuple((i, i) for i in range(84)))
-    b2 = BinaryMappingStructure(links=tuple((i, i + 1) for i in range(84)))
-    s = simple_average_structure([b1, b2], SMALL)
+    b1 = BinaryMappingStructure(targets=tuple(range(84)))
+    b2 = BinaryMappingStructure(targets=tuple(range(1, 85)))
+    b3 = BinaryMappingStructure(targets=tuple(range(84)))
+    s = simple_average_structure([b1, b2, b3], SMALL)
     assert np.abs(s.probs.sum(axis=1) - 1.0).max() <= 1e-9
-    assert s.probs[0, 0] == 0.5 and s.probs[0, 1] == 0.5
+    assert s.probs[0, 0] == 2 / 3 and s.probs[0, 1] == 1 / 3
+    assert np.count_nonzero(s.probs) == 2 * 84
 
 
 def test_descriptor_bank_caches_and_reuses(tmp_path):

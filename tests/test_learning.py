@@ -81,8 +81,7 @@ def test_impact_table_symmetry():
 
 
 def test_patch_importance_single_link_peaks_and_decays():
-    binary = BinaryMappingStructure(links=((3, 7),))
-    imp = patch_importance(binary, {(3, 7): 1.0}, n_probe=8, t_d=32)
+    imp = patch_importance(np.eye(8)[3], t_d=32)
     assert imp.sum() == pytest.approx(1.0, abs=1e-12)
     assert np.argmax(imp) == 3
     raw = impact_table(8, t_d=32)[:, 3]
@@ -90,18 +89,14 @@ def test_patch_importance_single_link_peaks_and_decays():
 
 
 def test_patch_importance_zero_beyond_reach():
-    binary = BinaryMappingStructure(links=((0, 0),))
-    imp = patch_importance(binary, {(0, 0): 1.0}, n_probe=40, t_d=4)
+    imp = patch_importance(np.eye(40)[0], t_d=4)
     assert np.all(imp[4:] == 0.0)
     assert np.all(imp[:4] > 0.0)
 
 
 def test_patch_importance_uniform_coverage_is_near_uniform():
     n = 30
-    links = tuple((i, i) for i in range(n))
-    importances = {link: 1.0 / n for link in links}
-    binary = BinaryMappingStructure(links=links)
-    imp = patch_importance(binary, importances, n_probe=n, t_d=32)
+    imp = patch_importance(np.full(n, 1.0 / n), t_d=32)
     # oracle: row sums of the impact table, normalized
     raw = impact_table(n, 32) @ np.full(n, 1.0 / n)
     assert np.allclose(imp, raw / raw.sum(), atol=1e-12)
@@ -113,7 +108,7 @@ def test_patch_importance_uniform_coverage_is_near_uniform():
 
 def test_conditional_single_link_hand_computed():
     avg = np.array([[0.2, 0.5, 0.3]])
-    binary = BinaryMappingStructure(links=((0, 1),))
+    binary = BinaryMappingStructure(targets=(1,))
     out = conditional_matrix(binary, avg)[0]
     raw = np.array([0.2 / 0.5, 1.0, 0.3 / 0.5])
     assert np.allclose(out, raw / raw.sum(), atol=1e-12)
@@ -124,7 +119,7 @@ def test_conditional_linked_patch_tops_uniform_table():
     # With a perfectly uniform table the unlinked ratios all equal 1, so the
     # linked patch ties the row maximum instead of strictly beating it.
     avg = np.full((1, 5), 0.4)
-    binary = BinaryMappingStructure(links=((0, 2),))
+    binary = BinaryMappingStructure(targets=(2,))
     out = conditional_matrix(binary, avg)[0]
     assert out[2] == out.max()
     assert np.allclose(out, 0.2, atol=1e-12)
@@ -134,32 +129,16 @@ def test_conditional_linked_patch_strictly_dominates_decaying_table():
     # As soon as unlinked averages fall below the linked one, the linked
     # patch holds the strict row maximum.
     avg = np.array([[0.39, 0.38, 0.4, 0.37, 0.2]])
-    binary = BinaryMappingStructure(links=((0, 2),))
+    binary = BinaryMappingStructure(targets=(2,))
     out = conditional_matrix(binary, avg)[0]
     assert np.argmax(out) == 2
     assert out[2] > out[0]
 
 
-def test_conditional_two_links_denominator():
-    avg = np.array([[0.2, 0.4, 0.3, 0.1]])
-    binary = BinaryMappingStructure(links=((0, 0), (0, 1)))
-    out = conditional_matrix(binary, avg)[0]
-    raw = np.array([1.0, 1.0, 0.3 / 0.6, 0.1 / 0.6])
-    assert np.allclose(out, raw / raw.sum(), atol=1e-12)
-
-
-def test_conditional_no_links_falls_back_to_table_row():
-    avg = np.array([[0.2, 0.4, 0.4], [0.5, 0.25, 0.25]])
-    binary = BinaryMappingStructure(links=((0, 1),))
-    out = conditional_matrix(binary, avg)[1]
-    assert np.allclose(out, [0.5, 0.25, 0.25], atol=1e-12)
-
-
 def test_conditional_matrix_rows_sum_to_one():
     rng = np.random.default_rng(1)
     avg = rng.random((6, 9)) + 1e-3
-    links = tuple((i, int(rng.integers(0, 9))) for i in range(5))
-    binary = BinaryMappingStructure(links=links)
+    binary = BinaryMappingStructure(targets=tuple(rng.integers(0, 9, 6).tolist()))
     mat = conditional_matrix(binary, avg)
     assert np.allclose(mat.sum(axis=1), 1.0, atol=1e-9)
 
@@ -190,9 +169,9 @@ def test_compute_update_hand_mixture():
 def test_compute_update_desk_scale_chain():
     # 2 probe patches x 2 gallery patches, one structure, priors = 1.
     avg = np.array([[0.5, 0.25], [0.25, 0.5]])
-    binary = BinaryMappingStructure(links=((0, 0), (1, 1)))
+    binary = BinaryMappingStructure(targets=(0, 1))
     cond = conditional_matrix(binary, avg)
-    imp = patch_importance(binary, {(0, 0): 0.5, (1, 1): 0.5}, n_probe=2, t_d=32)
+    imp = patch_importance(np.array([0.5, 0.5]), t_d=32)
     update = compute_update([imp[:, None] * cond], [1.0])
     # by hand: cond rows raw {1, .5}->{2/3, 1/3}; impacts rows {1, 1/2} sums 1.5
     assert np.allclose(cond, [[2 / 3, 1 / 3], [1 / 3, 2 / 3]], atol=1e-12)
@@ -236,6 +215,40 @@ def test_learn_structure_fixed_seed_bitwise_identical():
     assert np.array_equal(first.structure.probs, second.structure.probs)
     assert first.diagnostics == second.diagnostics
     assert all(d.gate_components > 0 for d in first.diagnostics)
+
+
+def _closed_form_structure(probe, gallery, model, config, iterations):
+    """(1-eps)^K * S0 + (1-(1-eps)^K) * rownorm(avg): K blends of the same
+    update, the row-normalized average-similarity table."""
+    from corrmatch.metric import build_avg_similarity, correct_pair_log_similarity
+    from corrmatch.structure import init_structure
+    avg = build_avg_similarity(correct_pair_log_similarity(probe, gallery, model))
+    start = init_structure(config.probe_grid(), config.gallery_grid(), config.t_d).probs
+    keep = (1.0 - config.epsilon) ** iterations
+    return keep * start + (1.0 - keep) * avg / avg.sum(axis=1, keepdims=True)
+
+
+def test_learned_structure_is_the_closed_form_blend_of_the_average_table():
+    # Characterization: every binary structure links each probe patch once,
+    # so its conditional is rownorm(avg) and the selection cannot move the
+    # update.  A change that makes the binary structures matter fails here.
+    from corrmatch.learning import learn_structure
+    probe, gallery, model, pg, gg = _tiny_training_world()
+    config = _tiny_config(max_iterations=6, tolerance=0.0, selection_count=4, seed=13)
+    learned = learn_structure(probe, gallery, model, config)
+    expect = _closed_form_structure(probe, gallery, model, config, len(learned.diagnostics))
+    assert np.abs(learned.structure.probs - expect).max() <= 1e-15
+
+
+def test_learned_structure_does_not_depend_on_the_selection_seed():
+    from corrmatch.learning import learn_structure
+    probe, gallery, model, pg, gg = _tiny_training_world()
+    config = _tiny_config(max_iterations=6, tolerance=0.0, selection_count=4, seed=13)
+    first = learn_structure(probe, gallery, model, config)
+    other = learn_structure(probe, gallery, model,
+                            _tiny_config(max_iterations=6, tolerance=0.0, selection_count=4,
+                                         seed=99))
+    assert np.abs(first.structure.probs - other.structure.probs).max() <= 1e-15
 
 
 def test_rank_correct_matches_equals_per_pair_reference():

@@ -4,10 +4,9 @@ import pytest
 from corrmatch.assignment import solve_assignment
 from corrmatch.geometry import GridSpec, colocated_patch, patch_at
 from corrmatch.matching import (BinaryMappingStructure, CellTable, adjacency_candidates,
-                                best_binary_structure, binary_correlation,
-                                binary_structure_score_matrix, correlation_matrix,
-                                gated_correlations, greedy_scores, match_score,
-                                rank_gallery, rank_of_scores)
+                                best_binary_structure, binary_structure_score_matrix,
+                                correlation_matrix, gated_correlations, greedy_scores,
+                                match_score, rank_gallery, rank_of_scores)
 from corrmatch.metric import MetricModel, correct_pair_log_similarity
 from corrmatch.structure import CorrespondenceStructure
 
@@ -185,7 +184,7 @@ def test_adjacency_candidates_self_match_links_colocated():
         probe_desc[i] = gallery_desc[co.ordinal]
     for cand in adjacency_candidates(pair_table(probe_desc, gallery_desc, model),
                                      CANON_PROBE, CANON_GALLERY, ranges=(1, 3)):
-        for i, j in cand.links:
+        for i, j in enumerate(cand.targets):
             co = colocated_patch(CANON_PROBE, CANON_GALLERY, patch_at(CANON_PROBE, i))
             assert j == co.ordinal
 
@@ -198,7 +197,7 @@ def test_adjacency_candidates_window_respects_range():
     for span in (1, 2, 4):
         (cand,) = adjacency_candidates(pair_table(probe_desc, gallery_desc, model),
                                        CANON_PROBE, CANON_GALLERY, ranges=(span,))
-        for i, j in cand.links:
+        for i, j in enumerate(cand.targets):
             co = colocated_patch(CANON_PROBE, CANON_GALLERY, patch_at(CANON_PROBE, i))
             assert abs(patch_at(CANON_GALLERY, j).row - co.row) <= span
 
@@ -211,10 +210,19 @@ def test_adjacency_large_range_is_global_argmax():
     (cand,) = adjacency_candidates(pair_table(probe_desc, gallery_desc, model),
                                    CANON_PROBE, CANON_GALLERY, ranges=(27,))
     from corrmatch.metric import batched_similarity
-    for i, j in cand.links:
+    for i, j in enumerate(cand.targets):
         sims = batched_similarity(model, np.repeat(probe_desc[i][None], 297, axis=0),
                                   gallery_desc, np.full(297, i))
         assert sims[j] == sims.max()
+
+
+def binary_scores_by_solver(probe_stack, gallery_stack, binary, model, kappa):
+    """Each pair's score as ``solve_assignment`` gives it on the one-pair
+    correlations of the binary structure."""
+    n_probe, n_gal = probe_stack.shape[1], gallery_stack.shape[1]
+    return np.array([[solve_assignment(oracles.binary_correlation(p, g, binary, model, n_gal),
+                                       kappa=kappa).score
+                      for g in gallery_stack] for p in probe_stack])
 
 
 def test_binary_score_matrix_matches_generic_path():
@@ -223,16 +231,12 @@ def test_binary_score_matrix_matches_generic_path():
     model = flat_model(dim, n_probe)
     probe_stack = rng.random((3, n_probe, dim))
     gallery_stack = rng.random((4, n_gal, dim))
-    links = tuple((i, int(rng.integers(0, n_gal))) for i in range(n_probe))
-    binary = BinaryMappingStructure(links=links)
+    binary = BinaryMappingStructure(targets=tuple(rng.integers(0, n_gal, n_probe).tolist()))
     table = CellTable(probe_stack, gallery_stack, model)
     fast = binary_structure_score_matrix(table.probe_images, table.gallery_images, binary,
                                          table, kappa=-50.0)
-    for p in range(3):
-        for g in range(4):
-            corr = binary_correlation(probe_stack[p], gallery_stack[g], binary,
-                                      model, n_probe, n_gal)
-            assert fast[p, g] == solve_assignment(corr, kappa=-50.0).score
+    assert np.array_equal(fast, binary_scores_by_solver(probe_stack, gallery_stack, binary,
+                                                        model, -50.0))
 
 
 def test_binary_score_matrix_with_conflicts_matches_generic_path():
@@ -241,33 +245,13 @@ def test_binary_score_matrix_with_conflicts_matches_generic_path():
     model = flat_model(dim, n_probe)
     probe_stack = rng.random((2, n_probe, dim))
     gallery_stack = rng.random((3, n_gal, dim))
-    # heavy column contention plus an unlinked probe patch
-    binary = BinaryMappingStructure(links=((0, 1), (1, 1), (2, 1), (3, 0)))
+    # heavy column contention: four probe patches bid for gallery patch 1
+    binary = BinaryMappingStructure(targets=(1, 1, 1, 0, 1))
     table = CellTable(probe_stack, gallery_stack, model)
     fast = binary_structure_score_matrix(table.probe_images, table.gallery_images, binary,
                                          table, kappa=-50.0)
-    for p in range(2):
-        for g in range(3):
-            corr = binary_correlation(probe_stack[p], gallery_stack[g], binary,
-                                      model, n_probe, n_gal)
-            assert fast[p, g] == solve_assignment(corr, kappa=-50.0).score
-
-
-def test_binary_score_multi_link_row_falls_back_to_solver():
-    rng = np.random.default_rng(6)
-    n_probe, n_gal, dim = 3, 4, 2
-    model = flat_model(dim, n_probe)
-    probe_stack = rng.random((2, n_probe, dim))
-    gallery_stack = rng.random((2, n_gal, dim))
-    binary = BinaryMappingStructure(links=((0, 0), (0, 2), (1, 1), (2, 1)))
-    table = CellTable(probe_stack, gallery_stack, model)
-    scores = binary_structure_score_matrix(table.probe_images, table.gallery_images, binary,
-                                           table, kappa=-50.0)
-    for p in range(2):
-        for g in range(2):
-            corr = binary_correlation(probe_stack[p], gallery_stack[g], binary,
-                                      model, n_probe, n_gal)
-            assert scores[p, g] == solve_assignment(corr, kappa=-50.0).score
+    assert np.array_equal(fast, binary_scores_by_solver(probe_stack, gallery_stack, binary,
+                                                        model, -50.0))
 
 
 def test_binary_score_matrix_scores_the_requested_images():
@@ -275,7 +259,7 @@ def test_binary_score_matrix_scores_the_requested_images():
     n_probe, n_gal, dim = 4, 5, 3
     model = flat_model(dim, n_probe)
     table = CellTable(rng.random((3, n_probe, dim)), rng.random((4, n_gal, dim)), model)
-    binary = BinaryMappingStructure(links=((0, 1), (1, 1), (2, 3), (3, 0), (3, 4)))
+    binary = BinaryMappingStructure(targets=(1, 1, 3, 4))
     full = binary_structure_score_matrix(table.probe_images, table.gallery_images, binary,
                                          table, kappa=-50.0)
     block = binary_structure_score_matrix(np.array([2, 0]), np.array([3, 1, 1]), binary,
@@ -289,11 +273,11 @@ def test_best_binary_structure_prefers_lower_rank():
     model = flat_model(dim, n_probe)
     galleries = rng.random((5, n_gal, dim))
     probe = galleries[2, [0, 1, 2, 3], :].copy()  # correct gallery is index 2
-    good = BinaryMappingStructure(links=tuple((i, i) for i in range(n_probe)))
+    good = BinaryMappingStructure(targets=tuple(range(n_probe)))
     # under "bad" every probe patch bids on gallery patch 5, where a wrong
     # gallery image holds an exact copy of probe patch 0: correct can't rank 1
     galleries[0, 5] = probe[0]
-    bad = BinaryMappingStructure(links=tuple((i, n_gal - 1) for i in range(n_probe)))
+    bad = BinaryMappingStructure(targets=(n_gal - 1,) * n_probe)
     chosen = best_binary_structure(CellTable(probe[None], galleries, model), 2, [bad, good],
                                    kappa=-50.0)
     assert chosen == good
@@ -304,14 +288,36 @@ def test_best_binary_structure_single_candidate():
     model = flat_model(2, 3)
     galleries = rng.random((3, 4, 2))
     probe = rng.random((3, 2))
-    only = BinaryMappingStructure(links=((0, 0), (1, 1), (2, 2)))
+    only = BinaryMappingStructure(targets=(0, 1, 2))
     table = CellTable(probe[None], galleries, model)
     assert best_binary_structure(table, 0, [only], kappa=-50.0) == only
 
 
-def test_duplicate_links_rejected():
+def test_negative_target_rejected():
+    with pytest.raises(ValueError, match="negative"):
+        BinaryMappingStructure(targets=(0, -1))
+
+
+@pytest.mark.parametrize("targets", [(0, 1, 3), (0, 1), (0, 1, 2, 0)],
+                         ids=["target-past-last-gallery-patch", "too-few", "too-many"])
+def test_bad_targets_rejected_when_scored(targets):
+    rng = np.random.default_rng(10)
+    table = CellTable(rng.random((2, 3, 2)), rng.random((2, 3, 2)), flat_model(2, 3))
     with pytest.raises(ValueError):
-        BinaryMappingStructure(links=((0, 1), (0, 1)))
+        binary_structure_score_matrix(table.probe_images, table.gallery_images,
+                                      BinaryMappingStructure(targets=targets), table,
+                                      kappa=-50.0)
+
+
+def test_cell_table_rejects_a_metric_of_another_lattice():
+    rng = np.random.default_rng(11)
+    probe, gallery = rng.random((1, 4, 3)), rng.random((2, 6, 3))
+    with pytest.raises(ValueError, match="4 probe patches for a 5-location metric"):
+        CellTable(probe, gallery, flat_model(3, 5))
+    with pytest.raises(ValueError, match="dimension"):
+        CellTable(probe, gallery, flat_model(2, 4))
+    with pytest.raises(ValueError, match="dimension"):
+        CellTable(probe, gallery[:, :, :2], flat_model(3, 4))
 
 
 def test_correlation_value_example_e_inverse():
