@@ -147,9 +147,7 @@ def score_gate(gate: np.ndarray, values: np.ndarray, kappa: float) -> GateScores
             chosen[np.ix_(comp, clash)] = np.where(
                 match < 0, kappa, block[match, np.arange(clash.size)])
 
-    totals = np.zeros(n_pairs)
-    for contribution in chosen:  # ascending rows, as solve_assignment sums
-        totals += contribution
+    totals = sum(chosen, np.zeros(n_pairs))  # ascending rows, as solve_assignment sums
     return GateScores(totals=totals, components=len(components), solves=solves,
                       cells=len(rows), gated_rows=len(live))
 
@@ -221,9 +219,11 @@ def _solve_exact(degree: np.ndarray, cell_cols: np.ndarray, values: np.ndarray,
     step = max(1, _CHUNK_CELLS // slot_col.size)
     match = []
     for lo in range(0, n_pairs, step):
-        vals = values[:, lo:lo + step].T[:, slot_cell]  # (pairs, rows, slots)
-        shift = np.max(vals, axis=(1, 2), initial=kappa, where=real)[:, None, None]
-        cost = np.where(real & (vals > kappa), shift - vals, np.inf)
+        cost = values[:, lo:lo + step].T[:, slot_cell]  # (pairs, rows, slots)
+        shift = np.max(cost, axis=(1, 2), initial=kappa, where=real)[:, None, None]
+        no_edge = (cost <= kappa) | ~real
+        np.subtract(shift, cost, out=cost)  # in place: the values are not needed again
+        cost[no_edge] = np.inf
         cost[:, :, -1] = shift[:, :, 0] - kappa
         taken = _shortest_paths(cost, slot_col, pad + 1)[:, :, None]
         match.append(slot_cell[np.arange(n_rows), (slot_col == taken).argmax(axis=2)].T)

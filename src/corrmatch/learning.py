@@ -124,10 +124,7 @@ def compute_update(joint_matrices, priors) -> np.ndarray:
     priors = np.asarray(priors, dtype=np.float64)
     if len(joint_matrices) != priors.size or priors.size == 0:
         raise ValueError("need one prior per structure")
-    out = np.zeros_like(joint_matrices[0])
-    for joint, prior in zip(joint_matrices, priors):
-        out += prior * joint
-    return out
+    return sum(prior * joint for joint, prior in zip(joint_matrices, priors))  # in order
 
 
 def find_binary_structures(probe_stack: np.ndarray, gallery_stack: np.ndarray,
@@ -156,10 +153,11 @@ class _TrainingContext:
         self.table = CellTable(probe_stack, gallery_stack, model)
         self.config = config
         self.n_train = probe_stack.shape[0]
-        self.pair_log_similarity = correct_pair_log_similarity(probe_stack, gallery_stack,
-                                                               model)
-        self.avg_table = build_avg_similarity(self.pair_log_similarity)
-        self.binary_structures: list[BinaryMappingStructure] = []
+        # The correct-pair table (~6 MB) is not kept: only these two read it.
+        pair_log_similarity = correct_pair_log_similarity(probe_stack, gallery_stack, model)
+        self.avg_table = build_avg_similarity(pair_log_similarity)
+        self.binary_structures = find_binary_structures(probe_stack, gallery_stack,
+                                                        pair_log_similarity, model, config)
         self._structure_cmc: dict[int, float] = {}
         self._link_cmc = np.full((self.table.n_a, self.table.n_b), np.nan)  # by cell
         self._joint: dict[int, np.ndarray] = {}
@@ -221,8 +219,6 @@ def learn_structure(probe_stack: np.ndarray, gallery_stack: np.ndarray,
         raise ConfigurationError("training requires at least two identities")
 
     ctx = _TrainingContext(probe_stack, gallery_stack, model, config)
-    ctx.binary_structures = find_binary_structures(probe_stack, gallery_stack,
-                                                   ctx.pair_log_similarity, model, config)
     structure = init_structure(config.probe_grid(), config.gallery_grid(), config.t_d)
     rng = np.random.default_rng(config.seed)
     half = config.selection_count // 2

@@ -153,10 +153,7 @@ def greedy_scores(gate: np.ndarray, values: np.ndarray,
     contributions = np.full((gate.shape[0], values.shape[1]), kappa)
     live, cell = row_best_cells(bounds, values)
     contributions[live] = np.take_along_axis(values, cell, axis=0)
-    totals = np.zeros(values.shape[1])
-    for contribution in contributions:
-        totals += contribution
-    return totals
+    return sum(contributions, np.zeros(values.shape[1]))  # in ascending row order
 
 
 def match_score(probe_desc: np.ndarray, gallery_desc: np.ndarray,
@@ -193,13 +190,20 @@ def rank_of_scores(scores, correct, owners=None) -> np.ndarray:
     ``scores`` is (n_rows, n_galleries) and ``correct[r]`` is row r's correct
     gallery index.  With ``owners`` (one owner per gallery) ``correct[r]``
     names an owner instead, and the owner's best-placed gallery counts.
+    That is the first owned gallery holding the owned maximum m, so no sort
+    is needed: galleries scoring above m, or m before it, sort ahead of it.
     """
-    order = np.argsort(-np.asarray(scores, dtype=np.float64), axis=1, kind="stable")
-    owned = order if owners is None else np.asarray(owners)[order]
-    hits = owned == np.asarray(correct)[:, None]
-    if not hits.any(axis=1).all():
+    scores = np.asarray(scores, dtype=np.float64)
+    if not np.all(np.isfinite(scores)):
+        raise ValueError("scores must be finite")
+    index = np.arange(scores.shape[1])
+    owned = (index if owners is None else np.asarray(owners)) == np.asarray(correct)[:, None]
+    if not owned.any(axis=1).all():
         raise ValueError("a row's correct gallery is missing")
-    return hits.argmax(axis=1) + 1
+    best = np.max(scores, axis=1, initial=-np.inf, where=owned)[:, None]
+    first = (owned & (scores == best)).argmax(axis=1)[:, None]
+    ahead = (scores > best) | ((scores == best) & (index < first))
+    return np.count_nonzero(ahead, axis=1) + 1
 
 
 def adjacency_candidates(log_sims: np.ndarray, probe_grid: GridSpec,

@@ -11,6 +11,7 @@ global metric pooled over all locations.
 from __future__ import annotations
 
 import struct
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -79,9 +80,9 @@ class MetricModel:
         return self.matrices.shape[1]
 
 
-def _quadratic_form(matrix: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """d . M . d over the last axis of a stack of differences."""
-    return np.einsum("...k,...k->...", d @ matrix, d)
+def _distances(matrix: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """max(d . M . d, 0) over the last axis of a stack of differences."""
+    return np.maximum(np.einsum("...k,...k->...", d @ matrix, d), 0.0)
 
 
 def log_similarity(model: MetricModel, loc, d: np.ndarray) -> np.ndarray:
@@ -97,9 +98,9 @@ def log_similarity(model: MetricModel, loc, d: np.ndarray) -> np.ndarray:
     if loc.ndim != 1 or d.ndim < 3 or d.shape[0] != len(loc):
         raise ValueError(f"locations need d of shape ({loc.size}, ..., n, dim), got {d.shape}")
     lead = (len(loc),) + (1,) * (d.ndim - 3)
-    dist = _quadratic_form(model.matrices[loc].reshape(lead + (model.dim, model.dim)), d)
+    dist = _distances(model.matrices[loc].reshape(lead + (model.dim, model.dim)), d)
     sigma = model.sigmas[loc].reshape(lead + (1,))
-    return -np.minimum(np.maximum(dist, 0.0) / sigma, MAX_EXPONENT)
+    return -np.minimum(dist / sigma, MAX_EXPONENT)
 
 
 def _ridge(matrix: np.ndarray) -> np.ndarray:
@@ -120,10 +121,8 @@ def _learn_matrix(similar_moment: np.ndarray, dissimilar_moment: np.ndarray) -> 
     return (clipped + clipped.T) / 2.0
 
 
-def _scale_for(matrix: np.ndarray, diffs, sigma_scale: float) -> float:
-    """Bandwidth from the mean clamped distance over chunks of similar-pair
-    differences."""
-    dist = np.concatenate([np.maximum(_quadratic_form(matrix, d), 0.0) for d in diffs])
+def _scale(dist: np.ndarray, sigma_scale: float) -> float:
+    """Bandwidth from the mean clamped distance of similar pairs."""
     return max(sigma_scale * float(dist.mean()), SIGMA_FLOOR)
 
 
@@ -135,37 +134,37 @@ def train_metric(similar_diffs, dissimilar_diffs, sigma_scale: float) -> MetricM
     location needs at least dim + 1 similar and dissimilar pairs, otherwise
     it falls back to the global metric pooled over all locations.
     ``sigma_scale`` scales the mean similar-pair distance into the
-    exp(-d / sigma) bandwidth (``RunConfig.sigma_scale`` says why).
+    exp(-d / sigma) bandwidth (``RunConfig.sigma_scale`` says why).  Each
+    location is read twice, for its Gram matrices d.T @ d, then its scales.
     """
     if len(similar_diffs) != len(dissimilar_diffs):
         raise ValueError("similar and dissimilar lists must align per location")
     n_loc = len(similar_diffs)
     if n_loc == 0:
         raise ConfigurationError("no locations to train")
-    if not sum(map(len, similar_diffs)) or not sum(map(len, dissimilar_diffs)):
+    grams, counts, dims = [], [], set()
+    for pair in zip(similar_diffs, dissimilar_diffs):
+        grams.append([d.T @ d for d in pair])
+        counts.append([len(d) for d in pair])
+        dims.update(d.shape[1] for d in pair if len(d))
+    counts = np.array(counts)
+    if not counts.sum(axis=0).all():
         raise ConfigurationError("training set has no similar or no dissimilar pairs")
-    dims = {d.shape[1] for d in [*similar_diffs, *dissimilar_diffs] if len(d)}
     if len(dims) != 1:
         raise ValueError(f"inconsistent descriptor dims {dims}")
     dim = dims.pop()
 
-    def moment(diffs):  # second moment (about zero) of the pooled differences
-        return sum(d.T @ d for d in diffs) / sum(len(d) for d in diffs)
-
-    global_matrix = _learn_matrix(moment(similar_diffs), moment(dissimilar_diffs))
-    global_sigma = _scale_for(global_matrix, similar_diffs, sigma_scale)
-
-    matrices = np.empty((n_loc, dim, dim))
-    sigmas = np.empty(n_loc)
-    fallback = np.zeros(n_loc, dtype=bool)
-    for i, (sim, dis) in enumerate(zip(similar_diffs, dissimilar_diffs)):
-        if len(sim) < dim + 1 or len(dis) < dim + 1:
-            matrices[i] = global_matrix
-            sigmas[i] = global_sigma
-            fallback[i] = True
-            continue
-        matrices[i] = _learn_matrix(moment([sim]), moment([dis]))
-        sigmas[i] = _scale_for(matrices[i], [sim], sigma_scale)
+    # Second moments (about zero); the pooled sums run over locations in order.
+    global_matrix = _learn_matrix(*(sum(g[s] for g in grams) / counts[:, s].sum() for s in (0, 1)))
+    fallback = (counts < dim + 1).any(axis=1)
+    matrices, sigmas, pooled = np.empty((n_loc, dim, dim)), np.empty(n_loc), []
+    for i, sim in enumerate(similar_diffs):
+        pooled.append(_distances(global_matrix, sim))
+        if not fallback[i]:
+            matrices[i] = _learn_matrix(*(grams[i][s] / counts[i, s] for s in (0, 1)))
+            sigmas[i] = _scale(_distances(matrices[i], sim), sigma_scale)
+    global_sigma = _scale(np.concatenate(pooled), sigma_scale)
+    matrices[fallback], sigmas[fallback] = global_matrix, global_sigma
     return MetricModel(matrices=matrices, sigmas=sigmas, global_matrix=global_matrix,
                        global_sigma=global_sigma, fallback=fallback)
 
@@ -190,6 +189,21 @@ def batched_similarity(model: MetricModel, f_a: np.ndarray, f_b: np.ndarray,
     return np.exp(log_similarity(model, locs, d[:, None, :]))[:, 0]
 
 
+class LocationDifferences(Sequence):
+    """One side's per-location difference arrays, each computed when read: item
+    i is ``probe_stack[:, i] - gallery_stack[:, windows[i]]`` as (-1, dim) rows."""
+
+    def __init__(self, probe_stack: np.ndarray, gallery_stack: np.ndarray, windows):
+        self.probe_stack, self.gallery_stack, self.windows = probe_stack, gallery_stack, windows
+
+    def __len__(self) -> int:
+        return len(self.windows)
+
+    def __getitem__(self, i: int) -> np.ndarray:
+        diff = self.probe_stack[:, i, None] - self.gallery_stack[:, self.windows[i]]
+        return diff.reshape(-1, self.probe_stack.shape[2])
+
+
 def build_training_pairs(probe_stack: np.ndarray, gallery_stack: np.ndarray,
                          wrong_stack: np.ndarray, probe_grid: GridSpec,
                          gallery_grid: GridSpec, t_d: int):
@@ -202,7 +216,8 @@ def build_training_pairs(probe_stack: np.ndarray, gallery_stack: np.ndarray,
     distance < t_d of its co-located patch; the same gallery positions of the
     wrong image form the dissimilar pairs.  Location i's entry is the
     (n_images * window, dim) array of probe minus gallery descriptors,
-    image-major.
+    image-major.  Each side is a ``LocationDifferences`` sequence, which
+    computes an entry when it is read.
     """
     if not (len(probe_stack) == len(gallery_stack) == len(wrong_stack)):
         raise ValueError("descriptor stacks must align")
@@ -210,14 +225,9 @@ def build_training_pairs(probe_stack: np.ndarray, gallery_stack: np.ndarray,
         raise ConfigurationError("empty training set")
     ordinals = np.arange(gallery_grid.n_patches)
     colocated, _ = colocated_table(probe_grid, gallery_grid)
-    dim = probe_stack.shape[2]
-    similar, dissimilar = [], []
-    for i in range(probe_grid.n_patches):
-        window = np.flatnonzero(np.abs(ordinals - colocated[i]) < t_d)
-        probe_side = probe_stack[:, i, None]
-        similar.append((probe_side - gallery_stack[:, window]).reshape(-1, dim))
-        dissimilar.append((probe_side - wrong_stack[:, window]).reshape(-1, dim))
-    return similar, dissimilar
+    windows = [np.flatnonzero(np.abs(ordinals - co) < t_d) for co in colocated.tolist()]
+    return (LocationDifferences(probe_stack, gallery_stack, windows),
+            LocationDifferences(probe_stack, wrong_stack, windows))
 
 
 def correct_pair_log_similarity(probe_stack: np.ndarray, gallery_stack: np.ndarray,

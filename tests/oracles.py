@@ -113,6 +113,35 @@ def training_pairs(probe_descriptors, gallery_descriptors, wrong_gallery_descrip
     return similar, dissimilar
 
 
+def train_metric(similar_diffs, dissimilar_diffs, sigma_scale: float):
+    """One-pass reference for ``metric.train_metric``: every location's
+    differences held at once, each moment a sum of d.T @ d over locations in
+    order, each scale the mean over the concatenated clamped distances."""
+    from corrmatch.metric import SIGMA_FLOOR, MetricModel, _learn_matrix
+
+    def moment(diffs):
+        return sum(d.T @ d for d in diffs) / sum(len(d) for d in diffs)
+
+    def scale(matrix, diffs):
+        dist = np.concatenate([np.maximum(np.einsum("nk,nk->n", d @ matrix, d), 0.0)
+                               for d in diffs])
+        return max(sigma_scale * float(dist.mean()), SIGMA_FLOOR)
+
+    dim = next(d.shape[1] for d in similar_diffs if len(d))
+    global_matrix = _learn_matrix(moment(similar_diffs), moment(dissimilar_diffs))
+    global_sigma = scale(global_matrix, similar_diffs)
+    matrices, sigmas, fallback = [], [], []
+    for sim, dis in zip(similar_diffs, dissimilar_diffs):
+        starved = len(sim) < dim + 1 or len(dis) < dim + 1
+        matrix = global_matrix if starved else _learn_matrix(moment([sim]), moment([dis]))
+        matrices.append(matrix)
+        sigmas.append(global_sigma if starved else scale(matrix, [sim]))
+        fallback.append(starved)
+    return MetricModel(matrices=np.stack(matrices), sigmas=np.array(sigmas),
+                       global_matrix=global_matrix, global_sigma=global_sigma,
+                       fallback=np.array(fallback))
+
+
 def rank_correct_matches(pair_log_similarity, probs: np.ndarray, t_c: float,
                          kappa: float, n_train: int) -> list[int]:
     """Training ranks with one whole-matrix ``solve_assignment`` per pair.

@@ -17,7 +17,8 @@ from corrmatch.config import RunConfig, save_config
 from corrmatch.geometry import colocated_patch, patch_at
 from corrmatch.harness import (DescriptorBank, generate_synthetic, load_manifest,
                                make_splits, run_ablations, train_on_split)
-from corrmatch.metric import MetricModel, appearance_similarity, batched_similarity, train_metric
+from corrmatch.metric import (MetricModel, appearance_similarity, batched_similarity,
+                              build_avg_similarity, correct_pair_log_similarity, train_metric)
 from corrmatch.structure import init_structure
 
 from conftest import record_acceptance
@@ -57,7 +58,10 @@ def shift_run(tmp_path_factory):
     train_ids, _ = splits.splits[0]
     artifacts = train_on_split(bank, train_ids, config, need_structure=True)
     elapsed = time.perf_counter() - started
-    return config, gt, artifacts.learned, elapsed
+    # The split's stacks come from the bank's cache, so the characterization
+    # test below needs no second training run.
+    probe_stack, gallery_stack = bank.stacks(train_ids)
+    return config, gt, artifacts.learned, elapsed, (probe_stack, gallery_stack, artifacts.metric)
 
 
 @pytest.fixture(scope="module")
@@ -151,7 +155,7 @@ def test_cmc_properties(ablation_run):
 
 
 def test_shift_recovery(shift_run):
-    config, gt, learned, elapsed = shift_run
+    config, gt, learned, elapsed, _ = shift_run
     probe_grid, gallery_grid = config.probe_grid(), config.gallery_grid()
     probs = learned.structure.probs
     hits = total = 0
@@ -181,7 +185,7 @@ def test_ablation_ordering(ablation_run):
 
 
 def test_convergence_diagnostics(shift_run):
-    _, _, learned, _ = shift_run
+    _, _, learned, _, _ = shift_run
     deltas = [d.delta for d in learned.diagnostics]
     assert len(deltas) <= 300
     assert deltas[-1] < 1e-4, f"final delta {deltas[-1]:.2e}"
@@ -190,6 +194,20 @@ def test_convergence_diagnostics(shift_run):
     tail = np.mean(deltas[-max(1, len(deltas) // 3):])
     assert tail < head
     report(f"convergence-diagnostics (delta {deltas[-1]:.2e} after {len(deltas)} iterations)")
+
+
+def test_shift_structure_is_the_closed_form_blend(shift_run):
+    # Characterization on the pinned split, not an acceptance criterion:
+    # every update is rownorm(avg), so K blends from S0 give
+    # (1-eps)^K * S0 + (1-(1-eps)^K) * rownorm(avg) (README, "Known
+    # departures").  A change that makes the binary structures reach the
+    # update fails here and must update this test on purpose.
+    config, _, learned, _, (probe_stack, gallery_stack, metric) = shift_run
+    avg = build_avg_similarity(correct_pair_log_similarity(probe_stack, gallery_stack, metric))
+    start = init_structure(config.probe_grid(), config.gallery_grid(), config.t_d).probs
+    keep = (1.0 - config.epsilon) ** len(learned.diagnostics)
+    expect = keep * start + (1.0 - keep) * avg / avg.sum(axis=1, keepdims=True)
+    assert np.abs(learned.structure.probs - expect).max() <= 1e-15
 
 
 def test_determinism_cli(tmp_path):

@@ -143,6 +143,13 @@ def test_rank_of_scores_rejects_missing_owner():
         rank_of_scores([[1.0, 2.0]], [3], owners=[0, 0])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_rank_of_scores_rejects_non_finite_scores(bad):
+    # A sort would place a NaN last without a word.
+    with pytest.raises(ValueError, match="finite"):
+        rank_of_scores([[1.0, bad, 0.5]], [0])
+
+
 def test_greedy_score_matches_row_maxima():
     structure = tiny_structure([[0.5, 0.5]])
     model = flat_model(1, 1)

@@ -1,10 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from corrmatch.config import RunConfig
 from corrmatch.errors import ConfigurationError, FormatError
 from corrmatch.geometry import GridSpec
+from corrmatch.harness import train_split_metric
 from corrmatch.metric import (MAX_EXPONENT, MetricModel, appearance_similarity,
                               batched_similarity, build_avg_similarity, build_training_pairs,
                               correct_pair_log_similarity, load_metric, log_similarity,
@@ -193,6 +197,94 @@ def test_training_pair_builder_counts():
         assert len(d) <= n_imgs * 63    # at most 2 * t_d - 1 window patches
         assert len(d) >= n_imgs * 32    # border rows keep at least t_d
         assert dissimilar[loc].shape == d.shape  # matched counts
+
+
+def canonical_stacks(n_imgs, dim, seed=5):
+    """Random probe, gallery and wrong-gallery descriptor stacks on the
+    canonical lattices (84 probe and 297 gallery patches)."""
+    config = RunConfig()
+    probe_grid, gallery_grid = config.probe_grid(), config.gallery_grid()
+    rng = np.random.default_rng(seed)
+    probes = rng.random((n_imgs, probe_grid.n_patches, dim))
+    galleries = rng.random((n_imgs, gallery_grid.n_patches, dim))
+    return probes, galleries, np.roll(galleries, -1, axis=0), probe_grid, gallery_grid
+
+
+def assert_models_equal(got, expect):
+    assert np.array_equal(got.matrices, expect.matrices)
+    assert np.array_equal(got.sigmas, expect.sigmas)
+    assert np.array_equal(got.global_matrix, expect.global_matrix)
+    assert got.global_sigma == expect.global_sigma
+    assert np.array_equal(got.fallback, expect.fallback)
+
+
+def test_training_pairs_are_computed_on_access():
+    probes, galleries, wrong, probe_grid, gallery_grid = canonical_stacks(2, 3)
+    similar, dissimilar = build_training_pairs(probes, galleries, wrong,
+                                               probe_grid, gallery_grid, t_d=4)
+    assert len(similar) == len(dissimilar) == probe_grid.n_patches
+    items = list(similar)
+    assert len(items) == probe_grid.n_patches
+    for i in (0, 41, probe_grid.n_patches - 1):
+        assert np.array_equal(similar[i], items[i])
+        assert similar[i] is not similar[i]  # a fresh array per read, nothing cached
+    assert np.array_equal(similar[-1], items[-1])
+    with pytest.raises(IndexError):
+        similar[probe_grid.n_patches]
+    with pytest.raises(TypeError):
+        similar[0] = items[0]
+
+
+@pytest.mark.parametrize("n_imgs, dim, t_d", [(4, 5, 32), (1, 2, 2)])
+def test_streamed_training_equals_list_and_one_pass_training(n_imgs, dim, t_d):
+    # (1, 2, 2): an interior window holds 3 pairs, enough for dim 2, while a
+    # window clipped at either end of the zig-zag order holds 2, so some
+    # locations are data-starved and fall back to the global metric.
+    probes, galleries, wrong, probe_grid, gallery_grid = canonical_stacks(n_imgs, dim)
+    similar, dissimilar = build_training_pairs(probes, galleries, wrong,
+                                               probe_grid, gallery_grid, t_d)
+    streamed = train_metric(similar, dissimilar, sigma_scale=0.15)
+    lists = ([similar[i] for i in range(len(similar))],
+             [dissimilar[i] for i in range(len(dissimilar))])
+    assert_models_equal(streamed, train_metric(*lists, sigma_scale=0.15))
+    assert_models_equal(streamed, oracles.train_metric(*lists, sigma_scale=0.15))
+    if t_d == 2:
+        assert streamed.fallback.any() and not streamed.fallback.all()
+    else:
+        assert not streamed.fallback.any()
+
+
+def test_split_metric_holds_one_location_of_differences_at_a_time():
+    # 30 training identities with 32-dim descriptors: all 84 locations'
+    # difference arrays at once take about 45 MB a side, one location about
+    # 0.5 MB.
+    probes, galleries, _, _, _ = canonical_stacks(30, 32)
+    tracemalloc.start()
+    try:
+        train_split_metric(probes, galleries, RunConfig())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20, f"metric training peaked at {peak / 2**20:.1f} MB"
+
+
+def test_training_pair_error_paths():
+    probes, galleries, wrong, probe_grid, gallery_grid = canonical_stacks(2, 3)
+    with pytest.raises(ConfigurationError, match="empty training set"):
+        build_training_pairs(probes[:0], galleries[:0], wrong[:0], probe_grid,
+                             gallery_grid, t_d=4)
+    with pytest.raises(ValueError, match="align"):
+        build_training_pairs(probes, galleries[:1], wrong, probe_grid, gallery_grid, t_d=4)
+    # t_d = 0 leaves every window empty: no location holds a pair.
+    similar, dissimilar = build_training_pairs(probes, galleries, wrong, probe_grid,
+                                               gallery_grid, t_d=0)
+    assert all(len(d) == 0 for d in similar)
+    with pytest.raises(ConfigurationError, match="no similar or no dissimilar"):
+        train_metric(similar, dissimilar, sigma_scale=0.15)
+    similar, _ = build_training_pairs(probes, galleries, wrong, probe_grid,
+                                      gallery_grid, t_d=4)
+    with pytest.raises(ValueError, match="align per location"):
+        train_metric(similar, [], sigma_scale=0.15)
 
 
 def test_metric_serialization_round_trip(tmp_path):
