@@ -14,21 +14,28 @@ keeps a padded list of its edges (cells above ``kappa``) and a private
 "skip" slot priced at ``kappa``, so a complete row assignment always exists.
 A warm start gives each row its cheapest edge in row order; only rows whose
 column is taken root a Dijkstra search, whose steps relax just the popped
-row's edges.  Pairs go in chunks of at most ``_CHUNK_CELLS`` cells.
-``solve_assignment`` is that pass on one pair; ``score_gate`` splits a mask
-shared by many pairs into connected components, settles each component
-whose greedy row picks do not collide or whose rows all bid for one shared
-column, and passes the rest to the exact pass.
+row's edges.  ``solve_assignment`` is that pass on one pair;
+``score_gate`` splits a mask shared by many pairs into connected components,
+settles each component whose greedy row picks do not collide or whose rows
+all bid for one shared column, and passes the rest to the exact pass.
+
+Both score pairs in chunks of one budget, ``_CHUNK_CELLS``, gathered
+straight from the caller's values, so scoring holds those values plus one
+chunk however many pairs share a gate.  A pair's total is its own row-order
+sum, so chunking moves no bit.
 """
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
-# Most (pair, row, slot) cells one chunk of the exact pass holds: it bounds
-# the pass's dense arrays however many pairs share a component.
-_CHUNK_CELLS = 1 << 20
+# Most entries one chunk holds: (cell, pair) entries, or (row, pair) where
+# rows outnumber cells, in score_gate and greedy_scores; (pair, row, slot)
+# cost cells plus (pair, column) search cells in the exact pass.  2^18 keeps
+# a test ranking's chunks under 2x its values; smaller budgets add search steps.
+_CHUNK_CELLS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -68,7 +75,9 @@ def solve_assignment(values: np.ndarray, assignable: np.ndarray | None = None, *
         raise ValueError("assignable values must be finite")
 
     rows, cols = np.nonzero(assignable)
-    match = _solve_exact(assignable.sum(axis=1), cols, values[rows, cols][:, None], kappa)[:, 0]
+    bounds = np.concatenate(([0], np.cumsum(assignable.sum(axis=1))))
+    match = _solve_exact(bounds, np.arange(len(values)), cols, values[rows, cols][:, None],
+                         np.zeros(1, dtype=np.int64), kappa)[:, 0]
     pairs = tuple((i, int(cols[m])) for i, m in enumerate(match.tolist()) if m >= 0)
     score = 0.0
     for i, m in enumerate(match.tolist()):
@@ -112,61 +121,60 @@ def score_gate(gate: np.ndarray, values: np.ndarray, kappa: float) -> GateScores
 
     n_rows, n_pairs = gate.shape[0], values.shape[1]
     bounds = np.concatenate(([0], np.cumsum(gate.sum(axis=1))))
-    # Greedy picks: each row's best cell when it beats kappa, else a skip.
-    # They bound every row from above, so collision-free picks are optimal.
-    chosen = np.full((n_rows, n_pairs), kappa)
-    picked = np.full((n_rows, n_pairs), -1, dtype=np.int64)
-    live, cell = row_best_cells(bounds, values)
-    best = np.take_along_axis(values, cell, axis=0)
-    take = best > kappa
-    chosen[live] = np.where(take, best, kappa)
-    picked[live] = np.where(take, cols[cell], -1)
-
     components = _gate_components(rows, cols, n_rows)
+    shared = [np.array(comp) for comp in components if len(comp) > 1]
     single_cell = np.diff(bounds) == 1
+    totals = np.empty(n_pairs)
     solves = 0
-    for comp in components:
-        if len(comp) < 2:
-            continue
-        skips = -1 - np.arange(len(comp))[:, None]  # distinct per row, never collide
-        picks = np.sort(np.where(picked[comp] < 0, skips, picked[comp]), axis=0)
-        clash = np.flatnonzero((picks[1:] == picks[:-1]).any(axis=0))
-        if not clash.size:
-            continue
-        if single_cell[comp].all():
-            # One shared column: its best bidder (the first row on a tie)
-            # takes it; the rest skip.
-            bids = values[bounds[comp]][:, clash]
-            won = np.arange(len(comp))[:, None] == bids.argmax(axis=0)
-            chosen[np.ix_(comp, clash)] = np.where(won, bids, kappa)
-        else:
-            solves += clash.size
-            cells = np.concatenate([np.arange(bounds[r], bounds[r + 1]) for r in comp])
-            block = values[cells][:, clash]
-            match = _solve_exact(np.diff(bounds)[comp], cols[cells], block, kappa)
-            chosen[np.ix_(comp, clash)] = np.where(
-                match < 0, kappa, block[match, np.arange(clash.size)])
-
-    totals = sum(chosen, np.zeros(n_pairs))  # ascending rows, as solve_assignment sums
+    for at, live, cell, best in row_best_cells(bounds, values):
+        # Greedy picks: each row's best cell when it beats kappa, else a skip.
+        # They bound every row from above, so collision-free picks are optimal.
+        take = best > kappa
+        chosen = np.full((n_rows, len(at)), kappa)
+        picked = np.full((n_rows, len(at)), -1, dtype=np.int64)
+        chosen[live] = np.where(take, best, kappa)
+        picked[live] = np.where(take, cols[cell], -1)
+        for comp in shared:
+            skips = -1 - np.arange(len(comp))[:, None]  # distinct per row, never collide
+            picks = np.sort(np.where(picked[comp] < 0, skips, picked[comp]), axis=0)
+            clash = np.flatnonzero((picks[1:] == picks[:-1]).any(axis=0))
+            if not clash.size:
+                continue
+            if single_cell[comp].all():
+                # One shared column: its best bidder (the first row on a tie)
+                # takes it; the rest skip.
+                bids = values[bounds[comp][:, None], at[clash]]
+                won = np.arange(len(comp))[:, None] == bids.argmax(axis=0)
+                chosen[np.ix_(comp, clash)] = np.where(won, bids, kappa)
+            else:
+                solves += clash.size
+                match = _solve_exact(bounds, comp, cols, values, at[clash], kappa)
+                chosen[np.ix_(comp, clash)] = np.where(
+                    match < 0, kappa, values[match, at[clash]])
+        totals[at] = sum(chosen, np.zeros(len(at)))  # ascending rows, as solve_assignment sums
     return GateScores(totals=totals, components=len(components), solves=solves,
-                      cells=len(rows), gated_rows=len(live))
+                      cells=len(rows), gated_rows=int(np.count_nonzero(np.diff(bounds))))
 
 
-def row_best_cells(bounds: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The rows that hold a cell, and the first cell holding each such row's
-    largest value for every pair (``argmax`` over the row's cells).
+def row_best_cells(bounds: np.ndarray,
+                   values: np.ndarray) -> Iterator[tuple[np.ndarray, ...]]:
+    """Each row's best cell, one chunk of pairs at a time.
 
     Row i holds cells ``bounds[i]:bounds[i + 1]`` of the (n_cells, n_pairs)
-    ``values``.
+    ``values``.  Yields, per chunk of at most ``_CHUNK_CELLS`` (cell, pair)
+    or (row, pair) entries: the indices of its pairs, the rows that hold a
+    cell, the first cell holding each such row's largest value for every
+    pair of the chunk (``argmax`` over the row's cells), and that value.
     """
-    live = np.flatnonzero(np.diff(bounds))
-    if not live.size:
-        return live, np.empty((0, values.shape[1]), dtype=np.int64)
-    starts = bounds[live]
-    best = np.maximum.reduceat(values, starts, axis=0)
-    owner = np.repeat(np.arange(len(live)), np.diff(bounds)[live])
-    cell = np.where(values == best[owner], np.arange(len(values))[:, None], len(values))
-    return live, np.minimum.reduceat(cell, starts, axis=0)
+    live, pairs = np.flatnonzero(np.diff(bounds)), np.arange(values.shape[1])
+    starts, owner = bounds[live], np.repeat(np.arange(len(live)), np.diff(bounds)[live])
+    step = max(1, _CHUNK_CELLS // max(len(values), len(bounds) - 1, 1))
+    for lo in range(0, values.shape[1], step):
+        chunk = values[:, lo:lo + step]
+        best = np.maximum.reduceat(chunk, starts, axis=0)
+        cell = np.where(chunk == best[owner], np.arange(len(values))[:, None], len(values))
+        cell = np.minimum.reduceat(cell, starts, axis=0)
+        yield pairs[lo:lo + step], live, cell, np.take_along_axis(chunk, cell, axis=0)
 
 
 def _gate_components(rows: np.ndarray, cols: np.ndarray, n_rows: int) -> list[list[int]]:
@@ -195,39 +203,43 @@ def _gate_components(rows: np.ndarray, cols: np.ndarray, n_rows: int) -> list[li
     return list(groups.values())
 
 
-def _solve_exact(degree: np.ndarray, cell_cols: np.ndarray, values: np.ndarray,
-                 kappa: float) -> np.ndarray:
-    """Cell each row takes in an optimal matching of every pair, -1 for a skip.
+def _solve_exact(bounds: np.ndarray, rows: np.ndarray, cols: np.ndarray,
+                 values: np.ndarray, pairs: np.ndarray, kappa: float) -> np.ndarray:
+    """Cell each of ``rows`` takes in an optimal matching of each of
+    ``pairs``, -1 for a skip.
 
-    Row i holds the next ``degree[i]`` cells: their columns, ascending within
-    the row, in ``cell_cols`` and their (n_cells, n_pairs) values.  Cells at
-    or below ``kappa`` are dropped, since skipping the row scores at least as
-    well.  A cell costs ``shift - value``, ``shift`` being the pair's largest
-    value or ``kappa``, so no cost is negative.
+    Row i holds cells ``bounds[i]:bounds[i + 1]``: their columns, ascending
+    within the row, in ``cols`` and their (n_cells, n_pairs) values in
+    ``values``.  Cells at or below ``kappa`` are dropped, since skipping the
+    row scores at least as well.  A cell costs ``shift - value``, ``shift``
+    being the pair's largest value or ``kappa``, so no cost is negative.
     """
-    n_rows, n_pairs = len(degree), values.shape[1]
-    if not len(cell_cols):
-        return np.full((n_rows, n_pairs), -1)
+    n_rows, first = len(rows), bounds[rows]
+    degree = bounds[rows + 1] - first
+    match = np.full((n_rows, len(pairs)), -1)
+    if not degree.any():
+        return match
     slots = np.arange(int(degree.max()) + 1)  # the last slot is the row's skip
     real = slots < degree[:, None]
-    slot_cell = np.where(real, np.cumsum(degree)[:, None] - degree[:, None] + slots, -1)
-    cell_cols = np.unique(cell_cols, return_inverse=True)[1]
-    n_cols = int(cell_cols.max()) + 1
+    slot_cell = np.where(real, first[:, None] + slots, -1)
+    labels = np.unique(cols[slot_cell[real]], return_inverse=True)[1]
+    n_cols = int(labels.max()) + 1
     pad = n_cols + n_rows  # the column of every unused slot; it is never reached
-    slot_col = np.where(real, cell_cols[slot_cell], pad)
+    slot_col = np.full(real.shape, pad)
+    slot_col[real] = labels
     slot_col[:, -1] = n_cols + np.arange(n_rows)
-    step = max(1, _CHUNK_CELLS // slot_col.size)
-    match = []
-    for lo in range(0, n_pairs, step):
-        cost = values[:, lo:lo + step].T[:, slot_cell]  # (pairs, rows, slots)
+    # A pair's chunk share: its cost cells and one search cell per column.
+    step = max(1, _CHUNK_CELLS // (slot_col.size + pad + 1))
+    for lo in range(0, len(pairs), step):
+        cost = values[slot_cell, pairs[lo:lo + step, None, None]]  # (pairs, rows, slots)
         shift = np.max(cost, axis=(1, 2), initial=kappa, where=real)[:, None, None]
         no_edge = (cost <= kappa) | ~real
         np.subtract(shift, cost, out=cost)  # in place: the values are not needed again
         cost[no_edge] = np.inf
         cost[:, :, -1] = shift[:, :, 0] - kappa
         taken = _shortest_paths(cost, slot_col, pad + 1)[:, :, None]
-        match.append(slot_cell[np.arange(n_rows), (slot_col == taken).argmax(axis=2)].T)
-    return np.concatenate(match, axis=1)
+        match[:, lo:lo + step] = slot_cell[np.arange(n_rows), (slot_col == taken).argmax(axis=2)].T
+    return match
 
 
 def _shortest_paths(cost: np.ndarray, slot_col: np.ndarray, n_cols: int) -> np.ndarray:
@@ -245,7 +257,7 @@ def _shortest_paths(cost: np.ndarray, slot_col: np.ndarray, n_cols: int) -> np.n
     every = np.arange(n_pairs)
     u = cost.min(axis=2)
     cheapest = slot_col[np.arange(n_rows), cost.argmin(axis=2)]
-    match_row = np.full((n_pairs, n_cols), -1)
+    match_row = np.full((n_pairs, n_cols), -1, dtype=np.int32)
     match_col = np.full((n_pairs, n_rows), -1)
     for i in range(n_rows):
         free = every[match_row[every, cheapest[:, i]] < 0]
@@ -253,38 +265,44 @@ def _shortest_paths(cost: np.ndarray, slot_col: np.ndarray, n_cols: int) -> np.n
         match_col[free, i] = cheapest[free, i]
     pending = match_col < 0
     v = np.zeros((n_pairs, n_cols))
-    dist = np.full((n_pairs, n_cols), np.inf)
+    dist = np.zeros((n_pairs, n_cols))  # where done: the distance a column was popped at
+    reach = np.full((n_pairs, n_cols), np.inf)  # where not done: the best distance so far
     done = np.zeros((n_pairs, n_cols), dtype=bool)
-    pred = np.zeros((n_pairs, n_cols), dtype=np.int64)
+    pred = np.zeros((n_pairs, n_cols), dtype=np.int32)
     reached = np.zeros((n_pairs, n_rows))  # distance at which a row joined
     seen = np.zeros((n_pairs, n_rows), dtype=bool)
+    # Flat views: a (pair, column) cell is pair * n_cols + column in each.
+    flat_v, flat_dist, flat_reach, flat_done, flat_pred, flat_match = (
+        a.reshape(-1) for a in (v, dist, reach, done, pred, match_row))
 
     def relax(p, r, d):  # the searches of pairs p reach row r at distance d
         reached[p, r], seen[p, r] = d, True
-        at = (p[:, None], slot_col[r])
-        step = d[:, None] + (cost[p, r] - u[p, r][:, None] - v[at])
-        better = (step < dist[at]) & ~done[at]
-        dist[at] = np.where(better, step, dist[at])
-        pred[at] = np.where(better, r[:, None], pred[at])
+        at = (p * n_cols)[:, None] + slot_col[r]
+        step = d[:, None] + (cost[p, r] - u[p, r][:, None] - flat_v[at])
+        hit = np.nonzero((step < flat_reach[at]) & ~flat_done[at])
+        flat_reach[at[hit]], flat_pred[at[hit]] = step[hit], r[hit[0]]
 
     def start(p):  # the next search of pairs p, from their first pending row
         r = pending[p].argmax(axis=1)
         pending[p, r] = False
-        dist[p], done[p], seen[p] = np.inf, False, False
+        reach[p], done[p], seen[p] = np.inf, False, False
         relax(p, r, np.zeros(len(p)))
 
     live = every[pending.any(axis=1)]
     start(live)
     while live.size:
-        open_dist = np.where(done[live], np.inf, dist[live])
-        col = open_dist.argmin(axis=1)
-        done[live, col] = True
-        row = match_row[live, col]
+        col = reach[live].argmin(axis=1)
+        at = live * n_cols + col
+        popped = flat_reach[at]
+        flat_dist[at], flat_reach[at], flat_done[at] = popped, np.inf, True
+        row = flat_match[at]
         grow = row >= 0
-        relax(live[grow], row[grow], open_dist[grow, col[grow]])
+        relax(live[grow], row[grow], popped[grow])
+        if grow.all():
+            continue
         p, col = live[~grow], col[~grow]
         # Potentials move once per augmentation, then the path flips.
-        delta = dist[p, col][:, None]
+        delta = popped[~grow][:, None]
         u[p] = np.where(seen[p], u[p] + (delta - reached[p]), u[p])
         done[p, col] = False
         v[p] = np.where(done[p], v[p] - (delta - dist[p]), v[p])

@@ -69,6 +69,7 @@ class IterationStats:
     gated_rows: int        # probe patches holding a gate cell
     clamped: int           # 1 when a half had fewer candidates than its draws
     new_cells: int         # cells the split's cell table computed this iteration
+    update_drift: float    # max|U_k - U_1| of the normalized update U over iterations
 
 
 @dataclass
@@ -244,6 +245,8 @@ def learn_structure(probe_stack: np.ndarray, gallery_stack: np.ndarray,
         normalized = np.zeros_like(update)
         normalized[live] = update[live] / row_sums[live, None]
 
+        if not diagnostics:
+            first_update = normalized
         new_structure = blend_update(structure, normalized, config.epsilon)
         delta = float(np.abs(new_structure.probs - structure.probs).mean())
         curve = cmc_curve(ranks, ctx.n_train)
@@ -262,6 +265,7 @@ def learn_structure(probe_stack: np.ndarray, gallery_stack: np.ndarray,
             gated_rows=scored.gated_rows,
             clamped=int(len(top) < half or len(bottom) < half),
             new_cells=ctx.table.computed - computed,
+            update_drift=float(np.abs(normalized - first_update).max()),
         ))
         structure = new_structure
         if delta < config.tolerance:

@@ -126,7 +126,9 @@ def gated_correlations(table: CellTable, structure: CorrespondenceStructure,
     gate = structure.probs > t_c
     log_p = np.log(structure.probs, out=np.zeros_like(structure.probs), where=gate)
     rows, cols = np.nonzero(gate)
-    return gate, table.values(rows, cols) + log_p[rows, cols][:, None]
+    values = table.values(rows, cols)  # a fresh array: the prior goes in in place
+    values += log_p[rows, cols][:, None]
+    return gate, values
 
 
 def correlation_matrix(probe_desc: np.ndarray, gallery_desc: np.ndarray,
@@ -150,10 +152,12 @@ def greedy_scores(gate: np.ndarray, values: np.ndarray,
     below ``kappa``.  Rows are summed in ascending order.
     """
     bounds = np.concatenate(([0], np.cumsum(gate.sum(axis=1))))
-    contributions = np.full((gate.shape[0], values.shape[1]), kappa)
-    live, cell = row_best_cells(bounds, values)
-    contributions[live] = np.take_along_axis(values, cell, axis=0)
-    return sum(contributions, np.zeros(values.shape[1]))  # in ascending row order
+    totals = np.empty(values.shape[1])
+    for pairs, live, _, best in row_best_cells(bounds, values):
+        contributions = np.full((gate.shape[0], best.shape[1]), kappa)
+        contributions[live] = best
+        totals[pairs] = sum(contributions, np.zeros(best.shape[1]))  # in ascending row order
+    return totals
 
 
 def match_score(probe_desc: np.ndarray, gallery_desc: np.ndarray,

@@ -210,6 +210,15 @@ def test_shift_structure_is_the_closed_form_blend(shift_run):
     assert np.abs(learned.structure.probs - expect).max() <= 1e-15
 
 
+def test_shift_updates_do_not_drift(shift_run):
+    # Characterization on the pinned split, like the test above: every
+    # iteration's normalized update is the first one's up to rounding
+    # (measured at most 8.3e-17), so boosting's selection does not move it.
+    _, _, learned, _, _ = shift_run
+    assert learned.diagnostics[0].update_drift == 0.0
+    assert max(d.update_drift for d in learned.diagnostics) <= 1e-15
+
+
 def test_determinism_cli(tmp_path):
     config_path = tmp_path / "small.cfg"
     save_config(config_path, RunConfig(max_iterations=6, repeats=2, selection_count=4,

@@ -1,3 +1,4 @@
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from corrmatch import assignment
 from corrmatch.assignment import Assignment, score_gate, solve_assignment
+from corrmatch.matching import greedy_scores
 
 from oracles import brute_force_best, dp_best_score
 
@@ -329,12 +331,13 @@ def assert_gate_totals_are_optimal(gate, values, kappa):
     return scored
 
 
-@pytest.mark.parametrize("chunk_cells", [assignment._CHUNK_CELLS, 1])
+@pytest.mark.parametrize("chunk_cells", [1 << 20, assignment._CHUNK_CELLS, 1])
 @settings(max_examples=200, deadline=None)
 @given(clashing_gates())
 def test_exact_pass_matches_dp_oracle(chunk_cells, instance):
-    # A budget of one cell puts every pair in its own chunk, so chunk
-    # boundaries fall inside every (component, pairs) block.
+    # 2^20 cells hold every generated case in one chunk; a budget of one
+    # cell puts every pair in its own chunk, so chunk boundaries fall inside
+    # every (component, pairs) block.
     with mock.patch.object(assignment, "_CHUNK_CELLS", chunk_cells):
         assert_gate_totals_are_optimal(*instance)
 
@@ -363,3 +366,63 @@ def test_exact_pass_on_banded_gate():
         res = solve_assignment(dense, kappa=kappa)
         assert res.score == dp_best_score(dense, gate, kappa) == scored.totals[p]
         assert_pairs_give_score(res, dense, gate, kappa)
+
+
+# ------------------------------------------------------ pair chunks
+
+@st.composite
+def shared_column_gates(draw):
+    """Gates of one-cell rows on one or two columns: components whose rows
+    all bid for one column, settled without the exact pass."""
+    n_rows = draw(st.integers(2, 6))
+    gate = np.zeros((n_rows, 2), dtype=bool)
+    gate[np.arange(n_rows), draw(st.lists(st.integers(0, 1), min_size=n_rows,
+                                          max_size=n_rows))] = True
+    n_pairs = draw(st.integers(1, 9))
+    quarters = draw(st.lists(st.integers(-8, 0), min_size=n_rows * n_pairs,
+                             max_size=n_rows * n_pairs))
+    values = np.array(quarters, dtype=np.float64).reshape(n_rows, n_pairs) / 4.0
+    return gate, values, draw(st.integers(-8, 0)) / 4.0
+
+
+# Rows 1-3 bid for column 1: a tie in pair 0, cells at and below kappa.
+@example((np.array([[1, 0], [0, 1], [0, 1], [0, 1]], dtype=bool),
+          np.array([[-1.5, -0.25, -1.0], [-0.75, -1.0, -0.5], [-0.75, -0.75, -2.0],
+                    [-2.0, -0.5, -0.5]]), -0.75))
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(gate_instances(), clashing_gates(), shared_column_gates()))
+def test_chunk_budget_moves_no_bit(instance):
+    # Budgets of 1 and 7 entries cut the pairs into chunks of one or a few;
+    # the default holds every generated case in one chunk.
+    gate, values, kappa = instance
+    runs = []
+    for chunk_cells in (assignment._CHUNK_CELLS, 7, 1):
+        with mock.patch.object(assignment, "_CHUNK_CELLS", chunk_cells):
+            runs.append((score_gate(gate, values, kappa), greedy_scores(gate, values, kappa)))
+    (first, first_greedy), *rest = runs
+    for scored, greedy in rest:
+        assert np.array_equal(scored.totals, first.totals)
+        assert np.array_equal(greedy, first_greedy)
+        assert ((scored.components, scored.solves, scored.cells, scored.gated_rows)
+                == (first.components, first.solves, first.cells, first.gated_rows))
+    assert all(type(n) is int for n in (first.components, first.solves, first.cells,
+                                        first.gated_rows))
+
+
+def test_score_gate_memory_is_bounded_by_its_values():
+    # The shape of a test ranking: 84 rows of about 7 cells in overlapping
+    # column bands (one component), scored for 900 pairs.  Rows' best cells
+    # collide in most pairs, so most pairs reach the exact pass.
+    rng = np.random.default_rng(5)
+    gate = np.zeros((84, 297), dtype=bool)
+    for i in range(84):
+        gate[i, 3 * i + rng.choice(11, size=7, replace=False)] = True
+    values = rng.normal(-16.0, 8.0, size=(int(gate.sum()), 900))
+    tracemalloc.start()
+    try:
+        scored = score_gate(gate, values, KAPPA)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert scored.components == 1 and scored.solves > 450
+    assert peak < 3 * values.nbytes

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corrmatch import matching
+from corrmatch import assignment, matching
 from corrmatch.assignment import row_best_cells
 from corrmatch.geometry import GridSpec, colocated_table, patch_at
 from corrmatch.imaging import RgbImage, extract_descriptors
@@ -268,9 +268,13 @@ def test_row_best_cells_and_greedy_scores_match_per_row_argmax(seed, n_a, n_pair
     bounds = np.concatenate(([0], np.cumsum(degree)))
     # Few distinct values, signed zeros among them: ties everywhere.
     values = rng.choice([-2.0, -0.5, -0.0, 0.0, 1.5], size=(int(bounds[-1]), n_pairs))
-    live, cells = row_best_cells(bounds, values)
     expect_live, expect_cells = oracles.row_argmax(bounds, values)
-    assert np.array_equal(live, expect_live) and np.array_equal(cells, expect_cells)
+    for chunk_cells in (assignment._CHUNK_CELLS, 1):  # one chunk, one pair per chunk
+        with mock.patch.object(assignment, "_CHUNK_CELLS", chunk_cells):
+            chunks = list(row_best_cells(bounds, values))
+        assert all(np.array_equal(live, expect_live) for _, live, _, _ in chunks)
+        cells = np.concatenate([cell for _, _, cell, _ in chunks], axis=1)
+        assert np.array_equal(cells, expect_cells)
 
     gate = np.arange(4)[None, :] < degree[:, None]
     totals = np.zeros(n_pairs)

@@ -50,16 +50,18 @@ def test_train_writes_artifacts(run):
     lines = Path(run, "diagnostics.csv").read_text().strip().split("\n")
     assert lines[0] == ("iter,mean_rank,cmc1,cmc5,delta,sum_ranks,max_row_sum_error,"
                         "min_entry,gate_components,component_solves,gate_cells,gated_rows,"
-                        "clamped,new_cells")
+                        "clamped,new_cells,update_drift")
     assert len(lines) == 1 + 4  # header + max_iterations rows (tolerance 0)
     for iteration, line in enumerate(lines[1:], start=1):
         fields = line.split(",")
-        assert len(fields) == 14 and int(fields[0]) == iteration
+        assert len(fields) == 15 and int(fields[0]) == iteration
         assert int(fields[5]) >= 8  # sum_ranks: each of the 8 ranks is >= 1
         assert int(fields[8]) > 0   # gate_components
         assert int(fields[10]) >= int(fields[11]) > 0  # gate_cells >= gated_rows
         assert fields[12] in ("0", "1")                # clamped
         assert int(fields[13]) >= (int(fields[10]) if iteration == 1 else 0)  # new_cells
+        drift = float(fields[14])  # update_drift: 0 in the first iteration
+        assert drift >= 0.0 and (iteration > 1 or drift == 0.0)
     csv_rows = Path(run, "structure.csv").read_text().strip().split("\n")
     assert len(csv_rows) == 84
 
