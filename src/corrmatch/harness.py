@@ -222,6 +222,10 @@ def generate_synthetic(out_dir, n_identities: int, shift_rows: int, noise_level:
     shift_pixels = shift_rows * config.gallery_stride_y
     if not 0 <= shift_pixels < config.image_height:
         raise ConfigurationError(f"shift of {shift_rows} rows leaves the canvas")
+    if not 0.0 <= noise_level < np.inf:  # NaN fails both comparisons
+        raise ConfigurationError(f"noise_level must be finite and >= 0, got {noise_level!r}")
+    if not 0.0 <= weak_fraction <= 1.0:
+        raise ConfigurationError(f"weak_fraction must lie in [0, 1], got {weak_fraction!r}")
 
     img_dir = os.path.join(out_dir, "imgs")
     os.makedirs(img_dir, exist_ok=True)
@@ -330,13 +334,6 @@ class SplitArtifacts:
     learned: LearnResult | None = None
     binaries: list[BinaryMappingStructure] | None = None
 
-    def binary_structures(self) -> list[BinaryMappingStructure]:
-        if self.learned is not None:
-            return self.learned.binary_structures
-        if self.binaries is None:
-            raise ValueError("split was trained without binary structures")
-        return self.binaries
-
 
 def train_on_split(bank: DescriptorBank, train_ids, config: RunConfig,
                    need_structure: bool = True,
@@ -348,6 +345,7 @@ def train_on_split(bank: DescriptorBank, train_ids, config: RunConfig,
     binaries = None
     if need_structure:
         learned = learn_structure(probe_stack, gallery_stack, metric, config)
+        binaries = learned.binary_structures
     elif need_binaries:
         table = correct_pair_log_similarity(probe_stack, gallery_stack, metric)
         binaries = find_binary_structures(probe_stack, gallery_stack, table, metric, config)
@@ -379,7 +377,9 @@ def _test_ranks(table: CellTable, owners: np.ndarray, artifacts: SplitArtifacts,
         return rank_of_scores(scores, correct, owners)
 
     if arm == "simple-average":
-        structure = simple_average_structure(artifacts.binary_structures(), config)
+        if artifacts.binaries is None:
+            raise ValueError("split was trained without binary structures")
+        structure = simple_average_structure(artifacts.binaries, config)
     elif arm in ("no-global", "proposed"):
         if artifacts.learned is None:
             raise ValueError(f"arm {arm!r} needs a trained structure")

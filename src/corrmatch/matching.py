@@ -66,12 +66,9 @@ class CellTable:
     """Memoized log similarities of (probe patch, gallery patch) cells.
 
     Holds a probe stack (n_probe_images, N_A, dim), a gallery stack
-    (n_gallery_images, N_B, dim) and their metric.  ``values`` computes a
-    cell through ``cell_log_similarity`` the first time it is asked for and
-    reads it back after.  A cell's values do not depend on the cells it is
-    computed with, so a read equals a fresh computation bit for bit.  The
-    table holds at most N_A * N_B cells of n_probe_images * n_gallery_images
-    doubles each.
+    (n_gallery_images, N_B, dim), their metric, and a dict from each cell
+    computed so far to its values.  A cell's values do not depend on the
+    cells it is computed with, so reads equal fresh computations bit for bit.
     """
 
     def __init__(self, probe_stack: np.ndarray, gallery_stack: np.ndarray,
@@ -87,28 +84,22 @@ class CellTable:
         self.n_gallery, self.n_b = gallery_stack.shape[:2]
         self.probe_images = np.arange(self.n_probe)
         self.gallery_images = np.arange(self.n_gallery)
-        self.computed = 0  # cells computed so far; rows 0:computed of _values hold them
-        self._slot = np.full(self.n_a * self.n_b, -1, dtype=np.int64)
-        self._values = np.empty((0, self.n_probe * self.n_gallery))
+        self._rows: dict[int, np.ndarray] = {}
+
+    computed = property(lambda self: len(self._rows))  # cells computed so far
 
     def values(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """log similarity of probe patch rows[c] against gallery patch
         cols[c], shape (n_cells, n_probe_images * n_gallery_images); pair
-        p * n_gallery_images + g is probe p against gallery g."""
-        keys = np.ravel_multi_index((rows, cols), (self.n_a, self.n_b))
-        new = np.unique(keys[self._slot[keys] < 0])
-        if new.size:
-            end = self.computed + new.size
-            if end > len(self._values):
-                grown = np.empty((max(end, 2 * len(self._values)), self._values.shape[1]))
-                grown[:self.computed] = self._values[:self.computed]
-                self._values = grown
+        p * n_gallery_images + g is probe p against gallery g.  The array is
+        fresh, never a view of the memo, so callers may add to it in place."""
+        keys = np.ravel_multi_index((rows, cols), (self.n_a, self.n_b)).tolist()
+        new = sorted(set(keys).difference(self._rows))
+        if new:
             fresh = cell_log_similarity(self.probe_stack, self.gallery_stack, self.model,
                                         *np.unravel_index(new, (self.n_a, self.n_b)))
-            self._values[self.computed:end] = fresh.reshape(new.size, -1)
-            self._slot[new] = np.arange(self.computed, end)
-            self.computed = end
-        return self._values[self._slot[keys]]
+            self._rows.update(zip(new, fresh.reshape(len(new), -1)))
+        return np.array([self._rows[k] for k in keys]).reshape(-1, self.n_probe * self.n_gallery)
 
 
 def gated_correlations(table: CellTable, structure: CorrespondenceStructure,

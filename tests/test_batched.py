@@ -4,6 +4,7 @@ Each batched path replaced a loop over probe rows, windows, patches or
 links; ``oracles`` keeps those loops, and every comparison here is
 ``np.array_equal``, not a tolerance.
 """
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -126,6 +127,44 @@ def test_cell_table_computes_each_distinct_cell_once():
             requested.update(zip(rows.tolist(), cols.tolist()))
             assert len(computed) == len(set(computed)) == table.computed
             assert set(computed) == requested
+
+
+def test_cell_table_growth_holds_no_second_copy_of_the_memo():
+    # A read that adds cells allocates their fresh block and the array it
+    # returns.  A memo that copied its cells into a larger buffer to grow
+    # would hold the old and new buffers at once, twice the cells it holds.
+    rng = np.random.default_rng(5)
+    n_a, n_b, dim, n_images = 20, 30, 2, 30  # small dim: small kernel temporaries
+    model = random_model(rng, n_a, dim)
+    table = matching.CellTable(rng.standard_normal((n_images, n_a, dim)),
+                               rng.standard_normal((n_images, n_b, dim)), model)
+    held, added = np.split(rng.permutation(n_a * n_b)[:456], [256])
+    table.values(*np.unravel_index(held, (n_a, n_b)))
+    tracemalloc.start()
+    try:
+        got = table.values(*np.unravel_index(added, (n_a, n_b)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table.computed == 456
+    fresh_block = len(added) * n_images * n_images * 8
+    assert peak < 1.3 * (fresh_block + got.nbytes)
+
+
+def test_cell_table_reads_are_copies():
+    # gated_correlations adds log p to what values() returns, in place: a
+    # read handing out a view of the memo would corrupt every later read.
+    rng = np.random.default_rng(8)
+    n_a, n_b, dim = 4, 5, 3
+    model = random_model(rng, n_a, dim)
+    probe, gallery = rng.standard_normal((2, n_a, dim)), rng.standard_normal((3, n_b, dim))
+    gate = rng.random((n_a, n_b)) < 0.5
+    table = matching.CellTable(probe, gallery, model)
+    expect = oracles.cell_values(probe, gallery, model, gate)
+    for _ in range(3):  # the first read computes every cell, the later ones hold them
+        got = table.values(*np.nonzero(gate))
+        assert np.array_equal(got, expect)
+        got += 1.0
 
 
 @pytest.mark.parametrize("use_first_image", [True, False])

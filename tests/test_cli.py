@@ -129,6 +129,15 @@ def test_cli_error_is_single_line_nonzero(tmp_path, capsys):
     assert "\n" not in err
 
 
+def test_synth_with_negative_noise_is_one_error_line(tmp_path, capsys):
+    out = tmp_path / "data"
+    code = main(["synth", "--out", str(out), "--identities", "2", "--shift-rows", "0",
+                 "--noise", "-1"])
+    err = capsys.readouterr().err.strip().splitlines()
+    assert code == 1 and len(err) == 1 and err[0].startswith("error: ConfigurationError")
+    assert "noise_level" in err[0] and not (out / "manifest.csv").exists()
+
+
 def test_match_with_non_finite_metric_is_one_error_line(dataset, tmp_path, capsys):
     config = RunConfig()
     structure = init_structure(config.probe_grid(), config.gallery_grid(), config.t_d)

@@ -161,6 +161,22 @@ def test_synthetic_shift_out_of_bounds_rejected(tmp_path):
                            seed=1, config=SMALL)
 
 
+@pytest.mark.parametrize("bad", [dict(noise_level=-1.0), dict(noise_level=float("nan")),
+                                 dict(noise_level=float("inf")), dict(weak_fraction=float("nan")),
+                                 dict(weak_fraction=2.0), dict(weak_fraction=-0.1)])
+def test_synthetic_rejects_bad_noise_and_weak_fraction(tmp_path, bad):
+    # A negative noise level would otherwise write noise-free images silently.
+    with pytest.raises(ConfigurationError, match=next(iter(bad))):
+        make_synthetic_manifest(tmp_path, n=2, **bad)
+    assert not (tmp_path / "data").exists()  # rejected before anything is written
+
+
+def test_synthetic_accepts_the_weak_fraction_bounds(tmp_path):
+    for fraction in (0.0, 1.0):
+        _, gt = make_synthetic_manifest(tmp_path / str(fraction), n=2, weak_fraction=fraction)
+        assert gt["weak_fraction"] == fraction
+
+
 def test_ground_truth_record_contents(tmp_path):
     _, gt = make_synthetic_manifest(tmp_path, n=4, shift_rows=3, noise_level=0.02, seed=9)
     assert gt["shift_rows"] == 3
@@ -222,7 +238,7 @@ def test_binaries_without_structure_match_the_learners(tmp_path):
     alone = train_on_split(bank, ids, config, need_structure=False)
     learned = train_on_split(bank, ids, config)
     assert alone.learned is None and len(alone.binaries) == 4
-    assert alone.binary_structures() == learned.binary_structures()
+    assert alone.binaries == learned.binaries
 
 
 def test_unshifted_training_keeps_colocated_argmax(tmp_path):
