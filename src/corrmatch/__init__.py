@@ -2,19 +2,17 @@
 
 from .assignment import Assignment, solve_assignment
 from .config import RunConfig
-from .geometry import GridSpec, PatchRef, colocated_patch, patch_positions, zigzag_distance
+from .geometry import GridSpec
 from .learning import CmcCurve, cmc_curve, learn_structure
 from .matching import BinaryMappingStructure, match_score, rank_gallery
-from .metric import MetricModel, appearance_similarity, build_avg_similarity, train_metric
+from .metric import MetricModel, build_avg_similarity, train_metric
 from .structure import CorrespondenceStructure, blend_update, init_structure
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Assignment", "BinaryMappingStructure", "CmcCurve", "CorrespondenceStructure",
-    "GridSpec", "MetricModel", "PatchRef", "RunConfig", "appearance_similarity",
-    "blend_update", "build_avg_similarity", "cmc_curve", "colocated_patch",
-    "init_structure", "learn_structure", "match_score", "patch_positions",
-    "rank_gallery", "solve_assignment", "train_metric",
-    "zigzag_distance", "__version__",
+    "GridSpec", "MetricModel", "RunConfig", "blend_update", "build_avg_similarity",
+    "cmc_curve", "init_structure", "learn_structure", "match_score", "rank_gallery",
+    "solve_assignment", "train_metric", "__version__",
 ]

@@ -52,25 +52,18 @@ class Assignment:
             raise ValueError("assignment must be one-to-one")
 
 
-def solve_assignment(values: np.ndarray, assignable: np.ndarray | None = None, *,
-                     kappa: float) -> Assignment:
+def solve_assignment(values: np.ndarray, *, kappa: float) -> Assignment:
     """Best one-to-one assignment for a correlation matrix.
 
-    ``values`` is (n_rows, n_cols); cells where ``assignable`` is False (or
-    where values are -inf when no mask is given) cannot be used.  The score
-    sums chosen cell values plus ``kappa`` per unmatched row, accumulated in
-    ascending row order; which of several tied optima is returned is
-    unspecified.
+    ``values`` is (n_rows, n_cols); cells valued -inf cannot be used.  The
+    score sums chosen cell values plus ``kappa`` per unmatched row,
+    accumulated in ascending row order; which of several tied optima is
+    returned is unspecified.
     """
     values = np.asarray(values, dtype=np.float64)
     if values.ndim != 2:
         raise ValueError(f"expected a 2-d matrix, got shape {values.shape}")
-    if assignable is None:
-        assignable = ~np.isneginf(values)
-    else:
-        assignable = np.asarray(assignable, dtype=bool)
-        if assignable.shape != values.shape:
-            raise ValueError("assignable mask shape mismatch")
+    assignable = ~np.isneginf(values)
     if values.size and not np.all(np.isfinite(values[assignable])):
         raise ValueError("assignable values must be finite")
 

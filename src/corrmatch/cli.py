@@ -46,7 +46,6 @@ def _write_cmc_csv(path, averaged, per_split, rank_points) -> None:
 
 def cmd_synth(args) -> int:
     config = _config_from(args)
-    os.makedirs(args.out, exist_ok=True)
     generate_synthetic(args.out, args.identities, args.shift_rows, args.noise,
                        args.seed, config, weak_fraction=args.weak_fraction)
     print(f"wrote {args.identities} identities under {args.out}")

@@ -61,40 +61,13 @@ class PatchRef:
     ordinal: int
 
 
-def zigzag_ordinal(grid: GridSpec, row: int, col: int) -> int:
-    """Boustrophedon ordinal of cell (row, col): odd rows run right to left."""
-    if not (0 <= row < grid.n_rows and 0 <= col < grid.n_cols):
-        raise ValueError(f"cell ({row}, {col}) outside {grid.n_rows}x{grid.n_cols} grid")
-    if row % 2 == 0:
-        return row * grid.n_cols + col
-    return row * grid.n_cols + (grid.n_cols - 1 - col)
-
-
 def patch_at(grid: GridSpec, ordinal: int) -> PatchRef:
-    """Inverse of zigzag_ordinal."""
+    """The patch with this zig-zag ordinal."""
     if not 0 <= ordinal < grid.n_patches:
         raise ValueError(f"ordinal {ordinal} outside [0, {grid.n_patches})")
     row, offset = divmod(ordinal, grid.n_cols)
     col = offset if row % 2 == 0 else grid.n_cols - 1 - offset
     return PatchRef(row=row, col=col, ordinal=ordinal)
-
-
-def patch_origin(grid: GridSpec, patch: PatchRef) -> tuple[int, int]:
-    """Top-left pixel (x, y) of a patch."""
-    _check_member(grid, patch)
-    return patch.col * grid.stride_x, patch.row * grid.stride_y
-
-
-def patch_positions(grid: GridSpec) -> list[PatchRef]:
-    """All patches of the grid in zig-zag order."""
-    return [patch_at(grid, k) for k in range(grid.n_patches)]
-
-
-def zigzag_distance(grid: GridSpec, a: PatchRef, b: PatchRef) -> int:
-    """Strides needed to walk from a to b along the zig-zag scan order."""
-    _check_member(grid, a)
-    _check_member(grid, b)
-    return abs(a.ordinal - b.ordinal)
 
 
 def colocated_patch(probe_grid: GridSpec, gallery_grid: GridSpec, p: PatchRef) -> PatchRef:
@@ -103,7 +76,8 @@ def colocated_patch(probe_grid: GridSpec, gallery_grid: GridSpec, p: PatchRef) -
     Ties in Euclidean distance between origins are broken by the smaller
     gallery ordinal.  One row of ``colocated_table``.
     """
-    _check_member(probe_grid, p)
+    if p != patch_at(probe_grid, p.ordinal):
+        raise ValueError(f"patch {p} is not a patch of the probe grid")
     return patch_at(gallery_grid, int(colocated_table(probe_grid, gallery_grid)[0][p.ordinal]))
 
 
@@ -137,10 +111,3 @@ def colocated_table(probe_grid: GridSpec, gallery_grid: GridSpec) -> tuple[np.nd
     key = (d2 * gallery_grid.n_patches + ordinals).reshape(4, -1)
     best = ordinals.reshape(4, -1)[key.argmin(axis=0), np.arange(probe_grid.n_patches)]
     return best, best // gallery_grid.n_cols
-
-
-def _check_member(grid: GridSpec, patch: PatchRef) -> None:
-    if not (0 <= patch.row < grid.n_rows and 0 <= patch.col < grid.n_cols):
-        raise ValueError(f"patch {patch} outside {grid.n_rows}x{grid.n_cols} grid")
-    if patch.ordinal != zigzag_ordinal(grid, patch.row, patch.col):
-        raise ValueError(f"patch {patch} has inconsistent ordinal for this grid")

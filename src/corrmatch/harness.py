@@ -65,12 +65,12 @@ class DatasetManifest:
         return self.image_paths(identity, camera)[0]
 
 
-def load_manifest(path, allow_multi: bool = True) -> DatasetManifest:
+def load_manifest(path) -> DatasetManifest:
     """Read and validate a dataset manifest CSV.
 
     Paths are resolved relative to the manifest file.  Every identity must
-    appear in both cameras; with allow_multi extra images per (identity,
-    camera) are kept (callers use the first one per camera).
+    appear in both cameras; extra images per (identity, camera) are kept
+    (callers use the first one per camera).
     """
     base = os.path.dirname(os.path.abspath(path))
     with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -84,7 +84,7 @@ def load_manifest(path, allow_multi: bool = True) -> DatasetManifest:
 
     entries = []
     problems = []
-    seen_pairs: dict[tuple[str, str], int] = {}
+    seen_pairs: set[tuple[str, str]] = set()
     for lineno, row in enumerate(rows[1:], start=2):
         if len(row) != 3:
             problems.append(f"line {lineno}: expected 3 columns")
@@ -97,7 +97,7 @@ def load_manifest(path, allow_multi: bool = True) -> DatasetManifest:
         if not os.path.isfile(full):
             problems.append(f"line {lineno}: missing file {rel}")
             continue
-        seen_pairs[(identity, camera)] = seen_pairs.get((identity, camera), 0) + 1
+        seen_pairs.add((identity, camera))
         entries.append(ManifestEntry(identity=identity, camera=camera, path=full))
 
     identities = {e.identity for e in entries}
@@ -105,10 +105,6 @@ def load_manifest(path, allow_multi: bool = True) -> DatasetManifest:
         for camera in CAMERAS:
             if (identity, camera) not in seen_pairs:
                 problems.append(f"identity {identity!r} missing camera {camera}")
-    if not allow_multi:
-        dupes = [f"({i}, {c}) x{n}" for (i, c), n in sorted(seen_pairs.items()) if n > 1]
-        if dupes:
-            problems.append("duplicate entries: " + "; ".join(dupes))
     if problems:
         raise ConfigurationError(f"invalid manifest {path}: " + " | ".join(problems))
     if not entries:
@@ -169,12 +165,13 @@ def render_identity(rng: np.random.Generator, scene: np.ndarray,
     """A figure of stacked colored blocks under the shared scene texture.
 
     Identity-specific content is deliberately sparse and coarse: block
-    colors drawn with replacement from a small palette, a lightly jittered
-    shared body template, and a faint two-level cell pattern.  Histograms of
-    misaligned patches therefore collide between identities, while exactly
-    aligned patches still separate them.  Weak-texture identities flatten
-    the shared texture inside their blocks, which makes their patches
-    locally ambiguous and their adjacency-search links scatter.
+    colors drawn with replacement from the first ``palette_size`` (2 to 8)
+    palette colors, a lightly jittered shared body template, and a faint
+    two-level cell pattern.  Histograms of misaligned patches therefore
+    collide between identities, while exactly aligned patches still
+    separate them.  Weak-texture identities flatten the shared texture
+    inside their blocks, which makes their patches locally ambiguous and
+    their adjacency-search links scatter.
     """
     height, width = scene.shape[:2]
     # Boundaries are a per-identity subset of one shared anchor template, so
@@ -186,8 +183,7 @@ def render_identity(rng: np.random.Generator, scene: np.ndarray,
     cuts = np.clip(cuts, 12, height - 12)
     cuts = np.maximum.accumulate(cuts + np.arange(n_blocks - 1) * 1e-3)  # keep order
     bounds = [0, *[int(c) for c in cuts], height]
-    n_colors = min(max(palette_size, 2), len(_PALETTE))
-    colors = _PALETTE[rng.integers(0, n_colors, size=n_blocks)]
+    colors = _PALETTE[rng.integers(0, palette_size, size=n_blocks)]
 
     img = np.array([58.0, 62.0, 68.0])[None, None, :] * scene
 
@@ -226,6 +222,11 @@ def generate_synthetic(out_dir, n_identities: int, shift_rows: int, noise_level:
         raise ConfigurationError(f"noise_level must be finite and >= 0, got {noise_level!r}")
     if not 0.0 <= weak_fraction <= 1.0:
         raise ConfigurationError(f"weak_fraction must lie in [0, 1], got {weak_fraction!r}")
+    if not 2 <= palette_size <= len(_PALETTE):
+        raise ConfigurationError(f"palette_size must lie in [2, {len(_PALETTE)}], "
+                                 f"got {palette_size!r}")
+    if n_identities < 1:
+        raise ConfigurationError(f"n_identities must be >= 1, got {n_identities!r}")
 
     img_dir = os.path.join(out_dir, "imgs")
     os.makedirs(img_dir, exist_ok=True)

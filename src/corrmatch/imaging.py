@@ -16,10 +16,6 @@ import numpy as np
 from .geometry import GridSpec, patch_cells
 
 
-def descriptor_dim(color_bins: int, gradient_bins: int) -> int:
-    return 3 * color_bins + gradient_bins
-
-
 class PpmError(ValueError):
     """Base class for PPM decoding problems."""
 

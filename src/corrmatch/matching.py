@@ -122,17 +122,6 @@ def gated_correlations(table: CellTable, structure: CorrespondenceStructure,
     return gate, values
 
 
-def correlation_matrix(probe_desc: np.ndarray, gallery_desc: np.ndarray,
-                       structure: CorrespondenceStructure, model: MetricModel,
-                       t_c: float) -> np.ndarray:
-    """Structure-gated correlations: log similarity + log probability, else -inf."""
-    table = CellTable(probe_desc[None], gallery_desc[None], model)
-    gate, cells = gated_correlations(table, structure, t_c)
-    values = np.full(gate.shape, -np.inf)
-    values[gate] = cells[:, 0]
-    return values
-
-
 def greedy_scores(gate: np.ndarray, values: np.ndarray,
                   kappa: float) -> np.ndarray:
     """Row-wise best correlations summed without the one-to-one constraint.
@@ -154,8 +143,12 @@ def greedy_scores(gate: np.ndarray, values: np.ndarray,
 def match_score(probe_desc: np.ndarray, gallery_desc: np.ndarray,
                 structure: CorrespondenceStructure, model: MetricModel,
                 t_c: float, kappa: float) -> tuple[np.ndarray, Assignment]:
-    """Image matching score: the correlation matrix and its global assignment."""
-    corr = correlation_matrix(probe_desc, gallery_desc, structure, model, t_c)
+    """Image matching score: the structure-gated correlation matrix (log
+    similarity + log probability, else -inf) and its global assignment."""
+    table = CellTable(probe_desc[None], gallery_desc[None], model)
+    gate, cells = gated_correlations(table, structure, t_c)
+    corr = np.full(gate.shape, -np.inf)
+    corr[gate] = cells[:, 0]
     return corr, solve_assignment(corr, kappa=kappa)
 
 
@@ -171,10 +164,10 @@ def rank_gallery(probe_desc: np.ndarray, gallery_descs, structure: Correspondenc
         raise ValueError("gallery set must be non-empty")
     table = CellTable(probe_desc[None], np.stack(gallery_descs), model)
     gate, values = gated_correlations(table, structure, t_c)
-    scores = score_gate(gate, values, kappa).totals.tolist()
-    order = sorted(range(len(scores)), key=lambda idx: (-scores[idx], idx))
-    ranked = [(idx, scores[idx]) for idx in order]
-    rank = None if correct_index is None else order.index(correct_index) + 1
+    scores = score_gate(gate, values, kappa).totals
+    order = np.argsort(-scores, kind="stable")
+    ranked = list(zip(order.tolist(), scores[order].tolist()))
+    rank = None if correct_index is None else int(rank_of_scores(scores[None], [correct_index])[0])
     return ranked, rank
 
 

@@ -169,26 +169,6 @@ def train_metric(similar_diffs, dissimilar_diffs, sigma_scale: float) -> MetricM
                        global_sigma=global_sigma, fallback=fallback)
 
 
-def appearance_similarity(model: MetricModel, f_a: np.ndarray, f_b: np.ndarray,
-                          loc: int) -> float:
-    """Similarity in (0, 1]; exactly 1 for equal descriptors."""
-    f_a = np.asarray(f_a, dtype=np.float64)
-    f_b = np.asarray(f_b, dtype=np.float64)
-    if f_a.shape != (model.dim,) or f_b.shape != (model.dim,):
-        raise ValueError(f"descriptors must have dim {model.dim}")
-    if not 0 <= loc < model.n_locations:
-        raise ValueError(f"location {loc} outside [0, {model.n_locations})")
-    return float(batched_similarity(model, f_a[None], f_b[None], [loc])[0])
-
-
-def batched_similarity(model: MetricModel, f_a: np.ndarray, f_b: np.ndarray,
-                       locs: np.ndarray) -> np.ndarray:
-    """Similarity of stacked descriptor pairs: ``f_a`` and ``f_b`` have shape
-    (n, dim), ``locs`` (n,); pair k is scored at location ``locs[k]``."""
-    d = np.asarray(f_a, dtype=np.float64) - np.asarray(f_b, dtype=np.float64)
-    return np.exp(log_similarity(model, locs, d[:, None, :]))[:, 0]
-
-
 class LocationDifferences(Sequence):
     """One side's per-location difference arrays, each computed when read: item
     i is ``probe_stack[:, i] - gallery_stack[:, windows[i]]`` as (-1, dim) rows."""
@@ -244,9 +224,14 @@ def correct_pair_log_similarity(probe_stack: np.ndarray, gallery_stack: np.ndarr
     if n_a != model.n_locations:
         raise ValueError(f"{n_a} probe patches for a {model.n_locations}-location metric")
     table = np.empty((n_pairs, n_a, gallery_stack.shape[1]))
+    # One location's differences, rewritten in place by every pass.  A fresh
+    # block per pass, freed next to log_similarity's product of the same size,
+    # can make the allocator hand both back to the OS and fault them in again
+    # on every pass, depending on what the process allocated before.
+    d = np.empty((1, *gallery_stack.shape), dtype=np.result_type(probe_stack, gallery_stack))
     for i in range(n_a):  # per location: one call for all would hold n_a times the temporaries
-        table[:, i] = log_similarity(model, [i], probe_stack[None, :, i, None]
-                                     - gallery_stack[None])[0]
+        np.subtract(probe_stack[None, :, i, None], gallery_stack[None], out=d)
+        table[:, i] = log_similarity(model, [i], d)[0]
     return table
 
 

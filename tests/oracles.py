@@ -162,7 +162,7 @@ def rank_correct_matches(pair_log_similarity, probs: np.ndarray, t_c: float,
             values = np.full(probs.shape, -np.inf)
             for i, j in cells:
                 values[i, j] = pair_log_similarity(i, j)[p, g] + log_p[i, j]
-            scores.append(solve_assignment(values, mask, kappa=kappa).score)
+            scores.append(solve_assignment(values, kappa=kappa).score)
         ranks.append(1 + sum(1 for g, s in enumerate(scores)
                              if s > scores[p] or (s == scores[p] and g < p)))
     return ranks
@@ -279,12 +279,23 @@ def descriptors(img, grid, color_bins: int, gradient_bins: int) -> np.ndarray:
     return out
 
 
+def zigzag_ordinal(grid, row: int, col: int) -> int:
+    """Scalar reference for the zig-zag order of ``geometry.patch_at`` and
+    ``colocated_table``: even rows run left to right, odd rows right to left."""
+    if not (0 <= row < grid.n_rows and 0 <= col < grid.n_cols):
+        raise ValueError(f"cell ({row}, {col}) outside {grid.n_rows}x{grid.n_cols} grid")
+    return row * grid.n_cols + (col if row % 2 == 0 else grid.n_cols - 1 - col)
+
+
+def patch_origin(grid, patch) -> tuple[int, int]:
+    """Top-left pixel (x, y) of a patch."""
+    return patch.col * grid.stride_x, patch.row * grid.stride_y
+
+
 def colocated_patch(probe_grid, gallery_grid, p):
     """Scalar reference for ``geometry.colocated_table``: (ordinal, row) of
     the gallery patch whose origin is nearest to probe patch p's origin,
     ties to the smaller ordinal, by trying the lattice points around it."""
-    from corrmatch.geometry import zigzag_ordinal
-
     px, py = p.col * probe_grid.stride_x, p.row * probe_grid.stride_y
 
     def axis_candidates(target, stride, count):

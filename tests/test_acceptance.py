@@ -19,8 +19,8 @@ from corrmatch.geometry import colocated_patch, patch_at
 from corrmatch.harness import (DescriptorBank, generate_synthetic, load_manifest,
                                make_splits, run_ablations, train_on_split)
 from corrmatch.learning import learn_structure
-from corrmatch.metric import (MetricModel, appearance_similarity, batched_similarity,
-                              build_avg_similarity, correct_pair_log_similarity, train_metric)
+from corrmatch.metric import (MetricModel, build_avg_similarity, correct_pair_log_similarity,
+                              log_similarity, train_metric)
 from corrmatch.structure import init_structure
 
 from conftest import record_acceptance
@@ -99,7 +99,7 @@ def test_solver_oracle_equivalence():
         assignable = rng.random((n_rows, n_cols)) > 0.25
         assignable[rng.random(n_rows) < 0.1] = False  # all-excluded rows
         values = np.where(assignable, values, -np.inf)
-        got = solve_assignment(values, assignable, kappa=-50.0).score
+        got = solve_assignment(values, kappa=-50.0).score
         want = dp_best_score(values, assignable, -50.0)
         assert got == want, f"psi mismatch: {got!r} != {want!r}"
         checked += 1
@@ -276,11 +276,11 @@ def test_metric_sanity():
                         global_matrix=mats[0], global_sigma=1.0)
     descriptors = rng.random((10_000, dim))
     for loc in range(n_loc):
-        sims = batched_similarity(model, descriptors, descriptors,
-                                  np.full(len(descriptors), loc))
+        sims = np.exp(log_similarity(model, [loc], (descriptors - descriptors)[None]))
         assert np.all(sims == 1.0), f"self-similarity not exactly 1 at location {loc}"
-    for k in range(0, 10_000, 997):  # scalar-path spot checks
-        assert appearance_similarity(model, descriptors[k], descriptors[k], k % n_loc) == 1.0
+    for k in range(0, 10_000, 997):  # one-pair spot checks
+        d = (descriptors[k] - descriptors[k])[None, None]
+        assert np.exp(log_similarity(model, [k % n_loc], d)) == 1.0
 
     # scalar training case, hand arithmetic with ridge gamma = 1e-3 * trace / dim
     similar = [np.array([[1.0], [-1.0]])]

@@ -100,7 +100,7 @@ def test_matches_enumeration_oracle_small():
         assignable = rng.random((n_rows, n_cols)) > 0.3
         values = np.where(assignable, values, -np.inf)
         expect_pairs, expect_score = brute_force_best(values, assignable, KAPPA)
-        res = solve_assignment(values, assignable, kappa=KAPPA)
+        res = solve_assignment(values, kappa=KAPPA)
         assert res.score == expect_score
         assert res.pairs == expect_pairs
 
@@ -109,7 +109,7 @@ def test_matches_dp_oracle_medium():
     rng = np.random.default_rng(12)
     for _ in range(200):
         values, assignable = _random_instance(rng)
-        res = solve_assignment(values, assignable, kappa=KAPPA)
+        res = solve_assignment(values, kappa=KAPPA)
         assert res.score == dp_best_score(values, assignable, KAPPA)
 
 
@@ -144,7 +144,7 @@ def test_tied_optima_match_enumeration_score():
         values = -1.0 * rng.integers(0, 3, size=(n_rows, n_cols)).astype(float)
         assignable = rng.random((n_rows, n_cols)) > 0.25
         values = np.where(assignable, values, -np.inf)
-        res = solve_assignment(values, assignable, kappa=KAPPA)
+        res = solve_assignment(values, kappa=KAPPA)
         assert res.score == brute_force_best(values, assignable, KAPPA)[1]
         assert res.score == dp_best_score(values, assignable, KAPPA)
         assert_pairs_give_score(res, values, assignable, KAPPA)
@@ -175,14 +175,14 @@ def test_score_monotone_in_single_cell():
     rng = np.random.default_rng(15)
     for _ in range(50):
         values, assignable = _random_instance(rng)
-        base = solve_assignment(values, assignable, kappa=KAPPA).score
+        base = solve_assignment(values, kappa=KAPPA).score
         cells = np.argwhere(assignable)
         if cells.size == 0:
             continue
         r, c = cells[rng.integers(len(cells))]
         bumped = values.copy()
         bumped[r, c] += 5.0 * rng.random()
-        assert solve_assignment(bumped, assignable, kappa=KAPPA).score >= base
+        assert solve_assignment(bumped, kappa=KAPPA).score >= base
 
 
 def test_permutation_equivariance():
@@ -191,8 +191,8 @@ def test_permutation_equivariance():
         values, assignable = _random_instance(rng)
         n_cols = values.shape[1]
         perm = rng.permutation(n_cols)
-        res = solve_assignment(values, assignable, kappa=KAPPA)
-        permuted = solve_assignment(values[:, perm], assignable[:, perm], kappa=KAPPA)
+        res = solve_assignment(values, kappa=KAPPA)
+        permuted = solve_assignment(values[:, perm], kappa=KAPPA)
         assert permuted.score == pytest.approx(res.score, abs=1e-12)
         # Mapping the permuted pairs back must land on an optimal pair set.
         back = tuple(sorted((i, int(perm[j])) for i, j in permuted.pairs))
@@ -242,7 +242,7 @@ def test_score_gate_matches_per_pair_solvers(instance):
     for p in range(values.shape[1]):
         dense = np.full(gate.shape, -np.inf)
         dense[gate] = values[:, p]
-        res = solve_assignment(dense, gate, kappa=kappa)
+        res = solve_assignment(dense, kappa=kappa)
         assert scored.totals[p] == res.score
         assert scored.totals[p] == dp_best_score(dense, gate, kappa)
         assert_pairs_give_score(res, dense, gate, kappa)
@@ -271,7 +271,7 @@ def test_score_gate_single_column_component_tie():
     for p in range(values.shape[1]):
         dense = np.full(gate.shape, -np.inf)
         dense[gate] = values[:, p]
-        assert scored.totals[p] == solve_assignment(dense, gate, kappa=KAPPA).score
+        assert scored.totals[p] == solve_assignment(dense, kappa=KAPPA).score
         assert scored.totals[p] == dp_best_score(dense, gate, KAPPA)
 
 
@@ -286,7 +286,7 @@ def test_score_gate_single_column_tie_goes_to_first_row():
     assert (-1.9 + -0.8) + KAPPA != (-1.9 + KAPPA) + -0.8
     assert total == (-1.9 + -0.8) + KAPPA
     dense = np.array([[-1.9, -np.inf], [-np.inf, -0.8], [-np.inf, -0.8]])
-    assert total == pytest.approx(solve_assignment(dense, gate, kappa=KAPPA).score,
+    assert total == pytest.approx(solve_assignment(dense, kappa=KAPPA).score,
                                   rel=1e-15)
 
 

@@ -18,8 +18,8 @@ from corrmatch.geometry import GridSpec, colocated_table, patch_at
 from corrmatch.imaging import RgbImage, extract_descriptors
 from corrmatch.learning import conditional_matrix
 from corrmatch.matching import BinaryMappingStructure, adjacency_candidates, greedy_scores
-from corrmatch.metric import (MetricModel, appearance_similarity, batched_similarity,
-                              build_training_pairs, correct_pair_log_similarity, log_similarity)
+from corrmatch.metric import (MetricModel, build_training_pairs, correct_pair_log_similarity,
+                              log_similarity)
 
 import oracles
 
@@ -242,16 +242,16 @@ def test_log_similarity_matches_location_reference(seed, n_loc, n_calls, mid, ro
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n_loc=st.integers(1, 6), n=st.integers(1, 12),
        dim=st.integers(1, 9))
-def test_batched_similarity_takes_the_one_row_path(seed, n_loc, n, dim):
+def test_log_similarity_takes_the_one_row_path(seed, n_loc, n, dim):
     rng = np.random.default_rng(seed)
     model = random_model(rng, n_loc, dim)
     fa, fb = rng.standard_normal((n, dim)), rng.standard_normal((n, dim))
     locs = rng.integers(0, n_loc, n)
-    sims = batched_similarity(model, fa, fb, locs)
+    stacked = log_similarity(model, locs, (fa - fb)[:, None, :])[:, 0]  # one row per location
     for k, loc in enumerate(locs):
-        one = appearance_similarity(model, fa[k], fb[k], int(loc))
-        assert sims[k] == one
-        assert one == np.exp(oracles.location_log_similarity(model, loc, fa[k] - fb[k]))
+        one = log_similarity(model, [loc], (fa[k] - fb[k])[None, None])[0, 0]
+        assert stacked[k] == one
+        assert one == oracles.location_log_similarity(model, loc, fa[k] - fb[k])
 
 
 @settings(max_examples=60, deadline=None)

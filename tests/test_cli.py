@@ -138,6 +138,15 @@ def test_synth_with_negative_noise_is_one_error_line(tmp_path, capsys):
     assert "noise_level" in err[0] and not (out / "manifest.csv").exists()
 
 
+@pytest.mark.parametrize("count", ["0", "-2"])
+def test_synth_with_no_identities_is_one_error_line(tmp_path, capsys, count):
+    out = tmp_path / "data"
+    code = main(["synth", "--out", str(out), "--identities", count, "--shift-rows", "0"])
+    err = capsys.readouterr().err.strip().splitlines()
+    assert code == 1 and len(err) == 1 and err[0].startswith("error: ConfigurationError")
+    assert "n_identities" in err[0] and not out.exists()  # nothing written
+
+
 def test_match_with_non_finite_metric_is_one_error_line(dataset, tmp_path, capsys):
     config = RunConfig()
     structure = init_structure(config.probe_grid(), config.gallery_grid(), config.t_d)

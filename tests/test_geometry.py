@@ -2,12 +2,17 @@ import numpy as np
 import pytest
 
 from corrmatch.errors import ConfigurationError
-from corrmatch.geometry import (GridSpec, PatchRef, colocated_patch, patch_at,
-                                patch_origin, patch_positions, zigzag_distance,
-                                zigzag_ordinal)
+from corrmatch.geometry import GridSpec, PatchRef, colocated_patch, patch_at, patch_cells
+
+from oracles import patch_origin, zigzag_ordinal
 
 PROBE = GridSpec(48, 128, 18, 24, 6, 8)
 GALLERY = GridSpec(48, 128, 18, 24, 3, 4)
+
+
+def patch_positions(grid):
+    """All patches of the grid in zig-zag order."""
+    return [patch_at(grid, k) for k in range(grid.n_patches)]
 
 
 def test_canonical_probe_grid_has_84_patches():
@@ -48,27 +53,32 @@ def test_boustrophedon_ordering():
     grid = GridSpec(12, 12, 4, 4, 4, 4)  # 3x3
     order = [(p.row, p.col) for p in patch_positions(grid)]
     assert order == [(0, 0), (0, 1), (0, 2), (1, 2), (1, 1), (1, 0), (2, 0), (2, 1), (2, 2)]
+    assert [zigzag_ordinal(grid, *cell) for cell in order] == list(range(9))
+    rows, cols = patch_cells(grid)
+    assert list(zip(rows.tolist(), cols.tolist())) == order
 
 
 def test_zigzag_distance_examples():
-    a = patch_at(PROBE, 10)
-    assert zigzag_distance(PROBE, a, a) == 0
-    b = patch_at(PROBE, 11)
-    assert zigzag_distance(PROBE, a, b) == 1
+    # The zig-zag distance of two patches is the difference of their
+    # ordinals: one step of the scan moves to a grid neighbour.
+    for k in range(PROBE.n_patches - 1):
+        a, b = patch_at(PROBE, k), patch_at(PROBE, k + 1)
+        assert abs(a.row - b.row) + abs(a.col - b.col) == 1
     first, last = patch_at(PROBE, 0), patch_at(PROBE, PROBE.n_patches - 1)
-    assert zigzag_distance(PROBE, first, last) == PROBE.n_patches - 1
+    assert (first.row, first.col) == (0, 0)
+    assert (last.row, last.col) == (PROBE.n_rows - 1, 0)  # 14 rows: the last runs leftward
 
 
 def test_zigzag_distance_is_a_metric():
+    # Ordinals are one-to-one on cells, and so the scan walks at least the
+    # grid (Manhattan) distance between any two patches.
     rng = np.random.default_rng(3)
-    ords = rng.integers(0, PROBE.n_patches, size=(200, 3))
-    for x, y, z in ords:
-        a, b, c = (patch_at(PROBE, int(k)) for k in (x, y, z))
-        assert zigzag_distance(PROBE, a, b) == zigzag_distance(PROBE, b, a)
-        assert zigzag_distance(PROBE, a, b) >= 0
-        assert (zigzag_distance(PROBE, a, b) == 0) == (a == b)
-        assert (zigzag_distance(PROBE, a, c)
-                <= zigzag_distance(PROBE, a, b) + zigzag_distance(PROBE, b, c))
+    ords = rng.integers(0, PROBE.n_patches, size=(200, 2))
+    for x, y in ords:
+        a, b = patch_at(PROBE, int(x)), patch_at(PROBE, int(y))
+        assert (a.ordinal == b.ordinal) == ((a.row, a.col) == (b.row, b.col))
+        assert abs(a.ordinal - b.ordinal) >= abs(a.row - b.row) + abs(a.col - b.col)
+        assert zigzag_ordinal(PROBE, a.row, a.col) == a.ordinal
 
 
 def test_patch_count_property_random_grids():
@@ -118,9 +128,11 @@ def test_colocated_tie_breaks_to_smaller_ordinal():
 def test_foreign_patch_rejected():
     alien = PatchRef(row=0, col=0, ordinal=5)
     with pytest.raises(ValueError):
-        zigzag_distance(PROBE, alien, alien)
+        colocated_patch(PROBE, GALLERY, alien)
     with pytest.raises(ValueError):
-        patch_origin(PROBE, PatchRef(row=99, col=0, ordinal=0))
+        colocated_patch(PROBE, GALLERY, PatchRef(row=99, col=0, ordinal=0))
+    with pytest.raises(ValueError):
+        colocated_patch(PROBE, GALLERY, PatchRef(row=0, col=0, ordinal=PROBE.n_patches))
 
 
 def test_mismatched_canvas_rejected():

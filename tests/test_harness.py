@@ -69,7 +69,7 @@ def test_manifest_empty_rejected(tmp_path):
         load_manifest(path)
 
 
-def test_manifest_duplicates_allowed_then_rejected_when_strict(tmp_path):
+def test_manifest_keeps_duplicate_entries(tmp_path):
     rows = []
     for cam in ("A", "B"):
         rows.append(("p1", cam, touch_ppm(tmp_path, f"p1_{cam}.ppm")))
@@ -77,8 +77,7 @@ def test_manifest_duplicates_allowed_then_rejected_when_strict(tmp_path):
     path = write_manifest(tmp_path, rows)
     manifest = load_manifest(path)  # multi-image identities are fine
     assert len(manifest.entries) == 3
-    with pytest.raises(ConfigurationError, match="duplicate"):
-        load_manifest(path, allow_multi=False)
+    assert manifest.image_path("p1", "A").endswith("p1_A.ppm")  # the first one is used
 
 
 # ------------------------------------------------------------------ splits
@@ -163,9 +162,11 @@ def test_synthetic_shift_out_of_bounds_rejected(tmp_path):
 
 @pytest.mark.parametrize("bad", [dict(noise_level=-1.0), dict(noise_level=float("nan")),
                                  dict(noise_level=float("inf")), dict(weak_fraction=float("nan")),
-                                 dict(weak_fraction=2.0), dict(weak_fraction=-0.1)])
+                                 dict(weak_fraction=2.0), dict(weak_fraction=-0.1),
+                                 dict(palette_size=1), dict(palette_size=9)])
 def test_synthetic_rejects_bad_noise_and_weak_fraction(tmp_path, bad):
-    # A negative noise level would otherwise write noise-free images silently.
+    # A negative noise level would otherwise write noise-free images silently,
+    # and a palette size outside [2, 8] was clamped silently.
     with pytest.raises(ConfigurationError, match=next(iter(bad))):
         make_synthetic_manifest(tmp_path, n=2, **bad)
     assert not (tmp_path / "data").exists()  # rejected before anything is written

@@ -240,14 +240,24 @@ def test_learned_structure_is_the_closed_form_blend_of_the_average_table():
     assert np.abs(learned.structure.probs - expect).max() <= 1e-15
 
 
-def test_learned_structure_does_not_depend_on_the_selection_seed():
+# One changed value of each key that only steers the ranking and the
+# selection of binary structures; README "Known departures" lists them.
+# Each value changes the run's diagnostics, and adjacency_ranges and kappa
+# also change the binary structures found.
+SELECTION_KEYS = [dict(seed=99), dict(kappa=-0.5), dict(t_c=0.03), dict(n_cmc=1),
+                  dict(selection_count=2), dict(top_fraction=0.25),
+                  dict(adjacency_ranges=(2,))]
+
+
+@pytest.mark.parametrize("change", SELECTION_KEYS, ids=lambda change: next(iter(change)))
+def test_learned_structure_does_not_depend_on_the_selection_seed(change):
     from corrmatch.learning import learn_structure
     probe, gallery, model, pg, gg = _tiny_training_world()
-    config = _tiny_config(max_iterations=6, tolerance=0.0, selection_count=4, seed=13)
-    first = learn_structure(probe, gallery, model, config)
-    other = learn_structure(probe, gallery, model,
-                            _tiny_config(max_iterations=6, tolerance=0.0, selection_count=4,
-                                         seed=99))
+    base = dict(max_iterations=6, tolerance=0.0, selection_count=4, seed=13)
+    first = learn_structure(probe, gallery, model, _tiny_config(**base))
+    other = learn_structure(probe, gallery, model, _tiny_config(**{**base, **change}))
+    assert other.diagnostics != first.diagnostics  # the change reached the run
+    assert len(other.diagnostics) == len(first.diagnostics)
     assert np.abs(first.structure.probs - other.structure.probs).max() <= 1e-15
 
 

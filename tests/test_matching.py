@@ -5,8 +5,8 @@ from corrmatch.assignment import solve_assignment
 from corrmatch.geometry import GridSpec, colocated_patch, patch_at
 from corrmatch.matching import (BinaryMappingStructure, CellTable, adjacency_candidates,
                                 best_binary_structure, binary_structure_score_matrix,
-                                correlation_matrix, gated_correlations, greedy_scores,
-                                match_score, rank_gallery, rank_of_scores)
+                                gated_correlations, greedy_scores, match_score, rank_gallery,
+                                rank_of_scores)
 from corrmatch.metric import MetricModel, correct_pair_log_similarity
 from corrmatch.structure import CorrespondenceStructure
 
@@ -20,6 +20,11 @@ def flat_model(dim: int, n_loc: int, m: float = 1.0, sigma: float = 1.0) -> Metr
     mats = np.repeat(np.eye(dim)[None] * m, n_loc, axis=0)
     return MetricModel(matrices=mats, sigmas=np.full(n_loc, sigma),
                        global_matrix=np.eye(dim) * m, global_sigma=sigma)
+
+
+def correlation_matrix(probe_desc, gallery_desc, structure, model, t_c):
+    """The structure-gated correlation matrix that ``match_score`` solves."""
+    return match_score(probe_desc, gallery_desc, structure, model, t_c, kappa=-50.0)[0]
 
 
 def tiny_structure(probs) -> CorrespondenceStructure:
@@ -216,10 +221,8 @@ def test_adjacency_large_range_is_global_argmax():
     gallery_desc = rng.random((297, 8))
     (cand,) = adjacency_candidates(pair_table(probe_desc, gallery_desc, model),
                                    CANON_PROBE, CANON_GALLERY, ranges=(27,))
-    from corrmatch.metric import batched_similarity
     for i, j in enumerate(cand.targets):
-        sims = batched_similarity(model, np.repeat(probe_desc[i][None], 297, axis=0),
-                                  gallery_desc, np.full(297, i))
+        sims = np.exp(oracles.location_log_similarity(model, i, probe_desc[i] - gallery_desc))
         assert sims[j] == sims.max()
 
 

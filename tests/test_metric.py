@@ -9,10 +9,9 @@ from corrmatch.config import RunConfig
 from corrmatch.errors import ConfigurationError, FormatError
 from corrmatch.geometry import GridSpec
 from corrmatch.harness import train_split_metric
-from corrmatch.metric import (MAX_EXPONENT, MetricModel, appearance_similarity,
-                              batched_similarity, build_avg_similarity, build_training_pairs,
-                              correct_pair_log_similarity, load_metric, log_similarity,
-                              save_metric, train_metric)
+from corrmatch.metric import (MAX_EXPONENT, MetricModel, build_avg_similarity,
+                              build_training_pairs, correct_pair_log_similarity, load_metric,
+                              log_similarity, save_metric, train_metric)
 
 import oracles
 from blobs import mutated, non_finite, truncated
@@ -22,6 +21,12 @@ def scalar_model(m, sigma):
     mat = np.array([[[float(m)]]])
     return MetricModel(matrices=mat, sigmas=np.array([float(sigma)]),
                        global_matrix=np.array([[float(m)]]), global_sigma=float(sigma))
+
+
+def similarity(model, f_a, f_b, loc):
+    """Similarity in (0, 1] of one descriptor pair at location ``loc``."""
+    d = np.asarray(f_a, dtype=np.float64) - np.asarray(f_b, dtype=np.float64)
+    return float(np.exp(log_similarity(model, [loc], d[None, None]))[0, 0])
 
 
 def diff_column(diffs):
@@ -61,18 +66,18 @@ def test_similarity_of_identical_descriptors_is_exactly_one():
     model = scalar_model(0.75, 1.0)
     for _ in range(100):
         f = rng.random(1)
-        assert appearance_similarity(model, f, f, 0) == 1.0
+        assert similarity(model, f, f, 0) == 1.0
 
 
 def test_scalar_similarity_example():
     model = scalar_model(0.75, 1.0)
-    s = appearance_similarity(model, np.array([2.0]), np.array([0.0]), 0)
+    s = similarity(model, np.array([2.0]), np.array([0.0]), 0)
     assert s == pytest.approx(np.exp(-3.0), abs=1e-12)
 
 
 def test_negative_direction_clamps_to_one():
     model = scalar_model(-1.0, 1.0)
-    s = appearance_similarity(model, np.array([2.0]), np.array([0.0]), 0)
+    s = similarity(model, np.array([2.0]), np.array([0.0]), 0)
     assert s == 1.0
 
 
@@ -85,14 +90,14 @@ def test_similarity_is_symmetric_in_arguments():
                         global_matrix=m, global_sigma=0.7)
     for _ in range(50):
         fa, fb = rng.random(dim), rng.random(dim)
-        assert appearance_similarity(model, fa, fb, 0) == \
-            appearance_similarity(model, fb, fa, 0)
+        assert similarity(model, fa, fb, 0) == \
+            similarity(model, fb, fa, 0)
 
 
 def test_similarity_strictly_decreases_along_positive_ray():
     model = scalar_model(0.75, 0.5)
     scales = [0.5, 1.0, 2.0, 4.0]
-    sims = [appearance_similarity(model, np.array([s]), np.array([0.0]), 0)
+    sims = [similarity(model, np.array([s]), np.array([0.0]), 0)
             for s in scales]
     assert all(a > b for a, b in zip(sims, sims[1:]))
 
@@ -106,10 +111,10 @@ def test_batched_matches_scalar():
                         global_matrix=mats[0], global_sigma=1.0)
     fa, fb = rng.random((40, dim)), rng.random((40, dim))
     locs = rng.integers(0, n_loc, size=40)
-    batch = batched_similarity(model, fa, fb, locs)
+    batch = np.exp(log_similarity(model, locs, (fa - fb)[:, None, :]))[:, 0]
     for k in range(40):
         assert batch[k] == pytest.approx(
-            appearance_similarity(model, fa[k], fb[k], int(locs[k])), abs=1e-12)
+            similarity(model, fa[k], fb[k], int(locs[k])), abs=1e-12)
 
 
 def test_log_similarity_matches_three_operand_reference():
@@ -153,7 +158,7 @@ def test_empty_training_set_rejected():
 def test_dim_mismatch_rejected():
     model = scalar_model(1.0, 1.0)
     with pytest.raises(ValueError):
-        appearance_similarity(model, np.array([1.0, 2.0]), np.array([0.0, 0.0]), 0)
+        similarity(model, np.array([1.0, 2.0]), np.array([0.0, 0.0]), 0)
 
 
 def test_avg_similarity_single_pair_and_duplicate():
