@@ -15,9 +15,10 @@ keeps a padded list of its edges (cells above ``kappa``) and a private
 A warm start gives each row its cheapest edge in row order; only rows whose
 column is taken root a Dijkstra search, whose steps relax just the popped
 row's edges.  ``solve_assignment`` is that pass on one pair;
-``score_gate`` splits a mask shared by many pairs into connected components,
-settles each component whose greedy row picks do not collide or whose rows
-all bid for one shared column, and passes the rest to the exact pass.
+``score_gate`` splits a mask shared by many pairs into connected components
+(a ``GatePlan``), settles each component whose greedy row picks do not
+collide, settles every component of one-cell rows in one vectorized pass,
+and passes the rest to the exact pass.
 
 Both score pairs in chunks of one budget, ``_CHUNK_CELLS``, gathered
 straight from the caller's values, so scoring holds those values plus one
@@ -79,14 +80,20 @@ def solve_assignment(values: np.ndarray, *, kappa: float) -> Assignment:
 
 
 @dataclass(frozen=True)
-class GateScores:
+class GateCounts:
+    """What scoring many pairs over one shared gate met."""
+
+    components: int  # connected components of the gate that hold a cell
+    solves: int      # clashing (component, pair) cases, solved or pruned
+    cells: int       # cells of the gate
+    gated_rows: int  # rows of the gate that hold a cell
+
+
+@dataclass(frozen=True)
+class GateScores(GateCounts):
     """Best assignment totals of many pairs scored over one shared gate."""
 
     totals: np.ndarray  # (n_pairs,) optimal score per pair
-    components: int     # connected components of the gate that hold a cell
-    solves: int         # (component, pair) cases solved exactly
-    cells: int          # cells of the gate
-    gated_rows: int     # rows of the gate that hold a cell
 
 
 def score_gate(gate: np.ndarray, values: np.ndarray, kappa: float) -> GateScores:
@@ -100,53 +107,107 @@ def score_gate(gate: np.ndarray, values: np.ndarray, kappa: float) -> GateScores
     of that pair bit for bit, except where tied optima sum to totals an ulp
     apart: either side may then report either sum.  Only the score is
     computed (a column whose bidders hold no other cell goes to its first
-    best bidder).
+    best bidder).  ``solves`` counts the clashing (component, pair) cases,
+    each solved exactly.
     """
-    gate = np.asarray(gate, dtype=bool)
-    values = np.asarray(values, dtype=np.float64)
-    if gate.ndim != 2:
-        raise ValueError(f"expected a 2-d gate, got shape {gate.shape}")
-    rows, cols = np.nonzero(gate)
-    if values.ndim != 2 or values.shape[0] != len(rows):
-        raise ValueError(f"expected ({len(rows)}, n_pairs) values, got {values.shape}")
-    if not np.all(np.isfinite(values)):
-        raise ValueError("assignable values must be finite")
+    plan = GatePlan(gate)
+    totals, _, counts = plan.totals(plan.check(values), kappa)
+    return GateScores(totals=totals, **vars(counts))
 
-    n_rows, n_pairs = gate.shape[0], values.shape[1]
-    bounds = np.concatenate(([0], np.cumsum(gate.sum(axis=1))))
-    components = _gate_components(rows, cols, n_rows)
-    shared = [np.array(comp) for comp in components if len(comp) > 1]
-    single_cell = np.diff(bounds) == 1
-    totals = np.empty(n_pairs)
-    solves = 0
-    for at, live, cell, best in row_best_cells(bounds, values):
-        # Greedy picks: each row's best cell when it beats kappa, else a skip.
-        # They bound every row from above, so collision-free picks are optimal.
-        take = best > kappa
-        chosen = np.full((n_rows, len(at)), kappa)
-        picked = np.full((n_rows, len(at)), -1, dtype=np.int64)
-        chosen[live] = np.where(take, best, kappa)
-        picked[live] = np.where(take, cols[cell], -1)
-        for comp in shared:
-            skips = -1 - np.arange(len(comp))[:, None]  # distinct per row, never collide
-            picks = np.sort(np.where(picked[comp] < 0, skips, picked[comp]), axis=0)
-            clash = np.flatnonzero((picks[1:] == picks[:-1]).any(axis=0))
-            if not clash.size:
-                continue
-            if single_cell[comp].all():
-                # One shared column: its best bidder (the first row on a tie)
-                # takes it; the rest skip.
-                bids = values[bounds[comp][:, None], at[clash]]
-                won = np.arange(len(comp))[:, None] == bids.argmax(axis=0)
-                chosen[np.ix_(comp, clash)] = np.where(won, bids, kappa)
-            else:
+
+class GatePlan:
+    """One gate's cells and components, worked out once for every pair
+    that shares it.
+
+    Scoring a pair starts from greedy picks: each row's best cell when it
+    beats ``kappa``, else a skip.  They bound every row from above, so a
+    component whose picks collide in no column is settled by them.  A
+    component of one-cell rows all bids for one column, and its first best
+    bidder above ``kappa`` takes it; those components are settled for every
+    pair at once.  A pair whose picks collide in a component holding a
+    multi-cell row is a clashing (component, pair) case, left to the exact
+    pass.
+    """
+
+    def __init__(self, gate: np.ndarray):
+        gate = np.asarray(gate, dtype=bool)
+        if gate.ndim != 2:
+            raise ValueError(f"expected a 2-d gate, got shape {gate.shape}")
+        self.n_rows = gate.shape[0]
+        rows, self.cols = np.nonzero(gate)
+        self.bounds = np.concatenate(([0], np.cumsum(gate.sum(axis=1))))
+        degree = np.diff(self.bounds)
+        if degree.max(initial=0) <= 1:  # the components are the column groups
+            self.n_components, self.shared, single = len(np.unique(self.cols)), [], degree == 1
+        else:
+            components = _gate_components(rows, self.cols, self.n_rows)
+            self.n_components, single = len(components), np.zeros(self.n_rows, dtype=bool)
+            for comp in components:
+                single[comp] = (degree[comp] == 1).all()
+            self.shared = [np.array(c) for c in components if len(c) > 1 and not single[c[0]]]
+        # One-cell components' rows by column, ascending rows within a column;
+        # a column with one bidder needs no settling.
+        cells = np.flatnonzero(single[rows])
+        cells = cells[np.argsort(self.cols[cells], kind="stable")]
+        _, group, count = np.unique(self.cols[cells], return_inverse=True, return_counts=True)
+        cells = cells[count[group] > 1]
+        self.bidders = rows[cells]
+        _, self.group_starts, self.bidder_group = np.unique(
+            self.cols[cells], return_index=True, return_inverse=True)
+        self.n_cells, self.gated_rows = len(rows), int(np.count_nonzero(degree))
+
+    def check(self, values: np.ndarray) -> np.ndarray:
+        """``values`` as float64, checked against the gate's cells."""
+        values = np.asarray(values, dtype=np.float64)
+        if values.ndim != 2 or values.shape[0] != self.n_cells:
+            raise ValueError(f"expected ({self.n_cells}, n_pairs) values, got {values.shape}")
+        if not np.all(np.isfinite(values)):
+            raise ValueError("assignable values must be finite")
+        return values
+
+    def totals(self, values: np.ndarray, kappa: float,
+               exact: bool = True) -> tuple[np.ndarray, np.ndarray, GateCounts]:
+        """Row-order totals of every pair, the pairs with a clashing
+        (component, pair) case, and the gate's counts.
+
+        With ``exact`` each clashing case goes through the exact pass and
+        the totals are optimal.  Without it a clashing component keeps its
+        greedy picks, and the total bounds the optimal one from above, in
+        floats too: each row adds at least as much, and rounded addition in
+        one order is monotone.
+        """
+        totals = np.empty(values.shape[1])
+        clashing = np.zeros(values.shape[1], dtype=bool)
+        solves = 0
+        for at, live, cell, best in row_best_cells(self.bounds, values):
+            take = best > kappa
+            chosen = np.full((self.n_rows, len(at)), kappa)
+            chosen[live] = np.where(take, best, kappa)
+            if len(self.bidders):
+                # Each column's first best bidder keeps its pick, the rest skip.
+                # Picks floored at kappa name the same winner wherever one beats it.
+                bids = chosen[self.bidders]
+                top = np.maximum.reduceat(bids, self.group_starts, axis=0)[self.bidder_group]
+                order = np.arange(len(bids))[:, None]
+                first = np.minimum.reduceat(np.where(bids == top, order, len(bids)),
+                                            self.group_starts, axis=0)[self.bidder_group]
+                chosen[self.bidders] = np.where(order == first, bids, kappa)
+            if self.shared:
+                picked = np.full((self.n_rows, len(at)), -1, dtype=np.int64)
+                picked[live] = np.where(take, self.cols[cell], -1)
+            for comp in self.shared:
+                skips = -1 - np.arange(len(comp))[:, None]  # distinct per row, never collide
+                picks = np.sort(np.where(picked[comp] < 0, skips, picked[comp]), axis=0)
+                clash = np.flatnonzero((picks[1:] == picks[:-1]).any(axis=0))
                 solves += clash.size
-                match = _solve_exact(bounds, comp, cols, values, at[clash], kappa)
-                chosen[np.ix_(comp, clash)] = np.where(
-                    match < 0, kappa, values[match, at[clash]])
-        totals[at] = sum(chosen, np.zeros(len(at)))  # ascending rows, as solve_assignment sums
-    return GateScores(totals=totals, components=len(components), solves=solves,
-                      cells=len(rows), gated_rows=int(np.count_nonzero(np.diff(bounds))))
+                clashing[at[clash]] = True
+                if exact and clash.size:
+                    match = _solve_exact(self.bounds, comp, self.cols, values, at[clash], kappa)
+                    chosen[np.ix_(comp, clash)] = np.where(
+                        match < 0, kappa, values[match, at[clash]])
+            totals[at] = sum(chosen, np.zeros(len(at)))  # ascending rows, as solve_assignment sums
+        return totals, clashing, GateCounts(components=self.n_components, solves=solves,
+                                            cells=self.n_cells, gated_rows=self.gated_rows)
 
 
 def row_best_cells(bounds: np.ndarray,
@@ -165,7 +226,8 @@ def row_best_cells(bounds: np.ndarray,
     for lo in range(0, values.shape[1], step):
         chunk = values[:, lo:lo + step]
         best = np.maximum.reduceat(chunk, starts, axis=0)
-        cell = np.where(chunk == best[owner], np.arange(len(values))[:, None], len(values))
+        index = np.arange(len(values), dtype=np.int32)[:, None]  # int32 halves this temporary
+        cell = np.where(chunk == best[owner], index, np.int32(len(values)))
         cell = np.minimum.reduceat(cell, starts, axis=0)
         yield pairs[lo:lo + step], live, cell, np.take_along_axis(chunk, cell, axis=0)
 

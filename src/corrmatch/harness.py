@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assignment import score_gate
 from .config import RunConfig
 from .errors import ConfigurationError
 from .geometry import colocated_table
@@ -23,7 +22,7 @@ from .imaging import RgbImage, extract_descriptors, load_image, save_image, scal
 from .learning import (CmcCurve, LearnResult, cmc_curve, find_binary_structures,
                        learn_structure)
 from .matching import (BinaryMappingStructure, CellTable, binary_structure_score_matrix,
-                       gated_correlations, greedy_scores, rank_of_scores)
+                       correct_ranks, gated_correlations, greedy_scores, rank_of_scores)
 from .metric import (MetricModel, build_training_pairs, correct_pair_log_similarity,
                      train_metric)
 from .structure import CorrespondenceStructure
@@ -391,9 +390,8 @@ def _test_ranks(table: CellTable, owners: np.ndarray, artifacts: SplitArtifacts,
     gate, values = gated_correlations(table, structure, config.t_c)
     if arm == "no-global":
         totals = greedy_scores(gate, values, config.kappa)
-    else:
-        totals = score_gate(gate, values, config.kappa).totals
-    return rank_of_scores(totals.reshape(table.n_probe, table.n_gallery), correct, owners)
+        return rank_of_scores(totals.reshape(table.n_probe, table.n_gallery), correct, owners)
+    return correct_ranks(gate, values, config.kappa, table.n_probe, table.n_gallery, owners)[0]
 
 
 def run_ablations(manifest: DatasetManifest, splits: SplitPlan, arms, config: RunConfig):

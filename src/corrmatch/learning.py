@@ -15,12 +15,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .assignment import GateScores, score_gate
+from .assignment import GateCounts
 from .config import RunConfig
 from .errors import ConfigurationError
 from .matching import (BinaryMappingStructure, CellTable, adjacency_candidates,
                        best_binary_structure, binary_structure_score_matrix,
-                       gated_correlations, rank_of_scores)
+                       correct_ranks, gated_correlations, rank_of_scores)
 from .metric import MetricModel, build_avg_similarity, correct_pair_log_similarity
 from .structure import CorrespondenceStructure, blend_update, init_structure
 
@@ -64,7 +64,7 @@ class IterationStats:
     max_row_sum_error: float
     min_entry: float
     gate_components: int   # connected components of the ranking gate
-    component_solves: int  # (component, pair) cases solved exactly
+    component_solves: int  # clashing (component, pair) cases, solved or pruned
     gate_cells: int        # cells of the ranking gate
     gated_rows: int        # probe patches holding a gate cell
     clamped: int           # 1 when a half had fewer candidates than its draws
@@ -196,13 +196,11 @@ class _TrainingContext:
         return self._joint[alpha]
 
     def rank_correct_matches(self, structure: CorrespondenceStructure
-                             ) -> tuple[np.ndarray, GateScores]:
-        """1-based rank of each probe's correct match under the structure,
-        with the scores of all n_train^2 pairs (pair index p * n_train + g)."""
+                             ) -> tuple[np.ndarray, GateCounts]:
+        """1-based rank of each probe's correct match under the structure
+        among all n_train galleries, with the ranking gate's counts."""
         gate, values = gated_correlations(self.table, structure, self.config.t_c)
-        scored = score_gate(gate, values, self.config.kappa)
-        scores = scored.totals.reshape(self.n_train, self.n_train)
-        return rank_of_scores(scores, np.arange(self.n_train)), scored
+        return correct_ranks(gate, values, self.config.kappa, self.n_train, self.n_train)
 
 
 def learn_structure(probe_stack: np.ndarray, gallery_stack: np.ndarray,
@@ -228,7 +226,7 @@ def learn_structure(probe_stack: np.ndarray, gallery_stack: np.ndarray,
 
     for iteration in range(1, config.max_iterations + 1):
         computed = ctx.table.computed
-        ranks, scored = ctx.rank_correct_matches(structure)
+        ranks, counts = ctx.rank_correct_matches(structure)
         cutoff = float(np.quantile(ranks, config.top_fraction))
         top = np.flatnonzero(ranks <= cutoff)  # cutoff ties count as well-ranked
         bottom = np.flatnonzero(ranks > cutoff)
@@ -259,10 +257,10 @@ def learn_structure(probe_stack: np.ndarray, gallery_stack: np.ndarray,
             sum_ranks=int(ranks.sum()),
             max_row_sum_error=float(np.abs(new_structure.probs.sum(axis=1) - 1.0).max()),
             min_entry=float(new_structure.probs.min()),
-            gate_components=scored.components,
-            component_solves=scored.solves,
-            gate_cells=scored.cells,
-            gated_rows=scored.gated_rows,
+            gate_components=counts.components,
+            component_solves=counts.solves,
+            gate_cells=counts.cells,
+            gated_rows=counts.gated_rows,
             clamped=int(len(top) < half or len(bottom) < half),
             new_cells=ctx.table.computed - computed,
             update_drift=float(np.abs(normalized - first_update).max()),

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assignment import Assignment, row_best_cells, score_gate, solve_assignment
+from .assignment import (Assignment, GateCounts, GatePlan, row_best_cells, score_gate,
+                         solve_assignment)
 from .geometry import GridSpec, colocated_table, patch_cells
 from .metric import MetricModel, log_similarity
 from .structure import CorrespondenceStructure
@@ -51,13 +52,18 @@ def cell_log_similarity(probe_stack: np.ndarray, gallery_stack: np.ndarray,
     (n_cells, n_probe_images, n_gallery_images).
 
     Cells go to the kernel in chunks of at most ``_CHUNK_VALUES`` values.
+    Each chunk's differences are written into one block allocated per call,
+    as ``metric.correct_pair_log_similarity`` does and for the same reason.
     """
     out = np.empty((len(rows), len(probe_stack), len(gallery_stack)))
     step = max(1, _CHUNK_VALUES // (len(probe_stack) * len(gallery_stack)))
+    block = np.empty((min(step, len(rows)), *out.shape[1:], probe_stack.shape[2]),
+                     dtype=np.result_type(probe_stack, gallery_stack))
     for lo in range(0, len(rows), step):
         r, c = rows[lo:lo + step], cols[lo:lo + step]
-        d = (probe_stack[:, r, :].transpose(1, 0, 2)[:, :, None, :]    # (C, P, 1, dim)
-             - gallery_stack[:, c, :].transpose(1, 0, 2)[:, None])     # (C, 1, G, dim)
+        d = np.subtract(probe_stack[:, r, :].transpose(1, 0, 2)[:, :, None, :],  # (C, P, 1, dim)
+                        gallery_stack[:, c, :].transpose(1, 0, 2)[:, None],      # (C, 1, G, dim)
+                        out=block[:len(r)])
         out[lo:lo + step] = log_similarity(model, r, d)
     return out
 
@@ -192,6 +198,37 @@ def rank_of_scores(scores, correct, owners=None) -> np.ndarray:
     first = (owned & (scores == best)).argmax(axis=1)[:, None]
     ahead = (scores > best) | ((scores == best) & (index < first))
     return np.count_nonzero(ahead, axis=1) + 1
+
+
+def correct_ranks(gate: np.ndarray, values: np.ndarray, kappa: float, n_probe: int,
+                  n_gallery: int, owners=None) -> tuple[np.ndarray, GateCounts]:
+    """1-based rank of each probe's correct gallery among its n_gallery
+    pairs, with the gate's counts.
+
+    ``values`` is (n_cells, n_probe * n_gallery) in ``np.nonzero(gate)``
+    order, pair p * n_gallery + g being probe p against gallery g.  Probe
+    p's correct gallery is gallery p, or with ``owners`` any gallery p
+    owns.  The ranks are ``rank_of_scores`` of ``score_gate``'s totals, but
+    only the correct pairs, then the clashing pairs whose bound
+    (``GatePlan.totals`` without the exact pass) is at least their probe's
+    correct total, are solved exactly: a pair bounded below that total
+    scores below it, so it ranks behind it whatever its exact score.
+    ``solves`` counts every clashing case, solved or not.
+    """
+    plan = GatePlan(gate)
+    values = plan.check(values)
+    flat, clashing, counts = plan.totals(values, kappa, exact=False)
+    scores = flat.reshape(n_probe, n_gallery)  # a view, holding bounds until solved
+    owned = ((np.arange(n_gallery) if owners is None else np.asarray(owners))
+             == np.arange(n_probe)[:, None])
+
+    def solve(pairs):
+        flat[pairs] = plan.totals(values[:, pairs], kappa)[0]
+
+    solve(np.flatnonzero(owned.ravel() & clashing))
+    best = np.max(scores, axis=1, initial=-np.inf, where=owned)
+    solve(np.flatnonzero((~owned & (scores >= best[:, None])).ravel() & clashing))
+    return rank_of_scores(scores, np.arange(n_probe), owners), counts
 
 
 def adjacency_candidates(log_sims: np.ndarray, probe_grid: GridSpec,

@@ -68,6 +68,34 @@ def dp_best_score(values: np.ndarray, assignable: np.ndarray, kappa: float) -> f
     return float(dp.max())
 
 
+def single_column_totals(gate: np.ndarray, values: np.ndarray, kappa: float) -> np.ndarray:
+    """Totals of a gate whose rows hold at most one cell, settled one
+    column at a time.
+
+    Each row first takes its cell if the cell beats ``kappa``.  Where two
+    or more rows take one column, its best bidder takes it, the first row
+    on a tie, and the others skip.  Rows add in ascending order, ``kappa``
+    per skip.  ``values`` is (n_cells, n_pairs) in ``np.nonzero`` order.
+    """
+    rows, cols = np.nonzero(gate)
+    assert len(set(rows.tolist())) == len(rows), "a row holds two cells"
+    totals = []
+    for p in range(values.shape[1]):
+        chosen = [kappa] * gate.shape[0]
+        for column in sorted(set(cols.tolist())):
+            bidders = [k for k in range(len(rows)) if cols[k] == column]
+            takers = [k for k in bidders if values[k, p] > kappa]
+            if len(takers) > 1:
+                takers = [bidders[int(np.argmax([values[k, p] for k in bidders]))]]
+            for k in takers:
+                chosen[rows[k]] = values[k, p]
+        total = 0.0
+        for contribution in chosen:
+            total += contribution
+        totals.append(total)
+    return np.array(totals)
+
+
 def rank_of_owner(scores, owners, target) -> int:
     """1-based position of the first gallery owned by ``target`` once the
     scores are sorted descending, ties keeping gallery order."""

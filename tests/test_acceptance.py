@@ -221,6 +221,20 @@ def test_shift_updates_do_not_drift(shift_run):
     assert max(d.update_drift for d in learned.diagnostics) <= 1e-15
 
 
+def test_shift_ranking_diagnostics_are_pinned(shift_run):
+    # Characterization on the pinned split, like the tests around it: the
+    # training ranking's per-iteration counts.  component_solves counts the
+    # clashing (component, pair) cases whether they were solved exactly or
+    # pruned by their bound, so pruning must not move it (35,567 in all).
+    _, _, learned, _, _ = shift_run
+    diagnostics = learned.diagnostics
+    assert [d.component_solves for d in diagnostics] == [
+        2214, 2134, 1461, 3532, 4838, 4726, 4737, 4073, 3135, 2607, 2110]
+    assert [d.gate_components for d in diagnostics] == [
+        14, 14, 40, 47, 34, 26, 36, 48, 51, 48, 50]
+    assert [d.sum_ranks for d in diagnostics] == [30] * 11
+
+
 def test_shift_structure_does_not_depend_on_the_selection_seed(shift_run):
     # Characterization on the pinned split, like the two tests above: the
     # update does not depend on which probes boosting selects, so a second

@@ -7,10 +7,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from corrmatch import assignment
-from corrmatch.assignment import Assignment, score_gate, solve_assignment
-from corrmatch.matching import greedy_scores
+from corrmatch.assignment import Assignment, GateCounts, GatePlan, score_gate, solve_assignment
+from corrmatch.matching import correct_ranks, greedy_scores, rank_of_scores
 
-from oracles import brute_force_best, dp_best_score
+from oracles import brute_force_best, dp_best_score, single_column_totals
 
 KAPPA = -50.0
 
@@ -407,6 +407,124 @@ def test_chunk_budget_moves_no_bit(instance):
                 == (first.components, first.solves, first.cells, first.gated_rows))
     assert all(type(n) is int for n in (first.components, first.solves, first.cells,
                                         first.gated_rows))
+
+
+# Inexact floats: ties are common, and a sum shows which tied row took a column.
+AWKWARD = (-1.9, -0.8, -0.3, -1.1)
+
+
+@st.composite
+def one_cell_gates(draw):
+    """Rows of one cell or none on a few shared columns, with values and
+    kappa drawn from ``AWKWARD``, so tied bids and bids equal to kappa are
+    common.  Some cell-less rows instead hold two cells at or below kappa
+    on two more columns: components with a multi-cell row that settle to
+    skips, so the gate takes the general component path.  Returns the
+    gate, dense (row, column, pair) values, the one-cell part of the gate
+    and kappa."""
+    n_rows, n_cols, n_pairs = (draw(st.integers(1, 8)), draw(st.integers(1, 4)),
+                               draw(st.integers(1, 5)))
+    kappa = draw(st.sampled_from(AWKWARD))
+    targets = draw(st.lists(st.integers(-1, n_cols - 1), min_size=n_rows, max_size=n_rows))
+    single = np.zeros((n_rows, n_cols + 2), dtype=bool)
+    for i, j in enumerate(targets):
+        single[i, j] = j >= 0
+    size = n_rows * (n_cols + 2) * n_pairs
+    dense = np.array(draw(st.lists(st.sampled_from(AWKWARD), min_size=size, max_size=size)))
+    dense = dense.reshape(n_rows, n_cols + 2, n_pairs)
+    floor = [i for i, j in enumerate(targets) if j < 0 and draw(st.booleans())]
+    gate = single.copy()
+    gate[floor, n_cols:] = True
+    dense[floor, n_cols:] = np.minimum(dense[floor, n_cols:], kappa)
+    return gate, dense, single, kappa
+
+
+# Rows 1 and 2 tie for column 1; (-1.9 + -0.8) + kappa and (-1.9 + kappa)
+# + -0.8 differ in the last bit, so the total shows that row 1 took it.
+@example((np.array([[1, 0], [0, 1], [0, 1]], dtype=bool),
+          np.array([[[-1.9], [0.0]], [[0.0], [-0.8]], [[0.0], [-0.8]]]),
+          np.array([[1, 0], [0, 1], [0, 1]], dtype=bool), KAPPA))
+@settings(max_examples=300, deadline=None)
+@given(one_cell_gates())
+def test_single_column_pass_matches_per_column_loop(instance):
+    gate, dense, single, kappa = instance
+    scored = score_gate(gate, dense[gate], kappa)
+    assert np.array_equal(scored.totals, single_column_totals(single, dense[single], kappa))
+    assert scored.solves == 0
+
+
+# ------------------------------------------------------ ranking by bound
+
+@st.composite
+def ranking_instances(draw):
+    """A gate of any of the shapes above and quarter-step values of
+    n_probe x n_gallery pairs, so that a distractor's bound often equals
+    its probe's correct total.  ``owners`` is None (probe p's correct
+    gallery is gallery p) or gives each gallery an owning probe, every
+    probe owning one gallery or more."""
+    gate, _, kappa = draw(st.one_of(gate_instances(), clashing_gates(), shared_column_gates()))
+    n_probe = draw(st.integers(1, 4))
+    n_gallery = n_probe + draw(st.integers(0, 3))
+    owners = None
+    if draw(st.booleans()):
+        extra = draw(st.lists(st.integers(0, n_probe - 1), min_size=n_gallery - n_probe,
+                              max_size=n_gallery - n_probe))
+        owners = np.array(draw(st.permutations(list(range(n_probe)) + extra)))
+    size = int(gate.sum()) * n_probe * n_gallery
+    quarters = draw(st.lists(st.integers(-8, 0), min_size=size, max_size=size))
+    values = np.array(quarters, dtype=np.float64).reshape(-1, n_probe * n_gallery) / 4.0
+    return gate, values, kappa, n_probe, n_gallery, owners
+
+
+# Pair (1, 0): both rows pick column 0, so its bound 0 ties probe 1's
+# correct total 0, but its exact total is -1.  Gallery 0 comes before the
+# correct gallery 1, so left at its bound it would rank ahead of it.
+TIED_BOUND = (np.ones((2, 2), dtype=bool),
+              np.array([[0.0, 0.0, 0.0, 0.0], [-2.0, -2.0, -1.0, -2.0],
+                        [-2.0, -2.0, 0.0, -2.0], [0.0, 0.0, -1.0, 0.0]]), -2.0, 2, 2, None)
+
+
+@example(TIED_BOUND)
+@settings(max_examples=300, deadline=None)
+@given(ranking_instances())
+def test_correct_ranks_equal_ranks_of_exact_totals(instance):
+    gate, values, kappa, n_probe, n_gallery, owners = instance
+    ranks, counts = correct_ranks(gate, values, kappa, n_probe, n_gallery, owners)
+    scored = score_gate(gate, values, kappa)
+    expect = rank_of_scores(scored.totals.reshape(n_probe, n_gallery), np.arange(n_probe),
+                            owners)
+    assert np.array_equal(ranks, expect)
+    assert counts == GateCounts(scored.components, scored.solves, scored.cells,
+                                scored.gated_rows)
+
+
+def test_correct_ranks_solve_a_pair_whose_bound_ties_the_correct_total():
+    gate, values, kappa, n_probe, n_gallery, _ = TIED_BOUND
+    bound = GatePlan(gate).totals(values, kappa, exact=False)[0]
+    exact = score_gate(gate, values, kappa).totals
+    assert bound[2] == exact[3] == 0.0 and exact[2] == -1.0
+    assert correct_ranks(gate, values, kappa, n_probe, n_gallery)[0].tolist() == [1, 1]
+
+
+def test_correct_ranks_solve_only_pairs_that_can_reach_a_rank():
+    # Both rows pick column 0 in every pair of the one 2x2 component.  A
+    # correct pair scores -0.5 exactly; a distractor's bound is -2.
+    gate = np.ones((2, 2), dtype=bool)
+    clash = np.array([0.0, -0.5, 0.0, -1.0])  # cells (0,0), (0,1), (1,0), (1,1)
+    low = clash - 1.0
+    values = np.stack([clash, low, low, clash], axis=1)
+    solved = []
+    real = assignment._solve_exact
+
+    def counted(bounds, rows, cols, values, pairs, kappa):
+        solved.extend(pairs.tolist())
+        return real(bounds, rows, cols, values, pairs, kappa)
+
+    with mock.patch.object(assignment, "_solve_exact", counted):
+        ranks, counts = correct_ranks(gate, values, KAPPA, 2, 2)
+    assert ranks.tolist() == [1, 1]
+    assert counts.solves == 4  # every clashing case counts, solved or not
+    assert len(solved) == 2   # the two correct pairs only
 
 
 def test_score_gate_memory_is_bounded_by_its_values():

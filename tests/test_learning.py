@@ -283,7 +283,8 @@ def test_rank_correct_matches_equals_per_pair_reference():
 def test_training_and_evaluation_score_a_pair_bit_for_bit_alike():
     from corrmatch.assignment import score_gate
     from corrmatch.learning import _TrainingContext, learn_structure
-    from corrmatch.matching import CellTable, gated_correlations, rank_gallery
+    from corrmatch.matching import (CellTable, gated_correlations, rank_gallery,
+                                    rank_of_scores)
     from corrmatch.metric import MetricModel
     from corrmatch.structure import init_structure
     probe, gallery, _, pg, gg = _tiny_training_world(seed=3, dim=32)
@@ -299,16 +300,21 @@ def test_training_and_evaluation_score_a_pair_bit_for_bit_alike():
     ctx = _TrainingContext(probe, gallery, model, config)
     n = ctx.n_train
     for structure in (init_structure(pg, gg, config.t_d), learned.structure):
-        _, trained = ctx.rank_correct_matches(structure)
+        ranks, _ = ctx.rank_correct_matches(structure)
+        # Exact totals of every pair over the training table, whose memo
+        # the ranking has filled, and over a fresh evaluation table.
+        trained = score_gate(*gated_correlations(ctx.table, structure, config.t_c),
+                             config.kappa).totals
         gate, values = gated_correlations(CellTable(probe, gallery, model), structure,
                                           config.t_c)
         evaluated = score_gate(gate, values, config.kappa).totals
-        assert np.array_equal(trained.totals, evaluated)
+        assert np.array_equal(trained, evaluated)
+        assert np.array_equal(ranks, rank_of_scores(trained.reshape(n, n), np.arange(n)))
         for p in range(n):  # the serving path scores one probe at a time
             ranked, _ = rank_gallery(probe[p], list(gallery), structure, model,
                                      config.t_c, config.kappa)
             served = [score for _, score in sorted(ranked)]
-            assert np.array_equal(served, trained.totals[p * n:(p + 1) * n])
+            assert np.array_equal(served, trained[p * n:(p + 1) * n])
         # Each cell is log similarity + log p; the other way to write it,
         # log(similarity * p), would move some of these bits.
         log_sim = cell_log_similarity(probe, gallery, model,
