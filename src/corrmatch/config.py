@@ -118,7 +118,7 @@ def parse_config(text: str) -> RunConfig:
     # dataclass stores annotations as strings under future-annotations
     resolved = {"int": int, "float": float, "bool": bool,
                 "tuple[int, ...]": tuple[int, ...]}
-    overrides = {}
+    overrides, set_on = {}, {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         bare = line.split("#", 1)[0].strip()
         if not bare:
@@ -129,6 +129,10 @@ def parse_config(text: str) -> RunConfig:
         key = key.strip()
         if key not in kinds:
             raise ConfigurationError(f"line {lineno}: unknown key {key!r}")
+        if key in set_on:
+            raise ConfigurationError(f"line {lineno}: key {key!r} already set on line "
+                                     f"{set_on[key]}")
+        set_on[key] = lineno
         overrides[key] = _parse_value(key, raw, resolved[kinds[key]])
     return RunConfig(**overrides)
 

@@ -226,6 +226,8 @@ def generate_synthetic(out_dir, n_identities: int, shift_rows: int, noise_level:
                                  f"got {palette_size!r}")
     if n_identities < 1:
         raise ConfigurationError(f"n_identities must be >= 1, got {n_identities!r}")
+    if seed < 0:
+        raise ConfigurationError(f"seed must be >= 0, got {seed!r}")
 
     img_dir = os.path.join(out_dir, "imgs")
     os.makedirs(img_dir, exist_ok=True)

@@ -5,9 +5,10 @@ structure, samples binary mapping structures from the well-ranked and the
 poorly-ranked halves, converts them into a probability update through a
 chain of rank-weighted priors, appearance-ratio conditionals, and spatial
 impact kernels, and blends the update into the structure.  Each binary
-structure links every probe patch to one gallery patch.  Rank-based
-quantities (structure priors, per-link importances) are memoized across
-iterations since the underlying binary structures never change.
+structure links every probe patch to one gallery patch.  The binary
+structures never change, so each one's training CMC and importance-weighted
+conditional matrix are computed together the first time it is drawn and
+kept in one memo for the rest of the run.
 """
 from __future__ import annotations
 
@@ -39,6 +40,8 @@ class CmcCurve:
             raise ValueError("curve must be non-decreasing and end at 1")
 
     def at_rank(self, n: int) -> float:
+        if n < 1:
+            raise ValueError(f"rank must be >= 1, got {n}")
         return float(self.values[n - 1]) if n <= self.gallery_size else 1.0
 
 
@@ -159,41 +162,27 @@ class _TrainingContext:
         self.avg_table = build_avg_similarity(pair_log_similarity)
         self.binary_structures = find_binary_structures(probe_stack, gallery_stack,
                                                         pair_log_similarity, model, config)
-        self._structure_cmc: dict[int, float] = {}
-        self._link_cmc = np.full((self.table.n_a, self.table.n_b), np.nan)  # by cell
-        self._joint: dict[int, np.ndarray] = {}
+        self._scored: dict[int, tuple[float, np.ndarray]] = {}
 
-    def structure_cmc(self, alpha: int) -> float:
-        """Rank-n CMC over the training set with structure alpha as the model."""
-        if alpha not in self._structure_cmc:
+    def scored(self, alpha: int) -> tuple[float, np.ndarray]:
+        """Rank-n training CMC of structure alpha and its importance-weighted
+        conditional matrix.  A link's ranks depend on its cell alone, which
+        the structure's scoring has just put in the table."""
+        if alpha not in self._scored:
+            binary, n = self.binary_structures[alpha], self.n_train
             scores = binary_structure_score_matrix(self.table.probe_images,
                                                    self.table.gallery_images,
-                                                   self.binary_structures[alpha],
-                                                   self.table, self.config.kappa)
-            curve = cmc_curve(rank_of_scores(scores, np.arange(self.n_train)), self.n_train)
-            self._structure_cmc[alpha] = curve.at_rank(self.config.n_cmc)
-        return self._structure_cmc[alpha]
-
-    def link_cmcs(self, binary: BinaryMappingStructure) -> np.ndarray:
-        """Rank-n CMC of each probe patch's link alone; ranks depend on that
-        cell only, so each cell's is computed once per split."""
-        rows = np.arange(self.table.n_a)
-        targets = binary.target_array(self.table.n_a, self.table.n_b)
-        new = np.isnan(self._link_cmc[rows, targets])
-        s, t = rows[new], targets[new]
-        scores = self.table.values(s, t).reshape(-1, self.n_train)
-        ranks = rank_of_scores(scores, np.tile(np.arange(self.n_train), len(s)))
-        hits = np.count_nonzero(ranks.reshape(len(s), self.n_train) <= self.config.n_cmc, axis=1)
-        self._link_cmc[s, t] = hits / self.n_train
-        return self._link_cmc[rows, targets]
-
-    def joint_matrix(self, alpha: int) -> np.ndarray:
-        """Importance-weighted conditional matrix for structure alpha."""
-        if alpha not in self._joint:
-            binary = self.binary_structures[alpha]
-            imp = patch_importance(structure_prior(self.link_cmcs(binary)), self.config.t_d)
-            self._joint[alpha] = imp[:, None] * conditional_matrix(binary, self.avg_table)
-        return self._joint[alpha]
+                                                   binary, self.table, self.config.kappa)
+            targets = binary.target_array(self.table.n_a, self.table.n_b)
+            links = self.table.values(np.arange(self.table.n_a), targets).reshape(-1, n)
+            # Row 0 ranks by the structure's scores, row 1 + i by link i's cell.
+            ranks = rank_of_scores(np.vstack((scores, links)),
+                                   np.tile(np.arange(n), len(targets) + 1)).reshape(-1, n)
+            cmcs = np.count_nonzero(ranks <= self.config.n_cmc, axis=1) / n
+            imp = patch_importance(structure_prior(cmcs[1:]), self.config.t_d)
+            joint = imp[:, None] * conditional_matrix(binary, self.avg_table)
+            self._scored[alpha] = cmcs[0], joint
+        return self._scored[alpha]
 
     def rank_correct_matches(self, structure: CorrespondenceStructure
                              ) -> tuple[np.ndarray, GateCounts]:
@@ -236,8 +225,8 @@ def learn_structure(probe_stack: np.ndarray, gallery_stack: np.ndarray,
             if take:
                 chosen.extend(int(a) for a in rng.choice(pool, size=take, replace=False))
 
-        priors = structure_prior([ctx.structure_cmc(a) for a in chosen])
-        update = compute_update([ctx.joint_matrix(a) for a in chosen], priors)
+        cmcs, joints = zip(*(ctx.scored(a) for a in chosen))
+        update = compute_update(joints, structure_prior(cmcs))
         row_sums = update.sum(axis=1)
         live = row_sums > 0.0
         normalized = np.zeros_like(update)

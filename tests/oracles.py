@@ -1,9 +1,10 @@
 """Independent reference implementations used to check the real code paths.
 
 Everything in here favors obviousness over speed and deliberately avoids
-importing the algorithms under test.  Two exceptions: the per-pair
-``solve_assignment`` serves as the reference for batched ranking, and the
-imaging helpers that compute per-pixel weights.  The per-location
+importing the algorithms under test.  Three exceptions: the per-pair
+``solve_assignment`` serves as the reference for batched ranking, the
+imaging helpers that compute per-pixel weights, and the learner's formulas
+that ``scored_structure`` chains.  The per-location
 references below score through ``location_log_similarity``, the kernel as
 it was before locations were stacked.
 """
@@ -244,6 +245,34 @@ def conditional_prob(targets, i: int, avg_table: np.ndarray) -> np.ndarray:
     raw = row / row[targets[i]]
     raw[targets[i]] = 1.0
     return raw / raw.sum()
+
+
+def scored_structure(probe_stack, gallery_stack, model, binary, avg_table, config):
+    """Reference for ``learning._TrainingContext.scored``: the structure's
+    rank-n CMC over the training set through ``cmc_curve(...).at_rank``,
+    each link's rank-n CMC from its own cell computed alone, and the joint
+    matrix as ``patch_importance`` times ``conditional_matrix``."""
+    from corrmatch.learning import (cmc_curve, conditional_matrix, patch_importance,
+                                    structure_prior)
+
+    n = len(probe_stack)
+    gate = np.zeros(avg_table.shape, dtype=bool)
+    gate[np.arange(len(binary.targets)), binary.targets] = True
+
+    def ranks(scores):  # scores[p * n + g]: probe p against gallery g
+        return [rank_of_owner(scores[p * n:(p + 1) * n], range(n), p) for p in range(n)]
+
+    totals = single_column_totals(gate, cell_values(probe_stack, gallery_stack, model, gate),
+                                  config.kappa)
+    cmc = cmc_curve(ranks(totals), n).at_rank(config.n_cmc)
+    link_cmcs = []
+    for i, j in enumerate(binary.targets):
+        cell = np.zeros_like(gate)
+        cell[i, j] = True
+        link = ranks(cell_values(probe_stack, gallery_stack, model, cell)[0])
+        link_cmcs.append(sum(r <= config.n_cmc for r in link) / n)
+    importance = patch_importance(structure_prior(link_cmcs), config.t_d)
+    return cmc, importance[:, None] * conditional_matrix(binary, avg_table)
 
 
 def binary_correlation(probe_desc, gallery_desc, binary, model, n_gallery: int) -> np.ndarray:

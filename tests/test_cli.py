@@ -147,6 +147,14 @@ def test_synth_with_no_identities_is_one_error_line(tmp_path, capsys, count):
     assert "n_identities" in err[0] and not out.exists()  # nothing written
 
 
+def test_synth_with_negative_seed_is_one_error_line(tmp_path, capsys):
+    out = tmp_path / "data"
+    code = main(["synth", "--out", str(out), "--identities", "3", "--seed", "-1"])
+    err = capsys.readouterr().err.strip().splitlines()
+    assert code == 1 and len(err) == 1 and err[0].startswith("error: ConfigurationError")
+    assert "seed" in err[0] and not out.exists()  # nothing written
+
+
 def test_match_with_non_finite_metric_is_one_error_line(dataset, tmp_path, capsys):
     config = RunConfig()
     structure = init_structure(config.probe_grid(), config.gallery_grid(), config.t_d)

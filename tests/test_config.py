@@ -45,6 +45,12 @@ def test_unknown_key_rejected():
         parse_config("no_such_key = 3")
 
 
+def test_key_set_twice_rejected():
+    # The second value used to win silently.
+    with pytest.raises(ConfigurationError, match=r"line 3: key 'kappa' already set on line 1"):
+        parse_config("kappa = -1\nt_c = 0.1\nkappa = -2\n")
+
+
 def test_bad_value_rejected():
     with pytest.raises(ConfigurationError):
         parse_config("t_c = banana")

@@ -163,10 +163,12 @@ def test_synthetic_shift_out_of_bounds_rejected(tmp_path):
 @pytest.mark.parametrize("bad", [dict(noise_level=-1.0), dict(noise_level=float("nan")),
                                  dict(noise_level=float("inf")), dict(weak_fraction=float("nan")),
                                  dict(weak_fraction=2.0), dict(weak_fraction=-0.1),
-                                 dict(palette_size=1), dict(palette_size=9)])
+                                 dict(palette_size=1), dict(palette_size=9),
+                                 dict(seed=-1)])
 def test_synthetic_rejects_bad_noise_and_weak_fraction(tmp_path, bad):
     # A negative noise level would otherwise write noise-free images silently,
-    # and a palette size outside [2, 8] was clamped silently.
+    # a palette size outside [2, 8] was clamped silently, and numpy rejected
+    # a negative seed only after the image directory was made.
     with pytest.raises(ConfigurationError, match=next(iter(bad))):
         make_synthetic_manifest(tmp_path, n=2, **bad)
     assert not (tmp_path / "data").exists()  # rejected before anything is written

@@ -48,6 +48,9 @@ def test_cmc_rejects_empty_and_out_of_range():
         cmc_curve([0], 4)
     with pytest.raises(ValueError):
         cmc_curve([5], 4)
+    for rank in (0, -1):  # values[n - 1] read 1.0 at rank 0 and 0.667 at rank -1
+        with pytest.raises(ValueError, match="rank must be >= 1"):
+            cmc_curve([2, 1, 3], 3).at_rank(rank)
 
 
 # ------------------------------------------------------------- priors
@@ -322,6 +325,48 @@ def test_training_and_evaluation_score_a_pair_bit_for_bit_alike():
         probs = structure.probs[gate][:, None]
         assert np.array_equal(values, log_sim + np.log(probs))
         assert not np.array_equal(values, np.log(np.exp(log_sim) * probs))
+
+
+@pytest.mark.parametrize("n_cmc", [1, 2, 10])  # 10 is past the 6 training identities
+def test_scored_equals_the_per_cell_reference_for_every_structure(n_cmc):
+    # The update's row normalization cancels priors and importances, so a
+    # wrong CMC would move the learned structure only at rounding level.
+    from corrmatch.learning import _TrainingContext
+    probe, gallery, model, pg, gg = _tiny_training_world()
+    config = _tiny_config(n_cmc=n_cmc)
+    ctx = _TrainingContext(probe, gallery, model, config)
+    cmcs = []
+    for alpha, binary in enumerate(ctx.binary_structures):
+        cmc, joint = ctx.scored(alpha)
+        expect_cmc, expect_joint = oracles.scored_structure(probe, gallery, model, binary,
+                                                            ctx.avg_table, config)
+        assert cmc == expect_cmc
+        assert np.array_equal(joint, expect_joint)
+        cmcs.append(cmc)
+    assert (len(set(cmcs)) > 1) == (n_cmc < 6)
+
+
+def test_learn_structure_scores_each_binary_structure_once(monkeypatch):
+    import corrmatch.learning as learning
+    scored, requested = [], []
+    score, lookup = learning.binary_structure_score_matrix, learning._TrainingContext.scored
+
+    def counting_score(probes, galleries, binary, table, kappa):
+        scored.append(binary)
+        return score(probes, galleries, binary, table, kappa)
+
+    def counting_lookup(ctx, alpha):
+        requested.append(alpha)
+        return lookup(ctx, alpha)
+
+    monkeypatch.setattr(learning, "binary_structure_score_matrix", counting_score)
+    monkeypatch.setattr(learning._TrainingContext, "scored", counting_lookup)
+    probe, gallery, model, pg, gg = _tiny_training_world()
+    config = _tiny_config(max_iterations=6, tolerance=0.0, selection_count=4, seed=13)
+    result = learning.learn_structure(probe, gallery, model, config)
+    assert len(requested) > len(set(requested))  # the run draws some structure again
+    first_draws = [result.binary_structures[alpha] for alpha in dict.fromkeys(requested)]
+    assert [id(b) for b in scored] == [id(b) for b in first_draws]
 
 
 def test_learn_structure_rejects_single_identity():
