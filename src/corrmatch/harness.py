@@ -18,7 +18,8 @@ import numpy as np
 from .config import RunConfig
 from .errors import ConfigurationError
 from .geometry import colocated_table
-from .imaging import RgbImage, extract_descriptors, load_image, save_image, scale_to_canonical
+from .imaging import (DescriptorWorkspace, RgbImage, extract_descriptors, load_image,
+                      save_image, scale_to_canonical)
 from .learning import (CmcCurve, LearnResult, cmc_curve, find_binary_structures,
                        learn_structure)
 from .matching import (BinaryMappingStructure, CellTable, binary_structure_score_matrix,
@@ -219,6 +220,8 @@ def generate_synthetic(out_dir, n_identities: int, shift_rows: int, noise_level:
         raise ConfigurationError(f"shift of {shift_rows} rows leaves the canvas")
     if not 0.0 <= noise_level < np.inf:  # NaN fails both comparisons
         raise ConfigurationError(f"noise_level must be finite and >= 0, got {noise_level!r}")
+    if not np.isfinite(noise_level * 510.0):  # the width of the uniform noise draw
+        raise ConfigurationError(f"noise_level {noise_level!r} overflows the noise range")
     if not 0.0 <= weak_fraction <= 1.0:
         raise ConfigurationError(f"weak_fraction must lie in [0, 1], got {weak_fraction!r}")
     if not 2 <= palette_size <= len(_PALETTE):
@@ -262,7 +265,11 @@ def generate_synthetic(out_dir, n_identities: int, shift_rows: int, noise_level:
 
 
 class DescriptorBank:
-    """Descriptors per (identity, camera) computed once and shared by arms."""
+    """Descriptors per (identity, camera) computed once and shared by arms.
+
+    Each batch (``stacks`` or ``gallery_pool``) extracts its new images
+    through one ``DescriptorWorkspace``, dropped when the batch ends.
+    """
 
     def __init__(self, manifest: DatasetManifest, config: RunConfig):
         self.config = config
@@ -271,21 +278,31 @@ class DescriptorBank:
         self._cache: dict[tuple[str, str], np.ndarray] = {}
         self.manifest = manifest
 
-    def descriptors_for(self, path: str, camera: str) -> np.ndarray:
+    def _workspace(self) -> DescriptorWorkspace:
+        config = self.config
+        return DescriptorWorkspace(config.image_height, config.image_width,
+                                   3 * config.color_bins + config.gradient_bins)
+
+    def descriptors_for(self, path: str, camera: str,
+                        workspace: DescriptorWorkspace | None = None) -> np.ndarray:
         key = (path, camera)
         if key not in self._cache:
             grid = self.probe_grid if camera == "A" else self.gallery_grid
             img = scale_to_canonical(load_image(path), grid)
             self._cache[key] = extract_descriptors(img, grid, self.config.color_bins,
-                                                   self.config.gradient_bins)
+                                                   self.config.gradient_bins,
+                                                   workspace=workspace)
         return self._cache[key]
 
-    def descriptors(self, identity: str, camera: str) -> np.ndarray:
-        return self.descriptors_for(self.manifest.image_path(identity, camera), camera)
+    def descriptors(self, identity: str, camera: str,
+                    workspace: DescriptorWorkspace | None = None) -> np.ndarray:
+        return self.descriptors_for(self.manifest.image_path(identity, camera), camera,
+                                    workspace)
 
     def stacks(self, identities) -> tuple[np.ndarray, np.ndarray]:
-        probes = np.stack([self.descriptors(i, "A") for i in identities])
-        galleries = np.stack([self.descriptors(i, "B") for i in identities])
+        workspace = self._workspace()
+        probes = np.stack([self.descriptors(i, "A", workspace) for i in identities])
+        galleries = np.stack([self.descriptors(i, "B", workspace) for i in identities])
         return probes, galleries
 
     def gallery_pool(self, identities) -> tuple[np.ndarray, np.ndarray]:
@@ -294,10 +311,11 @@ class DescriptorBank:
         Supports all-pairs evaluation of multi-image identities; with one
         image per identity it degenerates to the aligned stack.
         """
+        workspace = self._workspace()
         descs, owners = [], []
         for idx, identity in enumerate(identities):
             for path in self.manifest.image_paths(identity, "B"):
-                descs.append(self.descriptors_for(path, "B"))
+                descs.append(self.descriptors_for(path, "B", workspace))
                 owners.append(idx)
         return np.stack(descs), np.array(owners, dtype=np.int64)
 

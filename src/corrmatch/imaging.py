@@ -142,10 +142,20 @@ def scale_to_canonical(img: RgbImage, grid: GridSpec) -> RgbImage:
     return RgbImage(pixels=np.floor(blended + 0.5).clip(0, 255).astype(np.uint8))
 
 
+def _srgb_to_linear() -> np.ndarray:
+    """Linear-light value of each sRGB byte, a read-only 256-entry table."""
+    rgb = np.arange(256, dtype=np.float64) / 255.0
+    table = np.where(rgb <= 0.04045, rgb / 12.92, ((rgb + 0.055) / 1.055) ** 2.4)
+    table.setflags(write=False)
+    return table
+
+
+_SRGB_TO_LINEAR = _srgb_to_linear()
+
+
 def rgb_to_lab(pixels: np.ndarray) -> np.ndarray:
     """sRGB bytes (h, w, 3) to CIELAB (D65), float64."""
-    rgb = pixels.astype(np.float64) / 255.0
-    linear = np.where(rgb <= 0.04045, rgb / 12.92, ((rgb + 0.055) / 1.055) ** 2.4)
+    linear = _SRGB_TO_LINEAR[pixels]
     m = np.array([[0.4124564, 0.3575761, 0.1804375],
                   [0.2126729, 0.7151522, 0.0721750],
                   [0.0193339, 0.1191920, 0.9503041]])
@@ -204,25 +214,54 @@ def _gradient_orientation(y_plane: np.ndarray, gradient_bins: int):
     return low % gradient_bins, (low + 1) % gradient_bins, 1.0 - frac, frac, magnitude
 
 
+class DescriptorWorkspace:
+    """Scratch arrays that a batch of ``extract_descriptors`` calls reuses.
+
+    Holds, for images of one size and one plane count, the per-pixel
+    histogram planes, the running column prefix and the summed-area rows of
+    the patch corners.  Fresh arrays of this size per image (about 3.6 MB
+    at the default canvas) go back to the operating system between images
+    and fault in again on the next one; one workspace per batch pays that
+    once.  A workspace serves one extraction at a time.
+    """
+
+    def __init__(self, height: int, width: int, n_planes: int):
+        self.shape = (height, width, n_planes)
+        self.planes = np.empty(height * width * n_planes)
+        self.column = np.empty((width, n_planes))
+        # Corner rows only; the zero top row and left column are never written.
+        self.table = np.zeros((height + 1, width + 1, n_planes))
+        self.offsets = np.arange(height * width) * n_planes
+
+
 def extract_descriptors(img: RgbImage, grid: GridSpec, color_bins: int,
-                        gradient_bins: int) -> np.ndarray:
+                        gradient_bins: int,
+                        workspace: DescriptorWorkspace | None = None) -> np.ndarray:
     """Per-patch descriptors in zig-zag order, shape (n_patches, dim).
 
     Histograms are accumulated through per-bin summed-area tables so each
-    patch costs a handful of lookups regardless of patch size.
+    patch costs a handful of lookups regardless of patch size.  Without a
+    ``workspace`` the call builds its own for the one image.  Every add
+    runs in the order of a ``bincount`` fill and two ``cumsum`` passes,
+    so the descriptors do not depend on the workspace.
     """
     if img.width != grid.image_width or img.height != grid.image_height:
         raise ValueError(
             f"image {img.width}x{img.height} does not match grid canvas "
             f"{grid.image_width}x{grid.image_height}")
 
-    lab = rgb_to_lab(img.pixels)
-    g_lo, g_hi, g_wlo, g_whi, grad_mag = _gradient_orientation(luminance(img.pixels),
-                                                               gradient_bins)
-
     h, w = img.height, img.width
     n_color = 3 * color_bins
     n_planes = n_color + gradient_bins
+    if workspace is None:
+        workspace = DescriptorWorkspace(h, w, n_planes)
+    elif workspace.shape != (h, w, n_planes):
+        raise ValueError(f"workspace of shape {workspace.shape} for images of "
+                         f"shape {(h, w, n_planes)}")
+
+    lab = rgb_to_lab(img.pixels)
+    g_lo, g_hi, g_wlo, g_whi, grad_mag = _gradient_orientation(luminance(img.pixels),
+                                                               gradient_bins)
     bins, weights = [], []
     for ch, (lo, hi) in enumerate(_LAB_RANGES):
         b_lo, b_hi, w_lo, w_hi = _soft_channel_weights(lab[..., ch], lo, hi, color_bins)
@@ -230,21 +269,34 @@ def extract_descriptors(img: RgbImage, grid: GridSpec, color_bins: int,
         weights += [w_lo, w_hi]
     bins += [n_color + g_lo, n_color + g_hi]
     weights += [g_wlo * grad_mag, g_whi * grad_mag]
-    # Planes last.  bincount adds in input order: a pixel whose low and high
-    # bins coincide (a single bin) sums 0 + low weight + high weight.
-    flat = (np.arange(h * w).reshape(h, w) * n_planes + np.stack(bins)).ravel()
-    planes = np.bincount(flat, weights=np.stack(weights).ravel(),
-                         minlength=h * w * n_planes).reshape(h, w, n_planes)
+    # Planes last, added to zero in bincount's input order: a pixel whose low
+    # and high bins coincide (a single bin) sums 0 + low weight + high weight.
+    # Within one array every pixel hits its own plane entry.
+    planes = workspace.planes
+    planes.fill(0.0)
+    for b, wt in zip(bins, weights):
+        planes[workspace.offsets + b.ravel()] += wt.ravel()
+    planes = planes.reshape(h, w, n_planes)
 
-    # Summed-area tables with a zero top row / left column: rows, then columns.
-    sat = np.zeros((h + 1, w + 1, n_planes), dtype=np.float64)
-    np.cumsum(planes, axis=0, out=sat[1:, 1:])
-    np.cumsum(sat[1:, 1:], axis=1, out=sat[1:, 1:])
-
+    # Summed-area rows with a zero top row and left column, only at the rows
+    # that patch corners read: a running column prefix (cumsum over rows, one
+    # row add at a time; its first add, 0 + x, is x, as no plane entry is
+    # -0.0), copied out at each corner row, then cumsum over columns.  The
+    # first corner row is 0, the zero row.
     rows, cols = patch_cells(grid)
     x0, y0 = cols * grid.stride_x, rows * grid.stride_y
     x1, y1 = x0 + grid.patch_width, y0 + grid.patch_height
-    counts = sat[y1, x1] - sat[y0, x1] - sat[y1, x0] + sat[y0, x0]  # (n_patches, n_planes)
+    corners = np.unique(np.concatenate((y0, y1)))
+    column, table = workspace.column, workspace.table
+    column.fill(0.0)
+    for k in range(1, len(corners)):
+        for y in range(corners[k - 1], corners[k]):
+            column += planes[y]
+        table[k, 1:] = column
+    np.cumsum(table[1:len(corners), 1:], axis=1, out=table[1:len(corners), 1:])
+    y0, y1 = np.searchsorted(corners, y0), np.searchsorted(corners, y1)
+
+    counts = table[y1, x1] - table[y0, x1] - table[y1, x0] + table[y0, x0]
     color, grad = counts[:, :n_color], counts[:, n_color:]
     grad_total = grad.sum(axis=1, keepdims=True)
     descriptors = np.empty((grid.n_patches, n_planes), dtype=np.float64)

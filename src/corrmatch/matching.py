@@ -18,12 +18,16 @@ import numpy as np
 from .assignment import (Assignment, GateCounts, GatePlan, row_best_cells, score_gate,
                          solve_assignment)
 from .geometry import GridSpec, colocated_table, patch_cells
-from .metric import MetricModel, log_similarity
+from .metric import MAX_EXPONENT, MetricModel
 from .structure import CorrespondenceStructure
 
-# Most (cell, image pair) values one log_similarity call computes: it bounds
-# the kernel's (cells, probes, galleries, dim) temporaries.
-_CHUNK_VALUES = 1 << 13
+# Budget of one cell_log_similarity chunk: cells times the largest per-cell
+# temporary, (probe images, gallery images), (gallery images, dim) or
+# (dim, dim) values.
+_CHUNK_VALUES = 1 << 16
+# An entry whose factor-space distance is at most this share of its squared
+# projection norms is a candidate pair of identical descriptors.
+_SAME_SHARE = 1e-9
 
 
 @dataclass(frozen=True)
@@ -45,36 +49,77 @@ class BinaryMappingStructure:
         return np.array(self.targets, dtype=np.int64)
 
 
-def cell_log_similarity(probe_stack: np.ndarray, gallery_stack: np.ndarray,
-                        model: MetricModel, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+class ProjectedProbes:
+    """A probe stack (n_probe_images, N_A, dim) with its side of the factor
+    form under one model: with a = p L per (probe image, location),
+    ``signed`` = s * a (n_probe_images, N_A, dim), ``norms`` = sum(s * a**2)
+    and ``abs_norms`` = sum(a**2) (n_probe_images, N_A).  One
+    (1, dim) @ (dim, dim) product per (probe image, location), so an
+    image's projections do not depend on the images stacked with it."""
+
+    def __init__(self, probe_stack: np.ndarray, model: MetricModel):
+        factors, signs = model.factors
+        a = np.matmul(probe_stack[:, :, None, :], factors)[:, :, 0]
+        self.stack, self.model, self.signed = probe_stack, model, a * signs
+        self.norms, self.abs_norms = (self.signed * a).sum(axis=2), (a * a).sum(axis=2)
+
+
+def cell_log_similarity(probe_stack, gallery_stack: np.ndarray, model: MetricModel,
+                        rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """log similarity of probe patch rows[c] against gallery patch cols[c]
     for every probe image against every gallery image, shape
     (n_cells, n_probe_images, n_gallery_images).
 
-    Cells go to the kernel in chunks of at most ``_CHUNK_VALUES`` values.
-    Each chunk's differences are written into one block allocated per call,
-    as ``metric.correct_pair_log_similarity`` does and for the same reason.
+    ``probe_stack`` is a probe stack, or its ``ProjectedProbes`` under
+    ``model`` (a ``CellTable`` projects its stack once).  d . M . d runs in
+    the metric's factor space (``MetricModel.factors``): with a = p L,
+    b = g L and the signs s, it is sum(s a**2) + sum(s b**2) - 2 sum(s a b),
+    clamped at 0.  b takes one (G, dim) @ (dim, dim) product per cell and
+    the cross term one (G, dim) @ (dim, 1) product per (cell, probe image),
+    so a cell's values do not depend on the probe images, cells or chunk it
+    is computed with.  An entry within ``_SAME_SHARE`` of sum(a**2) +
+    sum(b**2) whose two descriptors are equal gets distance 0: identical
+    descriptors keep similarity exactly 1.  Cells go in chunks of
+    ``_CHUNK_VALUES``.
     """
+    probes = (probe_stack if isinstance(probe_stack, ProjectedProbes)
+              else ProjectedProbes(probe_stack, model))
+    if probes.model is not model:
+        raise ValueError("probe projections of another metric")
+    probe_stack, rows, cols = probes.stack, np.asarray(rows), np.asarray(cols)
+    factors, signs = model.factors
     out = np.empty((len(rows), len(probe_stack), len(gallery_stack)))
-    step = max(1, _CHUNK_VALUES // (len(probe_stack) * len(gallery_stack)))
-    block = np.empty((min(step, len(rows)), *out.shape[1:], probe_stack.shape[2]),
-                     dtype=np.result_type(probe_stack, gallery_stack))
+    per_cell = max(out.shape[1] * out.shape[2], out.shape[2] * model.dim, model.dim ** 2)
+    step = max(1, _CHUNK_VALUES // per_cell)
     for lo in range(0, len(rows), step):
         r, c = rows[lo:lo + step], cols[lo:lo + step]
-        d = np.subtract(probe_stack[:, r, :].transpose(1, 0, 2)[:, :, None, :],  # (C, P, 1, dim)
-                        gallery_stack[:, c, :].transpose(1, 0, 2)[:, None],      # (C, 1, G, dim)
-                        out=block[:len(r)])
-        out[lo:lo + step] = log_similarity(model, r, d)
+        b = np.matmul(gallery_stack[:, c].transpose(1, 0, 2), factors[r])  # (C, G, dim)
+        squares = b * b
+        g_abs = squares.sum(axis=2)
+        squares *= signs[r][:, None]
+        g_norm = squares.sum(axis=2)
+        cross = np.matmul(b[:, None], probes.signed[:, r].transpose(1, 0, 2)[..., None])[..., 0]
+        cross *= 2.0
+        dist = np.add(probes.norms[:, r].T[:, :, None], g_norm[:, None], out=out[lo:lo + step])
+        dist -= cross  # (C, P, G); cross's block now holds the identity tolerance
+        tolerance = np.add(probes.abs_norms[:, r].T[:, :, None], g_abs[:, None], out=cross)
+        tolerance *= _SAME_SHARE
+        k, p, g = np.nonzero(dist <= tolerance)
+        same = (probe_stack[p, r[k]] == gallery_stack[g, c[k]]).all(axis=1)
+        dist[k[same], p[same], g[same]] = 0.0
+        np.maximum(dist, 0.0, out=dist)
+        dist /= model.sigmas[r][:, None, None]
+        np.negative(np.minimum(dist, MAX_EXPONENT, out=dist), out=dist)
     return out
 
 
 class CellTable:
     """Memoized log similarities of (probe patch, gallery patch) cells.
 
-    Holds a probe stack (n_probe_images, N_A, dim), a gallery stack
-    (n_gallery_images, N_B, dim), their metric, and a dict from each cell
-    computed so far to its values.  A cell's values do not depend on the
-    cells it is computed with, so reads equal fresh computations bit for bit.
+    Holds a probe stack (n_probe_images, N_A, dim) as its
+    ``ProjectedProbes``, a gallery stack (n_gallery_images, N_B, dim), their
+    metric, and a dict from each cell computed so far to its values.  A cell's values do not depend on the cells it is computed
+    with, so reads equal fresh computations bit for bit.
     """
 
     def __init__(self, probe_stack: np.ndarray, gallery_stack: np.ndarray,
@@ -85,7 +130,8 @@ class CellTable:
         if {probe_stack.shape[2], gallery_stack.shape[2]} != {model.dim}:
             raise ValueError(f"descriptors of dimension {probe_stack.shape[2]} and "
                              f"{gallery_stack.shape[2]} for a metric of dimension {model.dim}")
-        self.probe_stack, self.gallery_stack, self.model = probe_stack, gallery_stack, model
+        self.gallery_stack, self.model = gallery_stack, model
+        self.probes = ProjectedProbes(probe_stack, model)
         self.n_probe, self.n_a = probe_stack.shape[:2]
         self.n_gallery, self.n_b = gallery_stack.shape[:2]
         self.probe_images = np.arange(self.n_probe)
@@ -102,7 +148,7 @@ class CellTable:
         keys = np.ravel_multi_index((rows, cols), (self.n_a, self.n_b)).tolist()
         new = sorted(set(keys).difference(self._rows))
         if new:
-            fresh = cell_log_similarity(self.probe_stack, self.gallery_stack, self.model,
+            fresh = cell_log_similarity(self.probes, self.gallery_stack, self.model,
                                         *np.unravel_index(new, (self.n_a, self.n_b)))
             self._rows.update(zip(new, fresh.reshape(len(new), -1)))
         return np.array([self._rows[k] for k in keys]).reshape(-1, self.n_probe * self.n_gallery)
@@ -190,12 +236,19 @@ def rank_of_scores(scores, correct, owners=None) -> np.ndarray:
     scores = np.asarray(scores, dtype=np.float64)
     if not np.all(np.isfinite(scores)):
         raise ValueError("scores must be finite")
+    correct = np.asarray(correct)
     index = np.arange(scores.shape[1])
-    owned = (index if owners is None else np.asarray(owners)) == np.asarray(correct)[:, None]
-    if not owned.any(axis=1).all():
-        raise ValueError("a row's correct gallery is missing")
-    best = np.max(scores, axis=1, initial=-np.inf, where=owned)[:, None]
-    first = (owned & (scores == best)).argmax(axis=1)[:, None]
+    if owners is None:
+        if not np.all((correct >= 0) & (correct < scores.shape[1])):
+            raise ValueError("a row's correct gallery is missing")
+        first = correct[:, None]
+        best = np.take_along_axis(scores, first, axis=1)
+    else:
+        owned = np.asarray(owners) == correct[:, None]
+        if not owned.any(axis=1).all():
+            raise ValueError("a row's correct gallery is missing")
+        best = np.max(scores, axis=1, initial=-np.inf, where=owned)[:, None]
+        first = (owned & (scores == best)).argmax(axis=1)[:, None]
     ahead = (scores > best) | ((scores == best) & (index < first))
     return np.count_nonzero(ahead, axis=1) + 1
 

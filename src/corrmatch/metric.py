@@ -2,17 +2,30 @@
 
 For every probe patch location a Mahalanobis-style matrix is learned as the
 difference of inverse covariance matrices of descriptor differences taken
-from similar and dissimilar training pairs.  Squared distances are clamped
-at zero (the learned matrix is generally indefinite) and mapped through
-exp(-distance / sigma) so similarity lives in (0, 1] and equals exactly 1
-for identical descriptors.  Locations with too few pairs fall back to one
-global metric pooled over all locations.
+from similar and dissimilar training pairs, projected onto the PSD cone.
+Squared distances d . M . d are clamped at zero (a matrix built by hand or
+loaded from a file may be indefinite, and floating point can dip below zero)
+and mapped through exp(-distance / sigma), so similarity lives in (0, 1] and
+equals exactly 1 for identical descriptors.  Locations with too few pairs
+fall back to one global metric pooled over all locations.
+
+d . M . d is computed in two forms.  Here, on descriptor differences d:
+``log_similarity`` (the correct-pair table behind the average similarity
+and the adjacency search) and ``train_metric``'s scales, which pair each
+probe with its own gallery and so have no product to share.  In the
+metric's factor space, M = L diag(s) L.T (``MetricModel.factors``), by
+``matching.cell_log_similarity``: every cell pairs each probe image with
+every gallery image, and projecting each descriptor once costs dim**2 per
+image instead of per image pair.  The two forms agree to rounding (cell
+values within 3e-11 relative on the bench workloads), not bit for bit, so
+each value is always taken from the same form.
 """
 from __future__ import annotations
 
 import struct
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -70,6 +83,7 @@ class MetricModel:
         object.__setattr__(self, "matrices", np.where(fallback[:, None, None],
                                                       self.global_matrix, self.matrices))
         object.__setattr__(self, "sigmas", np.where(fallback, self.global_sigma, self.sigmas))
+        self.matrices.setflags(write=False)  # ``factors`` caches what they hold
 
     @property
     def n_locations(self) -> int:
@@ -78,6 +92,16 @@ class MetricModel:
     @property
     def dim(self) -> int:
         return self.matrices.shape[1]
+
+    @cached_property
+    def factors(self) -> tuple[np.ndarray, np.ndarray]:
+        """(L, s) of shapes (n_locations, dim, dim) and (n_locations, dim)
+        with matrices[i] = L[i] diag(s[i]) L[i].T: from each matrix's
+        eigendecomposition V diag(lam) V.T, L = V sqrt(|lam|) and s =
+        sign(lam).  Computed once per model from the matrices' bits, so a
+        loaded model factors as the trained one did; never saved."""
+        eigvals, eigvecs = np.linalg.eigh(self.matrices)
+        return eigvecs * np.sqrt(np.abs(eigvals))[:, None, :], np.sign(eigvals)
 
 
 def _distances(matrix: np.ndarray, d: np.ndarray) -> np.ndarray:

@@ -6,7 +6,8 @@ importing the algorithms under test.  Three exceptions: the per-pair
 imaging helpers that compute per-pixel weights, and the learner's formulas
 that ``scored_structure`` chains.  The per-location
 references below score through ``location_log_similarity``, the kernel as
-it was before locations were stacked.
+it was before locations were stacked; ``factor_cell_values`` is the cell
+kernel's factor form, one cell and one probe image at a time.
 """
 from __future__ import annotations
 
@@ -212,6 +213,40 @@ def cell_values(probe_stack, gallery_stack, model, gate) -> np.ndarray:
         values[lo:lo + len(cols)] = location_log_similarity(model, i, d).reshape(len(cols), -1)
         lo += len(cols)
     return values
+
+
+def factor_cell_values(probe_stack, gallery_stack, model, rows, cols) -> np.ndarray:
+    """Per-(cell, probe image) reference for ``matching.cell_log_similarity``,
+    shape (n_cells, n_probe_images, n_gallery_images).
+
+    Cell (i, j) factors location i's metric (the global one for a fallback
+    location, picked here) as M = L diag(s) L.T from its own ``eigh``,
+    projects the gallery side with one (G, dim) @ (dim, dim) product, and
+    for each probe image takes a = p L from one (1, dim) @ (dim, dim)
+    product and the cross term from one (G, dim) @ (dim, 1) product.  The
+    distance sum(s a**2) + sum(s b**2) - 2 sum(s a b) is 0 for equal
+    descriptors found within 1e-9 of sum(a**2) + sum(b**2), then clamped at
+    0, scaled by sigma and capped at 700.
+    """
+    out = np.empty((len(rows), len(probe_stack), len(gallery_stack)))
+    for c, (i, j) in enumerate(zip(rows, cols)):
+        if model.fallback[i]:
+            matrix, sigma = model.global_matrix, model.global_sigma
+        else:
+            matrix, sigma = model.matrices[i], float(model.sigmas[i])
+        eigvals, eigvecs = np.linalg.eigh(matrix)
+        factor, sign = eigvecs * np.sqrt(np.abs(eigvals)), np.sign(eigvals)
+        b = gallery_stack[:, j, :] @ factor
+        for p, probe in enumerate(probe_stack):
+            a = (probe[i][None] @ factor)[0]
+            cross = b @ (sign * a)[:, None]
+            for g, gallery in enumerate(gallery_stack):
+                dist = (np.sum(sign * a * a) + np.sum(sign * b[g] * b[g])) - 2.0 * cross[g, 0]
+                if (dist <= 1e-9 * (np.sum(a * a) + np.sum(b[g] * b[g]))
+                        and np.array_equal(probe[i], gallery[j])):
+                    dist = 0.0
+                out[c, p, g] = -min(max(dist, 0.0) / sigma, 700.0)
+    return out
 
 
 def adjacency_targets(probe_desc, gallery_desc, model, probe_grid, gallery_grid, ranges):

@@ -1,8 +1,10 @@
 """Batched paths against their per-location references, bit for bit.
 
 Each batched path replaced a loop over probe rows, windows, patches or
-links; ``oracles`` keeps those loops, and every comparison here is
-``np.array_equal``, not a tolerance.
+links; ``oracles`` keeps those loops, and every comparison with them is
+``np.array_equal``, not a tolerance.  One tolerance is stated: the cell
+kernel's factor form of d . M . d against the form on differences, which
+the metric path keeps.
 """
 import tracemalloc
 from unittest import mock
@@ -22,6 +24,11 @@ from corrmatch.metric import (MetricModel, build_training_pairs, correct_pair_lo
                               log_similarity)
 
 import oracles
+
+
+# The two forms of d . M . d agree to rounding: the largest gap seen on
+# these draws is about 1e-13.
+FORMS_RTOL = FORMS_ATOL = 1e-9
 
 
 def random_model(rng, n_loc: int, dim: int) -> MetricModel:
@@ -71,11 +78,17 @@ def test_cell_values_match_per_row_oracle(seed, n_probe, n_gallery, n_a, n_b, di
     with mock.patch.object(matching, "_CHUNK_VALUES", budget):
         got = matching.CellTable(probe, gallery, model).values(rows, cols)
         links = matching.cell_log_similarity(probe, gallery, model, rows, cols)
-    assert np.array_equal(got, oracles.cell_values(probe, gallery, model, gate))
-    for c, (i, j) in enumerate(zip(rows, cols)):  # the per-link form training used
-        alone = log_similarity(model, [i],
-                               (probe[:, i, None, :] - gallery[None, :, j, :])[None])[0]
-        assert np.array_equal(links[c], alone)
+    expect = oracles.factor_cell_values(probe, gallery, model, rows, cols)
+    assert np.array_equal(got, expect.reshape(len(rows), n_probe * n_gallery))
+    assert np.array_equal(links, expect)
+    assert np.allclose(got, oracles.cell_values(probe, gallery, model, gate),
+                       rtol=FORMS_RTOL, atol=FORMS_ATOL)
+    for c, (i, j) in enumerate(zip(rows, cols)):  # each link alone, and in the metric's form
+        assert np.array_equal(links[c], matching.cell_log_similarity(probe, gallery, model,
+                                                                     [i], [j])[0])
+        on_differences = log_similarity(
+            model, [i], (probe[:, i, None, :] - gallery[None, :, j, :])[None])[0]
+        assert np.allclose(links[c], on_differences, rtol=FORMS_RTOL, atol=FORMS_ATOL)
 
 
 @settings(max_examples=60, deadline=None)
@@ -90,8 +103,13 @@ def test_cell_table_reads_equal_fresh_values(seed, n_probe, n_gallery, n_a, n_b,
     probe = rng.standard_normal((n_probe, n_a, dim))
     gallery = rng.standard_normal((n_gallery, n_b, dim))
     gallery[:, 0] = probe[0, 0]  # identical descriptors: log similarity -0.0
-    # Every cell, one kernel call per probe row.
-    every = oracles.cell_values(probe, gallery, model, np.ones((n_a, n_b), dtype=bool))
+    # Every cell, one cell and one probe image at a time.
+    all_rows, all_cols = np.nonzero(np.ones((n_a, n_b), dtype=bool))
+    every = oracles.factor_cell_values(probe, gallery, model, all_rows, all_cols)
+    every = every.reshape(n_a * n_b, -1)
+    assert np.allclose(every, oracles.cell_values(probe, gallery, model,
+                                                  np.ones((n_a, n_b), dtype=bool)),
+                       rtol=FORMS_RTOL, atol=FORMS_ATOL)
     with mock.patch.object(matching, "_CHUNK_VALUES", budget):
         table = matching.CellTable(probe, gallery, model)
         singles = [matching.CellTable(probe[p:p + 1], gallery, model) for p in range(n_probe)]
@@ -104,6 +122,51 @@ def test_cell_table_reads_equal_fresh_values(seed, n_probe, n_gallery, n_a, n_b,
             by_probe = got.reshape(size, n_probe, n_gallery)
             for p, single in enumerate(singles):
                 assert np.array_equal(single.values(rows, cols), by_probe[:, p])
+
+
+def indefinite_model(rng, n_loc: int, dim: int) -> MetricModel:
+    """Random symmetric metrics with eigenvalues of both signs, as a matrix
+    built by hand or loaded from a file may have."""
+    model = random_model(rng, n_loc, dim)
+    shift = 0.5 * np.trace(model.global_matrix) / dim * np.eye(dim)
+    return MetricModel(matrices=model.matrices - shift, sigmas=model.sigmas,
+                       global_matrix=model.global_matrix - shift, global_sigma=0.7,
+                       fallback=model.fallback)
+
+
+@pytest.mark.parametrize("make_model", [random_model, indefinite_model])
+def test_equal_descriptors_score_exactly_minus_zero(make_model):
+    # Each gallery image repeats a probe image, so every diagonal cell pairs
+    # equal descriptors.  Their projections come from products of different
+    # shapes, so the factor-space distance of an equal pair can round to a
+    # small positive number; the kernel must still give log similarity -0.0.
+    rng = np.random.default_rng(21)
+    n_images, n_patches, dim = 12, 6, 32
+    model = make_model(rng, n_patches, dim)
+    assert np.any(np.linalg.eigvalsh(model.matrices) < 0) == (make_model is indefinite_model)
+    probe = 100.0 * rng.random((n_images, n_patches, dim))
+    gallery = probe[rng.permutation(n_images)]
+    diagonal = np.arange(n_patches)
+    got = matching.cell_log_similarity(probe, gallery, model, diagonal, diagonal)
+    by_cell = probe.transpose(1, 0, 2)[:, :, None], gallery.transpose(1, 0, 2)[:, None]
+    equal = (by_cell[0] == by_cell[1]).all(axis=3)  # (cell, probe image, gallery image)
+    assert equal.sum() == n_patches * n_images
+    assert np.all(got[equal] == 0.0) and np.all(np.signbit(got[equal]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_probe=st.integers(1, 3), n_gallery=st.integers(1, 4),
+       n_a=st.integers(1, 6), n_b=st.integers(1, 7), dim=st.integers(1, 9))
+def test_indefinite_cells_match_clamped_difference_form(seed, n_probe, n_gallery, n_a, n_b,
+                                                         dim):
+    rng = np.random.default_rng(seed)
+    model = indefinite_model(rng, n_a, dim)
+    probe = rng.standard_normal((n_probe, n_a, dim))
+    gallery = rng.standard_normal((n_gallery, n_b, dim))
+    gate = np.ones((n_a, n_b), dtype=bool)
+    got = matching.CellTable(probe, gallery, model).values(*np.nonzero(gate))
+    expect = oracles.cell_values(probe, gallery, model, gate)
+    assert np.allclose(got, expect, rtol=FORMS_RTOL, atol=FORMS_ATOL)
 
 
 def test_cell_table_computes_each_distinct_cell_once():
@@ -160,7 +223,10 @@ def test_cell_table_reads_are_copies():
     probe, gallery = rng.standard_normal((2, n_a, dim)), rng.standard_normal((3, n_b, dim))
     gate = rng.random((n_a, n_b)) < 0.5
     table = matching.CellTable(probe, gallery, model)
-    expect = oracles.cell_values(probe, gallery, model, gate)
+    expect = oracles.factor_cell_values(probe, gallery, model, *np.nonzero(gate))
+    expect = expect.reshape(int(gate.sum()), len(probe) * len(gallery))
+    assert np.allclose(expect, oracles.cell_values(probe, gallery, model, gate),
+                       rtol=FORMS_RTOL, atol=FORMS_ATOL)
     for _ in range(3):  # the first read computes every cell, the later ones hold them
         got = table.values(*np.nonzero(gate))
         assert np.array_equal(got, expect)

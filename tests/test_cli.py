@@ -138,6 +138,16 @@ def test_synth_with_negative_noise_is_one_error_line(tmp_path, capsys):
     assert "noise_level" in err[0] and not (out / "manifest.csv").exists()
 
 
+def test_synth_with_overflowing_noise_fails_before_writing(tmp_path, capsys):
+    # Finite, but the uniform draw's range 510 * noise is not.
+    out = tmp_path / "data"
+    code = main(["synth", "--out", str(out), "--identities", "2", "--shift-rows", "0",
+                 "--noise", "1e306"])
+    err = capsys.readouterr().err.strip().splitlines()
+    assert code == 1 and len(err) == 1 and err[0].startswith("error: ConfigurationError")
+    assert "noise_level" in err[0] and not out.exists()  # nothing written
+
+
 @pytest.mark.parametrize("count", ["0", "-2"])
 def test_synth_with_no_identities_is_one_error_line(tmp_path, capsys, count):
     out = tmp_path / "data"

@@ -285,3 +285,21 @@ def test_lab_conversion_known_values():
     assert lab[0, 0, 0] == pytest.approx(100.0, abs=0.01)
     assert np.allclose(lab[0, 0, 1:], 0.0, atol=0.01)
     assert lab[1, 0, 0] == pytest.approx(0.0, abs=0.01)
+
+
+@pytest.mark.parametrize("shape", [(128, 48, 3), (1, 1, 3), (7, 5, 3)])
+def test_lab_conversion_reads_each_byte_as_the_srgb_formula_does(shape):
+    # The linear-light step is a 256-entry table; each entry must equal the
+    # formula evaluated over a whole image, whatever the image's size.
+    pixels = np.random.default_rng(2).integers(0, 256, size=shape, dtype=np.uint8)
+    pixels.reshape(-1)[:256] = np.arange(256)[:pixels.size]  # every byte value, where it fits
+    rgb = pixels.astype(np.float64) / 255.0
+    linear = np.where(rgb <= 0.04045, rgb / 12.92, ((rgb + 0.055) / 1.055) ** 2.4)
+    m = np.array([[0.4124564, 0.3575761, 0.1804375],
+                  [0.2126729, 0.7151522, 0.0721750],
+                  [0.0193339, 0.1191920, 0.9503041]])
+    t = (linear @ m.T) / np.array([0.95047, 1.0, 1.08883])
+    f = np.where(t > (6 / 29) ** 3, np.cbrt(t), t / (3 * (6 / 29) ** 2) + 4 / 29)
+    expect = np.stack([116.0 * f[..., 1] - 16.0, 500.0 * (f[..., 0] - f[..., 1]),
+                       200.0 * (f[..., 1] - f[..., 2])], axis=-1)
+    assert np.array_equal(rgb_to_lab(pixels), expect)

@@ -141,11 +141,23 @@ def test_rank_of_scores_matches_sort_reference():
                                 for r in range(n_rows)]
         if np.array_equal(owners, np.arange(n_gal)):
             assert np.array_equal(rank_of_scores(scores, correct), got)
+        # Without owners each row's correct gallery is its own: ties included.
+        correct = rng.integers(0, n_gal, size=n_rows)
+        assert rank_of_scores(scores, correct).tolist() == [
+            oracles.rank_of_owner(list(scores[r]), range(n_gal), correct[r])
+            for r in range(n_rows)]
 
 
 def test_rank_of_scores_rejects_missing_owner():
     with pytest.raises(ValueError):
         rank_of_scores([[1.0, 2.0]], [3], owners=[0, 0])
+
+
+@pytest.mark.parametrize("correct", [[2], [-1], [0, 2]])
+def test_rank_of_scores_without_owners_rejects_a_missing_gallery(correct):
+    # A gathered score would wrap a negative index round to the last gallery.
+    with pytest.raises(ValueError, match="missing"):
+        rank_of_scores([[1.0, 2.0]] * len(correct), correct)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -226,13 +238,26 @@ def test_adjacency_large_range_is_global_argmax():
         assert sims[j] == sims.max()
 
 
-def binary_scores_by_solver(probe_stack, gallery_stack, binary, model, kappa):
+def binary_scores_by_solver(probe_stack, gallery_stack, binary, model, kappa,
+                            factor_form=False):
     """Each pair's score as ``solve_assignment`` gives it on the one-pair
-    correlations of the binary structure."""
+    correlations of the binary structure.  With ``factor_form`` each link's
+    value comes from ``oracles.factor_cell_values`` over the whole stacks,
+    the cell kernel's form, instead of d . M . d on the pair alone."""
     n_probe, n_gal = probe_stack.shape[1], gallery_stack.shape[1]
-    return np.array([[solve_assignment(oracles.binary_correlation(p, g, binary, model, n_gal),
-                                       kappa=kappa).score
-                      for g in gallery_stack] for p in probe_stack])
+    if not factor_form:
+        return np.array([[solve_assignment(oracles.binary_correlation(p, g, binary, model,
+                                                                      n_gal),
+                                           kappa=kappa).score
+                          for g in gallery_stack] for p in probe_stack])
+    links = oracles.factor_cell_values(probe_stack, gallery_stack, model,
+                                       np.arange(n_probe), binary.targets)
+    scores = np.empty((len(probe_stack), len(gallery_stack)))
+    for p, g in np.ndindex(scores.shape):
+        values = np.full((n_probe, n_gal), -np.inf)
+        values[np.arange(n_probe), binary.targets] = links[:, p, g]
+        scores[p, g] = solve_assignment(values, kappa=kappa).score
+    return scores
 
 
 def test_binary_score_matrix_matches_generic_path():
@@ -246,7 +271,7 @@ def test_binary_score_matrix_matches_generic_path():
     fast = binary_structure_score_matrix(table.probe_images, table.gallery_images, binary,
                                          table, kappa=-50.0)
     assert np.array_equal(fast, binary_scores_by_solver(probe_stack, gallery_stack, binary,
-                                                        model, -50.0))
+                                                        model, -50.0, factor_form=True))
 
 
 def test_binary_score_matrix_with_conflicts_matches_generic_path():

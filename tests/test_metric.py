@@ -310,6 +310,24 @@ def test_metric_serialization_round_trip(tmp_path):
     assert np.array_equal(again.fallback, model.fallback)
 
 
+def test_factors_rebuild_each_matrix_and_survive_a_round_trip(tmp_path):
+    rng = np.random.default_rng(12)
+    dim, n_loc = 5, 3
+    a = rng.standard_normal((n_loc, dim, dim))
+    mats = a @ a.transpose(0, 2, 1) - np.eye(dim)  # eigenvalues of both signs
+    model = MetricModel(matrices=mats, sigmas=np.ones(n_loc), global_matrix=mats[0],
+                        global_sigma=1.0)
+    factors, signs = model.factors
+    rebuilt = (factors * signs[:, None, :]) @ factors.transpose(0, 2, 1)
+    assert np.allclose(rebuilt, model.matrices, rtol=0.0, atol=1e-12)
+    assert set(signs.ravel().tolist()) == {-1.0, 1.0}
+    with pytest.raises(ValueError):  # read-only, so the cached factors cannot go stale
+        model.matrices[0, 0, 0] = 1.0
+    save_metric(tmp_path / "m.bin", model)
+    loaded = load_metric(tmp_path / "m.bin").factors  # factored from the same bits
+    assert np.array_equal(loaded[0], factors) and np.array_equal(loaded[1], signs)
+
+
 def test_metric_load_rejects_bad_magic(tmp_path):
     path = tmp_path / "bad.bin"
     path.write_bytes(b"WRONGMAGIC123456" + bytes(64))
