@@ -1,4 +1,5 @@
-"""Print the OpenBLAS core (kernel family) that numpy's bundled library runs.
+"""Print the numpy build and the OpenBLAS core (kernel family) that numpy's
+bundled library runs.
 
     python3 .github/workflows/blas_core.py
 
@@ -10,6 +11,8 @@ import os
 
 import numpy
 
+print("numpy", numpy.__version__)
+numpy.show_config()
 libs = sorted(glob.glob(os.path.join(os.path.dirname(numpy.__file__), os.pardir,
                                      "numpy.libs", "libscipy_openblas*")))
 try:

@@ -111,3 +111,9 @@ def colocated_table(probe_grid: GridSpec, gallery_grid: GridSpec) -> tuple[np.nd
     key = (d2 * gallery_grid.n_patches + ordinals).reshape(4, -1)
     best = ordinals.reshape(4, -1)[key.argmin(axis=0), np.arange(probe_grid.n_patches)]
     return best, best // gallery_grid.n_cols
+
+
+def colocated_distance(probe_grid: GridSpec, gallery_grid: GridSpec) -> np.ndarray:
+    """(N_A, N_B) zig-zag distances |j - c(i)|, c(i) co-located with probe patch i."""
+    colocated, _ = colocated_table(probe_grid, gallery_grid)
+    return np.abs(np.arange(gallery_grid.n_patches) - colocated[:, None])

@@ -70,7 +70,7 @@ def load_manifest(path) -> DatasetManifest:
 
     Paths are resolved relative to the manifest file.  Every identity must
     appear in both cameras; extra images per (identity, camera) are kept
-    (callers use the first one per camera).
+    (``image_path`` gives the first, ``image_paths`` all of them).
     """
     base = os.path.dirname(os.path.abspath(path))
     with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -273,36 +273,30 @@ class DescriptorBank:
 
     def __init__(self, manifest: DatasetManifest, config: RunConfig):
         self.config = config
-        self.probe_grid = config.probe_grid()
-        self.gallery_grid = config.gallery_grid()
+        self.grids = {"A": config.probe_grid(), "B": config.gallery_grid()}
         self._cache: dict[tuple[str, str], np.ndarray] = {}
         self.manifest = manifest
 
     def _workspace(self) -> DescriptorWorkspace:
-        config = self.config
-        return DescriptorWorkspace(config.image_height, config.image_width,
-                                   3 * config.color_bins + config.gradient_bins)
+        c = self.config
+        return DescriptorWorkspace(c.image_height, c.image_width, c.color_bins, c.gradient_bins)
 
     def descriptors_for(self, path: str, camera: str,
                         workspace: DescriptorWorkspace | None = None) -> np.ndarray:
         key = (path, camera)
         if key not in self._cache:
-            grid = self.probe_grid if camera == "A" else self.gallery_grid
+            grid = self.grids[camera]
             img = scale_to_canonical(load_image(path), grid)
             self._cache[key] = extract_descriptors(img, grid, self.config.color_bins,
                                                    self.config.gradient_bins,
                                                    workspace=workspace)
         return self._cache[key]
 
-    def descriptors(self, identity: str, camera: str,
-                    workspace: DescriptorWorkspace | None = None) -> np.ndarray:
-        return self.descriptors_for(self.manifest.image_path(identity, camera), camera,
-                                    workspace)
-
     def stacks(self, identities) -> tuple[np.ndarray, np.ndarray]:
-        workspace = self._workspace()
-        probes = np.stack([self.descriptors(i, "A", workspace) for i in identities])
-        galleries = np.stack([self.descriptors(i, "B", workspace) for i in identities])
+        """Camera-A and camera-B stacks of each identity's first image."""
+        workspace, path = self._workspace(), self.manifest.image_path
+        probes, galleries = (np.stack([self.descriptors_for(path(i, camera), camera, workspace)
+                                       for i in identities]) for camera in CAMERAS)
         return probes, galleries
 
     def gallery_pool(self, identities) -> tuple[np.ndarray, np.ndarray]:
@@ -419,7 +413,8 @@ def run_ablations(manifest: DatasetManifest, splits: SplitPlan, arms, config: Ru
 
     Returns {arm: (averaged CmcCurve, [per-split CmcCurve])}.  All arms of a
     split share the same descriptors, metric, trained structure and test
-    cell table.
+    cell table.  Curves average ``CmcCurve.at_rank`` over ranks 1 to the
+    largest test gallery; a curve reads 1.0 past its own gallery.
     """
     for arm in arms:
         if arm not in ARMS:
@@ -435,11 +430,8 @@ def run_ablations(manifest: DatasetManifest, splits: SplitPlan, arms, config: Ru
             ranks = _test_ranks(table, owners, artifacts, arm, config)
             per_arm[arm].append(cmc_curve(ranks, table.n_gallery))
     out = {}
-    for arm in arms:
-        curves = per_arm[arm]
-        sizes = {c.gallery_size for c in curves}
-        if len(sizes) != 1:
-            raise ValueError(f"split test sizes differ: {sorted(sizes)}")
-        mean_values = np.mean([c.values for c in curves], axis=0)
-        out[arm] = (CmcCurve(values=mean_values, gallery_size=curves[0].gallery_size), curves)
+    for arm, curves in per_arm.items():
+        width = max(c.gallery_size for c in curves)
+        values = np.mean([[c.at_rank(n) for n in range(1, width + 1)] for c in curves], axis=0)
+        out[arm] = (CmcCurve(values=values, gallery_size=width), curves)
     return out

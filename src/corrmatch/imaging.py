@@ -217,7 +217,7 @@ def _gradient_orientation(y_plane: np.ndarray, gradient_bins: int):
 class DescriptorWorkspace:
     """Scratch arrays that a batch of ``extract_descriptors`` calls reuses.
 
-    Holds, for images of one size and one plane count, the per-pixel
+    Holds, for images of one size and one pair of bin counts, the per-pixel
     histogram planes, the running column prefix and the summed-area rows of
     the patch corners.  Fresh arrays of this size per image (about 3.6 MB
     at the default canvas) go back to the operating system between images
@@ -225,7 +225,8 @@ class DescriptorWorkspace:
     once.  A workspace serves one extraction at a time.
     """
 
-    def __init__(self, height: int, width: int, n_planes: int):
+    def __init__(self, height: int, width: int, color_bins: int, gradient_bins: int):
+        n_planes = 3 * color_bins + gradient_bins
         self.shape = (height, width, n_planes)
         self.planes = np.empty(height * width * n_planes)
         self.column = np.empty((width, n_planes))
@@ -254,7 +255,7 @@ def extract_descriptors(img: RgbImage, grid: GridSpec, color_bins: int,
     n_color = 3 * color_bins
     n_planes = n_color + gradient_bins
     if workspace is None:
-        workspace = DescriptorWorkspace(h, w, n_planes)
+        workspace = DescriptorWorkspace(h, w, color_bins, gradient_bins)
     elif workspace.shape != (h, w, n_planes):
         raise ValueError(f"workspace of shape {workspace.shape} for images of "
                          f"shape {(h, w, n_planes)}")

@@ -23,7 +23,7 @@ from .matching import (BinaryMappingStructure, CellTable, adjacency_candidates,
                        best_binary_structure, binary_structure_score_matrix,
                        correct_ranks, gated_correlations, rank_of_scores)
 from .metric import MetricModel, build_avg_similarity, correct_pair_log_similarity
-from .structure import CorrespondenceStructure, blend_update, init_structure
+from .structure import CorrespondenceStructure, blend_update, init_structure, proximity_weight
 
 
 @dataclass(frozen=True)
@@ -85,10 +85,9 @@ class LearnResult:
 
 def impact_table(n_probe: int, t_d: int) -> np.ndarray:
     """impact[i, s]: spatial influence of a link anchored at probe patch s
-    onto patch i, 1 / (|i - s| + 1) within t_d and 0 beyond."""
+    onto patch i, the proximity weight of the stride distance |i - s|."""
     idx = np.arange(n_probe)
-    d = np.abs(idx[:, None] - idx[None, :]).astype(np.float64)
-    return np.where(d >= t_d, 0.0, 1.0 / (d + 1.0))
+    return proximity_weight(np.abs(idx[:, None] - idx[None, :]), t_d)
 
 
 def conditional_matrix(binary: BinaryMappingStructure, avg_table: np.ndarray) -> np.ndarray:

@@ -7,7 +7,8 @@ excluded outright.  A global one-to-one assignment over the correlation
 matrix yields the image matching score used for ranking; a binary mapping
 structure (one gallery patch per probe patch) reuses the same machinery as
 a gate of one cell per row.  Every path reads its log similarities from a
-``CellTable``, which computes each cell once.
+``CellTable``, which computes each cell once and holds the probe side of
+the metric's factor form, projected when the table is built.
 """
 from __future__ import annotations
 
@@ -17,7 +18,7 @@ import numpy as np
 
 from .assignment import (Assignment, GateCounts, GatePlan, row_best_cells, score_gate,
                          solve_assignment)
-from .geometry import GridSpec, colocated_table, patch_cells
+from .geometry import GridSpec, colocated_distance, patch_cells
 from .metric import MAX_EXPONENT, MetricModel
 from .structure import CorrespondenceStructure
 
@@ -49,44 +50,22 @@ class BinaryMappingStructure:
         return np.array(self.targets, dtype=np.int64)
 
 
-class ProjectedProbes:
-    """A probe stack (n_probe_images, N_A, dim) with its side of the factor
-    form under one model: with a = p L per (probe image, location),
-    ``signed`` = s * a (n_probe_images, N_A, dim), ``norms`` = sum(s * a**2)
-    and ``abs_norms`` = sum(a**2) (n_probe_images, N_A).  One
-    (1, dim) @ (dim, dim) product per (probe image, location), so an
-    image's projections do not depend on the images stacked with it."""
-
-    def __init__(self, probe_stack: np.ndarray, model: MetricModel):
-        factors, signs = model.factors
-        a = np.matmul(probe_stack[:, :, None, :], factors)[:, :, 0]
-        self.stack, self.model, self.signed = probe_stack, model, a * signs
-        self.norms, self.abs_norms = (self.signed * a).sum(axis=2), (a * a).sum(axis=2)
-
-
-def cell_log_similarity(probe_stack, gallery_stack: np.ndarray, model: MetricModel,
-                        rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """log similarity of probe patch rows[c] against gallery patch cols[c]
-    for every probe image against every gallery image, shape
+def cell_log_similarity(table: CellTable, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """log similarity of the table's probe patch rows[c] against its gallery
+    patch cols[c] for every probe image against every gallery image, shape
     (n_cells, n_probe_images, n_gallery_images).
 
-    ``probe_stack`` is a probe stack, or its ``ProjectedProbes`` under
-    ``model`` (a ``CellTable`` projects its stack once).  d . M . d runs in
-    the metric's factor space (``MetricModel.factors``): with a = p L,
-    b = g L and the signs s, it is sum(s a**2) + sum(s b**2) - 2 sum(s a b),
+    d . M . d runs in the metric's factor space: with the table's a = p L,
+    b = g L and signs s, it is sum(s a**2) + sum(s b**2) - 2 sum(s a b),
     clamped at 0.  b takes one (G, dim) @ (dim, dim) product per cell and
     the cross term one (G, dim) @ (dim, 1) product per (cell, probe image),
     so a cell's values do not depend on the probe images, cells or chunk it
     is computed with.  An entry within ``_SAME_SHARE`` of sum(a**2) +
     sum(b**2) whose two descriptors are equal gets distance 0: identical
-    descriptors keep similarity exactly 1.  Cells go in chunks of
-    ``_CHUNK_VALUES``.
+    descriptors keep similarity exactly 1.  Chunks: ``_CHUNK_VALUES``.
     """
-    probes = (probe_stack if isinstance(probe_stack, ProjectedProbes)
-              else ProjectedProbes(probe_stack, model))
-    if probes.model is not model:
-        raise ValueError("probe projections of another metric")
-    probe_stack, rows, cols = probes.stack, np.asarray(rows), np.asarray(cols)
+    probe_stack, gallery_stack, model = table.probe_stack, table.gallery_stack, table.model
+    rows, cols = np.asarray(rows), np.asarray(cols)
     factors, signs = model.factors
     out = np.empty((len(rows), len(probe_stack), len(gallery_stack)))
     per_cell = max(out.shape[1] * out.shape[2], out.shape[2] * model.dim, model.dim ** 2)
@@ -98,11 +77,11 @@ def cell_log_similarity(probe_stack, gallery_stack: np.ndarray, model: MetricMod
         g_abs = squares.sum(axis=2)
         squares *= signs[r][:, None]
         g_norm = squares.sum(axis=2)
-        cross = np.matmul(b[:, None], probes.signed[:, r].transpose(1, 0, 2)[..., None])[..., 0]
+        cross = np.matmul(b[:, None], table.signed[:, r].transpose(1, 0, 2)[..., None])[..., 0]
         cross *= 2.0
-        dist = np.add(probes.norms[:, r].T[:, :, None], g_norm[:, None], out=out[lo:lo + step])
+        dist = np.add(table.norms[:, r].T[:, :, None], g_norm[:, None], out=out[lo:lo + step])
         dist -= cross  # (C, P, G); cross's block now holds the identity tolerance
-        tolerance = np.add(probes.abs_norms[:, r].T[:, :, None], g_abs[:, None], out=cross)
+        tolerance = np.add(table.abs_norms[:, r].T[:, :, None], g_abs[:, None], out=cross)
         tolerance *= _SAME_SHARE
         k, p, g = np.nonzero(dist <= tolerance)
         same = (probe_stack[p, r[k]] == gallery_stack[g, c[k]]).all(axis=1)
@@ -116,10 +95,14 @@ def cell_log_similarity(probe_stack, gallery_stack: np.ndarray, model: MetricMod
 class CellTable:
     """Memoized log similarities of (probe patch, gallery patch) cells.
 
-    Holds a probe stack (n_probe_images, N_A, dim) as its
-    ``ProjectedProbes``, a gallery stack (n_gallery_images, N_B, dim), their
-    metric, and a dict from each cell computed so far to its values.  A cell's values do not depend on the cells it is computed
-    with, so reads equal fresh computations bit for bit.
+    Holds a probe stack (n_probe_images, N_A, dim), a gallery stack
+    (n_gallery_images, N_B, dim), their metric, a dict from each cell
+    computed so far to its values, and the probe side of the metric's factor
+    form: with a = p L, ``signed`` = s * a, ``norms`` = sum(s * a**2) and
+    ``abs_norms`` = sum(a**2), from one (1, dim) @ (dim, dim) product per
+    (probe image, location).  Neither an image's projections nor a cell's
+    values depend on what they are computed with, so reads equal fresh
+    computations bit for bit.
     """
 
     def __init__(self, probe_stack: np.ndarray, gallery_stack: np.ndarray,
@@ -130,8 +113,11 @@ class CellTable:
         if {probe_stack.shape[2], gallery_stack.shape[2]} != {model.dim}:
             raise ValueError(f"descriptors of dimension {probe_stack.shape[2]} and "
                              f"{gallery_stack.shape[2]} for a metric of dimension {model.dim}")
-        self.gallery_stack, self.model = gallery_stack, model
-        self.probes = ProjectedProbes(probe_stack, model)
+        self.probe_stack, self.gallery_stack, self.model = probe_stack, gallery_stack, model
+        factors, signs = model.factors
+        a = np.matmul(probe_stack[:, :, None, :], factors)[:, :, 0]
+        self.signed = a * signs
+        self.norms, self.abs_norms = (self.signed * a).sum(axis=2), (a * a).sum(axis=2)
         self.n_probe, self.n_a = probe_stack.shape[:2]
         self.n_gallery, self.n_b = gallery_stack.shape[:2]
         self.probe_images = np.arange(self.n_probe)
@@ -148,8 +134,7 @@ class CellTable:
         keys = np.ravel_multi_index((rows, cols), (self.n_a, self.n_b)).tolist()
         new = sorted(set(keys).difference(self._rows))
         if new:
-            fresh = cell_log_similarity(self.probes, self.gallery_stack, self.model,
-                                        *np.unravel_index(new, (self.n_a, self.n_b)))
+            fresh = cell_log_similarity(self, *np.unravel_index(new, (self.n_a, self.n_b)))
             self._rows.update(zip(new, fresh.reshape(len(new), -1)))
         return np.array([self._rows[k] for k in keys]).reshape(-1, self.n_probe * self.n_gallery)
 
@@ -301,9 +286,9 @@ def adjacency_candidates(log_sims: np.ndarray, probe_grid: GridSpec,
     if log_sims.shape != (probe_grid.n_patches, n_b):
         raise ValueError(f"expected ({probe_grid.n_patches}, {n_b}) log similarities, "
                          f"got {log_sims.shape}")
-    colocated, colocated_row = colocated_table(probe_grid, gallery_grid)
-    row_gap = np.abs(patch_cells(gallery_grid)[0] - colocated_row[:, None])
-    dist = np.abs(np.arange(n_b) - colocated[:, None])
+    dist = colocated_distance(probe_grid, gallery_grid)
+    gallery_rows = patch_cells(gallery_grid)[0]  # the co-located patch is at distance 0
+    row_gap = np.abs(gallery_rows - gallery_rows[dist.argmin(axis=1)][:, None])
     sims = np.exp(log_sims)
 
     candidates = []

@@ -14,8 +14,9 @@ d . M . d is computed in two forms.  Here, on descriptor differences d:
 and the adjacency search) and ``train_metric``'s scales, which pair each
 probe with its own gallery and so have no product to share.  In the
 metric's factor space, M = L diag(s) L.T (``MetricModel.factors``), by
-``matching.cell_log_similarity``: every cell pairs each probe image with
-every gallery image, and projecting each descriptor once costs dim**2 per
+``matching.cell_log_similarity`` on a ``matching.CellTable``, which owns
+the probe side, projected once: every cell pairs each probe image with
+every gallery image, so each descriptor's dim**2 projection is paid per
 image instead of per image pair.  The two forms agree to rounding (cell
 values within 3e-11 relative on the bench workloads), not bit for bit, so
 each value is always taken from the same form.
@@ -30,7 +31,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConfigurationError, FormatError, as_format_error
-from .geometry import GridSpec, colocated_table
+from .geometry import GridSpec, colocated_distance
 
 RIDGE_FACTOR = 1e-3
 SIGMA_FLOOR = 1e-6
@@ -227,9 +228,7 @@ def build_training_pairs(probe_stack: np.ndarray, gallery_stack: np.ndarray,
         raise ValueError("descriptor stacks must align")
     if not len(probe_stack):
         raise ConfigurationError("empty training set")
-    ordinals = np.arange(gallery_grid.n_patches)
-    colocated, _ = colocated_table(probe_grid, gallery_grid)
-    windows = [np.flatnonzero(np.abs(ordinals - co) < t_d) for co in colocated.tolist()]
+    windows = [np.flatnonzero(row < t_d) for row in colocated_distance(probe_grid, gallery_grid)]
     return (LocationDifferences(probe_stack, gallery_stack, windows),
             LocationDifferences(probe_stack, wrong_stack, windows))
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, FormatError, as_format_error
-from .geometry import GridSpec, colocated_table
+from .geometry import GridSpec, colocated_distance
 
 ROW_SUM_TOL = 1e-9
 
@@ -52,18 +52,21 @@ class CorrespondenceStructure:
         return self.probs.shape[1]
 
 
+def proximity_weight(dist: np.ndarray, t_d: int) -> np.ndarray:
+    """1 / (d + 1) for each stride distance d below t_d, else 0."""
+    return np.where(dist >= t_d, 0.0, 1.0 / (dist + 1.0))
+
+
 def init_structure(probe_grid: GridSpec, gallery_grid: GridSpec, t_d: int) -> CorrespondenceStructure:
     """Proximity-based starting structure.
 
-    Raw weight of gallery patch j for probe patch i is 1/(d+1) where d is the
-    zig-zag stride distance between j and probe patch i's co-located gallery
-    patch, zeroed once d reaches t_d; rows are then L1-normalized.
+    Raw weight of gallery patch j for probe patch i is the proximity weight
+    (1/(d+1) below t_d, else 0) of j's zig-zag stride distance d from probe
+    patch i's co-located gallery patch; rows are then L1-normalized.
     """
     if t_d < 1:
         raise ConfigurationError(f"t_d must be >= 1, got {t_d}")
-    colocated, _ = colocated_table(probe_grid, gallery_grid)
-    dist = np.abs(np.arange(gallery_grid.n_patches) - colocated[:, None])
-    raw = np.where(dist >= t_d, 0.0, 1.0 / (dist + 1.0))
+    raw = proximity_weight(colocated_distance(probe_grid, gallery_grid), t_d)
     # The co-located patch (distance 0) gives every row positive mass.
     probs = raw / raw.sum(axis=1, keepdims=True)
     return CorrespondenceStructure(probs=probs, probe_grid=probe_grid, gallery_grid=gallery_grid)

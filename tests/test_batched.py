@@ -77,15 +77,16 @@ def test_cell_values_match_per_row_oracle(seed, n_probe, n_gallery, n_a, n_b, di
     rows, cols = np.nonzero(gate)
     with mock.patch.object(matching, "_CHUNK_VALUES", budget):
         got = matching.CellTable(probe, gallery, model).values(rows, cols)
-        links = matching.cell_log_similarity(probe, gallery, model, rows, cols)
+        links = matching.cell_log_similarity(matching.CellTable(probe, gallery, model),
+                                             rows, cols)
     expect = oracles.factor_cell_values(probe, gallery, model, rows, cols)
     assert np.array_equal(got, expect.reshape(len(rows), n_probe * n_gallery))
     assert np.array_equal(links, expect)
     assert np.allclose(got, oracles.cell_values(probe, gallery, model, gate),
                        rtol=FORMS_RTOL, atol=FORMS_ATOL)
     for c, (i, j) in enumerate(zip(rows, cols)):  # each link alone, and in the metric's form
-        assert np.array_equal(links[c], matching.cell_log_similarity(probe, gallery, model,
-                                                                     [i], [j])[0])
+        assert np.array_equal(links[c], matching.cell_log_similarity(
+            matching.CellTable(probe, gallery, model), [i], [j])[0])
         on_differences = log_similarity(
             model, [i], (probe[:, i, None, :] - gallery[None, :, j, :])[None])[0]
         assert np.allclose(links[c], on_differences, rtol=FORMS_RTOL, atol=FORMS_ATOL)
@@ -118,7 +119,8 @@ def test_cell_table_reads_equal_fresh_values(seed, n_probe, n_gallery, n_a, n_b,
             got = table.values(rows, cols)
             assert np.array_equal(got, every[rows * n_b + cols])
             assert np.array_equal(got, matching.cell_log_similarity(
-                probe, gallery, model, rows, cols).reshape(size, n_probe * n_gallery))
+                matching.CellTable(probe, gallery, model), rows,
+                cols).reshape(size, n_probe * n_gallery))
             by_probe = got.reshape(size, n_probe, n_gallery)
             for p, single in enumerate(singles):
                 assert np.array_equal(single.values(rows, cols), by_probe[:, p])
@@ -147,7 +149,8 @@ def test_equal_descriptors_score_exactly_minus_zero(make_model):
     probe = 100.0 * rng.random((n_images, n_patches, dim))
     gallery = probe[rng.permutation(n_images)]
     diagonal = np.arange(n_patches)
-    got = matching.cell_log_similarity(probe, gallery, model, diagonal, diagonal)
+    got = matching.cell_log_similarity(matching.CellTable(probe, gallery, model), diagonal,
+                                       diagonal)
     by_cell = probe.transpose(1, 0, 2)[:, :, None], gallery.transpose(1, 0, 2)[:, None]
     equal = (by_cell[0] == by_cell[1]).all(axis=3)  # (cell, probe image, gallery image)
     assert equal.sum() == n_patches * n_images
@@ -177,9 +180,9 @@ def test_cell_table_computes_each_distinct_cell_once():
                                rng.standard_normal((2, n_b, 4)), model)
     computed = []
 
-    def counting(probe, gallery, model, rows, cols):
+    def counting(table, rows, cols):
         computed.extend(zip(rows.tolist(), cols.tolist()))
-        return kernel(probe, gallery, model, rows, cols)
+        return kernel(table, rows, cols)
 
     kernel = matching.cell_log_similarity
     requested = set()

@@ -77,6 +77,25 @@ def test_evaluate_writes_cmc_files(dataset, small_config, tmp_path, capsys):
     assert len(lines) == 1 + 2 + 1  # header + repeats + average
 
 
+def test_evaluate_all_pairs_with_splits_of_different_gallery_sizes(tmp_path, capsys):
+    # id0000 gains a second camera-B image, so the four splits' test
+    # galleries hold 4 or 5 images, and the average row still comes out.
+    import shutil
+    data, out = tmp_path / "data", tmp_path / "eval"
+    assert main(["synth", "--out", str(data), "--identities", "8", "--seed", "7"]) == 0
+    shutil.copyfile(data / "imgs" / "id0000_B.ppm", data / "imgs" / "id0000_B2.ppm")
+    with open(data / "manifest.csv", "a", encoding="utf-8") as fh:
+        fh.write("id0000,B,imgs/id0000_B2.ppm\n")
+    save_config(tmp_path / "all.cfg", RunConfig(use_first_image=False, repeats=4))
+    code = main(["evaluate", "--manifest", str(data / "manifest.csv"), "--config",
+                 str(tmp_path / "all.cfg"), "--out", str(out), "--arm", "no-structure"])
+    assert code == 0, capsys.readouterr().err
+    lines = Path(out, "cmc_no-structure.csv").read_text().strip().split("\n")
+    assert lines[0] == "split,r1,r5"
+    splits = np.array([[float(v) for v in line.split(",")[1:]] for line in lines[1:-1]])
+    assert lines[-1] == "avg," + ",".join(repr(float(v)) for v in splits.mean(axis=0))
+
+
 def test_match_and_export(dataset, small_config, run, tmp_path):
     pairs_csv = str(tmp_path / "pairs.csv")
     code = main(["match", "--probe", f"{dataset}/imgs/id0000_A.ppm",

@@ -216,11 +216,11 @@ def test_simple_average_structure_rows():
 def test_descriptor_bank_caches_and_reuses(tmp_path):
     manifest, _ = make_synthetic_manifest(tmp_path, n=4)
     bank = DescriptorBank(manifest, SMALL)
-    d1 = bank.descriptors("id0000", "A")
-    d2 = bank.descriptors("id0000", "A")
+    d1 = bank.descriptors_for(manifest.image_path("id0000", "A"), "A")
+    d2 = bank.descriptors_for(manifest.image_path("id0000", "A"), "A")
     assert d1 is d2
     assert d1.shape == (84, 32)
-    assert bank.descriptors("id0000", "B").shape == (297, 32)
+    assert bank.descriptors_for(manifest.image_path("id0000", "B"), "B").shape == (297, 32)
 
 
 # Run in a fresh interpreter: one image first, so imports and the allocator
@@ -232,7 +232,7 @@ from corrmatch.config import RunConfig
 from corrmatch.harness import DescriptorBank, load_manifest
 manifest = load_manifest(sys.argv[1])
 ids = manifest.identities()
-DescriptorBank(manifest, RunConfig()).descriptors(ids[0], "A")
+DescriptorBank(manifest, RunConfig()).descriptors_for(manifest.image_path(ids[0], "A"), "A")
 bank = DescriptorBank(manifest, RunConfig())
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 bank.stacks(ids[1:21])
@@ -325,3 +325,26 @@ def test_all_pairs_evaluation_with_multi_image_identities(tmp_path):
     assert first[0].gallery_size == 4
     assert pooled[0].gallery_size == 8  # every B image competes
     assert pooled[0].values[-1] == 1.0
+
+
+def test_ablations_average_splits_whose_galleries_differ_in_size(tmp_path):
+    # id0000 gets a second camera-B image: a split that tests it ranks
+    # against 5 galleries, any other split against 4, and the average runs
+    # to rank 5, where a 4-gallery curve reads 1.  Noise 0.3 and two colours
+    # keep some probe from ranking first.
+    import shutil
+    from corrmatch.harness import run_ablations
+    out = tmp_path / "data"
+    generate_synthetic(str(out), 8, 2, 0.3, 7, palette_size=2)
+    shutil.copyfile(out / "imgs" / "id0000_B.ppm", out / "imgs" / "id0000_B2.ppm")
+    with open(out / "manifest.csv", "a", encoding="utf-8") as fh:
+        fh.write("id0000,B,imgs/id0000_B2.ppm\n")
+    manifest = load_manifest(out / "manifest.csv")
+    config = RunConfig(use_first_image=False, repeats=4)
+    splits = make_splits(manifest, config.seed, config.repeats)
+    averaged, per_split = run_ablations(manifest, splits, ["no-structure"],
+                                        config)["no-structure"]
+    assert sorted({c.gallery_size for c in per_split}) == [4, 5]
+    assert averaged.gallery_size == 5 and averaged.at_rank(1) < 1.0
+    for n in range(1, 7):
+        assert averaged.at_rank(n) == np.mean([c.at_rank(n) for c in per_split])

@@ -6,7 +6,7 @@ from corrmatch.errors import ConfigurationError
 from corrmatch.learning import (CmcCurve, cmc_curve, compute_update,
                                 conditional_matrix, impact_table,
                                 patch_importance, structure_prior)
-from corrmatch.matching import BinaryMappingStructure, cell_log_similarity
+from corrmatch.matching import BinaryMappingStructure, CellTable, cell_log_similarity
 
 import oracles
 
@@ -273,7 +273,7 @@ def test_rank_correct_matches_equals_per_pair_reference():
     ctx = _TrainingContext(probe, gallery, model, config)
 
     def pair_log_similarity(i, j):
-        return cell_log_similarity(probe, gallery, model, [i], [j])[0]
+        return cell_log_similarity(CellTable(probe, gallery, model), [i], [j])[0]
 
     for structure in (init_structure(pg, gg, config.t_d), learned.structure):
         ranks, scored = ctx.rank_correct_matches(structure)
@@ -286,7 +286,7 @@ def test_rank_correct_matches_equals_per_pair_reference():
 def test_training_and_evaluation_score_a_pair_bit_for_bit_alike():
     from corrmatch.assignment import score_gate
     from corrmatch.learning import _TrainingContext, learn_structure
-    from corrmatch.matching import (CellTable, gated_correlations, rank_gallery,
+    from corrmatch.matching import (CellTable, gated_correlations, match_score, rank_gallery,
                                     rank_of_scores)
     from corrmatch.metric import MetricModel
     from corrmatch.structure import init_structure
@@ -318,9 +318,20 @@ def test_training_and_evaluation_score_a_pair_bit_for_bit_alike():
                                      config.t_c, config.kappa)
             served = [score for _, score in sorted(ranked)]
             assert np.array_equal(served, trained[p * n:(p + 1) * n])
+            for g in (p, (p + 1) % n):  # `corrmatch match`: its own gallery and one other
+                _, matched = match_score(probe[p], gallery[g], structure, model, config.t_c,
+                                         config.kappa)
+                # Its solver and score_gate agree bit for bit on its own cells.
+                one = gated_correlations(CellTable(probe[p:p + 1], gallery[g:g + 1], model),
+                                         structure, config.t_c)
+                assert matched.score == score_gate(*one, config.kappa).totals[0]
+                # A one-gallery table's cells differ from the training table's
+                # in the last bits (BLAS takes another path for one gallery
+                # image), so the totals agree to rounding only.
+                assert np.isclose(matched.score, trained[p * n + g], rtol=1e-14, atol=0.0)
         # Each cell is log similarity + log p; the other way to write it,
         # log(similarity * p), would move some of these bits.
-        log_sim = cell_log_similarity(probe, gallery, model,
+        log_sim = cell_log_similarity(CellTable(probe, gallery, model),
                                       *np.nonzero(gate)).reshape(len(values), -1)
         probs = structure.probs[gate][:, None]
         assert np.array_equal(values, log_sim + np.log(probs))
