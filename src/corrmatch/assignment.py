@@ -18,12 +18,15 @@ row's edges.  ``solve_assignment`` is that pass on one pair;
 ``score_gate`` splits a mask shared by many pairs into connected components
 (a ``GatePlan``), settles each component whose greedy row picks do not
 collide, settles every component of one-cell rows in one vectorized pass,
-and passes the rest to the exact pass.
+and passes the rest to the exact pass.  ``score_one_cell_gates`` scores
+many gates of one cell per row at once, to ``score_gate``'s totals.
 
-Both score pairs in chunks of one budget, ``_CHUNK_CELLS``, gathered
-straight from the caller's values, so scoring holds those values plus one
-chunk however many pairs share a gate.  A pair's total is its own row-order
-sum, so chunking moves no bit.
+Row maxima and greedy picks come from ``row_best_cells``, a scan over cell
+slots whose maxima and first-index picks are exact.  Every path scores
+pairs in chunks of one budget, ``_CHUNK_CELLS``, gathered straight from the
+caller's values, so scoring holds those values plus one chunk however many
+pairs share a gate.  A pair's total is its own row-order sum, so chunking
+moves no bit.
 """
 from __future__ import annotations
 
@@ -61,6 +64,7 @@ def solve_assignment(values: np.ndarray, *, kappa: float) -> Assignment:
     accumulated in ascending row order; which of several tied optima is
     returned is unspecified.
     """
+    check_kappa(kappa)
     values = np.asarray(values, dtype=np.float64)
     if values.ndim != 2:
         raise ValueError(f"expected a 2-d matrix, got shape {values.shape}")
@@ -134,26 +138,25 @@ class GatePlan:
         if gate.ndim != 2:
             raise ValueError(f"expected a 2-d gate, got shape {gate.shape}")
         self.n_rows = gate.shape[0]
-        rows, self.cols = np.nonzero(gate)
+        rows, cols = np.nonzero(gate)
+        self.cols = cols.astype(np.int32)
         self.bounds = np.concatenate(([0], np.cumsum(gate.sum(axis=1))))
         degree = np.diff(self.bounds)
-        if degree.max(initial=0) <= 1:  # the components are the column groups
-            self.n_components, self.shared, single = len(np.unique(self.cols)), [], degree == 1
-        else:
-            components = _gate_components(rows, self.cols, self.n_rows)
-            self.n_components, single = len(components), np.zeros(self.n_rows, dtype=bool)
-            for comp in components:
-                single[comp] = (degree[comp] == 1).all()
-            self.shared = [np.array(c) for c in components if len(c) > 1 and not single[c[0]]]
-        # One-cell components' rows by column, ascending rows within a column;
-        # a column with one bidder needs no settling.
+        components = _gate_components(rows, self.cols, self.n_rows)
+        self.n_components, single = len(components), np.zeros(self.n_rows, dtype=bool)
+        for comp in components:
+            single[comp] = (degree[comp] == 1).all()
+        self.shared = [np.array(c) for c in components if len(c) > 1 and not single[c[0]]]
+        # The shared components' rows, block after block, as positions among the
+        # rows holding a cell, and a pick for each that no other row makes.
+        shared_rows = np.concatenate([np.zeros(0, dtype=np.int64), *self.shared])
+        self.shared_live = (np.cumsum(degree > 0) - 1)[shared_rows]
+        self.skips = -1 - np.arange(len(self.shared_live), dtype=np.int32)[:, None]
+        self.blocks = np.cumsum([0] + [len(c) for c in self.shared])
+        # One-cell components' rows, grouped by column.
         cells = np.flatnonzero(single[rows])
-        cells = cells[np.argsort(self.cols[cells], kind="stable")]
-        _, group, count = np.unique(self.cols[cells], return_inverse=True, return_counts=True)
-        cells = cells[count[group] > 1]
-        self.bidders = rows[cells]
-        _, self.group_starts, self.bidder_group = np.unique(
-            self.cols[cells], return_index=True, return_inverse=True)
+        bidders, self.bidder_bounds = _column_groups(self.cols[cells])
+        self.bidders = rows[cells[bidders]]
         self.n_cells, self.gated_rows = len(rows), int(np.count_nonzero(degree))
 
     def check(self, values: np.ndarray) -> np.ndarray:
@@ -176,28 +179,18 @@ class GatePlan:
         floats too: each row adds at least as much, and rounded addition in
         one order is monotone.
         """
+        check_kappa(kappa)
         totals = np.empty(values.shape[1])
         clashing = np.zeros(values.shape[1], dtype=bool)
         solves = 0
         for at, live, cell, best in row_best_cells(self.bounds, values):
-            take = best > kappa
             chosen = np.full((self.n_rows, len(at)), kappa)
-            chosen[live] = np.where(take, best, kappa)
-            if len(self.bidders):
-                # Each column's first best bidder keeps its pick, the rest skip.
-                # Picks floored at kappa name the same winner wherever one beats it.
-                bids = chosen[self.bidders]
-                top = np.maximum.reduceat(bids, self.group_starts, axis=0)[self.bidder_group]
-                order = np.arange(len(bids))[:, None]
-                first = np.minimum.reduceat(np.where(bids == top, order, len(bids)),
-                                            self.group_starts, axis=0)[self.bidder_group]
-                chosen[self.bidders] = np.where(order == first, bids, kappa)
-            if self.shared:
-                picked = np.full((self.n_rows, len(at)), -1, dtype=np.int64)
-                picked[live] = np.where(take, self.cols[cell], -1)
-            for comp in self.shared:
-                skips = -1 - np.arange(len(comp))[:, None]  # distinct per row, never collide
-                picks = np.sort(np.where(picked[comp] < 0, skips, picked[comp]), axis=0)
+            chosen[live] = _floored(best, kappa)
+            chosen[self.bidders] = _first_best_bids(self.bidder_bounds, chosen[self.bidders], kappa)
+            shared = self.shared_live
+            picked = np.where(best[shared] > kappa, self.cols[cell[shared]], self.skips)
+            for comp, lo, hi in zip(self.shared, self.blocks, self.blocks[1:]):
+                picks = picked[lo:hi] if hi - lo == 2 else np.sort(picked[lo:hi], axis=0)
                 clash = np.flatnonzero((picks[1:] == picks[:-1]).any(axis=0))
                 solves += clash.size
                 clashing[at[clash]] = True
@@ -219,17 +212,81 @@ def row_best_cells(bounds: np.ndarray,
     or (row, pair) entries: the indices of its pairs, the rows that hold a
     cell, the first cell holding each such row's largest value for every
     pair of the chunk (``argmax`` over the row's cells), and that value.
+    A scan over cell slots: slot k of the rows holding more than k cells (a
+    prefix, with rows by descending cell count) moves a row's pick only
+    where it beats the running maximum, so the first of tied cells wins.
     """
-    live, pairs = np.flatnonzero(np.diff(bounds)), np.arange(values.shape[1])
-    starts, owner = bounds[live], np.repeat(np.arange(len(live)), np.diff(bounds)[live])
+    degree = np.diff(bounds)
+    live = np.flatnonzero(degree)
+    order = np.argsort(-degree[live], kind="stable")
+    starts, sizes = bounds[live][order].astype(np.int32), degree[live][order]
+    held = [np.count_nonzero(sizes > k) for k in range(1, sizes.max(initial=1))]
+    restore = np.argsort(order)
     step = max(1, _CHUNK_CELLS // max(len(values), len(bounds) - 1, 1))
     for lo in range(0, values.shape[1], step):
         chunk = values[:, lo:lo + step]
-        best = np.maximum.reduceat(chunk, starts, axis=0)
-        index = np.arange(len(values), dtype=np.int32)[:, None]  # int32 halves this temporary
-        cell = np.where(chunk == best[owner], index, np.int32(len(values)))
-        cell = np.minimum.reduceat(cell, starts, axis=0)
-        yield pairs[lo:lo + step], live, cell, np.take_along_axis(chunk, cell, axis=0)
+        top, cell = chunk[starts], np.repeat(starts[:, None], chunk.shape[1], axis=1)
+        for k, n in enumerate(held, 1):
+            slot = chunk[starts[:n] + k]  # past every earlier pick: a maximum moves the pick
+            np.maximum(cell[:n], (slot > top[:n]) * (starts[:n, None] + np.int32(k)), out=cell[:n])
+            np.maximum(top[:n], slot, out=top[:n])
+        cell, top = cell[restore], top[restore]
+        zero = np.nonzero(top == 0.0)  # the maximum may hold the other zero's sign
+        top[zero] = chunk[cell[zero], zero[1]]
+        yield np.arange(lo, lo + chunk.shape[1]), live, cell, top
+
+
+def _column_groups(cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Entries sharing their column with another entry, grouped by column in
+    entry order, and the bounds of the groups."""
+    order = np.argsort(cols, kind="stable")
+    count = np.unique(cols[order], return_counts=True)[1]
+    return order[np.repeat(count > 1, count)], np.concatenate(([0], np.cumsum(count[count > 1])))
+
+
+def _first_best_bids(bounds: np.ndarray, bids: np.ndarray, kappa: float) -> np.ndarray:
+    """Bids grouped by column (``bounds`` as in ``row_best_cells``) with each
+    group's first best bid kept and the others skipped at ``kappa``."""
+    out = np.full(bids.shape, kappa)
+    for pairs, _, cell, best in row_best_cells(bounds, bids):
+        out[cell, pairs] = best
+    return out
+
+
+def _floored(values: np.ndarray, kappa: float) -> np.ndarray:
+    """``np.where(values > kappa, values, kappa)``, from a maximum (about a
+    sixth of np.where's time here) whose tie of two zeros may keep either
+    sign, then kappa there."""
+    out = np.maximum(values, kappa)
+    if kappa == 0:
+        out[out == 0] = kappa
+    return out
+
+
+def score_one_cell_gates(cols: np.ndarray, values: np.ndarray, kappa: float) -> np.ndarray:
+    """``score_gate`` totals of many gates of one cell per row, bit for bit.
+
+    Gate s's row i holds one cell, in column ``cols[s, i]``, valued at row
+    s * n_rows + i of the (n_gates * n_rows, n_pairs) ``values``; returns
+    (n_gates, n_pairs) totals.
+    """
+    check_kappa(kappa)
+    n_gates, n_rows = cols.shape
+    bidders, bounds = _column_groups((np.arange(n_gates)[:, None] * (cols.max(initial=0) + 1)
+                                      + cols).ravel())
+    totals = np.empty((n_gates, values.shape[1]))
+    step = max(1, _CHUNK_CELLS // max(cols.size, 1))
+    for lo in range(0, values.shape[1], step):
+        chosen = _floored(values[:, lo:lo + step], kappa)
+        chosen[bidders] = _first_best_bids(bounds, chosen[bidders], kappa)
+        rows = chosen.reshape(n_gates, n_rows, -1).transpose(1, 0, 2)
+        totals[:, lo:lo + step] = sum(rows, np.zeros(rows.shape[1:]))  # ascending rows
+    return totals
+
+
+def check_kappa(kappa: float) -> None:
+    if not np.isfinite(kappa):  # a non-finite skip penalty makes every total non-finite
+        raise ValueError(f"kappa must be finite, got {kappa}")
 
 
 def _gate_components(rows: np.ndarray, cols: np.ndarray, n_rows: int) -> list[list[int]]:

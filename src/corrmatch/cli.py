@@ -12,6 +12,7 @@ import sys
 from dataclasses import astuple, fields
 
 from .config import RunConfig, load_config, save_config
+from .errors import ConfigurationError
 from .harness import (ARMS, DescriptorBank, generate_synthetic, load_manifest,
                       make_splits, run_ablations, train_on_split)
 from .imaging import extract_descriptors, load_image, scale_to_canonical
@@ -89,6 +90,11 @@ def cmd_evaluate(args) -> int:
 def cmd_match(args) -> int:
     config = _config_from(args)
     structure = load_structure(args.structure)
+    grids = (config.probe_grid(), config.gallery_grid())
+    if args.config and grids != (structure.probe_grid, structure.gallery_grid):
+        raise ConfigurationError(
+            f"config grids (probe {grids[0]}, gallery {grids[1]}) differ from the structure's "
+            f"(probe {structure.probe_grid}, gallery {structure.gallery_grid})")
     metric = load_metric(args.metric)
     probe = scale_to_canonical(load_image(args.probe), structure.probe_grid)
     gallery = scale_to_canonical(load_image(args.gallery), structure.gallery_grid)

@@ -387,7 +387,8 @@ def _test_ranks(table: CellTable, owners: np.ndarray, artifacts: SplitArtifacts,
     correct = np.arange(table.n_probe)
     if arm == "no-structure":
         scores = binary_structure_score_matrix(table.probe_images, table.gallery_images,
-                                               colocated_links(config), table, config.kappa)
+                                               [colocated_links(config)], table,
+                                               config.kappa)[0]
         return rank_of_scores(scores, correct, owners)
 
     if arm == "simple-average":

@@ -171,7 +171,7 @@ class _TrainingContext:
             binary, n = self.binary_structures[alpha], self.n_train
             scores = binary_structure_score_matrix(self.table.probe_images,
                                                    self.table.gallery_images,
-                                                   binary, self.table, self.config.kappa)
+                                                   [binary], self.table, self.config.kappa)[0]
             targets = binary.target_array(self.table.n_a, self.table.n_b)
             links = self.table.values(np.arange(self.table.n_a), targets).reshape(-1, n)
             # Row 0 ranks by the structure's scores, row 1 + i by link i's cell.

@@ -5,19 +5,21 @@ learned appearance similarity with the correspondence structure:
 log similarity + log probability, gated so low-probability cells are
 excluded outright.  A global one-to-one assignment over the correlation
 matrix yields the image matching score used for ranking; a binary mapping
-structure (one gallery patch per probe patch) reuses the same machinery as
-a gate of one cell per row.  Every path reads its log similarities from a
-``CellTable``, which computes each cell once and holds the probe side of
-the metric's factor form, projected when the table is built.
+structure (one gallery patch per probe patch) is a gate of one cell per
+row, and many of them are scored in one call.  Every path reads its log
+similarities from a ``CellTable``, which computes each cell once and holds
+the probe side of the metric's factor form, projected when the table is
+built.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .assignment import (Assignment, GateCounts, GatePlan, row_best_cells, score_gate,
-                         solve_assignment)
+from .assignment import (Assignment, GateCounts, GatePlan, check_kappa, row_best_cells,
+                         score_gate, score_one_cell_gates, solve_assignment)
 from .geometry import GridSpec, colocated_distance, patch_cells
 from .metric import MAX_EXPONENT, MetricModel
 from .structure import CorrespondenceStructure
@@ -168,6 +170,7 @@ def greedy_scores(gate: np.ndarray, values: np.ndarray,
     without cells adds ``kappa``; a row with cells adds its best one, even
     below ``kappa``.  Rows are summed in ascending order.
     """
+    check_kappa(kappa)
     bounds = np.concatenate(([0], np.cumsum(gate.sum(axis=1))))
     totals = np.empty(values.shape[1])
     for pairs, live, _, best in row_best_cells(bounds, values):
@@ -282,20 +285,16 @@ def adjacency_candidates(log_sims: np.ndarray, probe_grid: GridSpec,
     """
     if not ranges:
         raise ValueError("ranges must be non-empty")
+    if min(ranges) < 1:
+        raise ValueError(f"search range must be >= 1, got {min(ranges)}")
     n_b = gallery_grid.n_patches
     if log_sims.shape != (probe_grid.n_patches, n_b):
         raise ValueError(f"expected ({probe_grid.n_patches}, {n_b}) log similarities, "
                          f"got {log_sims.shape}")
-    dist = colocated_distance(probe_grid, gallery_grid)
-    gallery_rows = patch_cells(gallery_grid)[0]  # the co-located patch is at distance 0
-    row_gap = np.abs(gallery_rows - gallery_rows[dist.argmin(axis=1)][:, None])
+    dist, windows = _search_windows(probe_grid, gallery_grid, tuple(ranges))
     sims = np.exp(log_sims)
-
     candidates = []
-    for span in ranges:
-        if span < 1:
-            raise ValueError(f"search range must be >= 1, got {span}")
-        window = row_gap <= span
+    for window in windows:
         best = np.where(window, sims, -np.inf).max(axis=1, keepdims=True)
         # argmin keeps the first of the nearest tied patches: the smaller ordinal.
         pick = np.where(window & (sims == best), dist, n_b).argmin(axis=1)
@@ -303,36 +302,51 @@ def adjacency_candidates(log_sims: np.ndarray, probe_grid: GridSpec,
     return candidates
 
 
-def binary_structure_score_matrix(probes: np.ndarray, galleries: np.ndarray,
-                                  binary: BinaryMappingStructure, table: CellTable,
-                                  kappa: float) -> np.ndarray:
-    """Matching scores of the table's probe images ``probes`` against its
-    gallery images ``galleries`` (index arrays), shape (len(probes),
+@lru_cache(maxsize=4)
+def _search_windows(probe_grid: GridSpec, gallery_grid: GridSpec,
+                    ranges: tuple[int, ...]) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    """``colocated_distance`` and each range's (N_A, N_B) band of gallery
+    rows, read-only: they depend on the grids alone, so every probe shares
+    them."""
+    dist = colocated_distance(probe_grid, gallery_grid)
+    gallery_rows = patch_cells(gallery_grid)[0]  # the co-located patch is at distance 0
+    row_gap = np.abs(gallery_rows - gallery_rows[dist.argmin(axis=1)][:, None])
+    arrays = dist, *(row_gap <= span for span in ranges)
+    for array in arrays:
+        array.flags.writeable = False
+    return arrays[0], arrays[1:]
+
+
+def binary_structure_score_matrix(probes: np.ndarray, galleries: np.ndarray, binaries,
+                                  table: CellTable, kappa: float) -> np.ndarray:
+    """Matching scores of each binary structure of ``binaries`` for the
+    table's probe images ``probes`` against its gallery images
+    ``galleries`` (index arrays), shape (len(binaries), len(probes),
     len(galleries)).
 
-    The structure is a gate of one cell per probe patch, valued at its log
-    similarity alone, and goes through the same batched assignment as a
-    learned structure.
+    Each structure is a gate of one cell per probe patch, valued at its log
+    similarity alone.  All of them are scored in one call, each bit for bit
+    as ``score_gate`` scores its gate.
     """
-    targets = binary.target_array(table.n_a, table.n_b)
-    gate = np.arange(table.n_b) == targets[:, None]
+    targets = np.array([b.target_array(table.n_a, table.n_b) for b in binaries],
+                       dtype=np.int64).reshape(-1, table.n_a)
     pairs = (np.asarray(probes)[:, None] * table.n_gallery + np.asarray(galleries)).ravel()
-    values = table.values(np.arange(table.n_a), targets)[:, pairs]
-    return score_gate(gate, values, kappa).totals.reshape(len(probes), len(galleries))
+    values = table.values(np.tile(np.arange(table.n_a), len(targets)), targets.ravel())
+    totals = score_one_cell_gates(targets, values[:, pairs], kappa)
+    return totals.reshape(len(targets), len(probes), len(galleries))
 
 
 def best_binary_structure(table: CellTable, correct_index: int, candidates,
                           kappa: float) -> BinaryMappingStructure:
     """Candidate whose ranking of the table's one probe image places the
     correct gallery best; ties keep order, and no candidate is a
-    ValueError.  The candidates share the table, so a cell they have in
-    common is computed once."""
+    ValueError.  The candidates are scored in one call, so a cell they
+    have in common is computed once."""
     if table.n_probe != 1:
         raise ValueError(f"expected a table of one probe image, got {table.n_probe}")
-
-    def rank(cand: BinaryMappingStructure) -> int:
-        scores = binary_structure_score_matrix(table.probe_images, table.gallery_images,
-                                               cand, table, kappa)
-        return rank_of_scores(scores, [correct_index])[0]
-
-    return min(candidates, key=rank)
+    if not candidates:
+        raise ValueError("no candidate binary structures")
+    scores = binary_structure_score_matrix(table.probe_images, table.gallery_images,
+                                           candidates, table, kappa)[:, 0]
+    ranks = rank_of_scores(scores, np.full(len(candidates), correct_index))
+    return candidates[int(np.argmin(ranks))]

@@ -544,3 +544,13 @@ def test_score_gate_memory_is_bounded_by_its_values():
         tracemalloc.stop()
     assert scored.components == 1 and scored.solves > 450
     assert peak < 3 * values.nbytes
+
+
+@pytest.mark.parametrize("kappa", [np.nan, np.inf, -np.inf])
+def test_non_finite_kappa_is_rejected(kappa):
+    gate, values = np.eye(2, dtype=bool), np.ones((2, 3))
+    for score in (lambda: score_gate(gate, values, kappa),
+                  lambda: greedy_scores(gate, values, kappa),
+                  lambda: solve_assignment(np.ones((2, 2)), kappa=kappa)):
+        with pytest.raises(ValueError, match="kappa must be finite"):
+            score()

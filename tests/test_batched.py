@@ -11,7 +11,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from corrmatch import assignment, matching
@@ -367,24 +367,34 @@ def test_conditional_matrix_is_the_row_normalized_average_for_any_targets(seed, 
     assert np.abs(got - avg / avg.sum(axis=1, keepdims=True)).max() <= 1e-15
 
 
+def assert_same_bits(got, expect):
+    """``np.array_equal``, with the sign of every zero equal too."""
+    assert np.array_equal(got, expect)
+    assert np.array_equal(np.signbit(got), np.signbit(expect))
+
+
 @settings(max_examples=100, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n_a=st.integers(1, 6), n_pairs=st.integers(1, 5),
        kappa=st.sampled_from([-50.0, -1.0, 0.0]))
 def test_row_best_cells_and_greedy_scores_match_per_row_argmax(seed, n_a, n_pairs, kappa):
     rng = np.random.default_rng(seed)
-    degree = rng.integers(0, 4, n_a)  # rows without cells included
+    degree = rng.integers(0, 9, n_a)  # rows of up to 8 cells, rows without cells included
     bounds = np.concatenate(([0], np.cumsum(degree)))
     # Few distinct values, signed zeros among them: ties everywhere.
     values = rng.choice([-2.0, -0.5, -0.0, 0.0, 1.5], size=(int(bounds[-1]), n_pairs))
     expect_live, expect_cells = oracles.row_argmax(bounds, values)
-    for chunk_cells in (assignment._CHUNK_CELLS, 1):  # one chunk, one pair per chunk
+    for chunk_cells in (assignment._CHUNK_CELLS, 7, 1):  # one chunk, a few pairs, one pair
         with mock.patch.object(assignment, "_CHUNK_CELLS", chunk_cells):
             chunks = list(row_best_cells(bounds, values))
         assert all(np.array_equal(live, expect_live) for _, live, _, _ in chunks)
+        assert np.array_equal(np.concatenate([at for at, _, _, _ in chunks]), np.arange(n_pairs))
         cells = np.concatenate([cell for _, _, cell, _ in chunks], axis=1)
         assert np.array_equal(cells, expect_cells)
+        # The value is the first best cell's, zero sign included.
+        assert_same_bits(np.concatenate([best for _, _, _, best in chunks], axis=1),
+                         np.take_along_axis(values, expect_cells, axis=0))
 
-    gate = np.arange(4)[None, :] < degree[:, None]
+    gate = np.arange(8)[None, :] < degree[:, None]
     totals = np.zeros(n_pairs)
     for i in range(n_a):  # the old per-row loop: row maxima, kappa for empty rows
         lo, hi = bounds[i], bounds[i + 1]
@@ -405,3 +415,46 @@ def test_descriptors_match_per_patch_oracle(pair, seed, color_bins, gradient_bin
     img = RgbImage(pixels=np.ascontiguousarray(pixels, dtype=np.uint8))
     got = extract_descriptors(img, grid, color_bins, gradient_bins)
     assert np.array_equal(got, oracles.descriptors(img, grid, color_bins, gradient_bins))
+
+
+# Inexact values whose sums show which tied bidder kept its column, and both
+# zeros; kappa is drawn among them too.
+LINK_VALUES = (-1.9, -1.1, -0.8, -0.3, -0.0, 0.0)
+
+
+# Two draws whose tied bidders sum apart, so a last-tie-wins kernel fails them.
+@example(seed=0, n_a=3, n_b=2, n_probe=2, n_gallery=2, n_binaries=2, kappa=-50.0)
+@example(seed=6, n_a=4, n_b=2, n_probe=2, n_gallery=2, n_binaries=2, kappa=-1.1)
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_a=st.integers(1, 9), n_b=st.integers(1, 3),
+       n_probe=st.integers(1, 3), n_gallery=st.integers(1, 3), n_binaries=st.integers(1, 4),
+       kappa=st.sampled_from([-1.1, -0.8, -0.0, 0.0, -50.0]))
+def test_binary_structures_scored_in_one_call_equal_score_gate_on_each(
+        seed, n_a, n_b, n_probe, n_gallery, n_binaries, kappa):
+    # Up to 9 probe patches on 1-3 gallery patches: many links bid for one.
+    rng = np.random.default_rng(seed)
+    lookup = rng.choice(LINK_VALUES, size=(n_a, n_b, n_probe, n_gallery))
+    table = matching.CellTable(rng.random((n_probe, n_a, 2)), rng.random((n_gallery, n_b, 2)),
+                               random_model(rng, n_a, 2))
+    binaries = [BinaryMappingStructure(targets=tuple(rng.integers(0, n_b, n_a).tolist()))
+                for _ in range(n_binaries)]
+    # A subset of the pairs, in any order and with repeats.
+    probes = rng.integers(0, n_probe, rng.integers(1, 4))
+    galleries = rng.integers(0, n_gallery, rng.integers(1, 4))
+    expect = []
+    for binary in binaries:
+        targets = np.array(binary.targets)
+        gate = np.arange(n_b) == targets[:, None]
+        values = lookup[np.arange(n_a), targets][:, probes][:, :, galleries].reshape(n_a, -1)
+        totals = assignment.score_gate(gate, values, kappa).totals
+        assert_same_bits(totals, oracles.single_column_totals(gate, values, kappa))
+        expect.append(totals.reshape(len(probes), len(galleries)))
+    def cells(table, rows, cols):  # the drawn values in place of the cell kernel
+        return lookup[rows, cols]
+
+    with mock.patch.object(matching, "cell_log_similarity", cells):
+        for chunk_cells in (assignment._CHUNK_CELLS, 7, 1):
+            with mock.patch.object(assignment, "_CHUNK_CELLS", chunk_cells):
+                got = matching.binary_structure_score_matrix(probes, galleries, binaries, table,
+                                                             kappa)
+            assert_same_bits(got, np.array(expect))

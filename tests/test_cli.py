@@ -238,6 +238,26 @@ def test_match_with_metric_of_another_lattice_is_one_error_line(dataset, run, tm
     assert f"{structure.n_probe} probe patches for a {metric.n_locations}-location" in err[0]
 
 
+def test_match_with_config_of_another_geometry_is_one_error_line(dataset, run, tmp_path,
+                                                                 capsys):
+    # A horizontal probe stride of 3 gives a 154-patch probe grid; the
+    # structure was trained on the 84-patch one.
+    config = RunConfig(probe_stride_x=3)
+    save_config(tmp_path / "other.cfg", config)
+    code = main(["match", "--probe", f"{dataset}/imgs/id0000_A.ppm",
+                 "--gallery", f"{dataset}/imgs/id0000_B.ppm",
+                 "--structure", f"{run}/structure.bin", "--metric", f"{run}/metric.bin",
+                 "--config", str(tmp_path / "other.cfg")])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ConfigurationError:")
+    structure = load_structure(f"{run}/structure.bin")
+    assert config.probe_grid().n_patches == 154 and structure.n_probe == 84
+    assert str(config.probe_grid()) in err[0] and str(structure.probe_grid) in err[0]
+
+
 def test_readme_lists_the_diagnostics_header(tmp_path):
     readme = Path(__file__).resolve().parent.parent / "README.md"
     listed = re.search(r"`diagnostics\.csv` \(`([^`]*)`", readme.read_text()).group(1)

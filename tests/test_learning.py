@@ -362,9 +362,9 @@ def test_learn_structure_scores_each_binary_structure_once(monkeypatch):
     scored, requested = [], []
     score, lookup = learning.binary_structure_score_matrix, learning._TrainingContext.scored
 
-    def counting_score(probes, galleries, binary, table, kappa):
-        scored.append(binary)
-        return score(probes, galleries, binary, table, kappa)
+    def counting_score(probes, galleries, binaries, table, kappa):
+        scored.extend(binaries)
+        return score(probes, galleries, binaries, table, kappa)
 
     def counting_lookup(ctx, alpha):
         requested.append(alpha)

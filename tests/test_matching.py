@@ -268,8 +268,8 @@ def test_binary_score_matrix_matches_generic_path():
     gallery_stack = rng.random((4, n_gal, dim))
     binary = BinaryMappingStructure(targets=tuple(rng.integers(0, n_gal, n_probe).tolist()))
     table = CellTable(probe_stack, gallery_stack, model)
-    fast = binary_structure_score_matrix(table.probe_images, table.gallery_images, binary,
-                                         table, kappa=-50.0)
+    fast = binary_structure_score_matrix(table.probe_images, table.gallery_images, [binary],
+                                         table, kappa=-50.0)[0]
     assert np.array_equal(fast, binary_scores_by_solver(probe_stack, gallery_stack, binary,
                                                         model, -50.0, factor_form=True))
 
@@ -283,8 +283,8 @@ def test_binary_score_matrix_with_conflicts_matches_generic_path():
     # heavy column contention: four probe patches bid for gallery patch 1
     binary = BinaryMappingStructure(targets=(1, 1, 1, 0, 1))
     table = CellTable(probe_stack, gallery_stack, model)
-    fast = binary_structure_score_matrix(table.probe_images, table.gallery_images, binary,
-                                         table, kappa=-50.0)
+    fast = binary_structure_score_matrix(table.probe_images, table.gallery_images, [binary],
+                                         table, kappa=-50.0)[0]
     assert np.array_equal(fast, binary_scores_by_solver(probe_stack, gallery_stack, binary,
                                                         model, -50.0))
 
@@ -295,10 +295,10 @@ def test_binary_score_matrix_scores_the_requested_images():
     model = flat_model(dim, n_probe)
     table = CellTable(rng.random((3, n_probe, dim)), rng.random((4, n_gal, dim)), model)
     binary = BinaryMappingStructure(targets=(1, 1, 3, 4))
-    full = binary_structure_score_matrix(table.probe_images, table.gallery_images, binary,
-                                         table, kappa=-50.0)
-    block = binary_structure_score_matrix(np.array([2, 0]), np.array([3, 1, 1]), binary,
-                                          table, kappa=-50.0)
+    full = binary_structure_score_matrix(table.probe_images, table.gallery_images, [binary],
+                                         table, kappa=-50.0)[0]
+    block = binary_structure_score_matrix(np.array([2, 0]), np.array([3, 1, 1]), [binary],
+                                          table, kappa=-50.0)[0]
     assert np.array_equal(block, full[np.ix_([2, 0], [3, 1, 1])])
 
 
@@ -326,6 +326,8 @@ def test_best_binary_structure_single_candidate():
     only = BinaryMappingStructure(targets=(0, 1, 2))
     table = CellTable(probe[None], galleries, model)
     assert best_binary_structure(table, 0, [only], kappa=-50.0) == only
+    with pytest.raises(ValueError, match="no candidate"):
+        best_binary_structure(table, 0, [], kappa=-50.0)
 
 
 def test_negative_target_rejected():
@@ -340,8 +342,17 @@ def test_bad_targets_rejected_when_scored(targets):
     table = CellTable(rng.random((2, 3, 2)), rng.random((2, 3, 2)), flat_model(2, 3))
     with pytest.raises(ValueError):
         binary_structure_score_matrix(table.probe_images, table.gallery_images,
-                                      BinaryMappingStructure(targets=targets), table,
+                                      [BinaryMappingStructure(targets=targets)], table,
                                       kappa=-50.0)
+
+
+@pytest.mark.parametrize("kappa", [np.nan, np.inf, -np.inf])
+def test_binary_score_matrix_rejects_non_finite_kappa(kappa):
+    rng = np.random.default_rng(12)
+    table = CellTable(rng.random((2, 3, 2)), rng.random((2, 3, 2)), flat_model(2, 3))
+    with pytest.raises(ValueError, match="kappa must be finite"):
+        binary_structure_score_matrix(table.probe_images, table.gallery_images,
+                                      [BinaryMappingStructure(targets=(0, 1, 1))], table, kappa)
 
 
 def test_cell_table_rejects_a_metric_of_another_lattice():
