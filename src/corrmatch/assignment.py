@@ -8,18 +8,14 @@ or because better rows claim its columns) contributes the floor penalty
 the score is their float sum taken in ascending row order, and which of
 several tied optima is returned is unspecified.
 
-One exact pass runs successive shortest augmenting paths (Jonker &
-Volgenant, *Computing* 38, 1987) in numpy over many pairs at once.  A row
-keeps a padded list of its edges (cells above ``kappa``) and a private
-"skip" slot priced at ``kappa``, so a complete row assignment always exists.
-A warm start gives each row its cheapest edge in row order; only rows whose
-column is taken root a Dijkstra search, whose steps relax just the popped
-row's edges.  ``solve_assignment`` is that pass on one pair;
-``score_gate`` splits a mask shared by many pairs into connected components
-(a ``GatePlan``), settles each component whose greedy row picks do not
-collide, settles every component of one-cell rows in one vectorized pass,
-and passes the rest to the exact pass.  ``score_one_cell_gates`` scores
-many gates of one cell per row at once, to ``score_gate``'s totals.
+The exact pass is one search of successive shortest augmenting paths
+(Jonker & Volgenant, *Computing* 38, 1987) per (component, pair), in plain
+Python (``_solve_pair``).  ``solve_assignment`` is that search on one
+pair; ``score_gate`` splits a mask shared by many pairs into connected
+components (a ``GatePlan``), settles each component whose greedy row picks
+do not collide, settles every component of one-cell rows in one vectorized
+pass, and passes the rest to the exact pass.  ``score_one_cell_gates``
+scores many gates of one cell per row at once, to ``score_gate``'s totals.
 
 Row maxima and greedy picks come from ``row_best_cells``, a scan over cell
 slots whose maxima and first-index picks are exact.  Every path scores
@@ -32,13 +28,16 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass
+from heapq import heappop, heappush
+from itertools import accumulate
+from math import inf
 
 import numpy as np
 
 # Most entries one chunk holds: (cell, pair) entries, or (row, pair) where
-# rows outnumber cells, in score_gate and greedy_scores; (pair, row, slot)
-# cost cells plus (pair, column) search cells in the exact pass.  2^18 keeps
-# a test ranking's chunks under 2x its values; smaller budgets add search steps.
+# rows outnumber cells, in score_gate and greedy_scores; a component's
+# (cell, pair) values in the exact pass.  2^18 keeps a test ranking's chunks
+# under 2x its values; smaller budgets add numpy calls.
 _CHUNK_CELLS = 1 << 18
 
 
@@ -322,110 +321,76 @@ def _solve_exact(bounds: np.ndarray, rows: np.ndarray, cols: np.ndarray,
 
     Row i holds cells ``bounds[i]:bounds[i + 1]``: their columns, ascending
     within the row, in ``cols`` and their (n_cells, n_pairs) values in
-    ``values``.  Cells at or below ``kappa`` are dropped, since skipping the
-    row scores at least as well.  A cell costs ``shift - value``, ``shift``
-    being the pair's largest value or ``kappa``, so no cost is negative.
+    ``values``.  The rows' cells are gathered for a chunk of pairs at a
+    time, and each pair is one ``_solve_pair`` search.
     """
-    n_rows, first = len(rows), bounds[rows]
-    degree = bounds[rows + 1] - first
-    match = np.full((n_rows, len(pairs)), -1)
-    if not degree.any():
-        return match
-    slots = np.arange(int(degree.max()) + 1)  # the last slot is the row's skip
-    real = slots < degree[:, None]
-    slot_cell = np.where(real, first[:, None] + slots, -1)
-    labels = np.unique(cols[slot_cell[real]], return_inverse=True)[1]
-    n_cols = int(labels.max()) + 1
-    pad = n_cols + n_rows  # the column of every unused slot; it is never reached
-    slot_col = np.full(real.shape, pad)
-    slot_col[real] = labels
-    slot_col[:, -1] = n_cols + np.arange(n_rows)
-    # A pair's chunk share: its cost cells and one search cell per column.
-    step = max(1, _CHUNK_CELLS // (slot_col.size + pad + 1))
+    bounds = bounds.tolist()
+    spans = [range(bounds[r], bounds[r + 1]) for r in rows.tolist()]
+    cells = np.array([c for span in spans for c in span], dtype=np.int64)
+    labels = np.unique(cols[cells], return_inverse=True)[1].tolist()
+    n_cols = max(labels, default=-1) + 1
+    starts = accumulate(map(len, spans), initial=0)
+    edges = [[(k, labels[k], c) for k, c in enumerate(span, start)]
+             for start, span in zip(starts, spans)]
+    match = np.full((len(spans), len(pairs)), -1)
+    step = max(1, _CHUNK_CELLS // max(len(cells), 1))
     for lo in range(0, len(pairs), step):
-        cost = values[slot_cell, pairs[lo:lo + step, None, None]]  # (pairs, rows, slots)
-        shift = np.max(cost, axis=(1, 2), initial=kappa, where=real)[:, None, None]
-        no_edge = (cost <= kappa) | ~real
-        np.subtract(shift, cost, out=cost)  # in place: the values are not needed again
-        cost[no_edge] = np.inf
-        cost[:, :, -1] = shift[:, :, 0] - kappa
-        taken = _shortest_paths(cost, slot_col, pad + 1)[:, :, None]
-        match[:, lo:lo + step] = slot_cell[np.arange(n_rows), (slot_col == taken).argmax(axis=2)].T
+        chunk = values[np.ix_(cells, pairs[lo:lo + step])]
+        for j in range(chunk.shape[1]):
+            match[:, lo + j] = _solve_pair(edges, n_cols, chunk[:, j].tolist(), kappa)
     return match
 
 
-def _shortest_paths(cost: np.ndarray, slot_col: np.ndarray, n_cols: int) -> np.ndarray:
-    """Min-cost complete matching of rows onto columns for every pair.
+def _solve_pair(edges: list[list[tuple[int, int, int]]], n_cols: int,
+                values: list[float], kappa: float) -> list[int]:
+    """Cell each row takes in an optimal matching of one pair, -1 for a skip.
 
-    ``cost`` is (n_pairs, n_rows, n_slots), inf where a slot holds no edge,
-    and ``slot_col`` gives each slot's column; a column private to each row
-    makes a complete matching exist.  Warm start: u holds each row's
-    cheapest cost, v is 0 and rows take their cheapest column in row order.
-    Each row left out roots one Dijkstra search over reduced costs; a step
-    pops the nearest column (the lowest on ties) of every live search.
-    Returns the (n_pairs, n_rows) column of each row.
+    ``edges[i]`` lists row i's cells as (index into ``values``, column,
+    cell), columns ascending.  Cells at or below ``kappa`` are dropped,
+    since skipping the row scores at least as well.  A cell costs ``shift -
+    value``, ``shift`` being the largest of ``values`` and ``kappa``, so no
+    cost is negative; row i's skip is column ``n_cols + i``, private to it
+    and priced at ``shift - kappa``, so a complete matching exists.  Warm
+    start: u holds each row's cheapest cost, v is 0 and rows take their
+    first cheapest column in row order.  Each row left out roots one
+    Dijkstra search over reduced costs, which pops the nearest column (the
+    lowest on ties); the duals move once per augmentation.
     """
-    n_pairs, n_rows, _ = cost.shape
-    every = np.arange(n_pairs)
-    u = cost.min(axis=2)
-    cheapest = slot_col[np.arange(n_rows), cost.argmin(axis=2)]
-    match_row = np.full((n_pairs, n_cols), -1, dtype=np.int32)
-    match_col = np.full((n_pairs, n_rows), -1)
-    for i in range(n_rows):
-        free = every[match_row[every, cheapest[:, i]] < 0]
-        match_row[free, cheapest[free, i]] = i
-        match_col[free, i] = cheapest[free, i]
-    pending = match_col < 0
-    v = np.zeros((n_pairs, n_cols))
-    dist = np.zeros((n_pairs, n_cols))  # where done: the distance a column was popped at
-    reach = np.full((n_pairs, n_cols), np.inf)  # where not done: the best distance so far
-    done = np.zeros((n_pairs, n_cols), dtype=bool)
-    pred = np.zeros((n_pairs, n_cols), dtype=np.int32)
-    reached = np.zeros((n_pairs, n_rows))  # distance at which a row joined
-    seen = np.zeros((n_pairs, n_rows), dtype=bool)
-    # Flat views: a (pair, column) cell is pair * n_cols + column in each.
-    flat_v, flat_dist, flat_reach, flat_done, flat_pred, flat_match = (
-        a.reshape(-1) for a in (v, dist, reach, done, pred, match_row))
-
-    def relax(p, r, d):  # the searches of pairs p reach row r at distance d
-        reached[p, r], seen[p, r] = d, True
-        at = (p * n_cols)[:, None] + slot_col[r]
-        step = d[:, None] + (cost[p, r] - u[p, r][:, None] - flat_v[at])
-        hit = np.nonzero((step < flat_reach[at]) & ~flat_done[at])
-        flat_reach[at[hit]], flat_pred[at[hit]] = step[hit], r[hit[0]]
-
-    def start(p):  # the next search of pairs p, from their first pending row
-        r = pending[p].argmax(axis=1)
-        pending[p, r] = False
-        reach[p], done[p], seen[p] = np.inf, False, False
-        relax(p, r, np.zeros(len(p)))
-
-    live = every[pending.any(axis=1)]
-    start(live)
-    while live.size:
-        col = reach[live].argmin(axis=1)
-        at = live * n_cols + col
-        popped = flat_reach[at]
-        flat_dist[at], flat_reach[at], flat_done[at] = popped, np.inf, True
-        row = flat_match[at]
-        grow = row >= 0
-        relax(live[grow], row[grow], popped[grow])
-        if grow.all():
-            continue
-        p, col = live[~grow], col[~grow]
-        # Potentials move once per augmentation, then the path flips.
-        delta = popped[~grow][:, None]
-        u[p] = np.where(seen[p], u[p] + (delta - reached[p]), u[p])
-        done[p, col] = False
-        v[p] = np.where(done[p], v[p] - (delta - dist[p]), v[p])
-        finished = p
-        while p.size:
-            row = pred[p, col]
-            prev = match_col[p, row]
-            match_row[p, col], match_col[p, row] = row, col
-            on = prev >= 0  # only the root had no column
-            p, col = p[on], prev[on]
-        again = finished[pending[finished].any(axis=1)]
-        start(again)
-        live = np.concatenate((live[grow], again))
-    return match_col
+    shift = max(kappa, max(values, default=kappa))
+    costs = [[(shift - values[k], col, cell) for k, col, cell in row if values[k] > kappa]
+             + [(shift - kappa, n_cols + i, -1)] for i, row in enumerate(edges)]
+    n_all = n_cols + len(costs)
+    owner = [-1] * n_all  # the row holding each column
+    taken, chosen, u = [-1] * len(costs), [-1] * len(costs), []  # each row's column and cell
+    for i, row in enumerate(costs):
+        cost, col, cell = min(row)
+        u.append(cost)
+        if owner[col] < 0:
+            owner[col], taken[i], chosen[i] = i, col, cell
+    v, pred = [0.0] * n_all, [(-1, -1)] * n_all
+    for root in [i for i, col in enumerate(taken) if col < 0]:
+        reach, done = [inf] * n_all, [False] * n_all
+        seen, popped, heap = [], [], []  # (row, distance it joined at), (column, distance)
+        row, dist = root, 0.0
+        while row >= 0:  # relax the row that joined, then pop the nearest open column
+            seen.append((row, dist))
+            for cost, col, cell in costs[row]:
+                step = dist + (cost - u[row] - v[col])
+                if step < reach[col] and not done[col]:
+                    reach[col], pred[col] = step, (row, cell)
+                    heappush(heap, (step, col))
+            dist, col = heappop(heap)
+            while done[col]:  # a column popped before at a shorter distance
+                dist, col = heappop(heap)
+            done[col], row = True, owner[col]
+            popped.append((col, dist))
+        for r, joined in seen:
+            u[r] += dist - joined
+        for c, at in popped[:-1]:  # not the free column the path ends at
+            v[c] -= dist - at
+        while col >= 0:  # flip the path back to the root, the one row without a column
+            row, cell = pred[col]
+            prev = taken[row]
+            owner[col], taken[row], chosen[row] = row, col, cell
+            col = prev
+    return chosen

@@ -62,6 +62,8 @@ class MetricModel:
         n_loc, dim, dim2 = self.matrices.shape
         if dim != dim2:
             raise ValueError("per-location matrices must be square")
+        if n_loc == 0 or dim == 0:
+            raise ValueError(f"a metric needs a location and a dimension, got {n_loc} and {dim}")
         if self.sigmas.shape != (n_loc,):
             raise ValueError("sigma count does not match location count")
         if self.global_matrix.shape != (dim, dim):

@@ -527,15 +527,38 @@ def test_correct_ranks_solve_only_pairs_that_can_reach_a_rank():
     assert len(solved) == 2   # the two correct pairs only
 
 
-def test_score_gate_memory_is_bounded_by_its_values():
-    # The shape of a test ranking: 84 rows of about 7 cells in overlapping
-    # column bands (one component), scored for 900 pairs.  Rows' best cells
-    # collide in most pairs, so most pairs reach the exact pass.
+def _test_ranking_world(n_pairs):
+    """The shape of a test ranking: 84 rows of 7 cells in overlapping column
+    bands (one component).  Rows' best cells collide in most pairs, so most
+    pairs reach the exact pass."""
     rng = np.random.default_rng(5)
     gate = np.zeros((84, 297), dtype=bool)
     for i in range(84):
         gate[i, 3 * i + rng.choice(11, size=7, replace=False)] = True
-    values = rng.normal(-16.0, 8.0, size=(int(gate.sum()), 900))
+    return gate, rng.normal(-16.0, 8.0, size=(int(gate.sum()), n_pairs))
+
+
+def test_score_gate_is_optimal_on_a_test_ranking_component():
+    # Past any subset oracle's reach: scipy's assignment solver, given a
+    # private skip column per row valued at kappa, finds each pair's optimum.
+    linear_sum_assignment = pytest.importorskip("scipy.optimize").linear_sum_assignment
+    gate, values = _test_ranking_world(40)
+    scored = score_gate(gate, values, KAPPA)
+    assert scored.components == 1 and scored.solves >= 30
+    n_rows, n_cols = gate.shape
+    for p in range(values.shape[1]):
+        dense = np.full((n_rows, n_cols + n_rows), -np.inf)
+        dense[:, :n_cols][gate] = values[:, p]
+        dense[:, n_cols:][np.eye(n_rows, dtype=bool)] = KAPPA
+        total = 0.0
+        for i, j in zip(*linear_sum_assignment(dense, maximize=True)):
+            total += dense[i, j]
+        assert scored.totals[p] == total
+
+
+def test_score_gate_memory_is_bounded_by_its_values():
+    # A test ranking's component scored for 900 pairs.
+    gate, values = _test_ranking_world(900)
     tracemalloc.start()
     try:
         scored = score_gate(gate, values, KAPPA)

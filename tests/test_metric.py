@@ -1,3 +1,4 @@
+import struct
 import tracemalloc
 
 import numpy as np
@@ -379,6 +380,17 @@ def test_metric_load_rejects_fallback_byte_other_than_0_or_1(tmp_path, flag):
     blob[-1] = flag  # the last location's fallback flag
     path.write_bytes(bytes(blob))
     with pytest.raises(FormatError, match="fallback flag"):
+        load_metric(path)
+
+
+@pytest.mark.parametrize("n_loc", [0, 3])
+def test_metric_load_rejects_an_empty_metric(tmp_path, n_loc):
+    # Sized to its header and every sigma positive, but dim 0 (and, with
+    # n_loc 0, no location either): there is no metric to score with.
+    path = tmp_path / "empty.bin"
+    path.write_bytes(b"PKMETR01" + bytes(8) + struct.pack("<II", n_loc, 0)
+                     + struct.pack(f"<{n_loc + 1}d", *[1.0] * (n_loc + 1)) + bytes(n_loc))
+    with pytest.raises(FormatError, match="a location and a dimension"):
         load_metric(path)
 
 
