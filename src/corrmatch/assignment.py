@@ -239,7 +239,7 @@ def _column_groups(cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Entries sharing their column with another entry, grouped by column in
     entry order, and the bounds of the groups."""
     order = np.argsort(cols, kind="stable")
-    count = np.unique(cols[order], return_counts=True)[1]
+    count = np.bincount(cols)  # per column: np.unique would import numpy.ma
     return order[np.repeat(count > 1, count)], np.concatenate(([0], np.cumsum(count[count > 1])))
 
 
@@ -327,7 +327,7 @@ def _solve_exact(bounds: np.ndarray, rows: np.ndarray, cols: np.ndarray,
     bounds = bounds.tolist()
     spans = [range(bounds[r], bounds[r + 1]) for r in rows.tolist()]
     cells = np.array([c for span in spans for c in span], dtype=np.int64)
-    labels = np.unique(cols[cells], return_inverse=True)[1].tolist()
+    labels = (np.cumsum(np.bincount(cols[cells]) > 0) - 1)[cols[cells]].tolist()  # column ranks
     n_cols = max(labels, default=-1) + 1
     starts = accumulate(map(len, spans), initial=0)
     edges = [[(k, labels[k], c) for k, c in enumerate(span, start)]

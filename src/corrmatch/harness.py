@@ -23,9 +23,9 @@ from .imaging import (DescriptorWorkspace, RgbImage, extract_descriptors, load_i
 from .learning import (CmcCurve, LearnResult, cmc_curve, find_binary_structures,
                        learn_structure)
 from .matching import (BinaryMappingStructure, CellTable, binary_structure_score_matrix,
-                       correct_ranks, gated_correlations, greedy_scores, rank_of_scores)
-from .metric import (MetricModel, build_training_pairs, correct_pair_log_similarity,
-                     train_metric)
+                       correct_pair_log_similarity, correct_ranks, gated_correlations,
+                       greedy_scores, rank_of_scores)
+from .metric import MetricModel, build_training_pairs, train_metric
 from .structure import CorrespondenceStructure
 
 CAMERAS = ("A", "B")
@@ -361,8 +361,8 @@ def train_on_split(bank: DescriptorBank, train_ids, config: RunConfig,
         learned = learn_structure(probe_stack, gallery_stack, metric, config)
         binaries = learned.binary_structures
     elif need_binaries:
-        table = correct_pair_log_similarity(probe_stack, gallery_stack, metric)
-        binaries = find_binary_structures(probe_stack, gallery_stack, table, metric, config)
+        table = CellTable(probe_stack, gallery_stack, metric)
+        binaries = find_binary_structures(table, correct_pair_log_similarity(table), config)
     return SplitArtifacts(metric=metric, learned=learned, binaries=binaries)
 
 

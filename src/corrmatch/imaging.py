@@ -287,7 +287,7 @@ def extract_descriptors(img: RgbImage, grid: GridSpec, color_bins: int,
     rows, cols = patch_cells(grid)
     x0, y0 = cols * grid.stride_x, rows * grid.stride_y
     x1, y1 = x0 + grid.patch_width, y0 + grid.patch_height
-    corners = np.unique(np.concatenate((y0, y1)))
+    corners = np.flatnonzero(np.bincount(np.concatenate((y0, y1))))  # sorted distinct rows
     column, table = workspace.column, workspace.table
     column.fill(0.0)
     for k in range(1, len(corners)):

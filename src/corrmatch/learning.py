@@ -21,8 +21,9 @@ from .config import RunConfig
 from .errors import ConfigurationError
 from .matching import (BinaryMappingStructure, CellTable, adjacency_candidates,
                        best_binary_structure, binary_structure_score_matrix,
-                       correct_ranks, gated_correlations, rank_of_scores)
-from .metric import MetricModel, build_avg_similarity, correct_pair_log_similarity
+                       correct_pair_log_similarity, correct_ranks, gated_correlations,
+                       rank_of_scores)
+from .metric import MetricModel, build_avg_similarity
 from .structure import CorrespondenceStructure, blend_update, init_structure, proximity_weight
 
 
@@ -130,22 +131,18 @@ def compute_update(joint_matrices, priors) -> np.ndarray:
     return sum(prior * joint for joint, prior in zip(joint_matrices, priors))  # in order
 
 
-def find_binary_structures(probe_stack: np.ndarray, gallery_stack: np.ndarray,
-                           pair_log_similarity: np.ndarray, model: MetricModel,
+def find_binary_structures(table: CellTable, pair_log_similarity: np.ndarray,
                            config: RunConfig) -> list[BinaryMappingStructure]:
-    """Best adjacency-search link set per training probe (loop step 1).
-
-    ``pair_log_similarity`` is the ``correct_pair_log_similarity`` table of
-    the two stacks.  Each probe's candidates share one single-probe cell
-    table.
-    """
+    """Best adjacency-search link set per probe of a split's ``table`` (loop
+    step 1), from its ``correct_pair_log_similarity``.  Each probe's
+    candidates share one single-probe cell table."""
     probe_grid, gallery_grid = config.probe_grid(), config.gallery_grid()
     out = []
-    for alpha in range(probe_stack.shape[0]):
+    for alpha in range(table.n_probe):
         candidates = adjacency_candidates(pair_log_similarity[alpha], probe_grid,
                                           gallery_grid, config.adjacency_ranges)
-        table = CellTable(probe_stack[alpha:alpha + 1], gallery_stack, model)
-        out.append(best_binary_structure(table, alpha, candidates, config.kappa))
+        single = CellTable(table.probe_stack[alpha:alpha + 1], table.gallery_stack, table.model)
+        out.append(best_binary_structure(single, alpha, candidates, config.kappa))
     return out
 
 
@@ -157,10 +154,9 @@ class _TrainingContext:
         self.config = config
         self.n_train = probe_stack.shape[0]
         # The correct-pair table (~6 MB) is not kept: only these two read it.
-        pair_log_similarity = correct_pair_log_similarity(probe_stack, gallery_stack, model)
+        pair_log_similarity = correct_pair_log_similarity(self.table)
         self.avg_table = build_avg_similarity(pair_log_similarity)
-        self.binary_structures = find_binary_structures(probe_stack, gallery_stack,
-                                                        pair_log_similarity, model, config)
+        self.binary_structures = find_binary_structures(self.table, pair_log_similarity, config)
         self._scored: dict[int, tuple[float, np.ndarray]] = {}
 
     def scored(self, alpha: int) -> tuple[float, np.ndarray]:
@@ -191,6 +187,14 @@ class _TrainingContext:
         return correct_ranks(gate, values, self.config.kappa, self.n_train, self.n_train)
 
 
+def _quantile(values: np.ndarray, q: float) -> float:
+    """``np.quantile(values, q)`` bit for bit, for q in [0, 1], without the
+    ``np.unique`` call through which it imports ``numpy.ma``."""
+    x, at = np.sort(values), (len(values) - 1) * q
+    a, b, t = x[int(at)], x[min(int(at) + 1, len(x) - 1)], at - int(at)
+    return float(b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t)
+
+
 def learn_structure(probe_stack: np.ndarray, gallery_stack: np.ndarray,
                     model: MetricModel, config: RunConfig) -> LearnResult:
     """Run the full boosting loop and return the learned structure.
@@ -215,7 +219,7 @@ def learn_structure(probe_stack: np.ndarray, gallery_stack: np.ndarray,
     for iteration in range(1, config.max_iterations + 1):
         computed = ctx.table.computed
         ranks, counts = ctx.rank_correct_matches(structure)
-        cutoff = float(np.quantile(ranks, config.top_fraction))
+        cutoff = _quantile(ranks, config.top_fraction)
         top = np.flatnonzero(ranks <= cutoff)  # cutoff ties count as well-ranked
         bottom = np.flatnonzero(ranks > cutoff)
         chosen = []

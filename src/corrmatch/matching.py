@@ -7,9 +7,9 @@ excluded outright.  A global one-to-one assignment over the correlation
 matrix yields the image matching score used for ranking; a binary mapping
 structure (one gallery patch per probe patch) is a gate of one cell per
 row, and many of them are scored in one call.  Every path reads its log
-similarities from a ``CellTable``, which computes each cell once and holds
-the probe side of the metric's factor form, projected when the table is
-built.
+similarities from one kernel, in the metric's factor space: a
+``CellTable`` computes each cell once, and the correct-pair table is its
+diagonal, bit for bit.
 """
 from __future__ import annotations
 
@@ -28,8 +28,8 @@ from .structure import CorrespondenceStructure
 # temporary, (probe images, gallery images), (gallery images, dim) or
 # (dim, dim) values.
 _CHUNK_VALUES = 1 << 16
-# An entry whose factor-space distance is at most this share of its squared
-# projection norms is a candidate pair of identical descriptors.
+# An entry whose factor-space distance is at most this share of its two
+# signed squared norms is a candidate pair of identical descriptors.
 _SAME_SHARE = 1e-9
 
 
@@ -52,19 +52,44 @@ class BinaryMappingStructure:
         return np.array(self.targets, dtype=np.int64)
 
 
+def _even_rows(stack: np.ndarray) -> np.ndarray:
+    """``stack`` (..., n, dim) with a zero row appended when n is odd: a gemm's
+    rows take the same values for every even count (one row takes ``gemv``)."""
+    if stack.shape[-2] % 2 == 0:
+        return stack
+    return np.concatenate((stack, np.zeros_like(stack[..., :1, :])), axis=-2)
+
+
+def _log_similarity(probe_side, b, signs, sigmas, identical, out: np.ndarray) -> np.ndarray:
+    """log similarity into ``out`` (C, P, G) of C blocks of P probe against
+    G gallery descriptors, from ``probe_side`` (s * a, sum(s a**2)) and the
+    gallery projections ``b`` (C, G, dim): d . M . d = sum(s a**2) + sum(s
+    b**2) - 2 sum(s a b), each sum a BLAS-free einsum over a contiguous last
+    axis, clamped at 0.  Equal descriptors give exactly 0; as a backstop, so
+    does ``identical(k, p, g)`` within ``_SAME_SHARE`` of the two norms."""
+    signed, norms = probe_side
+    g_norms = np.einsum("cgd,cgd->cg", b * signs, b, optimize=False)[:, None]
+    cross = np.einsum("cpd,cgd->cpg", signed, b, optimize=False)
+    cross *= 2.0
+    dist = np.add(norms[:, :, None], g_norms, out=out)
+    dist -= cross  # cross's block now holds the identity tolerance
+    tolerance = np.add(np.abs(norms)[:, :, None], np.abs(g_norms), out=cross)
+    tolerance *= _SAME_SHARE
+    k, p, g = np.nonzero(dist <= tolerance)
+    same = identical(k, p, g)
+    dist[k[same], p[same], g[same]] = 0.0
+    np.maximum(dist, 0.0, out=dist)
+    dist /= sigmas
+    return np.negative(np.minimum(dist, MAX_EXPONENT, out=dist), out=dist)
+
+
 def cell_log_similarity(table: CellTable, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """log similarity of the table's probe patch rows[c] against its gallery
     patch cols[c] for every probe image against every gallery image, shape
-    (n_cells, n_probe_images, n_gallery_images).
-
-    d . M . d runs in the metric's factor space: with the table's a = p L,
-    b = g L and signs s, it is sum(s a**2) + sum(s b**2) - 2 sum(s a b),
-    clamped at 0.  b takes one (G, dim) @ (dim, dim) product per cell and
-    the cross term one (G, dim) @ (dim, 1) product per (cell, probe image),
-    so a cell's values do not depend on the probe images, cells or chunk it
-    is computed with.  An entry within ``_SAME_SHARE`` of sum(a**2) +
-    sum(b**2) whose two descriptors are equal gets distance 0: identical
-    descriptors keep similarity exactly 1.  Chunks: ``_CHUNK_VALUES``.
+    (n_cells, n_probe_images, n_gallery_images), in the metric's factor
+    space: the table's probe side against one even-row (G, dim) @ (dim,
+    dim) gallery projection per cell.  A cell's values do not depend on the
+    images, cells or chunk (``_CHUNK_VALUES``) it is computed with.
     """
     probe_stack, gallery_stack, model = table.probe_stack, table.gallery_stack, table.model
     rows, cols = np.asarray(rows), np.asarray(cols)
@@ -74,23 +99,32 @@ def cell_log_similarity(table: CellTable, rows: np.ndarray, cols: np.ndarray) ->
     step = max(1, _CHUNK_VALUES // per_cell)
     for lo in range(0, len(rows), step):
         r, c = rows[lo:lo + step], cols[lo:lo + step]
-        b = np.matmul(gallery_stack[:, c].transpose(1, 0, 2), factors[r])  # (C, G, dim)
-        squares = b * b
-        g_abs = squares.sum(axis=2)
-        squares *= signs[r][:, None]
-        g_norm = squares.sum(axis=2)
-        cross = np.matmul(b[:, None], table.signed[:, r].transpose(1, 0, 2)[..., None])[..., 0]
-        cross *= 2.0
-        dist = np.add(table.norms[:, r].T[:, :, None], g_norm[:, None], out=out[lo:lo + step])
-        dist -= cross  # (C, P, G); cross's block now holds the identity tolerance
-        tolerance = np.add(table.abs_norms[:, r].T[:, :, None], g_abs[:, None], out=cross)
-        tolerance *= _SAME_SHARE
-        k, p, g = np.nonzero(dist <= tolerance)
-        same = (probe_stack[p, r[k]] == gallery_stack[g, c[k]]).all(axis=1)
-        dist[k[same], p[same], g[same]] = 0.0
-        np.maximum(dist, 0.0, out=dist)
-        dist /= model.sigmas[r][:, None, None]
-        np.negative(np.minimum(dist, MAX_EXPONENT, out=dist), out=dist)
+        gallery = gallery_stack[:, c].swapaxes(0, 1)  # (C, G, dim)
+        b = np.matmul(_even_rows(gallery), factors[r])[:, :out.shape[2]]
+        _log_similarity([x[:, r].swapaxes(0, 1) for x in table.probe_side], b, signs[r][:, None],
+                        model.sigmas[r][:, None, None],
+                        lambda k, p, g: (probe_stack[p, r[k]] == gallery[k, g]).all(axis=1),
+                        out[lo:lo + step])
+    return out
+
+
+def correct_pair_log_similarity(table: CellTable) -> np.ndarray:
+    """log similarity of probe image k against gallery image k for every
+    cell, shape (n_pairs, N_A, N_B): entry (k, i, j) is the table's (k, k)
+    entry of cell (i, j), bit for bit, with one even-row gemm of every
+    gallery patch per location."""
+    if table.n_probe != table.n_gallery or not table.n_probe:
+        raise ValueError(f"{table.n_probe} probe images for {table.n_gallery} gallery images")
+    probe_stack, gallery_stack, model = table.probe_stack, table.gallery_stack, table.model
+    factors, signs = model.factors
+    n_pairs, n_b, dim = gallery_stack.shape
+    patches = _even_rows(gallery_stack.reshape(-1, dim))
+    product, out = np.empty_like(patches), np.empty((n_pairs, table.n_a, n_b))
+    for i in range(table.n_a):  # product is rewritten in place: no fresh 2 MB per location
+        b = np.matmul(patches, factors[i], out=product)[:n_pairs * n_b].reshape(n_pairs, n_b, dim)
+        _log_similarity([x[:, i:i + 1] for x in table.probe_side], b, signs[i], model.sigmas[i],
+                        lambda k, p, g: (probe_stack[k, i] == gallery_stack[k, g]).all(axis=1),
+                        out[:, i:i + 1])
     return out
 
 
@@ -98,13 +132,10 @@ class CellTable:
     """Memoized log similarities of (probe patch, gallery patch) cells.
 
     Holds a probe stack (n_probe_images, N_A, dim), a gallery stack
-    (n_gallery_images, N_B, dim), their metric, a dict from each cell
-    computed so far to its values, and the probe side of the metric's factor
-    form: with a = p L, ``signed`` = s * a, ``norms`` = sum(s * a**2) and
-    ``abs_norms`` = sum(a**2), from one (1, dim) @ (dim, dim) product per
-    (probe image, location).  Neither an image's projections nor a cell's
-    values depend on what they are computed with, so reads equal fresh
-    computations bit for bit.
+    (n_gallery_images, N_B, dim), their metric, a dict from each computed
+    cell to its values, and ``probe_side``: (s * a, sum(s a**2)) per (probe
+    image, location), with a = p L from one even-row product per location.
+    Reads equal fresh computations bit for bit.
     """
 
     def __init__(self, probe_stack: np.ndarray, gallery_stack: np.ndarray,
@@ -116,12 +147,13 @@ class CellTable:
             raise ValueError(f"descriptors of dimension {probe_stack.shape[2]} and "
                              f"{gallery_stack.shape[2]} for a metric of dimension {model.dim}")
         self.probe_stack, self.gallery_stack, self.model = probe_stack, gallery_stack, model
-        factors, signs = model.factors
-        a = np.matmul(probe_stack[:, :, None, :], factors)[:, :, 0]
-        self.signed = a * signs
-        self.norms, self.abs_norms = (self.signed * a).sum(axis=2), (a * a).sum(axis=2)
         self.n_probe, self.n_a = probe_stack.shape[:2]
         self.n_gallery, self.n_b = gallery_stack.shape[:2]
+        factors, signs = model.factors
+        by_location = np.matmul(_even_rows(probe_stack.swapaxes(0, 1)), factors)
+        a = by_location[:, :self.n_probe].swapaxes(0, 1)
+        signed = a * signs
+        self.probe_side = signed, np.einsum("pid,pid->pi", signed, a, optimize=False)
         self.probe_images = np.arange(self.n_probe)
         self.gallery_images = np.arange(self.n_gallery)
         self._rows: dict[int, np.ndarray] = {}

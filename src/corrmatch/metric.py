@@ -9,17 +9,10 @@ and mapped through exp(-distance / sigma), so similarity lives in (0, 1] and
 equals exactly 1 for identical descriptors.  Locations with too few pairs
 fall back to one global metric pooled over all locations.
 
-d . M . d is computed in two forms.  Here, on descriptor differences d:
-``log_similarity`` (the correct-pair table behind the average similarity
-and the adjacency search) and ``train_metric``'s scales, which pair each
-probe with its own gallery and so have no product to share.  In the
-metric's factor space, M = L diag(s) L.T (``MetricModel.factors``), by
-``matching.cell_log_similarity`` on a ``matching.CellTable``, which owns
-the probe side, projected once: every cell pairs each probe image with
-every gallery image, so each descriptor's dim**2 projection is paid per
-image instead of per image pair.  The two forms agree to rounding (cell
-values within 3e-11 relative on the bench workloads), not bit for bit, so
-each value is always taken from the same form.
+Scoring computes d . M . d by one kernel in ``matching``, in the factor
+space M = L diag(s) L.T (``MetricModel.factors``), so a patch pair has one
+value wherever it is scored.  Only ``train_metric``'s scales take it on
+descriptor differences, pairing each probe with its own gallery.
 """
 from __future__ import annotations
 
@@ -112,40 +105,24 @@ def _distances(matrix: np.ndarray, d: np.ndarray) -> np.ndarray:
     return np.maximum(np.einsum("...k,...k->...", d @ matrix, d), 0.0)
 
 
-def log_similarity(model: MetricModel, loc, d: np.ndarray) -> np.ndarray:
-    """log similarity -min(max(d . M . d, 0) / sigma, MAX_EXPONENT) of
-    descriptor differences ``d`` of shape (n_loc, ..., n, dim).
-
-    ``loc`` is an array of probe locations aligned with the leading axis of
-    ``d``; each slice takes its own location's metric.  The product runs as
-    one (n, dim) @ (dim, dim) matrix product per slice, so a slice's values
-    do not depend on what it is stacked with.
-    """
-    loc = np.asarray(loc, dtype=np.int64)
-    if loc.ndim != 1 or d.ndim < 3 or d.shape[0] != len(loc):
-        raise ValueError(f"locations need d of shape ({loc.size}, ..., n, dim), got {d.shape}")
-    lead = (len(loc),) + (1,) * (d.ndim - 3)
-    dist = _distances(model.matrices[loc].reshape(lead + (model.dim, model.dim)), d)
-    sigma = model.sigmas[loc].reshape(lead + (1,))
-    return -np.minimum(dist / sigma, MAX_EXPONENT)
-
-
 def _ridge(matrix: np.ndarray) -> np.ndarray:
-    dim = matrix.shape[0]
-    gamma = RIDGE_FACTOR * np.trace(matrix) / dim
-    return matrix + gamma * np.eye(dim)
+    dim = matrix.shape[-1]
+    gamma = RIDGE_FACTOR * np.trace(matrix, axis1=-2, axis2=-1) / dim
+    return matrix + gamma[..., None, None] * np.eye(dim)
 
 
 def _learn_matrix(similar_moment: np.ndarray, dissimilar_moment: np.ndarray) -> np.ndarray:
+    """The metric of one moment pair (dim, dim), or of each of a stack
+    (n, dim, dim), with one batched LAPACK call per step."""
     m = np.linalg.inv(_ridge(similar_moment)) - np.linalg.inv(_ridge(dissimilar_moment))
-    m = (m + m.T) / 2.0
+    m = (m + m.swapaxes(-1, -2)) / 2.0
     # Project onto the PSD cone.  Normalized histogram blocks give the
     # difference vectors near-null directions whose inverse-covariance gap is
     # sampling noise blown up by 1/gamma; left in place, those directions make
     # the zero-clamped distance saturate unrelated patches at similarity 1.
     eigvals, eigvecs = np.linalg.eigh(m)
-    clipped = (eigvecs * np.maximum(eigvals, 0.0)) @ eigvecs.T
-    return (clipped + clipped.T) / 2.0
+    clipped = (eigvecs * np.maximum(eigvals, 0.0)[..., None, :]) @ eigvecs.swapaxes(-1, -2)
+    return (clipped + clipped.swapaxes(-1, -2)) / 2.0
 
 
 def _scale(dist: np.ndarray, sigma_scale: float) -> float:
@@ -184,11 +161,13 @@ def train_metric(similar_diffs, dissimilar_diffs, sigma_scale: float) -> MetricM
     # Second moments (about zero); the pooled sums run over locations in order.
     global_matrix = _learn_matrix(*(sum(g[s] for g in grams) / counts[:, s].sum() for s in (0, 1)))
     fallback = (counts < dim + 1).any(axis=1)
+    own = np.flatnonzero(~fallback)
     matrices, sigmas, pooled = np.empty((n_loc, dim, dim)), np.empty(n_loc), []
+    matrices[own] = _learn_matrix(*(np.array([grams[i][s] / counts[i, s] for i in own])
+                                    .reshape(-1, dim, dim) for s in (0, 1)))
     for i, sim in enumerate(similar_diffs):
         pooled.append(_distances(global_matrix, sim))
         if not fallback[i]:
-            matrices[i] = _learn_matrix(*(grams[i][s] / counts[i, s] for s in (0, 1)))
             sigmas[i] = _scale(_distances(matrices[i], sim), sigma_scale)
     global_sigma = _scale(np.concatenate(pooled), sigma_scale)
     matrices[fallback], sigmas[fallback] = global_matrix, global_sigma
@@ -235,34 +214,9 @@ def build_training_pairs(probe_stack: np.ndarray, gallery_stack: np.ndarray,
             LocationDifferences(probe_stack, wrong_stack, windows))
 
 
-def correct_pair_log_similarity(probe_stack: np.ndarray, gallery_stack: np.ndarray,
-                                model: MetricModel) -> np.ndarray:
-    """log similarity of every probe patch against every gallery patch of
-    the same image pair, shape (n_pairs, N_A, N_B).
-
-    Pair k is ``probe_stack[k]`` (N_A, dim) against ``gallery_stack[k]``
-    (N_B, dim); probe patch i uses location i's metric.
-    """
-    n_pairs, n_a, _ = probe_stack.shape
-    if gallery_stack.shape[0] != n_pairs or not n_pairs:
-        raise ValueError("need aligned, non-empty correct-pair descriptor stacks")
-    if n_a != model.n_locations:
-        raise ValueError(f"{n_a} probe patches for a {model.n_locations}-location metric")
-    table = np.empty((n_pairs, n_a, gallery_stack.shape[1]))
-    # One location's differences, rewritten in place by every pass.  A fresh
-    # block per pass, freed next to log_similarity's product of the same size,
-    # can make the allocator hand both back to the OS and fault them in again
-    # on every pass, depending on what the process allocated before.
-    d = np.empty((1, *gallery_stack.shape), dtype=np.result_type(probe_stack, gallery_stack))
-    for i in range(n_a):  # per location: one call for all would hold n_a times the temporaries
-        np.subtract(probe_stack[None, :, i, None], gallery_stack[None], out=d)
-        table[:, i] = log_similarity(model, [i], d)[0]
-    return table
-
-
 def build_avg_similarity(pair_log_similarity: np.ndarray) -> np.ndarray:
     """Mean patch-pair similarity over correct match pairs, shape (N_A, N_B),
-    from the ``correct_pair_log_similarity`` table."""
+    from the ``matching.correct_pair_log_similarity`` table."""
     return np.exp(pair_log_similarity).mean(axis=0)
 
 

@@ -5,9 +5,9 @@ importing the algorithms under test.  Three exceptions: the per-pair
 ``solve_assignment`` serves as the reference for batched ranking, the
 imaging helpers that compute per-pixel weights, and the learner's formulas
 that ``scored_structure`` chains.  The per-location
-references below score through ``location_log_similarity``, the kernel as
-it was before locations were stacked; ``factor_cell_values`` is the cell
-kernel's factor form, one cell and one probe image at a time.
+references below score through ``location_log_similarity``, d . M . d on
+descriptor differences; ``factor_cell_values`` is the library's one kernel,
+in the metric's factor space, one cell and one image pair at a time.
 """
 from __future__ import annotations
 
@@ -113,9 +113,9 @@ def log_similarity(matrix: np.ndarray, sigma: float, d: np.ndarray,
 
 
 def location_log_similarity(model, loc: int, d: np.ndarray) -> np.ndarray:
-    """Scalar-location reference for ``metric.log_similarity``: location
-    ``loc``'s metric on differences ``d`` (..., dim), with the global metric
-    picked here for a fallback location rather than read from its row."""
+    """d . M . d on descriptor differences ``d`` (..., dim) with location
+    ``loc``'s metric, the global one picked here for a fallback location:
+    the factor-space kernel's values to rounding, not bit for bit."""
     if model.fallback[loc]:
         matrix, sigma = model.global_matrix, model.global_sigma
     else:
@@ -216,18 +216,26 @@ def cell_values(probe_stack, gallery_stack, model, gate) -> np.ndarray:
 
 
 def factor_cell_values(probe_stack, gallery_stack, model, rows, cols) -> np.ndarray:
-    """Per-(cell, probe image) reference for ``matching.cell_log_similarity``,
-    shape (n_cells, n_probe_images, n_gallery_images).
+    """Per-(cell, probe image, gallery image) reference for
+    ``matching.cell_log_similarity``, shape (n_cells, n_probe_images,
+    n_gallery_images).
 
     Cell (i, j) factors location i's metric (the global one for a fallback
-    location, picked here) as M = L diag(s) L.T from its own ``eigh``,
-    projects the gallery side with one (G, dim) @ (dim, dim) product, and
-    for each probe image takes a = p L from one (1, dim) @ (dim, dim)
-    product and the cross term from one (G, dim) @ (dim, 1) product.  The
+    location, picked here) as M = L diag(s) L.T from its own ``eigh``.  One
+    formula: each descriptor is projected alone, as the first row of a
+    (2, dim) @ (dim, dim) product whose second row is zero, since a gemm's
+    rows take values independent of an even row count; every sum over dim is
+    one ``np.einsum`` of two contiguous rows, which never calls BLAS.  The
     distance sum(s a**2) + sum(s b**2) - 2 sum(s a b) is 0 for equal
     descriptors found within 1e-9 of sum(a**2) + sum(b**2), then clamped at
     0, scaled by sigma and capped at 700.
     """
+    def project(descriptor, factor):
+        return (np.stack((descriptor, np.zeros_like(descriptor))) @ factor)[0]
+
+    def dot(x, y):
+        return np.einsum("d,d->", x, y, optimize=False)
+
     out = np.empty((len(rows), len(probe_stack), len(gallery_stack)))
     for c, (i, j) in enumerate(zip(rows, cols)):
         if model.fallback[i]:
@@ -236,13 +244,12 @@ def factor_cell_values(probe_stack, gallery_stack, model, rows, cols) -> np.ndar
             matrix, sigma = model.matrices[i], float(model.sigmas[i])
         eigvals, eigvecs = np.linalg.eigh(matrix)
         factor, sign = eigvecs * np.sqrt(np.abs(eigvals)), np.sign(eigvals)
-        b = gallery_stack[:, j, :] @ factor
         for p, probe in enumerate(probe_stack):
-            a = (probe[i][None] @ factor)[0]
-            cross = b @ (sign * a)[:, None]
+            a = project(probe[i], factor)
             for g, gallery in enumerate(gallery_stack):
-                dist = (np.sum(sign * a * a) + np.sum(sign * b[g] * b[g])) - 2.0 * cross[g, 0]
-                if (dist <= 1e-9 * (np.sum(a * a) + np.sum(b[g] * b[g]))
+                b = project(gallery[j], factor)
+                dist = (dot(sign * a, a) + dot(sign * b, b)) - 2.0 * dot(sign * a, b)
+                if (dist <= 1e-9 * (dot(a, a) + dot(b, b))
                         and np.array_equal(probe[i], gallery[j])):
                     dist = 0.0
                 out[c, p, g] = -min(max(dist, 0.0) / sigma, 700.0)

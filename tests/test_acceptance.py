@@ -19,8 +19,8 @@ from corrmatch.geometry import colocated_patch, patch_at
 from corrmatch.harness import (DescriptorBank, generate_synthetic, load_manifest,
                                make_splits, run_ablations, train_on_split)
 from corrmatch.learning import learn_structure
-from corrmatch.metric import (MetricModel, build_avg_similarity, correct_pair_log_similarity,
-                              log_similarity, train_metric)
+from corrmatch.matching import CellTable, correct_pair_log_similarity
+from corrmatch.metric import MetricModel, build_avg_similarity, train_metric
 from corrmatch.structure import init_structure
 
 from conftest import record_acceptance
@@ -205,7 +205,8 @@ def test_shift_structure_is_the_closed_form_blend(shift_run):
     # departures").  A change that makes the binary structures reach the
     # update fails here and must update this test on purpose.
     config, _, learned, _, (probe_stack, gallery_stack, metric) = shift_run
-    avg = build_avg_similarity(correct_pair_log_similarity(probe_stack, gallery_stack, metric))
+    avg = build_avg_similarity(correct_pair_log_similarity(CellTable(probe_stack, gallery_stack,
+                                                                     metric)))
     start = init_structure(config.probe_grid(), config.gallery_grid(), config.t_d).probs
     keep = (1.0 - config.epsilon) ** len(learned.diagnostics)
     expect = keep * start + (1.0 - keep) * avg / avg.sum(axis=1, keepdims=True)
@@ -289,12 +290,19 @@ def test_metric_sanity():
     model = MetricModel(matrices=mats, sigmas=rng.random(n_loc) + 0.1,
                         global_matrix=mats[0], global_sigma=1.0)
     descriptors = rng.random((10_000, dim))
+
+    def self_similarity(rows):
+        # Pair k holds descriptor rows[k] at every probe location and as its
+        # one gallery patch, so entry (k, loc, 0) is its self-similarity at loc.
+        probe = np.broadcast_to(descriptors[rows, None], (len(rows), n_loc, dim))
+        return np.exp(correct_pair_log_similarity(CellTable(probe, descriptors[rows, None],
+                                                            model))[:, :, 0])
+    sims = np.concatenate([self_similarity(np.arange(lo, lo + 1000))
+                           for lo in range(0, 10_000, 1000)])
     for loc in range(n_loc):
-        sims = np.exp(log_similarity(model, [loc], (descriptors - descriptors)[None]))
-        assert np.all(sims == 1.0), f"self-similarity not exactly 1 at location {loc}"
+        assert np.all(sims[:, loc] == 1.0), f"self-similarity not exactly 1 at location {loc}"
     for k in range(0, 10_000, 997):  # one-pair spot checks
-        d = (descriptors[k] - descriptors[k])[None, None]
-        assert np.exp(log_similarity(model, [k % n_loc], d)) == 1.0
+        assert self_similarity([k])[0, k % n_loc] == 1.0
 
     # scalar training case, hand arithmetic with ridge gamma = 1e-3 * trace / dim
     similar = [np.array([[1.0], [-1.0]])]

@@ -577,3 +577,14 @@ def test_non_finite_kappa_is_rejected(kappa):
                   lambda: solve_assignment(np.ones((2, 2)), kappa=kappa)):
         with pytest.raises(ValueError, match="kappa must be finite"):
             score()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 6), max_size=20))
+def test_column_groups_group_as_np_unique_does(cols):
+    cols = np.array(cols, dtype=np.int64)
+    order = np.argsort(cols, kind="stable")
+    count = np.unique(cols[order], return_counts=True)[1]
+    entries, bounds = assignment._column_groups(cols)
+    assert np.array_equal(entries, order[np.repeat(count > 1, count)])
+    assert np.array_equal(bounds, np.concatenate(([0], np.cumsum(count[count > 1]))))

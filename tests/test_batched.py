@@ -4,7 +4,7 @@ Each batched path replaced a loop over probe rows, windows, patches or
 links; ``oracles`` keeps those loops, and every comparison with them is
 ``np.array_equal``, not a tolerance.  One tolerance is stated: the cell
 kernel's factor form of d . M . d against the form on differences, which
-the metric path keeps.
+metric training and ``oracles.location_log_similarity`` keep.
 """
 import tracemalloc
 from unittest import mock
@@ -19,9 +19,9 @@ from corrmatch.assignment import row_best_cells
 from corrmatch.geometry import GridSpec, colocated_table, patch_at
 from corrmatch.imaging import RgbImage, extract_descriptors
 from corrmatch.learning import conditional_matrix
-from corrmatch.matching import BinaryMappingStructure, adjacency_candidates, greedy_scores
-from corrmatch.metric import (MetricModel, build_training_pairs, correct_pair_log_similarity,
-                              log_similarity)
+from corrmatch.matching import (BinaryMappingStructure, CellTable, adjacency_candidates,
+                                cell_log_similarity, correct_pair_log_similarity, greedy_scores)
+from corrmatch.metric import MetricModel, build_training_pairs
 
 import oracles
 
@@ -87,8 +87,8 @@ def test_cell_values_match_per_row_oracle(seed, n_probe, n_gallery, n_a, n_b, di
     for c, (i, j) in enumerate(zip(rows, cols)):  # each link alone, and in the metric's form
         assert np.array_equal(links[c], matching.cell_log_similarity(
             matching.CellTable(probe, gallery, model), [i], [j])[0])
-        on_differences = log_similarity(
-            model, [i], (probe[:, i, None, :] - gallery[None, :, j, :])[None])[0]
+        on_differences = oracles.location_log_similarity(
+            model, i, probe[:, i, None, :] - gallery[None, :, j, :])
         assert np.allclose(links[c], on_differences, rtol=FORMS_RTOL, atol=FORMS_ATOL)
 
 
@@ -124,6 +124,36 @@ def test_cell_table_reads_equal_fresh_values(seed, n_probe, n_gallery, n_a, n_b,
             by_probe = got.reshape(size, n_probe, n_gallery)
             for p, single in enumerate(singles):
                 assert np.array_equal(single.values(rows, cols), by_probe[:, p])
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_a=st.integers(1, 3), n_b=st.integers(1, 4),
+       dim=st.sampled_from([1, 2, 3, 5, 9, 32]),
+       budget=st.sampled_from([1, 7, 40, matching._CHUNK_VALUES]))
+def test_cell_values_do_not_depend_on_the_table_shape(seed, n_a, n_b, dim, budget):
+    # One formula whatever the table holds: every G in 1-30 gallery images,
+    # one probe image or all 30, any chunk budget, and the correct-pair
+    # table's (k, k) entries, all bit for bit.
+    rng = np.random.default_rng(seed)
+    n = 30
+    model = random_model(rng, n_a, dim)
+    probe = rng.standard_normal((n, n_a, dim))
+    gallery = rng.standard_normal((n, n_b, dim))
+    gallery[:, 0] = probe[:, 0]  # identical descriptors: log similarity -0.0
+    rows, cols = np.nonzero(np.ones((n_a, n_b), dtype=bool))
+    with mock.patch.object(matching, "_CHUNK_VALUES", budget):
+        full = cell_log_similarity(CellTable(probe, gallery, model), rows, cols)
+        pairs = correct_pair_log_similarity(CellTable(probe, gallery, model))
+        for size in range(1, n + 1):
+            galleries = np.sort(rng.choice(n, size, replace=False))
+            p = int(rng.integers(n))
+            for probes in ([p], np.arange(n)):
+                got = cell_log_similarity(CellTable(probe[probes], gallery[galleries], model),
+                                          rows, cols)
+                assert np.array_equal(got, full[:, probes][:, :, galleries])
+    diagonal = full[:, np.arange(n), np.arange(n)].reshape(n_a, n_b, n)
+    assert np.array_equal(pairs, diagonal.transpose(2, 0, 1))
+    assert np.all(pairs[:, 0, 0] == 0.0)
 
 
 def indefinite_model(rng, n_loc: int, dim: int) -> MetricModel:
@@ -293,19 +323,25 @@ def test_log_similarity_matches_location_reference(seed, n_loc, n_calls, mid, ro
     rng = np.random.default_rng(seed)
     model = random_model(rng, n_loc, dim)
     locs = rng.integers(0, n_loc, n_calls)  # repeats and fallback locations included
-    d = rng.standard_normal((n_calls, mid, rows, dim))
-    d[0, 0, 0] = 0.0  # identical descriptors: log similarity -0.0
-    got = log_similarity(model, locs, d)
-    for k, loc in enumerate(locs):
-        assert np.array_equal(got[k], oracles.location_log_similarity(model, loc, d[k]))
-
-    n_b = rng.integers(1, 7)
     probe = rng.standard_normal((mid, n_loc, dim))
-    gallery = rng.standard_normal((mid, n_b, dim))
-    table = correct_pair_log_similarity(probe, gallery, model)
-    for i in range(n_loc):  # the per-location form training used
+    gallery = rng.standard_normal((mid, rows, dim))
+    gallery[0, 0] = probe[0, locs[0]]  # identical descriptors: log similarity -0.0
+    cols = rng.integers(0, rows, n_calls)
+    got = cell_log_similarity(CellTable(probe, gallery, model), locs, cols)
+    expect = oracles.factor_cell_values(probe, gallery, model, locs, cols)
+    for k, (loc, col) in enumerate(zip(locs, cols)):
+        assert np.array_equal(got[k], expect[k])
+        on_differences = oracles.location_log_similarity(
+            model, loc, probe[:, loc, None, :] - gallery[None, :, col, :])
+        assert np.allclose(got[k], on_differences, rtol=FORMS_RTOL, atol=FORMS_ATOL)
+
+    table = correct_pair_log_similarity(CellTable(probe, gallery, model))
+    every = oracles.factor_cell_values(probe, gallery, model, *np.nonzero(
+        np.ones((n_loc, rows), dtype=bool))).reshape(n_loc, rows, mid, mid)
+    for i in range(n_loc):  # the cell kernel's (k, k) entries, and the form training used
+        assert np.array_equal(table[:, i], every[i, :, np.arange(mid), np.arange(mid)])
         alone = oracles.location_log_similarity(model, i, probe[:, i, None, :] - gallery)
-        assert np.array_equal(table[:, i], alone)
+        assert np.allclose(table[:, i], alone, rtol=FORMS_RTOL, atol=FORMS_ATOL)
 
 
 @settings(max_examples=60, deadline=None)
@@ -316,11 +352,17 @@ def test_log_similarity_takes_the_one_row_path(seed, n_loc, n, dim):
     model = random_model(rng, n_loc, dim)
     fa, fb = rng.standard_normal((n, dim)), rng.standard_normal((n, dim))
     locs = rng.integers(0, n_loc, n)
-    stacked = log_similarity(model, locs, (fa - fb)[:, None, :])[:, 0]  # one row per location
+    # Pair k holds fa[k] at every probe location and fb[k] as its one
+    # gallery patch; a stack of n pairs against each pair alone.
+    probe, gallery = np.repeat(fa[:, None], n_loc, axis=1), fb[:, None]
+    stacked = correct_pair_log_similarity(CellTable(probe, gallery, model))
+    stacked = stacked[np.arange(n), locs, 0]
     for k, loc in enumerate(locs):
-        one = log_similarity(model, [loc], (fa[k] - fb[k])[None, None])[0, 0]
+        alone = CellTable(probe[k:k + 1], gallery[k:k + 1], model)
+        one = correct_pair_log_similarity(alone)[0, loc, 0]
         assert stacked[k] == one
-        assert one == oracles.location_log_similarity(model, loc, fa[k] - fb[k])
+        assert one == oracles.factor_cell_values(probe[k:k + 1], gallery[k:k + 1], model,
+                                                 [loc], [0])[0, 0, 0]
 
 
 @settings(max_examples=60, deadline=None)
@@ -335,7 +377,7 @@ def test_adjacency_candidates_match_per_window_oracle(pair, seed, palette, range
     colors = rng.standard_normal((palette, dim))
     probe = colors[rng.integers(0, palette, probe_grid.n_patches)]
     gallery = colors[rng.integers(0, palette, gallery_grid.n_patches)]
-    table = correct_pair_log_similarity(probe[None], gallery[None], model)[0]
+    table = correct_pair_log_similarity(CellTable(probe[None], gallery[None], model))[0]
     got = adjacency_candidates(table, probe_grid, gallery_grid, ranges)
     expect = oracles.adjacency_targets(probe, gallery, model, probe_grid, gallery_grid, ranges)
     assert [cand.targets for cand in got] == expect

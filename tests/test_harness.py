@@ -255,6 +255,29 @@ def test_descriptor_batch_reuses_its_memory(tmp_path):
     assert float(out) <= 300
 
 
+_MA_SCRIPT = """
+import sys
+from corrmatch.config import RunConfig
+from corrmatch.harness import DescriptorBank, load_manifest, make_splits, train_on_split
+config = RunConfig(max_iterations=2, selection_count=2)
+manifest = load_manifest(sys.argv[1])
+train_ids, _ = make_splits(manifest, seed=3, repeats=1).splits[0]
+train_on_split(DescriptorBank(manifest, config), train_ids, config)
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_training_does_not_import_numpy_ma(tmp_path):
+    # np.unique and np.quantile import numpy.ma on their first call, about
+    # 20 ms of a process's first training op; the library calls neither.
+    generate_synthetic(tmp_path, 4, 1, 0.05, seed=3)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([
+        str(Path(__file__).parents[1] / "src"), os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", _MA_SCRIPT, str(tmp_path / "manifest.csv")],
+                         env=env, capture_output=True, text=True, check=True).stdout
+    assert out.split() == ["False"]
+
+
 def test_train_split_metric_runs(tmp_path):
     manifest, _ = make_synthetic_manifest(tmp_path, n=4)
     bank = DescriptorBank(manifest, SMALL)

@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from corrmatch.config import RunConfig
 from corrmatch.errors import ConfigurationError
 from corrmatch.learning import (CmcCurve, cmc_curve, compute_update,
                                 conditional_matrix, impact_table,
                                 patch_importance, structure_prior)
-from corrmatch.matching import BinaryMappingStructure, CellTable, cell_log_similarity
+from corrmatch.matching import (BinaryMappingStructure, CellTable, cell_log_similarity,
+                               correct_pair_log_similarity)
 
 import oracles
 
@@ -51,6 +54,16 @@ def test_cmc_rejects_empty_and_out_of_range():
     for rank in (0, -1):  # values[n - 1] read 1.0 at rank 0 and 0.667 at rank -1
         with pytest.raises(ValueError, match="rank must be >= 1"):
             cmc_curve([2, 1, 3], 3).at_rank(rank)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(1, 40), min_size=1, max_size=40),
+       st.one_of(st.sampled_from([0.25, 0.5, 0.75, 1.0]), st.floats(1e-9, 1.0)))
+@example([1, 2], 0.9999999999999999)  # the lerp rounds up to the next rank
+def test_quantile_equals_numpy_quantile_bit_for_bit(ranks, q):
+    from corrmatch.learning import _quantile
+    ranks = np.array(ranks, dtype=np.int64)
+    assert np.array_equal(_quantile(ranks, q), np.quantile(ranks, q))
 
 
 # ------------------------------------------------------------- priors
@@ -223,9 +236,10 @@ def test_learn_structure_fixed_seed_bitwise_identical():
 def _closed_form_structure(probe, gallery, model, config, iterations):
     """(1-eps)^K * S0 + (1-(1-eps)^K) * rownorm(avg): K blends of the same
     update, the row-normalized average-similarity table."""
-    from corrmatch.metric import build_avg_similarity, correct_pair_log_similarity
+    from corrmatch.metric import build_avg_similarity
     from corrmatch.structure import init_structure
-    avg = build_avg_similarity(correct_pair_log_similarity(probe, gallery, model))
+    table = correct_pair_log_similarity(CellTable(probe, gallery, model))
+    avg = build_avg_similarity(table)
     start = init_structure(config.probe_grid(), config.gallery_grid(), config.t_d).probs
     keep = (1.0 - config.epsilon) ** iterations
     return keep * start + (1.0 - keep) * avg / avg.sum(axis=1, keepdims=True)
@@ -325,10 +339,9 @@ def test_training_and_evaluation_score_a_pair_bit_for_bit_alike():
                 one = gated_correlations(CellTable(probe[p:p + 1], gallery[g:g + 1], model),
                                          structure, config.t_c)
                 assert matched.score == score_gate(*one, config.kappa).totals[0]
-                # A one-gallery table's cells differ from the training table's
-                # in the last bits (BLAS takes another path for one gallery
-                # image), so the totals agree to rounding only.
-                assert np.isclose(matched.score, trained[p * n + g], rtol=1e-14, atol=0.0)
+                # A one-gallery table's cells equal the training table's bit
+                # for bit, so serving scores a pair as training did.
+                assert np.array_equal(matched.score, trained[p * n + g])
         # Each cell is log similarity + log p; the other way to write it,
         # log(similarity * p), would move some of these bits.
         log_sim = cell_log_similarity(CellTable(probe, gallery, model),

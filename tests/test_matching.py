@@ -5,9 +5,9 @@ from corrmatch.assignment import solve_assignment
 from corrmatch.geometry import GridSpec, colocated_patch, patch_at
 from corrmatch.matching import (BinaryMappingStructure, CellTable, adjacency_candidates,
                                 best_binary_structure, binary_structure_score_matrix,
-                                gated_correlations, greedy_scores, match_score, rank_gallery,
-                                rank_of_scores)
-from corrmatch.metric import MetricModel, correct_pair_log_similarity
+                                correct_pair_log_similarity, gated_correlations, greedy_scores,
+                                match_score, rank_gallery, rank_of_scores)
+from corrmatch.metric import MetricModel
 from corrmatch.structure import CorrespondenceStructure
 
 import oracles
@@ -194,7 +194,7 @@ def striped_descriptors(rng, grid, n_patterns=32):
 
 def pair_table(probe_desc, gallery_desc, model):
     """Log similarities of one image pair, as the adjacency search takes them."""
-    return correct_pair_log_similarity(probe_desc[None], gallery_desc[None], model)[0]
+    return correct_pair_log_similarity(CellTable(probe_desc[None], gallery_desc[None], model))[0]
 
 
 def test_adjacency_candidates_self_match_links_colocated():
@@ -378,3 +378,11 @@ def test_correlation_value_example_e_inverse():
     corr = correlation_matrix(np.array([[f_diff]]), np.array([[0.0], [0.0]]),
                               structure, model, t_c=0.05)
     assert corr[0, 0] == pytest.approx(-2.0, abs=1e-12)
+
+
+def test_correct_pair_table_needs_aligned_non_empty_stacks():
+    model = flat_model(2, 3)
+    for n_probe, n_gallery in ((2, 3), (0, 0)):
+        table = CellTable(np.zeros((n_probe, 3, 2)), np.zeros((n_gallery, 4, 2)), model)
+        with pytest.raises(ValueError):
+            correct_pair_log_similarity(table)

@@ -10,9 +10,9 @@ from corrmatch.config import RunConfig
 from corrmatch.errors import ConfigurationError, FormatError
 from corrmatch.geometry import GridSpec
 from corrmatch.harness import train_split_metric
+from corrmatch.matching import CellTable, correct_pair_log_similarity
 from corrmatch.metric import (MAX_EXPONENT, MetricModel, build_avg_similarity,
-                              build_training_pairs, correct_pair_log_similarity, load_metric,
-                              log_similarity, save_metric, train_metric)
+                              build_training_pairs, load_metric, save_metric, train_metric)
 
 import oracles
 from blobs import mutated, non_finite, truncated
@@ -24,10 +24,17 @@ def scalar_model(m, sigma):
                        global_matrix=np.array([[float(m)]]), global_sigma=float(sigma))
 
 
+def pair_table(probe_stack, gallery_stack, model):
+    """The correct-pair log similarity table of two aligned stacks."""
+    return correct_pair_log_similarity(CellTable(probe_stack, gallery_stack, model))
+
+
 def similarity(model, f_a, f_b, loc):
-    """Similarity in (0, 1] of one descriptor pair at location ``loc``."""
-    d = np.asarray(f_a, dtype=np.float64) - np.asarray(f_b, dtype=np.float64)
-    return float(np.exp(log_similarity(model, [loc], d[None, None]))[0, 0])
+    """Similarity in (0, 1] of one descriptor pair at location ``loc``: f_a
+    at every probe location against f_b, the one gallery patch."""
+    f_a, f_b = np.asarray(f_a, dtype=np.float64), np.asarray(f_b, dtype=np.float64)
+    probe = np.broadcast_to(f_a, (1, model.n_locations, len(f_a)))
+    return float(np.exp(pair_table(probe, f_b[None, None], model)[0, loc, 0]))
 
 
 def diff_column(diffs):
@@ -112,7 +119,8 @@ def test_batched_matches_scalar():
                         global_matrix=mats[0], global_sigma=1.0)
     fa, fb = rng.random((40, dim)), rng.random((40, dim))
     locs = rng.integers(0, n_loc, size=40)
-    batch = np.exp(log_similarity(model, locs, (fa - fb)[:, None, :]))[:, 0]
+    probe = np.repeat(fa[:, None], n_loc, axis=1)  # pair k: fa[k] at every location
+    batch = np.exp(pair_table(probe, fb[:, None], model))[np.arange(40), locs, 0]
     for k in range(40):
         assert batch[k] == pytest.approx(
             similarity(model, fa[k], fb[k], int(locs[k])), abs=1e-12)
@@ -126,13 +134,14 @@ def test_log_similarity_matches_three_operand_reference():
     model = MetricModel(matrices=mats, sigmas=rng.random(n_loc) + 0.5,
                         global_matrix=mats[0], global_sigma=1.0)
     d = rng.standard_normal((5, 7, dim)) * 0.3
+    zero = np.zeros((5, n_loc, dim))  # probe 0 against gallery d: difference -d
     for loc in range(n_loc):
-        got = log_similarity(model, [loc], d[None])[0]
+        got = pair_table(zero, d, model)[:, loc]
         expect = oracles.log_similarity(mats[loc], model.sigmas[loc], d, MAX_EXPONENT)
         assert got.shape == (5, 7)
         assert np.all(expect < 0.0)
         assert np.allclose(got, expect, rtol=1e-12, atol=0.0)
-    huge = log_similarity(model, [0], d[None] * 1e4)         # clamped exponents
+    huge = pair_table(zero, d * 1e4, model)[:, 0]           # clamped exponents
     assert np.all(huge == -MAX_EXPONENT)
 
 
@@ -166,9 +175,8 @@ def test_avg_similarity_single_pair_and_duplicate():
     model = scalar_model(1.0, 1.0)
     p = np.array([[0.5]])          # 1 probe patch
     g = np.array([[0.5], [0.9]])   # 2 gallery patches
-    one = build_avg_similarity(correct_pair_log_similarity(p[None], g[None], model))
-    dup = build_avg_similarity(correct_pair_log_similarity(np.stack([p, p]),
-                                                           np.stack([g, g]), model))
+    one = build_avg_similarity(pair_table(p[None], g[None], model))
+    dup = build_avg_similarity(pair_table(np.stack([p, p]), np.stack([g, g]), model))
     assert np.array_equal(one, dup)
     assert one[0, 0] == 1.0
     assert one[0, 1] == pytest.approx(np.exp(-0.16), abs=1e-12)
@@ -179,8 +187,7 @@ def test_avg_similarity_two_pair_mean():
     model = scalar_model(1.0, 1.0)
     p1, g1 = np.array([[0.0]]), np.array([[1.0]])
     p2, g2 = np.array([[0.0]]), np.array([[2.0]])
-    table = build_avg_similarity(correct_pair_log_similarity(np.stack([p1, p2]),
-                                                             np.stack([g1, g2]), model))
+    table = build_avg_similarity(pair_table(np.stack([p1, p2]), np.stack([g1, g2]), model))
     s1, s2 = np.exp(-1.0), np.exp(-4.0)
     assert table[0, 0] == pytest.approx((s1 + s2) / 2, abs=1e-14)
     assert 0.0 < table[0, 0] <= 1.0
