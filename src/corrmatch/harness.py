@@ -265,10 +265,13 @@ def generate_synthetic(out_dir, n_identities: int, shift_rows: int, noise_level:
 
 
 class DescriptorBank:
-    """Descriptors per (identity, camera) computed once and shared by arms.
+    """Descriptors per (path, camera) computed once and shared by arms.
 
-    Each batch (``stacks`` or ``gallery_pool``) extracts its new images
-    through one ``DescriptorWorkspace``, dropped when the batch ends.
+    Each batch (``stacks`` or ``gallery_pool``) allocates one stack per
+    camera and extracts each new image straight into its row through one
+    ``DescriptorWorkspace``, dropped when the batch ends.  The cache holds a
+    read-only view of that row, the descriptors' only copy; a batch that
+    meets a cached image copies its row.
     """
 
     def __init__(self, manifest: DatasetManifest, config: RunConfig):
@@ -282,36 +285,46 @@ class DescriptorBank:
         return DescriptorWorkspace(c.image_height, c.image_width, c.color_bins, c.gradient_bins)
 
     def descriptors_for(self, path: str, camera: str,
-                        workspace: DescriptorWorkspace | None = None) -> np.ndarray:
+                        workspace: DescriptorWorkspace | None = None,
+                        out: np.ndarray | None = None) -> np.ndarray:
+        """The image's read-only descriptors, extracted into ``out`` when
+        given; ``out`` gets a copy of an image already cached."""
         key = (path, camera)
         if key not in self._cache:
             grid = self.grids[camera]
             img = scale_to_canonical(load_image(path), grid)
             self._cache[key] = extract_descriptors(img, grid, self.config.color_bins,
                                                    self.config.gradient_bins,
-                                                   workspace=workspace)
+                                                   workspace=workspace, out=out).view()
+            self._cache[key].flags.writeable = False
+        elif out is not None:
+            out[...] = self._cache[key]
         return self._cache[key]
 
+    def _stack(self, paths, camera: str, workspace: DescriptorWorkspace) -> np.ndarray:
+        stack = np.empty((len(paths), self.grids[camera].n_patches, workspace.shape[2]))
+        for path, row in zip(paths, stack):
+            self.descriptors_for(path, camera, workspace, out=row)
+        stack.flags.writeable = False
+        return stack
+
     def stacks(self, identities) -> tuple[np.ndarray, np.ndarray]:
-        """Camera-A and camera-B stacks of each identity's first image."""
+        """Read-only camera-A and camera-B stacks of each identity's first image."""
         workspace, path = self._workspace(), self.manifest.image_path
-        probes, galleries = (np.stack([self.descriptors_for(path(i, camera), camera, workspace)
-                                       for i in identities]) for camera in CAMERAS)
+        probes, galleries = (self._stack([path(i, camera) for i in identities], camera,
+                                         workspace) for camera in CAMERAS)
         return probes, galleries
 
     def gallery_pool(self, identities) -> tuple[np.ndarray, np.ndarray]:
-        """Every camera-B image of the identities, with owner indices.
+        """Every camera-B image of the identities, read-only, with owner indices.
 
         Supports all-pairs evaluation of multi-image identities; with one
         image per identity it degenerates to the aligned stack.
         """
-        workspace = self._workspace()
-        descs, owners = [], []
-        for idx, identity in enumerate(identities):
-            for path in self.manifest.image_paths(identity, "B"):
-                descs.append(self.descriptors_for(path, "B", workspace))
-                owners.append(idx)
-        return np.stack(descs), np.array(owners, dtype=np.int64)
+        paths = [(idx, path) for idx, identity in enumerate(identities)
+                 for path in self.manifest.image_paths(identity, "B")]
+        return (self._stack([path for _, path in paths], "B", self._workspace()),
+                np.array([idx for idx, _ in paths], dtype=np.int64))
 
 
 def train_split_metric(probe_stack: np.ndarray, gallery_stack: np.ndarray,

@@ -151,133 +151,151 @@ def _srgb_to_linear() -> np.ndarray:
 
 
 _SRGB_TO_LINEAR = _srgb_to_linear()
-
-
-def rgb_to_lab(pixels: np.ndarray) -> np.ndarray:
-    """sRGB bytes (h, w, 3) to CIELAB (D65), float64."""
-    linear = _SRGB_TO_LINEAR[pixels]
-    m = np.array([[0.4124564, 0.3575761, 0.1804375],
-                  [0.2126729, 0.7151522, 0.0721750],
-                  [0.0193339, 0.1191920, 0.9503041]])
-    xyz = linear @ m.T
-    white = np.array([0.95047, 1.0, 1.08883])
-    t = xyz / white
-    f = np.where(t > (6 / 29) ** 3, np.cbrt(t), t / (3 * (6 / 29) ** 2) + 4 / 29)
-    lab = np.empty_like(xyz)
-    lab[..., 0] = 116.0 * f[..., 1] - 16.0
-    lab[..., 1] = 500.0 * (f[..., 0] - f[..., 1])
-    lab[..., 2] = 200.0 * (f[..., 1] - f[..., 2])
-    return lab
-
-
-def luminance(pixels: np.ndarray) -> np.ndarray:
-    """Y = 0.299 R + 0.587 G + 0.114 B on byte values."""
-    p = pixels.astype(np.float64)
-    return 0.299 * p[..., 0] + 0.587 * p[..., 1] + 0.114 * p[..., 2]
-
-
+# Linear sRGB to XYZ, and the D65 white that scales XYZ for CIELAB.
+_RGB_TO_XYZ = np.array([[0.4124564, 0.3575761, 0.1804375],
+                        [0.2126729, 0.7151522, 0.0721750],
+                        [0.0193339, 0.1191920, 0.9503041]])
+_WHITE = np.array([0.95047, 1.0, 1.08883])
 # Channel bin ranges for CIELAB histograms.
 _LAB_RANGES = ((0.0, 100.0), (-128.0, 128.0), (-128.0, 128.0))
 
 
-def _soft_channel_weights(values: np.ndarray, lo: float, hi: float,
-                          bins: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Linear soft assignment onto bin centers (clamped at the range ends).
-
-    Returns (low bin, high bin, low weight, high weight) per pixel; weights
-    sum to 1.  A value at a bin center puts all mass in that bin; between
-    centers the mass splits proportionally, which keeps descriptors stable
-    under small perturbations.
-    """
-    width = (hi - lo) / bins
-    pos = np.clip((values - lo) / width - 0.5, 0.0, bins - 1.0)
-    low = np.floor(pos).astype(np.int64)
-    low = np.minimum(low, bins - 2) if bins > 1 else np.zeros_like(low)
-    frac = pos - low if bins > 1 else np.zeros_like(pos)
-    return low, low + 1 if bins > 1 else low, 1.0 - frac, frac
-
-
-def _gradient_orientation(y_plane: np.ndarray, gradient_bins: int):
-    """Soft circular orientation assignment and magnitude per pixel.
-
-    Central differences in the interior, one-sided at borders (np.gradient).
-    Bin centers sit at -pi + k * (2 pi / bins), so axis-aligned gradients
-    land on a single bin; intermediate angles split between neighbors.
-    """
-    gy, gx = np.gradient(y_plane)
-    magnitude = np.hypot(gx, gy)
-    angle = np.arctan2(gy, gx)
-    width = 2.0 * np.pi / gradient_bins
-    pos = (angle + np.pi) / width
-    low = np.floor(pos).astype(np.int64)
-    frac = pos - low
-    return low % gradient_bins, (low + 1) % gradient_bins, 1.0 - frac, frac, magnitude
-
-
 class DescriptorWorkspace:
-    """Scratch arrays that a batch of ``extract_descriptors`` calls reuses.
-
-    Holds, for images of one size and one pair of bin counts, the per-pixel
-    histogram planes, the running column prefix and the summed-area rows of
-    the patch corners.  Fresh arrays of this size per image (about 3.6 MB
-    at the default canvas) go back to the operating system between images
-    and fault in again on the next one; one workspace per batch pays that
-    once.  A workspace serves one extraction at a time.
-    """
+    """Every array that ``extract_descriptors`` writes besides its output,
+    for images of one size and plane count: the linear-RGB, XYZ, ``f``,
+    Lab, luminance and gradient planes, the soft-bin positions, indices,
+    weights and flat plane index, the histogram planes, a running column
+    prefix and the summed-area rows of the patch corners.  Fresh arrays per
+    image go back to the operating system between images and fault in again
+    on the next one; one workspace per batch pays that once.  A workspace
+    serves one extraction at a time."""
 
     def __init__(self, height: int, width: int, color_bins: int, gradient_bins: int):
-        n_planes = 3 * color_bins + gradient_bins
+        n_planes, n_pixels = 3 * color_bins + gradient_bins, height * width
         self.shape = (height, width, n_planes)
-        self.planes = np.empty(height * width * n_planes)
+        self.linear, self.xyz, self.f = np.empty((3, height, width, 3))
+        self.above = np.empty((height, width, 3), dtype=bool)
+        self.lab = np.empty((3, height, width))
+        self.luma, self.gy, self.gx, self.magnitude, self.angle = np.empty((5, height, width))
+        self.pos, self.low, self.frac, self.weight = np.empty((4, n_pixels))
+        self.index, self.flat = np.empty((2, n_pixels), dtype=np.int64)
+        self.offsets = np.arange(n_pixels) * n_planes
+        self.planes = np.empty(n_pixels * n_planes)
         self.column = np.empty((width, n_planes))
         # Corner rows only; the zero top row and left column are never written.
         self.table = np.zeros((height + 1, width + 1, n_planes))
-        self.offsets = np.arange(height * width) * n_planes
+
+
+def _lab(pixels: np.ndarray, ws: DescriptorWorkspace) -> np.ndarray:
+    """CIELAB (D65) of sRGB bytes (h, w, 3) into the (3, h, w) ``ws.lab``.  The
+    XYZ product keeps the formula's (h, w, 3) @ (3, 3) shape, whose bits BLAS sets."""
+    np.take(_SRGB_TO_LINEAR, pixels, out=ws.linear, mode="clip")
+    t = np.divide(np.matmul(ws.linear, _RGB_TO_XYZ.T, out=ws.xyz), _WHITE, out=ws.xyz)
+    np.greater(t, (6 / 29) ** 3, out=ws.above)
+    f = np.add(np.divide(t, 3 * (6 / 29) ** 2, out=ws.f), 4 / 29, out=ws.f)
+    np.copyto(f, np.cbrt(t, out=ws.linear), where=ws.above)
+    np.subtract(np.multiply(f[..., 1], 116.0, out=ws.lab[0]), 16.0, out=ws.lab[0])
+    np.multiply(np.subtract(f[..., 0], f[..., 1], out=ws.lab[1]), 500.0, out=ws.lab[1])
+    np.multiply(np.subtract(f[..., 1], f[..., 2], out=ws.lab[2]), 200.0, out=ws.lab[2])
+    return ws.lab
+
+
+def rgb_to_lab(pixels: np.ndarray) -> np.ndarray:
+    """sRGB bytes (h, w, 3) to CIELAB (D65), float64, shape (h, w, 3)."""
+    return np.stack(_lab(pixels, DescriptorWorkspace(*pixels.shape[:2], 1, 1)), axis=-1)
+
+
+def _gradient(pixels: np.ndarray, ws: DescriptorWorkspace) -> None:
+    """Luminance Y = 0.299 R + 0.587 G + 0.114 B of the bytes, its
+    ``np.gradient`` (central differences inside, one-sided at the borders)
+    and the gradient's magnitude and angle, into ``ws``."""
+    luma = np.multiply(pixels[..., 0], 0.299, out=ws.luma)
+    luma += np.multiply(pixels[..., 1], 0.587, out=ws.gx)
+    luma += np.multiply(pixels[..., 2], 0.114, out=ws.gx)
+    for y, g in ((luma, ws.gy), (luma.T, ws.gx.T)):  # down the rows, then the columns
+        np.divide(np.subtract(y[2:], y[:-2], out=g[1:-1]), 2.0, out=g[1:-1])
+        np.subtract(y[1], y[0], out=g[0])
+        np.subtract(y[-1], y[-2], out=g[-1])
+    np.hypot(ws.gx, ws.gy, out=ws.magnitude)
+    np.arctan2(ws.gy, ws.gx, out=ws.angle)
+
+
+def _add_soft_bins(ws: DescriptorWorkspace, first: int, bins: int, circular: bool) -> None:
+    """Add each pixel's mass at bin position ``ws.pos`` to planes ``first`` on,
+    low bin before high bin: it splits between bin floor(pos) and the next by
+    pos's fraction past the low bin, which keeps descriptors stable under
+    small perturbations.  Color bins clamp at the range ends, and one color
+    bin takes all the mass; gradient bins, centered at -pi + k 2 pi / bins,
+    wrap around the circle and weigh by the gradient's magnitude."""
+    low, frac, index = ws.low, ws.frac, ws.index
+    if bins > 1 or circular:
+        np.floor(ws.pos, out=low)
+        if not circular:
+            np.minimum(low, bins - 2, out=low)
+        np.subtract(ws.pos, low, out=frac)
+    else:
+        low.fill(0.0)
+        frac.fill(0.0)
+    np.copyto(index, low, casting="unsafe")
+    for share in (np.subtract(1.0, frac, out=ws.weight), frac):
+        if circular:
+            np.remainder(index, bins, out=index)
+            share *= ws.magnitude.ravel()
+        np.add.at(ws.planes[first:], np.add(ws.offsets, index, out=ws.flat), share)
+        if bins > 1 or circular:
+            index += 1
 
 
 def extract_descriptors(img: RgbImage, grid: GridSpec, color_bins: int,
-                        gradient_bins: int,
-                        workspace: DescriptorWorkspace | None = None) -> np.ndarray:
-    """Per-patch descriptors in zig-zag order, shape (n_patches, dim).
+                        gradient_bins: int, workspace: DescriptorWorkspace | None = None,
+                        out: np.ndarray | None = None) -> np.ndarray:
+    """Per-patch descriptors in zig-zag order, shape (n_patches, dim), into
+    ``out`` when given (C-contiguous float64 of that shape).
 
     Histograms are accumulated through per-bin summed-area tables so each
     patch costs a handful of lookups regardless of patch size.  Without a
-    ``workspace`` the call builds its own for the one image.  Every add
-    runs in the order of a ``bincount`` fill and two ``cumsum`` passes,
-    so the descriptors do not depend on the workspace.
+    ``workspace`` the call builds its own for the one image.  Each value
+    comes from the ufunc and operands of the fresh-array formula, and every
+    add runs in the order of a ``bincount`` fill and two ``cumsum`` passes,
+    so the descriptors depend on neither the workspace nor ``out``.
     """
     if img.width != grid.image_width or img.height != grid.image_height:
         raise ValueError(
             f"image {img.width}x{img.height} does not match grid canvas "
             f"{grid.image_width}x{grid.image_height}")
+    if min(img.width, img.height) < 2:
+        raise ValueError(f"a {img.width}x{img.height} image has no gradient")
 
     h, w = img.height, img.width
-    n_color = 3 * color_bins
-    n_planes = n_color + gradient_bins
+    n_color, n_planes = 3 * color_bins, 3 * color_bins + gradient_bins
     if workspace is None:
         workspace = DescriptorWorkspace(h, w, color_bins, gradient_bins)
     elif workspace.shape != (h, w, n_planes):
         raise ValueError(f"workspace of shape {workspace.shape} for images of "
                          f"shape {(h, w, n_planes)}")
+    if out is None:
+        out = np.empty((grid.n_patches, n_planes))
+    elif (out.shape != (grid.n_patches, n_planes) or out.dtype != np.float64
+          or not out.flags.c_contiguous):
+        raise ValueError(f"out must be C-contiguous float64 of shape "
+                         f"{(grid.n_patches, n_planes)}, got {out.dtype} {out.shape}")
 
-    lab = rgb_to_lab(img.pixels)
-    g_lo, g_hi, g_wlo, g_whi, grad_mag = _gradient_orientation(luminance(img.pixels),
-                                                               gradient_bins)
-    bins, weights = [], []
-    for ch, (lo, hi) in enumerate(_LAB_RANGES):
-        b_lo, b_hi, w_lo, w_hi = _soft_channel_weights(lab[..., ch], lo, hi, color_bins)
-        bins += [ch * color_bins + b_lo, ch * color_bins + b_hi]
-        weights += [w_lo, w_hi]
-    bins += [n_color + g_lo, n_color + g_hi]
-    weights += [g_wlo * grad_mag, g_whi * grad_mag]
+    ws = workspace
+    lab = _lab(img.pixels, ws)
+    _gradient(img.pixels, ws)
     # Planes last, added to zero in bincount's input order: a pixel whose low
     # and high bins coincide (a single bin) sums 0 + low weight + high weight.
-    # Within one array every pixel hits its own plane entry.
-    planes = workspace.planes
-    planes.fill(0.0)
-    for b, wt in zip(bins, weights):
-        planes[workspace.offsets + b.ravel()] += wt.ravel()
-    planes = planes.reshape(h, w, n_planes)
+    # Within one add every pixel hits its own plane entry.
+    ws.planes.fill(0.0)
+    for ch, (lo, hi) in enumerate(_LAB_RANGES):
+        if color_bins > 1:
+            pos = np.divide(np.subtract(lab[ch].ravel(), lo, out=ws.pos),
+                            (hi - lo) / color_bins, out=ws.pos)
+            np.clip(np.subtract(pos, 0.5, out=pos), 0.0, color_bins - 1.0, out=pos)
+        _add_soft_bins(ws, ch * color_bins, color_bins, circular=False)
+    pos = np.add(ws.angle.ravel(), np.pi, out=ws.pos)
+    pos /= 2.0 * np.pi / gradient_bins
+    _add_soft_bins(ws, n_color, gradient_bins, circular=True)
 
     # Summed-area rows with a zero top row and left column, only at the rows
     # that patch corners read: a running column prefix (cumsum over rows, one
@@ -288,20 +306,25 @@ def extract_descriptors(img: RgbImage, grid: GridSpec, color_bins: int,
     x0, y0 = cols * grid.stride_x, rows * grid.stride_y
     x1, y1 = x0 + grid.patch_width, y0 + grid.patch_height
     corners = np.flatnonzero(np.bincount(np.concatenate((y0, y1))))  # sorted distinct rows
-    column, table = workspace.column, workspace.table
+    planes, column, table = ws.planes.reshape(h, w, n_planes), ws.column, ws.table
     column.fill(0.0)
     for k in range(1, len(corners)):
         for y in range(corners[k - 1], corners[k]):
             column += planes[y]
         table[k, 1:] = column
     np.cumsum(table[1:len(corners), 1:], axis=1, out=table[1:len(corners), 1:])
-    y0, y1 = np.searchsorted(corners, y0), np.searchsorted(corners, y1)
 
-    counts = table[y1, x1] - table[y0, x1] - table[y1, x0] + table[y0, x0]
-    color, grad = counts[:, :n_color], counts[:, n_color:]
+    # Patch sums t[y1, x1] - t[y0, x1] - t[y1, x0] + t[y0, x0], the corners
+    # gathered one at a time into the planes, which are spent.
+    y0, y1 = (np.searchsorted(corners, y) * (w + 1) for y in (y0, y1))
+    rows, gathered = table.reshape(-1, n_planes), ws.planes[:out.size].reshape(out.shape)
+    np.take(rows, y1 + x1, axis=0, out=out, mode="clip")
+    out -= np.take(rows, y0 + x1, axis=0, out=gathered, mode="clip")
+    out -= np.take(rows, y1 + x0, axis=0, out=gathered, mode="clip")
+    out += np.take(rows, y0 + x0, axis=0, out=gathered, mode="clip")
+    color, grad = out[:, :n_color], out[:, n_color:]
+    color /= color.sum(axis=1, keepdims=True)
     grad_total = grad.sum(axis=1, keepdims=True)
-    descriptors = np.empty((grid.n_patches, n_planes), dtype=np.float64)
-    descriptors[:, :n_color] = color / color.sum(axis=1, keepdims=True)
-    descriptors[:, n_color:] = np.divide(grad, grad_total, out=np.zeros_like(grad),
-                                         where=grad_total > 0.0)
-    return descriptors
+    np.divide(grad, grad_total, out=grad, where=grad_total > 0.0)
+    np.copyto(grad, 0.0, where=grad_total <= 0.0)
+    return out

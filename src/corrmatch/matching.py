@@ -60,15 +60,16 @@ def _even_rows(stack: np.ndarray) -> np.ndarray:
     return np.concatenate((stack, np.zeros_like(stack[..., :1, :])), axis=-2)
 
 
-def _log_similarity(probe_side, b, signs, sigmas, identical, out: np.ndarray) -> np.ndarray:
+def _log_similarity(probe_side, b, signed_b, sigmas, identical, out: np.ndarray) -> np.ndarray:
     """log similarity into ``out`` (C, P, G) of C blocks of P probe against
-    G gallery descriptors, from ``probe_side`` (s * a, sum(s a**2)) and the
-    gallery projections ``b`` (C, G, dim): d . M . d = sum(s a**2) + sum(s
-    b**2) - 2 sum(s a b), each sum a BLAS-free einsum over a contiguous last
-    axis, clamped at 0.  Equal descriptors give exactly 0; as a backstop, so
-    does ``identical(k, p, g)`` within ``_SAME_SHARE`` of the two norms."""
+    G gallery descriptors, from ``probe_side`` (s * a, sum(s a**2)), the
+    gallery projections ``b`` (C, G, dim) and their signed products s * b:
+    d . M . d = sum(s a**2) + sum(s b**2) - 2 sum(s a b), each sum a
+    BLAS-free einsum over a contiguous last axis, clamped at 0.  Equal
+    descriptors give exactly 0; as a backstop, so does ``identical(k, p,
+    g)`` within ``_SAME_SHARE`` of the two norms."""
     signed, norms = probe_side
-    g_norms = np.einsum("cgd,cgd->cg", b * signs, b, optimize=False)[:, None]
+    g_norms = np.einsum("cgd,cgd->cg", signed_b, b, optimize=False)[:, None]
     cross = np.einsum("cpd,cgd->cpg", signed, b, optimize=False)
     cross *= 2.0
     dist = np.add(norms[:, :, None], g_norms, out=out)
@@ -101,8 +102,8 @@ def cell_log_similarity(table: CellTable, rows: np.ndarray, cols: np.ndarray) ->
         r, c = rows[lo:lo + step], cols[lo:lo + step]
         gallery = gallery_stack[:, c].swapaxes(0, 1)  # (C, G, dim)
         b = np.matmul(_even_rows(gallery), factors[r])[:, :out.shape[2]]
-        _log_similarity([x[:, r].swapaxes(0, 1) for x in table.probe_side], b, signs[r][:, None],
-                        model.sigmas[r][:, None, None],
+        _log_similarity([x[:, r].swapaxes(0, 1) for x in table.probe_side], b,
+                        b * signs[r][:, None], model.sigmas[r][:, None, None],
                         lambda k, p, g: (probe_stack[p, r[k]] == gallery[k, g]).all(axis=1),
                         out[lo:lo + step])
     return out
@@ -119,10 +120,12 @@ def correct_pair_log_similarity(table: CellTable) -> np.ndarray:
     factors, signs = model.factors
     n_pairs, n_b, dim = gallery_stack.shape
     patches = _even_rows(gallery_stack.reshape(-1, dim))
-    product, out = np.empty_like(patches), np.empty((n_pairs, table.n_a, n_b))
-    for i in range(table.n_a):  # product is rewritten in place: no fresh 2 MB per location
+    product, signed = np.empty_like(patches), np.empty((n_pairs, n_b, dim))
+    out = np.empty((n_pairs, table.n_a, n_b))
+    for i in range(table.n_a):  # both buffers are rewritten in place: no fresh 2 MB per location
         b = np.matmul(patches, factors[i], out=product)[:n_pairs * n_b].reshape(n_pairs, n_b, dim)
-        _log_similarity([x[:, i:i + 1] for x in table.probe_side], b, signs[i], model.sigmas[i],
+        _log_similarity([x[:, i:i + 1] for x in table.probe_side], b,
+                        np.multiply(b, signs[i], out=signed), model.sigmas[i],
                         lambda k, p, g: (probe_stack[k, i] == gallery_stack[k, g]).all(axis=1),
                         out[:, i:i + 1])
     return out

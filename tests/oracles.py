@@ -341,22 +341,61 @@ def row_argmax(bounds, values):
         len(live), values.shape[1])
 
 
-def descriptors(img, grid, color_bins: int, gradient_bins: int) -> np.ndarray:
-    """Per-patch reference for ``imaging.extract_descriptors``: planes filled
-    with ``np.add.at`` and one summed-area lookup per patch."""
-    from corrmatch.geometry import patch_at
-    from corrmatch.imaging import (_LAB_RANGES, _gradient_orientation, _soft_channel_weights,
-                                   luminance, rgb_to_lab)
+def _soft_channel_weights(values, lo, hi, bins):
+    """Linear soft assignment onto bin centers, clamped at the range ends:
+    (low bin, high bin, low weight, high weight) per pixel."""
+    width = (hi - lo) / bins
+    pos = np.clip((values - lo) / width - 0.5, 0.0, bins - 1.0)
+    low = np.floor(pos).astype(np.int64)
+    low = np.minimum(low, bins - 2) if bins > 1 else np.zeros_like(low)
+    frac = pos - low if bins > 1 else np.zeros_like(pos)
+    return low, low + 1 if bins > 1 else low, 1.0 - frac, frac
 
-    lab = rgb_to_lab(img.pixels)
+
+def _gradient_orientation(y_plane, gradient_bins):
+    """Soft circular orientation assignment and gradient magnitude per pixel."""
+    gy, gx = np.gradient(y_plane)
+    magnitude = np.hypot(gx, gy)
+    pos = (np.arctan2(gy, gx) + np.pi) / (2.0 * np.pi / gradient_bins)
+    low = np.floor(pos).astype(np.int64)
+    frac = pos - low
+    return low % gradient_bins, (low + 1) % gradient_bins, 1.0 - frac, frac, magnitude
+
+
+def lab(pixels):
+    """sRGB bytes to CIELAB (D65) by the formula, fresh arrays throughout."""
+    rgb = pixels.astype(np.float64) / 255.0
+    linear = np.where(rgb <= 0.04045, rgb / 12.92, ((rgb + 0.055) / 1.055) ** 2.4)
+    m = np.array([[0.4124564, 0.3575761, 0.1804375],
+                  [0.2126729, 0.7151522, 0.0721750],
+                  [0.0193339, 0.1191920, 0.9503041]])
+    t = (linear @ m.T) / np.array([0.95047, 1.0, 1.08883])
+    f = np.where(t > (6 / 29) ** 3, np.cbrt(t), t / (3 * (6 / 29) ** 2) + 4 / 29)
+    return np.stack([116.0 * f[..., 1] - 16.0, 500.0 * (f[..., 0] - f[..., 1]),
+                     200.0 * (f[..., 1] - f[..., 2])], axis=-1)
+
+
+def luminance(pixels):
+    """Y = 0.299 R + 0.587 G + 0.114 B on byte values."""
+    p = pixels.astype(np.float64)
+    return 0.299 * p[..., 0] + 0.587 * p[..., 1] + 0.114 * p[..., 2]
+
+
+def descriptors(img, grid, color_bins: int, gradient_bins: int) -> np.ndarray:
+    """Per-patch reference for ``imaging.extract_descriptors``: every
+    per-pixel array fresh, planes filled with ``np.add.at`` and one
+    summed-area lookup per patch."""
+    from corrmatch.geometry import patch_at
+
+    lab_planes = lab(img.pixels)
     g_lo, g_hi, g_wlo, g_whi, grad_mag = _gradient_orientation(luminance(img.pixels),
                                                                gradient_bins)
     h, w = img.height, img.width
     n_color = 3 * color_bins
     planes = np.zeros((n_color + gradient_bins, h, w))
     rows_idx, cols_idx = np.indices((h, w))
-    for ch, (lo, hi) in enumerate(_LAB_RANGES):
-        b_lo, b_hi, w_lo, w_hi = _soft_channel_weights(lab[..., ch], lo, hi, color_bins)
+    for ch, (lo, hi) in enumerate(((0.0, 100.0), (-128.0, 128.0), (-128.0, 128.0))):
+        b_lo, b_hi, w_lo, w_hi = _soft_channel_weights(lab_planes[..., ch], lo, hi, color_bins)
         np.add.at(planes, (ch * color_bins + b_lo, rows_idx, cols_idx), w_lo)
         np.add.at(planes, (ch * color_bins + b_hi, rows_idx, cols_idx), w_hi)
     np.add.at(planes, (n_color + g_lo, rows_idx, cols_idx), g_wlo * grad_mag)

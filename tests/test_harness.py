@@ -11,7 +11,7 @@ from corrmatch.errors import ConfigurationError
 from corrmatch.harness import (DescriptorBank, colocated_links, generate_synthetic,
                                load_manifest, make_splits, simple_average_structure,
                                train_split_metric)
-from corrmatch.imaging import load_image
+from corrmatch.imaging import extract_descriptors, load_image, scale_to_canonical
 from corrmatch.matching import BinaryMappingStructure
 
 SMALL = RunConfig(seed=1)
@@ -213,6 +213,12 @@ def test_simple_average_structure_rows():
     assert np.count_nonzero(s.probs) == 2 * 84
 
 
+def fresh_descriptors(path, camera, config=SMALL):
+    grid = config.probe_grid() if camera == "A" else config.gallery_grid()
+    img = scale_to_canonical(load_image(path), grid)
+    return extract_descriptors(img, grid, config.color_bins, config.gradient_bins)
+
+
 def test_descriptor_bank_caches_and_reuses(tmp_path):
     manifest, _ = make_synthetic_manifest(tmp_path, n=4)
     bank = DescriptorBank(manifest, SMALL)
@@ -221,21 +227,59 @@ def test_descriptor_bank_caches_and_reuses(tmp_path):
     assert d1 is d2
     assert d1.shape == (84, 32)
     assert bank.descriptors_for(manifest.image_path("id0000", "B"), "B").shape == (297, 32)
+    # A stack's rows are the only copy of the descriptors it extracted: the
+    # cache holds read-only views of them.
+    ids = manifest.identities()
+    stacks = bank.stacks(ids[1:])
+    for stack, camera in zip(stacks, "AB"):
+        for row, identity in zip(stack, ids[1:]):
+            cached = bank.descriptors_for(manifest.image_path(identity, camera), camera)
+            assert np.shares_memory(row, cached) and np.array_equal(row, cached)
+            assert not cached.flags.writeable
+        with pytest.raises(ValueError):
+            stack[0, 0, 0] = 1.0
+    # A second batch over overlapping identities copies the cached rows.
+    for stack, camera in zip(bank.stacks(ids), "AB"):
+        assert not any(np.shares_memory(stack, earlier) for earlier in stacks)
+        for row, identity in zip(stack, ids):
+            assert np.array_equal(row, fresh_descriptors(manifest.image_path(identity, camera),
+                                                         camera))
+        with pytest.raises(ValueError):
+            stack[-1] += 1.0
 
 
-# Run in a fresh interpreter: one image first, so imports and the allocator
-# are warm, then a 40-image batch through one bank.  Prints minor page
-# faults per image of the batch.
+def test_descriptor_bank_copies_each_cached_image_into_a_batch(tmp_path):
+    # p1 and p2 share one camera-A file; p1 has a second camera-B image, so
+    # the gallery pool after the stacks meets two cached images and one new.
+    make_synthetic_manifest(tmp_path, n=3)
+    rows = [("p1", "A", "imgs/id0000_A.ppm"), ("p1", "B", "imgs/id0000_B.ppm"),
+            ("p1", "B", "imgs/id0001_B.ppm"), ("p2", "A", "imgs/id0000_A.ppm"),
+            ("p2", "B", "imgs/id0002_B.ppm")]
+    manifest = load_manifest(write_manifest(tmp_path / "data", rows, "shared.csv"))
+    bank = DescriptorBank(manifest, SMALL)
+    probes, galleries = bank.stacks(["p1", "p2"])
+    pool, owners = bank.gallery_pool(["p1", "p2"])
+    first_a = fresh_descriptors(manifest.image_path("p1", "A"), "A")
+    assert np.array_equal(probes[0], first_a) and np.array_equal(probes[1], first_a)
+    assert not np.shares_memory(probes[0], probes[1])
+    assert owners.tolist() == [0, 0, 1]
+    paths = manifest.image_paths("p1", "B") + manifest.image_paths("p2", "B")
+    assert np.array_equal(galleries, pool[[0, 2]])
+    for row, path in zip(pool, paths):
+        assert np.array_equal(row, fresh_descriptors(path, "B"))
+    assert not (probes.flags.writeable or galleries.flags.writeable or pool.flags.writeable)
+
+
+# Run in a fresh interpreter, with no image before it: a 40-image batch
+# through one bank.  Prints minor page faults per image of the batch.
 _FAULTS_SCRIPT = """
 import resource, sys
 from corrmatch.config import RunConfig
 from corrmatch.harness import DescriptorBank, load_manifest
 manifest = load_manifest(sys.argv[1])
-ids = manifest.identities()
-DescriptorBank(manifest, RunConfig()).descriptors_for(manifest.image_path(ids[0], "A"), "A")
 bank = DescriptorBank(manifest, RunConfig())
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-bank.stacks(ids[1:21])
+bank.stacks(manifest.identities())
 print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 40)
 """
 
@@ -244,15 +288,19 @@ print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 40)
 def test_descriptor_batch_reuses_its_memory(tmp_path):
     # Fresh arrays per image (planes, summed-area table, about 3.6 MB) went
     # back to the operating system between images and faulted in again:
-    # about 1,370 minor faults per image.  One workspace per batch pays that
-    # once; measured at about 38 per image, the workspace's own included.
-    generate_synthetic(tmp_path, 21, 0, 0.05, seed=3)
+    # about 1,370 minor faults per image.  One workspace per batch paid that
+    # once, but each image still allocated about twenty per-pixel arrays and
+    # a second copy of its descriptors: about 125 faults per image in a
+    # fresh process's first batch.  With the per-pixel scratch in the
+    # workspace and each image extracted into its stack row, about 30,
+    # the workspace and the stacks included.
+    generate_synthetic(tmp_path, 20, 0, 0.05, seed=3)
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
            "PYTHONPATH": os.pathsep.join([str(Path(__file__).parents[1] / "src"),
                                           os.environ.get("PYTHONPATH", "")])}
     out = subprocess.run([sys.executable, "-c", _FAULTS_SCRIPT, str(tmp_path / "manifest.csv")],
                          env=env, capture_output=True, text=True, check=True).stdout
-    assert float(out) <= 300
+    assert float(out) <= 80
 
 
 _MA_SCRIPT = """

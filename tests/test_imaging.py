@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corrmatch.geometry import GridSpec
-from corrmatch.imaging import (MalformedHeaderError, PpmError, RgbImage,
+from corrmatch.geometry import GridSpec, patch_cells
+from corrmatch.imaging import (DescriptorWorkspace, MalformedHeaderError, PpmError, RgbImage,
                                TruncatedPayloadError, UnsupportedFormatError, decode_ppm,
-                               extract_descriptors, load_image, luminance, rgb_to_lab,
-                               save_image, scale_to_canonical)
+                               extract_descriptors, load_image, rgb_to_lab, save_image,
+                               scale_to_canonical)
 
 import oracles
 from blobs import mutated
@@ -220,7 +220,7 @@ def test_vertical_step_edge_matches_reference_histogram():
     pixels[:, 24:, :] = 255  # vertical black/white edge at x = 24
     img = make_image(pixels)
     desc = extract_descriptors(img, CANONICAL, 8, 8)
-    y_plane = luminance(pixels)
+    y_plane = oracles.luminance(pixels)
     # probe patch (row 0, col 3) covers x in [18, 36): the edge crosses it
     ref = reference_orientation_histogram(y_plane, 18, 0, 18, 24)
     assert np.allclose(desc[3, 24:], ref, atol=1e-12)
@@ -233,7 +233,7 @@ def test_descriptor_matches_scalar_reference_on_random_image():
     pixels = rng.integers(0, 256, size=(128, 48, 3)).astype(np.uint8)
     desc = extract_descriptors(make_image(pixels), CANONICAL, 8, 8)
     lab = rgb_to_lab(pixels)
-    y_plane = luminance(pixels)
+    y_plane = oracles.luminance(pixels)
     for k in (0, 17, 42, 83):
         ref = patch_ref_origin(k)
         x0, y0 = ref
@@ -265,7 +265,7 @@ def test_hue_change_with_same_luminance_leaves_gradient_block():
     colored[..., 0] += 30.0 * 0.114 / 0.299
     colored[..., 2] -= 30.0
     colored = np.clip(colored, 0, 255)
-    assert np.allclose(luminance(colored), luminance(gray), atol=0.5)
+    assert np.allclose(oracles.luminance(colored), oracles.luminance(gray), atol=0.5)
     d_gray = extract_descriptors(make_image(gray), CANONICAL, 8, 8)
     d_col = extract_descriptors(make_image(np.round(colored).astype(np.uint8)), CANONICAL, 8, 8)
     # gradient blocks nearly identical, color blocks clearly different
@@ -277,6 +277,75 @@ def test_grid_size_mismatch_rejected():
     img = make_image(np.zeros((64, 48, 3)))
     with pytest.raises(ValueError):
         extract_descriptors(img, CANONICAL, 8, 8)
+
+
+@st.composite
+def canvases(draw):
+    """A grid over a canvas of 2 to 40 pixels a side (np.gradient needs two)."""
+    width, height = draw(st.integers(2, 40)), draw(st.integers(2, 40))
+    patch_w, patch_h = draw(st.integers(1, width)), draw(st.integers(1, height))
+
+    def stride(extent):
+        return draw(st.sampled_from([d for d in range(1, extent + 1) if extent % d == 0] or [1]))
+
+    return GridSpec(width, height, patch_w, patch_h, stride(width - patch_w),
+                    stride(height - patch_h))
+
+
+@settings(max_examples=60, deadline=None)
+@given(grid=canvases(), color_bins=st.integers(1, 9), gradient_bins=st.integers(1, 9),
+       kinds=st.lists(st.sampled_from(["random", "blocks", "flat", "saturated"]),
+                      min_size=1, max_size=4),
+       seed=st.integers(0, 2**32 - 1))
+def test_extraction_into_stack_rows_is_bit_for_bit(grid, color_bins, gradient_bins, kinds, seed):
+    # As in a descriptor batch: one workspace serves the images back to back
+    # and each lands in its row of one stack.  Every row must equal a call
+    # that allocates everything itself.
+    rng = np.random.default_rng(seed)
+    h, w = grid.image_height, grid.image_width
+    workspace = DescriptorWorkspace(h, w, color_bins, gradient_bins)
+    stack = np.full((len(kinds), grid.n_patches, 3 * color_bins + gradient_bins), np.nan)
+    images = []
+    for row, kind in zip(stack, kinds):
+        pixels = rng.integers(0, 256, size=(h, w, 3))
+        if kind == "blocks":  # patches inside one block have no gradient
+            pixels = np.repeat(np.repeat(pixels[::4, ::4], 4, axis=0), 4, axis=1)[:h, :w]
+        elif kind == "flat":
+            pixels[:] = pixels[0, 0]
+        elif kind == "saturated":
+            pixels = np.where(pixels < 128, 0, 255)
+        images.append(make_image(pixels))
+        got = extract_descriptors(images[-1], grid, color_bins, gradient_bins,
+                                  workspace=workspace, out=row)
+        assert got is row
+    for row, img in zip(stack, images):
+        assert np.array_equal(row, extract_descriptors(img, grid, color_bins, gradient_bins))
+
+
+def test_flat_patches_beside_texture_have_an_all_zero_gradient_block():
+    # Texture left of column 29, one color from there on: the summed-area
+    # differences of the flat patches round to tiny values of either sign,
+    # and a gradient block whose total is not positive must read all zeros.
+    pixels = np.random.default_rng(3).integers(0, 256, size=(128, 48, 3))
+    pixels[:, 29:] = pixels[0, 29]
+    img, grid = make_image(pixels), GridSpec(48, 128, 12, 16, 6, 8)
+    desc = extract_descriptors(img, grid, 8, 8)
+    assert np.array_equal(desc, oracles.descriptors(img, grid, 8, 8))
+    flat = patch_cells(grid)[1] * grid.stride_x >= 30  # no gradient past column 29
+    assert flat.any() and np.all(desc[flat, 24:] == 0.0)
+
+
+def test_extraction_rejects_a_bad_out():
+    img = make_image(np.random.default_rng(7).integers(0, 256, size=(128, 48, 3)))
+    read_only = np.empty((84, 32))
+    read_only.flags.writeable = False
+    for out in (np.empty((84, 31)), np.empty((297, 32)), np.empty((84, 32), dtype=np.float32),
+                np.empty((32, 84)).T, np.empty((84, 64))[:, ::2], read_only):
+        with pytest.raises(ValueError):
+            extract_descriptors(img, CANONICAL, 8, 8, out=out)
+    out = np.empty((84, 32))
+    assert extract_descriptors(img, CANONICAL, 8, 8, out=out) is out
+    assert np.array_equal(out, extract_descriptors(img, CANONICAL, 8, 8))
 
 
 def test_lab_conversion_known_values():
@@ -293,13 +362,4 @@ def test_lab_conversion_reads_each_byte_as_the_srgb_formula_does(shape):
     # formula evaluated over a whole image, whatever the image's size.
     pixels = np.random.default_rng(2).integers(0, 256, size=shape, dtype=np.uint8)
     pixels.reshape(-1)[:256] = np.arange(256)[:pixels.size]  # every byte value, where it fits
-    rgb = pixels.astype(np.float64) / 255.0
-    linear = np.where(rgb <= 0.04045, rgb / 12.92, ((rgb + 0.055) / 1.055) ** 2.4)
-    m = np.array([[0.4124564, 0.3575761, 0.1804375],
-                  [0.2126729, 0.7151522, 0.0721750],
-                  [0.0193339, 0.1191920, 0.9503041]])
-    t = (linear @ m.T) / np.array([0.95047, 1.0, 1.08883])
-    f = np.where(t > (6 / 29) ** 3, np.cbrt(t), t / (3 * (6 / 29) ** 2) + 4 / 29)
-    expect = np.stack([116.0 * f[..., 1] - 16.0, 500.0 * (f[..., 0] - f[..., 1]),
-                       200.0 * (f[..., 1] - f[..., 2])], axis=-1)
-    assert np.array_equal(rgb_to_lab(pixels), expect)
+    assert np.array_equal(rgb_to_lab(pixels), oracles.lab(pixels))
