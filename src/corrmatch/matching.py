@@ -25,12 +25,9 @@ from .metric import MAX_EXPONENT, MetricModel
 from .structure import CorrespondenceStructure
 
 # Budget of one cell_log_similarity chunk: cells times the largest per-cell
-# temporary, (probe images, gallery images), (gallery images, dim) or
-# (dim, dim) values.
+# temporary, (probe images, gallery images), (gallery images, width) or (dim,
+# width) values; width is dim padded to a multiple of 8 (MetricModel.factors).
 _CHUNK_VALUES = 1 << 16
-# An entry whose factor-space distance is at most this share of its two
-# signed squared norms is a candidate pair of identical descriptors.
-_SAME_SHARE = 1e-9
 
 
 @dataclass(frozen=True)
@@ -60,25 +57,20 @@ def _even_rows(stack: np.ndarray) -> np.ndarray:
     return np.concatenate((stack, np.zeros_like(stack[..., :1, :])), axis=-2)
 
 
-def _log_similarity(probe_side, b, signed_b, sigmas, identical, out: np.ndarray) -> np.ndarray:
+def _log_similarity(probe_side, b, signed_b, sigmas, out: np.ndarray) -> np.ndarray:
     """log similarity into ``out`` (C, P, G) of C blocks of P probe against
     G gallery descriptors, from ``probe_side`` (s * a, sum(s a**2)), the
-    gallery projections ``b`` (C, G, dim) and their signed products s * b:
+    gallery projections ``b`` (C, G, width) and their signed products s * b:
     d . M . d = sum(s a**2) + sum(s b**2) - 2 sum(s a b), each sum a
-    BLAS-free einsum over a contiguous last axis, clamped at 0.  Equal
-    descriptors give exactly 0; as a backstop, so does ``identical(k, p,
-    g)`` within ``_SAME_SHARE`` of the two norms."""
+    BLAS-free einsum over a contiguous last axis, clamped at 0 (an
+    indefinite metric dips below it).  A descriptor's padded projection has
+    the same bits in every product, so equal ones give (n + n) - 2n = 0."""
     signed, norms = probe_side
     g_norms = np.einsum("cgd,cgd->cg", signed_b, b, optimize=False)[:, None]
     cross = np.einsum("cpd,cgd->cpg", signed, b, optimize=False)
     cross *= 2.0
     dist = np.add(norms[:, :, None], g_norms, out=out)
-    dist -= cross  # cross's block now holds the identity tolerance
-    tolerance = np.add(np.abs(norms)[:, :, None], np.abs(g_norms), out=cross)
-    tolerance *= _SAME_SHARE
-    k, p, g = np.nonzero(dist <= tolerance)
-    same = identical(k, p, g)
-    dist[k[same], p[same], g[same]] = 0.0
+    dist -= cross
     np.maximum(dist, 0.0, out=dist)
     dist /= sigmas
     return np.negative(np.minimum(dist, MAX_EXPONENT, out=dist), out=dist)
@@ -89,22 +81,21 @@ def cell_log_similarity(table: CellTable, rows: np.ndarray, cols: np.ndarray) ->
     patch cols[c] for every probe image against every gallery image, shape
     (n_cells, n_probe_images, n_gallery_images), in the metric's factor
     space: the table's probe side against one even-row (G, dim) @ (dim,
-    dim) gallery projection per cell.  A cell's values do not depend on the
-    images, cells or chunk (``_CHUNK_VALUES``) it is computed with.
+    width) gallery projection per cell, width being dim padded to a
+    multiple of 8 (``MetricModel.factors``).  A cell's values do not depend
+    on the images, cells or chunk (``_CHUNK_VALUES``) it is computed with.
     """
-    probe_stack, gallery_stack, model = table.probe_stack, table.gallery_stack, table.model
     rows, cols = np.asarray(rows), np.asarray(cols)
-    factors, signs = model.factors
-    out = np.empty((len(rows), len(probe_stack), len(gallery_stack)))
-    per_cell = max(out.shape[1] * out.shape[2], out.shape[2] * model.dim, model.dim ** 2)
+    model, (factors, signs) = table.model, table.model.factors
+    out = np.empty((len(rows), table.n_probe, table.n_gallery))
+    per_cell = max(out.shape[1] * out.shape[2], signs.shape[1] * max(out.shape[2], model.dim))
     step = max(1, _CHUNK_VALUES // per_cell)
     for lo in range(0, len(rows), step):
         r, c = rows[lo:lo + step], cols[lo:lo + step]
-        gallery = gallery_stack[:, c].swapaxes(0, 1)  # (C, G, dim)
+        gallery = table.gallery_stack[:, c].swapaxes(0, 1)  # (C, G, dim)
         b = np.matmul(_even_rows(gallery), factors[r])[:, :out.shape[2]]
         _log_similarity([x[:, r].swapaxes(0, 1) for x in table.probe_side], b,
                         b * signs[r][:, None], model.sigmas[r][:, None, None],
-                        lambda k, p, g: (probe_stack[p, r[k]] == gallery[k, g]).all(axis=1),
                         out[lo:lo + step])
     return out
 
@@ -116,17 +107,15 @@ def correct_pair_log_similarity(table: CellTable) -> np.ndarray:
     gallery patch per location."""
     if table.n_probe != table.n_gallery or not table.n_probe:
         raise ValueError(f"{table.n_probe} probe images for {table.n_gallery} gallery images")
-    probe_stack, gallery_stack, model = table.probe_stack, table.gallery_stack, table.model
-    factors, signs = model.factors
-    n_pairs, n_b, dim = gallery_stack.shape
-    patches = _even_rows(gallery_stack.reshape(-1, dim))
-    product, signed = np.empty_like(patches), np.empty((n_pairs, n_b, dim))
+    factors, signs = table.model.factors
+    (n_pairs, n_b, dim), width = table.gallery_stack.shape, signs.shape[1]
+    patches = _even_rows(table.gallery_stack.reshape(-1, dim))
+    product, signed = np.empty((len(patches), width)), np.empty((n_pairs, n_b, width))
     out = np.empty((n_pairs, table.n_a, n_b))
     for i in range(table.n_a):  # both buffers are rewritten in place: no fresh 2 MB per location
-        b = np.matmul(patches, factors[i], out=product)[:n_pairs * n_b].reshape(n_pairs, n_b, dim)
+        b = np.matmul(patches, factors[i], out=product)[:n_pairs * n_b].reshape(n_pairs, n_b, -1)
         _log_similarity([x[:, i:i + 1] for x in table.probe_side], b,
-                        np.multiply(b, signs[i], out=signed), model.sigmas[i],
-                        lambda k, p, g: (probe_stack[k, i] == gallery_stack[k, g]).all(axis=1),
+                        np.multiply(b, signs[i], out=signed), table.model.sigmas[i],
                         out[:, i:i + 1])
     return out
 

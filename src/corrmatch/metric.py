@@ -91,13 +91,16 @@ class MetricModel:
 
     @cached_property
     def factors(self) -> tuple[np.ndarray, np.ndarray]:
-        """(L, s) of shapes (n_locations, dim, dim) and (n_locations, dim)
-        with matrices[i] = L[i] diag(s[i]) L[i].T: from each matrix's
-        eigendecomposition V diag(lam) V.T, L = V sqrt(|lam|) and s =
-        sign(lam).  Computed once per model from the matrices' bits, so a
-        loaded model factors as the trained one did; never saved."""
+        """(L, s) of shapes (n_locations, dim, width) and (n_locations, width)
+        with matrices[i] = L[i] diag(s[i]) L[i].T from each eigendecomposition
+        V diag(lam) V.T: L = V sqrt(|lam|) and s = sign(lam), padded with zero
+        columns to width = dim rounded up to a multiple of 8, so a gemm's rows
+        keep their bits at every even row count.  Computed once per model from
+        the matrices' bits (a loaded model factors as the trained one); unsaved."""
         eigvals, eigvecs = np.linalg.eigh(self.matrices)
-        return eigvecs * np.sqrt(np.abs(eigvals))[:, None, :], np.sign(eigvals)
+        pad = (0, 0), (0, -self.dim % 8)
+        return (np.pad(eigvecs * np.sqrt(np.abs(eigvals))[:, None, :], ((0, 0), *pad)),
+                np.pad(np.sign(eigvals), pad))
 
 
 def _distances(matrix: np.ndarray, d: np.ndarray) -> np.ndarray:

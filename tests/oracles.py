@@ -221,14 +221,14 @@ def factor_cell_values(probe_stack, gallery_stack, model, rows, cols) -> np.ndar
     n_gallery_images).
 
     Cell (i, j) factors location i's metric (the global one for a fallback
-    location, picked here) as M = L diag(s) L.T from its own ``eigh``.  One
+    location, picked here) as M = L diag(s) L.T from its own ``eigh``, with L
+    and s padded with zero columns to dim rounded up to a multiple of 8.  One
     formula: each descriptor is projected alone, as the first row of a
-    (2, dim) @ (dim, dim) product whose second row is zero, since a gemm's
-    rows take values independent of an even row count; every sum over dim is
-    one ``np.einsum`` of two contiguous rows, which never calls BLAS.  The
-    distance sum(s a**2) + sum(s b**2) - 2 sum(s a b) is 0 for equal
-    descriptors found within 1e-9 of sum(a**2) + sum(b**2), then clamped at
-    0, scaled by sigma and capped at 700.
+    (2, dim) @ (dim, width) product whose second row is zero, since a gemm's
+    rows take values independent of an even row count; every sum over width
+    is one ``np.einsum`` of two contiguous rows, which never calls BLAS.  The
+    distance sum(s a**2) + sum(s b**2) - 2 sum(s a b) is clamped at 0, scaled
+    by sigma and capped at 700.
     """
     def project(descriptor, factor):
         return (np.stack((descriptor, np.zeros_like(descriptor))) @ factor)[0]
@@ -243,15 +243,14 @@ def factor_cell_values(probe_stack, gallery_stack, model, rows, cols) -> np.ndar
         else:
             matrix, sigma = model.matrices[i], float(model.sigmas[i])
         eigvals, eigvecs = np.linalg.eigh(matrix)
-        factor, sign = eigvecs * np.sqrt(np.abs(eigvals)), np.sign(eigvals)
+        pad = -len(eigvals) % 8
+        factor = np.pad(eigvecs * np.sqrt(np.abs(eigvals)), ((0, 0), (0, pad)))
+        sign = np.pad(np.sign(eigvals), (0, pad))
         for p, probe in enumerate(probe_stack):
             a = project(probe[i], factor)
             for g, gallery in enumerate(gallery_stack):
                 b = project(gallery[j], factor)
                 dist = (dot(sign * a, a) + dot(sign * b, b)) - 2.0 * dot(sign * a, b)
-                if (dist <= 1e-9 * (dot(a, a) + dot(b, b))
-                        and np.array_equal(probe[i], gallery[j])):
-                    dist = 0.0
                 out[c, p, g] = -min(max(dist, 0.0) / sigma, 700.0)
     return out
 

@@ -128,7 +128,7 @@ def test_cell_table_reads_equal_fresh_values(seed, n_probe, n_gallery, n_a, n_b,
 
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n_a=st.integers(1, 3), n_b=st.integers(1, 4),
-       dim=st.sampled_from([1, 2, 3, 5, 9, 32]),
+       dim=st.sampled_from([1, 2, 3, 5, 9, 17, 27, 32, 33, 35]),
        budget=st.sampled_from([1, 7, 40, matching._CHUNK_VALUES]))
 def test_cell_values_do_not_depend_on_the_table_shape(seed, n_a, n_b, dim, budget):
     # One formula whatever the table holds: every G in 1-30 gallery images,
@@ -168,23 +168,35 @@ def indefinite_model(rng, n_loc: int, dim: int) -> MetricModel:
 
 @pytest.mark.parametrize("make_model", [random_model, indefinite_model])
 def test_equal_descriptors_score_exactly_minus_zero(make_model):
-    # Each gallery image repeats a probe image, so every diagonal cell pairs
-    # equal descriptors.  Their projections come from products of different
-    # shapes, so the factor-space distance of an equal pair can round to a
-    # small positive number; the kernel must still give log similarity -0.0.
-    rng = np.random.default_rng(21)
-    n_images, n_patches, dim = 12, 6, 32
-    model = make_model(rng, n_patches, dim)
-    assert np.any(np.linalg.eigvalsh(model.matrices) < 0) == (make_model is indefinite_model)
-    probe = 100.0 * rng.random((n_images, n_patches, dim))
-    gallery = probe[rng.permutation(n_images)]
-    diagonal = np.arange(n_patches)
-    got = matching.cell_log_similarity(matching.CellTable(probe, gallery, model), diagonal,
-                                       diagonal)
-    by_cell = probe.transpose(1, 0, 2)[:, :, None], gallery.transpose(1, 0, 2)[:, None]
-    equal = (by_cell[0] == by_cell[1]).all(axis=3)  # (cell, probe image, gallery image)
-    assert equal.sum() == n_patches * n_images
-    assert np.all(got[equal] == 0.0) and np.all(np.signbit(got[equal]))
+    # Equal descriptors are planted in products of other shapes: 12 probe
+    # images against 30 gallery images in the cell kernel, and each probe
+    # patch in 4 of 297 gallery patches of 30 images, an 8,910-row gemm,
+    # in the correct-pair table.  Padded to a multiple of 8 columns, their
+    # projections keep their bits, so the factor-space distance of an equal
+    # pair is (n + n) - 2n, exactly 0, and its log similarity -0.0 with no
+    # tolerance and no descriptor comparison.  Unpadded, dims 17, 33 and 35
+    # moved gemm rows with the row count under OpenBLAS's SkylakeX kernels.
+    n_patches, n_b = 6, 297
+    for dim in (9, 17, 32, 33, 35):
+        rng = np.random.default_rng(21)
+        model = make_model(rng, n_patches, dim)
+        assert np.any(np.linalg.eigvalsh(model.matrices) < 0) == (make_model is indefinite_model)
+        probe = 100.0 * rng.random((30, n_patches, dim))
+        gallery = np.concatenate((probe[rng.permutation(12)],
+                                  100.0 * rng.random((18, n_patches, dim))))
+        diagonal = np.arange(n_patches)
+        got = matching.cell_log_similarity(matching.CellTable(probe[:12], gallery, model),
+                                           diagonal, diagonal)
+        by_cell = probe[:12].transpose(1, 0, 2)[:, :, None], gallery.transpose(1, 0, 2)[:, None]
+        equal = (by_cell[0] == by_cell[1]).all(axis=3)  # (cell, probe image, gallery image)
+        assert equal.sum() == n_patches * 12
+        assert np.all(got[equal] == 0.0) and np.all(np.signbit(got[equal])), f"dim {dim}"
+        targets = rng.permutation(n_b)[:4 * n_patches].reshape(n_patches, 4)
+        gallery = 100.0 * rng.random((30, n_b, dim))
+        gallery[:, targets] = probe[:, :, None]
+        pairs = correct_pair_log_similarity(matching.CellTable(probe, gallery, model))
+        equal = pairs[:, diagonal[:, None], targets]
+        assert np.all(equal == 0.0) and np.all(np.signbit(equal)), f"dim {dim}"
 
 
 @settings(max_examples=40, deadline=None)

@@ -326,9 +326,12 @@ def test_factors_rebuild_each_matrix_and_survive_a_round_trip(tmp_path):
     model = MetricModel(matrices=mats, sigmas=np.ones(n_loc), global_matrix=mats[0],
                         global_sigma=1.0)
     factors, signs = model.factors
+    assert factors.shape == (n_loc, dim, 8) and signs.shape == (n_loc, 8)
     rebuilt = (factors * signs[:, None, :]) @ factors.transpose(0, 2, 1)
     assert np.allclose(rebuilt, model.matrices, rtol=0.0, atol=1e-12)
-    assert set(signs.ravel().tolist()) == {-1.0, 1.0}
+    assert set(signs[:, :dim].ravel().tolist()) == {-1.0, 1.0}
+    # zero columns pad dim to a multiple of 8 and add nothing to the form
+    assert np.all(factors[:, :, dim:] == 0.0) and np.all(signs[:, dim:] == 0.0)
     with pytest.raises(ValueError):  # read-only, so the cached factors cannot go stale
         model.matrices[0, 0, 0] = 1.0
     save_metric(tmp_path / "m.bin", model)
