@@ -8,7 +8,9 @@ simple-average, no-global, and proposed.
 """
 from __future__ import annotations
 
+import codecs
 import csv
+import io
 import json
 import os
 from dataclasses import dataclass
@@ -68,24 +70,31 @@ class DatasetManifest:
 def load_manifest(path) -> DatasetManifest:
     """Read and validate a dataset manifest CSV.
 
-    Paths are resolved relative to the manifest file.  Every identity must
-    appear in both cameras; extra images per (identity, camera) are kept
+    The file is UTF-8, with or without a BOM, and a problem names its 1-based
+    line.  Paths are resolved relative to the manifest file.  Every identity
+    must appear in both cameras; extra images per (identity, camera) are kept
     (``image_path`` gives the first, ``image_paths`` all of them).
     """
     base = os.path.dirname(os.path.abspath(path))
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        rows = [row for row in reader if row]
+    with open(path, "rb") as fh:
+        data = fh.read().removeprefix(codecs.BOM_UTF8)
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ConfigurationError(f"manifest {path} line {line} is not UTF-8: {exc.reason}") from None
+    reader = csv.reader(io.StringIO(text, newline=""))
+    rows = [(reader.line_num, row) for row in reader if row]
     if not rows:
         raise ConfigurationError(f"manifest {path} is empty")
-    header = [c.strip() for c in rows[0]]
+    header = [c.strip() for c in rows[0][1]]
     if header != ["identity", "camera", "path"]:
         raise ConfigurationError(f"manifest header must be identity,camera,path, got {header}")
 
     entries = []
     problems = []
     seen_pairs: set[tuple[str, str]] = set()
-    for lineno, row in enumerate(rows[1:], start=2):
+    for lineno, row in rows[1:]:
         if len(row) != 3:
             problems.append(f"line {lineno}: expected 3 columns")
             continue

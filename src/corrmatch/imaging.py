@@ -56,10 +56,14 @@ class RgbImage:
 
 
 def load_image(path) -> RgbImage:
-    """Decode a binary PPM (P6, maxval 255) file bit-exactly."""
+    """Decode a binary PPM (P6, maxval 255) file bit-exactly.  A ``PpmError``
+    keeps its type and names the file."""
     with open(path, "rb") as fh:
         data = fh.read()
-    return decode_ppm(data)
+    try:
+        return decode_ppm(data)
+    except PpmError as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
 
 
 def decode_ppm(data: bytes) -> RgbImage:

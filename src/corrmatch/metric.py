@@ -11,8 +11,9 @@ fall back to one global metric pooled over all locations.
 
 Scoring computes d . M . d by one kernel in ``matching``, in the factor
 space M = L diag(s) L.T (``MetricModel.factors``), so a patch pair has one
-value wherever it is scored.  Only ``train_metric``'s scales take it on
-descriptor differences, pairing each probe with its own gallery.
+value wherever it is scored.  ``train_metric``'s scales take the mean of
+d . M . d over a location's similar pairs as <M, G> / n from the Gram matrix
+G it learns M from, and never form d . M . d itself.
 """
 from __future__ import annotations
 
@@ -103,11 +104,6 @@ class MetricModel:
                 np.pad(np.sign(eigvals), pad))
 
 
-def _distances(matrix: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """max(d . M . d, 0) over the last axis of a stack of differences."""
-    return np.maximum(np.einsum("...k,...k->...", d @ matrix, d), 0.0)
-
-
 def _ridge(matrix: np.ndarray) -> np.ndarray:
     dim = matrix.shape[-1]
     gamma = RIDGE_FACTOR * np.trace(matrix, axis1=-2, axis2=-1) / dim
@@ -128,9 +124,13 @@ def _learn_matrix(similar_moment: np.ndarray, dissimilar_moment: np.ndarray) -> 
     return (clipped + clipped.swapaxes(-1, -2)) / 2.0
 
 
-def _scale(dist: np.ndarray, sigma_scale: float) -> float:
-    """Bandwidth from the mean clamped distance of similar pairs."""
-    return max(sigma_scale * float(dist.mean()), SIGMA_FLOOR)
+def _scale(matrix: np.ndarray, gram: np.ndarray, count: int, sigma_scale: float) -> float:
+    """Bandwidth from the mean similar-pair distance: the sum of d . M . d over
+    n pairs is <M, G> for their Gram matrix G = sum of d.T d, taken by a
+    BLAS-free einsum so its summation order is fixed.  M is PSD (``_learn_matrix``
+    projects it), so the sum is not negative beyond rounding; the floor bounds it."""
+    total = np.einsum("ij,ij->", matrix, gram, optimize=False)
+    return max(sigma_scale * float(total / count), SIGMA_FLOOR)
 
 
 def train_metric(similar_diffs, dissimilar_diffs, sigma_scale: float) -> MetricModel:
@@ -142,7 +142,8 @@ def train_metric(similar_diffs, dissimilar_diffs, sigma_scale: float) -> MetricM
     it falls back to the global metric pooled over all locations.
     ``sigma_scale`` scales the mean similar-pair distance into the
     exp(-d / sigma) bandwidth (``RunConfig.sigma_scale`` says why).  Each
-    location is read twice, for its Gram matrices d.T @ d, then its scales.
+    location is read once, for its Gram matrices d.T @ d: the matrices and the
+    scales both come from them.
     """
     if len(similar_diffs) != len(dissimilar_diffs):
         raise ValueError("similar and dissimilar lists must align per location")
@@ -162,17 +163,15 @@ def train_metric(similar_diffs, dissimilar_diffs, sigma_scale: float) -> MetricM
     dim = dims.pop()
 
     # Second moments (about zero); the pooled sums run over locations in order.
-    global_matrix = _learn_matrix(*(sum(g[s] for g in grams) / counts[:, s].sum() for s in (0, 1)))
+    pooled, totals = [sum(g[s] for g in grams) for s in (0, 1)], counts.sum(axis=0)
+    global_matrix = _learn_matrix(pooled[0] / totals[0], pooled[1] / totals[1])
+    global_sigma = _scale(global_matrix, pooled[0], totals[0], sigma_scale)
     fallback = (counts < dim + 1).any(axis=1)
     own = np.flatnonzero(~fallback)
-    matrices, sigmas, pooled = np.empty((n_loc, dim, dim)), np.empty(n_loc), []
+    matrices, sigmas = np.empty((n_loc, dim, dim)), np.empty(n_loc)
     matrices[own] = _learn_matrix(*(np.array([grams[i][s] / counts[i, s] for i in own])
                                     .reshape(-1, dim, dim) for s in (0, 1)))
-    for i, sim in enumerate(similar_diffs):
-        pooled.append(_distances(global_matrix, sim))
-        if not fallback[i]:
-            sigmas[i] = _scale(_distances(matrices[i], sim), sigma_scale)
-    global_sigma = _scale(np.concatenate(pooled), sigma_scale)
+    sigmas[own] = [_scale(matrices[i], grams[i][0], counts[i, 0], sigma_scale) for i in own]
     matrices[fallback], sigmas[fallback] = global_matrix, global_sigma
     return MetricModel(matrices=matrices, sigmas=sigmas, global_matrix=global_matrix,
                        global_sigma=global_sigma, fallback=fallback)

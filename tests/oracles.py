@@ -145,31 +145,49 @@ def training_pairs(probe_descriptors, gallery_descriptors, wrong_gallery_descrip
 
 def train_metric(similar_diffs, dissimilar_diffs, sigma_scale: float):
     """One-pass reference for ``metric.train_metric``: every location's
-    differences held at once, each moment a sum of d.T @ d over locations in
-    order, each scale the mean over the concatenated clamped distances."""
+    differences held at once, each Gram matrix a sum of d.T @ d over locations
+    in order, each location learned on its own.  A scale is sigma_scale times
+    <M, G> / n, the mean of d . M . d over the n similar pairs of Gram matrix
+    G (``difference_form_scale`` takes that mean pair by pair)."""
     from corrmatch.metric import SIGMA_FLOOR, MetricModel, _learn_matrix
 
-    def moment(diffs):
-        return sum(d.T @ d for d in diffs) / sum(len(d) for d in diffs)
+    def gram(diffs):
+        return sum(d.T @ d for d in diffs), sum(len(d) for d in diffs)
 
-    def scale(matrix, diffs):
-        dist = np.concatenate([np.maximum(np.einsum("nk,nk->n", d @ matrix, d), 0.0)
-                               for d in diffs])
-        return max(sigma_scale * float(dist.mean()), SIGMA_FLOOR)
+    def scale(matrix, gram_sum, count):
+        total = np.einsum("ij,ij->", matrix, gram_sum, optimize=False)
+        return max(sigma_scale * float(total / count), SIGMA_FLOOR)
 
     dim = next(d.shape[1] for d in similar_diffs if len(d))
-    global_matrix = _learn_matrix(moment(similar_diffs), moment(dissimilar_diffs))
-    global_sigma = scale(global_matrix, similar_diffs)
+    (sim_gram, n_sim), (dis_gram, n_dis) = gram(similar_diffs), gram(dissimilar_diffs)
+    global_matrix = _learn_matrix(sim_gram / n_sim, dis_gram / n_dis)
+    global_sigma = scale(global_matrix, sim_gram, n_sim)
     matrices, sigmas, fallback = [], [], []
     for sim, dis in zip(similar_diffs, dissimilar_diffs):
         starved = len(sim) < dim + 1 or len(dis) < dim + 1
-        matrix = global_matrix if starved else _learn_matrix(moment([sim]), moment([dis]))
+        if starved:
+            matrix, sigma = global_matrix, global_sigma
+        else:
+            (sim_gram, n_sim), (dis_gram, n_dis) = gram([sim]), gram([dis])
+            matrix = _learn_matrix(sim_gram / n_sim, dis_gram / n_dis)
+            sigma = scale(matrix, sim_gram, n_sim)
         matrices.append(matrix)
-        sigmas.append(global_sigma if starved else scale(matrix, [sim]))
+        sigmas.append(sigma)
         fallback.append(starved)
     return MetricModel(matrices=np.stack(matrices), sigmas=np.array(sigmas),
                        global_matrix=global_matrix, global_sigma=global_sigma,
                        fallback=np.array(fallback))
+
+
+def difference_form_scale(matrix: np.ndarray, diffs, sigma_scale: float) -> float:
+    """sigma_scale times the mean of max(d . M . d, 0) over every row of the
+    difference arrays ``diffs``, each distance taken on its own difference,
+    floored at ``SIGMA_FLOOR``: the bandwidth rule as a sum over pairs."""
+    from corrmatch.metric import SIGMA_FLOOR
+
+    dist = np.concatenate([np.maximum(np.einsum("nk,nk->n", d @ matrix, d), 0.0)
+                           for d in diffs])
+    return max(sigma_scale * float(dist.mean()), SIGMA_FLOOR)
 
 
 def rank_correct_matches(pair_log_similarity, probs: np.ndarray, t_c: float,

@@ -148,6 +148,20 @@ def test_cli_error_is_single_line_nonzero(tmp_path, capsys):
     assert "\n" not in err
 
 
+def test_train_with_a_truncated_image_names_it_in_one_error_line(dataset, small_config,
+                                                                tmp_path, capsys):
+    import shutil
+    data = tmp_path / "data"
+    shutil.copytree(dataset, data)
+    image = data / "imgs" / "id0003_A.ppm"
+    image.write_bytes(image.read_bytes()[:100])  # the header and 86 payload bytes
+    code = main(["train", "--manifest", str(data / "manifest.csv"),
+                 "--config", small_config, "--out", str(tmp_path / "run")])
+    err = capsys.readouterr().err.strip().splitlines()
+    assert code == 1 and len(err) == 1
+    assert err[0].startswith("error: TruncatedPayloadError: ") and str(image) in err[0]
+
+
 def test_synth_with_negative_noise_is_one_error_line(tmp_path, capsys):
     out = tmp_path / "data"
     code = main(["synth", "--out", str(out), "--identities", "2", "--shift-rows", "0",

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -80,6 +81,39 @@ def test_manifest_keeps_duplicate_entries(tmp_path):
     manifest = load_manifest(path)  # multi-image identities are fine
     assert len(manifest.entries) == 3
     assert manifest.image_path("p1", "A").endswith("p1_A.ppm")  # the first one is used
+
+
+def two_identity_rows(tmp_path):
+    return [(ident, cam, touch_ppm(tmp_path, f"imgs/{ident}_{cam}.ppm"))
+            for ident in ("p1", "p2") for cam in ("A", "B")]
+
+
+def test_manifest_with_a_utf8_bom_loads_as_without(tmp_path):
+    path = write_manifest(tmp_path, two_identity_rows(tmp_path))
+    plain = load_manifest(path)
+    path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    assert load_manifest(path) == plain
+
+
+def test_manifest_with_a_non_utf8_byte_names_the_file_and_line(tmp_path):
+    path = write_manifest(tmp_path, two_identity_rows(tmp_path))
+    lines = path.read_bytes().split(b"\n")
+    lines[3] = lines[3].replace(b"p2", b"p\xff")  # the fourth line
+    path.write_bytes(b"\n".join(lines))
+    with pytest.raises(ConfigurationError, match=rf"manifest {re.escape(str(path))} line 4 "):
+        load_manifest(path)
+
+
+def test_manifest_with_crlf_and_blank_lines_loads_as_without(tmp_path):
+    path = write_manifest(tmp_path, two_identity_rows(tmp_path))
+    plain = load_manifest(path)
+    lines = path.read_text().splitlines()
+    path.write_bytes("\r\n".join(lines[:2] + [""] + lines[2:] + ["", ""]).encode())
+    assert load_manifest(path) == plain
+    # a problem after the blank line names its line in the file
+    path.write_bytes("\r\n".join(lines[:2] + ["", "p3,C,x.ppm"] + lines[2:]).encode())
+    with pytest.raises(ConfigurationError, match="line 4: unknown camera"):
+        load_manifest(path)
 
 
 # ------------------------------------------------------------------ splits

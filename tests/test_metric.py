@@ -1,5 +1,7 @@
 import struct
 import tracemalloc
+from collections import Counter
+from collections.abc import Sequence
 
 import numpy as np
 import pytest
@@ -265,6 +267,54 @@ def test_streamed_training_equals_list_and_one_pass_training(n_imgs, dim, t_d):
         assert streamed.fallback.any() and not streamed.fallback.all()
     else:
         assert not streamed.fallback.any()
+
+
+class CountedReads(Sequence):
+    """A sequence that counts the reads of each index it returns an item for."""
+
+    def __init__(self, items):
+        self.items, self.reads = items, Counter()
+
+    def __len__(self) -> int:
+        return len(self.items)
+
+    def __getitem__(self, i):
+        item = self.items[i]
+        self.reads[i] += 1
+        return item
+
+
+def test_training_reads_each_location_once():
+    # Every location's differences are computed on each read, so a second
+    # read is a second pass over the descriptors.
+    probes, galleries, wrong, probe_grid, gallery_grid = canonical_stacks(3, 5)
+    similar, dissimilar = (CountedReads(side) for side in build_training_pairs(
+        probes, galleries, wrong, probe_grid, gallery_grid, t_d=4))
+    train_metric(similar, dissimilar, sigma_scale=0.15)
+    once = Counter(range(probe_grid.n_patches))
+    assert similar.reads == once and dissimilar.reads == once
+
+
+@pytest.mark.parametrize("dim", [2, 5, 32])
+def test_scales_equal_the_mean_difference_form_distance(dim):
+    # Each scale is sigma_scale * <M, G> / n; summed pair by pair it is the
+    # mean of max(d . M . d, 0) over the similar differences (the global
+    # metric's over all of them).  The two orders round apart by about
+    # 1e-16 times sum |M * G| / <M, G>, which stays under 1e3 on these
+    # differences of uniform draws; a cancelling inner product (near 3e4
+    # on strongly anisotropic differences in 3 pairs) can pass 1e-12.
+    rng = np.random.default_rng(dim)
+    counts = [1, dim, dim + 1, 2 * dim + 3, 5 * dim] * 3  # 1 and dim pairs are starved
+    similar = [rng.random((n, dim)) - rng.random((n, dim)) for n in counts]
+    dissimilar = [(rng.random((n, dim)) - rng.random((n, dim))) * 2.0 for n in counts]
+    model = train_metric(similar, dissimilar, sigma_scale=0.15)
+    assert model.fallback.sum() == 6 and not model.fallback.all()
+    pooled = oracles.difference_form_scale(model.global_matrix, similar, 0.15)
+    assert model.global_sigma == pytest.approx(pooled, rel=1e-12, abs=0.0)
+    for i, sim in enumerate(similar):
+        expect = (pooled if model.fallback[i] else
+                  oracles.difference_form_scale(model.matrices[i], [sim], 0.15))
+        assert model.sigmas[i] == pytest.approx(expect, rel=1e-12, abs=0.0)
 
 
 def test_split_metric_holds_one_location_of_differences_at_a_time():
