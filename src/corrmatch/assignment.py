@@ -201,6 +201,21 @@ class GatePlan:
         return totals, clashing, GateCounts(components=self.n_components, solves=solves,
                                             cells=self.n_cells, gated_rows=self.gated_rows)
 
+    def feasible_totals(self, values: np.ndarray, kappa: float) -> np.ndarray:
+        """Row-order totals of one feasible matching of every pair: each row
+        takes its greedy pick, and a column that several rows pick goes to
+        its first best bidder (``score_one_cell_gates``), the others
+        skipping.  The matching is one-to-one, so a total is at most the
+        optimal one, up to the rounding of the two sums."""
+        n_pairs, n_cols = values.shape[1], int(self.cols.max(initial=-1)) + 1
+        if not n_pairs:  # score_one_cell_gates takes at least one gate
+            return np.zeros(0)
+        picks = np.tile(n_cols + np.arange(self.n_rows), (n_pairs, 1))  # a cell-less row's own
+        bids = np.full((n_pairs, self.n_rows), kappa)
+        for at, live, cell, best in row_best_cells(self.bounds, values):
+            picks[np.ix_(at, live)], bids[np.ix_(at, live)] = self.cols[cell].T, best.T
+        return score_one_cell_gates(picks, bids.reshape(-1, 1), kappa)[:, 0]
+
 
 def row_best_cells(bounds: np.ndarray,
                    values: np.ndarray) -> Iterator[tuple[np.ndarray, ...]]:

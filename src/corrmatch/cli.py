@@ -13,7 +13,7 @@ from dataclasses import astuple, fields
 
 from .config import RunConfig, load_config, save_config
 from .errors import ConfigurationError
-from .harness import (ARMS, DescriptorBank, generate_synthetic, load_manifest,
+from .harness import (ARMS, DescriptorBank, check_images, generate_synthetic, load_manifest,
                       make_splits, run_ablations, train_on_split)
 from .imaging import extract_descriptors, load_image, scale_to_canonical
 from .learning import IterationStats
@@ -56,10 +56,11 @@ def cmd_synth(args) -> int:
 def cmd_train(args) -> int:
     config = _config_from(args)
     manifest = load_manifest(args.manifest)
-    os.makedirs(args.out, exist_ok=True)
+    check_images(manifest)
     identities = manifest.identities()
     artifacts = train_on_split(DescriptorBank(manifest, config), identities, config)
     result, metric = artifacts.learned, artifacts.metric
+    os.makedirs(args.out, exist_ok=True)
     save_structure(os.path.join(args.out, "structure.bin"), result.structure)
     export_structure_csv(os.path.join(args.out, "structure.csv"), result.structure)
     save_metric(os.path.join(args.out, "metric.bin"), metric)
@@ -74,10 +75,11 @@ def cmd_train(args) -> int:
 def cmd_evaluate(args) -> int:
     config = _config_from(args)
     manifest = load_manifest(args.manifest)
-    os.makedirs(args.out, exist_ok=True)
+    check_images(manifest)
     arms = list(ARMS) if args.arm == "all" else [args.arm]
     splits = make_splits(manifest, config.seed, config.repeats)
     results = run_ablations(manifest, splits, arms, config)
+    os.makedirs(args.out, exist_ok=True)
     for arm, (averaged, per_split) in results.items():
         _write_cmc_csv(os.path.join(args.out, f"cmc_{arm}.csv"), averaged,
                        per_split, config.rank_points)

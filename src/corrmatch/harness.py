@@ -13,15 +13,15 @@ import csv
 import io
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .config import RunConfig
 from .errors import ConfigurationError
 from .geometry import colocated_table
-from .imaging import (DescriptorWorkspace, RgbImage, extract_descriptors, load_image,
-                      save_image, scale_to_canonical)
+from .imaging import (DescriptorWorkspace, PpmError, RgbImage, check_ppm, extract_descriptors,
+                      load_image, save_image, scale_to_canonical)
 from .learning import (CmcCurve, LearnResult, cmc_curve, find_binary_structures,
                        learn_structure)
 from .matching import (BinaryMappingStructure, CellTable, binary_structure_score_matrix,
@@ -43,6 +43,7 @@ class ManifestEntry:
     identity: str
     camera: str
     path: str
+    line: int = field(compare=False)  # the manifest file's 1-based line listing it
 
 
 @dataclass(frozen=True)
@@ -107,7 +108,7 @@ def load_manifest(path) -> DatasetManifest:
             problems.append(f"line {lineno}: missing file {rel}")
             continue
         seen_pairs.add((identity, camera))
-        entries.append(ManifestEntry(identity=identity, camera=camera, path=full))
+        entries.append(ManifestEntry(identity=identity, camera=camera, path=full, line=lineno))
 
     identities = {e.identity for e in entries}
     for identity in sorted(identities):
@@ -119,6 +120,17 @@ def load_manifest(path) -> DatasetManifest:
     if not entries:
         raise ConfigurationError(f"manifest {path} has no entries")
     return DatasetManifest(name=os.path.basename(path), entries=tuple(entries))
+
+
+def check_images(manifest: DatasetManifest) -> None:
+    """Check every image the manifest lists (``imaging.check_ppm``), reading
+    headers and sizes only, before any image is decoded.  A bad image raises
+    its ``PpmError``, which names the file and the manifest line listing it."""
+    for entry in manifest.entries:
+        try:
+            check_ppm(entry.path)
+        except PpmError as exc:
+            raise type(exc)(f"{exc} (manifest {manifest.name} line {entry.line})") from exc
 
 
 @dataclass(frozen=True)

@@ -9,11 +9,16 @@ patches with no gradient energy, otherwise L1-normalized.
 """
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .geometry import GridSpec, patch_cells
+
+
+# Bytes ``check_ppm`` reads first; a header with longer comments reads on.
+_HEAD_BYTES = 512
 
 
 class PpmError(ValueError):
@@ -66,7 +71,30 @@ def load_image(path) -> RgbImage:
         raise type(exc)(f"{path}: {exc}") from exc
 
 
-def decode_ppm(data: bytes) -> RgbImage:
+def check_ppm(path) -> None:
+    """Raise what ``load_image(path)`` would raise, reading only the file's
+    header and size: the header must parse and the file must hold the
+    payload it declares.  The first ``_HEAD_BYTES`` bytes are read, and the
+    rest only when the header runs past them."""
+    with open(path, "rb") as fh:
+        data, size = fh.read(_HEAD_BYTES), os.fstat(fh.fileno()).st_size
+        try:
+            header = _ppm_header(data)
+        except PpmError:
+            header = None
+        if len(data) < size and (header is None or header[2] > len(data)):
+            data, header = data + fh.read(), None  # a token may run on past the head
+    try:
+        width, height, start = header or _ppm_header(data)
+        if size - start < width * height * 3:
+            raise TruncatedPayloadError(f"payload has {max(size - start, 0)} bytes, "
+                                        f"expected {width * height * 3}")
+    except PpmError as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
+
+
+def _ppm_header(data: bytes) -> tuple[int, int, int]:
+    """Width, height and payload offset of the binary PPM starting ``data``."""
     pos = 0
 
     def next_token() -> bytes:
@@ -98,7 +126,11 @@ def decode_ppm(data: bytes) -> RgbImage:
         raise MalformedHeaderError(f"bad PPM dimensions {width}x{height}")
     if maxval != 255:
         raise UnsupportedFormatError(f"only maxval 255 supported, got {maxval}")
-    pos += 1  # exactly one whitespace byte separates header and payload
+    return width, height, pos + 1  # exactly one whitespace byte separates header and payload
+
+
+def decode_ppm(data: bytes) -> RgbImage:
+    width, height, pos = _ppm_header(data)
     expected = width * height * 3
     payload = data[pos:pos + expected]
     if len(payload) < expected:

@@ -20,7 +20,7 @@ from .assignment import GateCounts
 from .config import RunConfig
 from .errors import ConfigurationError
 from .matching import (BinaryMappingStructure, CellTable, adjacency_candidates,
-                       best_binary_structure, binary_structure_score_matrix,
+                       best_binary_structure, binary_structure_score_matrix, candidate_tables,
                        correct_pair_log_similarity, correct_ranks, gated_correlations,
                        rank_of_scores)
 from .metric import MetricModel, build_avg_similarity
@@ -135,15 +135,15 @@ def find_binary_structures(table: CellTable, pair_log_similarity: np.ndarray,
                            config: RunConfig) -> list[BinaryMappingStructure]:
     """Best adjacency-search link set per probe of a split's ``table`` (loop
     step 1), from its ``correct_pair_log_similarity``.  Each probe's
-    candidates share one single-probe cell table."""
+    candidates share one single-probe cell table, which ``candidate_tables``
+    fills with every candidate link, so scoring them computes no cell."""
     probe_grid, gallery_grid = config.probe_grid(), config.gallery_grid()
-    out = []
-    for alpha in range(table.n_probe):
-        candidates = adjacency_candidates(pair_log_similarity[alpha], probe_grid,
-                                          gallery_grid, config.adjacency_ranges)
-        single = CellTable(table.probe_stack[alpha:alpha + 1], table.gallery_stack, table.model)
-        out.append(best_binary_structure(single, alpha, candidates, config.kappa))
-    return out
+    candidates = [adjacency_candidates(pair_log_similarity[alpha], probe_grid, gallery_grid,
+                                       config.adjacency_ranges)
+                  for alpha in range(table.n_probe)]
+    return [best_binary_structure(single, alpha, links, config.kappa)
+            for alpha, (single, links) in enumerate(zip(candidate_tables(table, candidates),
+                                                        candidates))]
 
 
 class _TrainingContext:

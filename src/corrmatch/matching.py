@@ -13,6 +13,7 @@ diagonal, bit for bit.
 """
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -28,6 +29,9 @@ from .structure import CorrespondenceStructure
 # temporary, (probe images, gallery images), (gallery images, width) or (dim,
 # width) values; width is dim padded to a multiple of 8 (MetricModel.factors).
 _CHUNK_VALUES = 1 << 16
+# Gallery images and locations of one correct_pair_log_similarity block: the
+# block's projections, locations x (images * N_B, width), stay in L2 cache.
+_PAIR_BLOCK = 2, 4
 
 
 @dataclass(frozen=True)
@@ -49,27 +53,38 @@ class BinaryMappingStructure:
         return np.array(self.targets, dtype=np.int64)
 
 
-def _even_rows(stack: np.ndarray) -> np.ndarray:
-    """``stack`` (..., n, dim) with a zero row appended when n is odd: a gemm's
-    rows take the same values for every even count (one row takes ``gemv``)."""
-    if stack.shape[-2] % 2 == 0:
+def _padded_rows(stack: np.ndarray, multiple: int = 2) -> np.ndarray:
+    """``stack`` (..., n, dim) with zero rows appended up to a multiple of
+    ``multiple`` rows: a gemm's rows take the same values for every even
+    count (one row takes ``gemv``).  A product large enough for OpenBLAS to
+    split its rows between threads needs a multiple of 8: under the Haswell
+    kernels a split into odd parts moves the last row of each part."""
+    pad = -stack.shape[-2] % multiple
+    if not pad:
         return stack
-    return np.concatenate((stack, np.zeros_like(stack[..., :1, :])), axis=-2)
+    return np.concatenate((stack, np.zeros_like(stack[..., :pad, :])), axis=-2)
 
 
-def _log_similarity(probe_side, b, signed_b, sigmas, out: np.ndarray) -> np.ndarray:
-    """log similarity into ``out`` (C, P, G) of C blocks of P probe against
-    G gallery descriptors, from ``probe_side`` (s * a, sum(s a**2)), the
-    gallery projections ``b`` (C, G, width) and their signed products s * b:
-    d . M . d = sum(s a**2) + sum(s b**2) - 2 sum(s a b), each sum a
-    BLAS-free einsum over a contiguous last axis, clamped at 0 (an
-    indefinite metric dips below it).  A descriptor's padded projection has
-    the same bits in every product, so equal ones give (n + n) - 2n = 0."""
-    signed, norms = probe_side
-    g_norms = np.einsum("cgd,cgd->cg", signed_b, b, optimize=False)[:, None]
-    cross = np.einsum("cpd,cgd->cpg", signed, b, optimize=False)
+def _gallery_side(b: np.ndarray, signs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(b, sum(s b**2)) of blocks of G gallery projections ``b`` (..., G,
+    width) under the signs ``signs`` (broadcast to b), the sums shaped (...,
+    1, G): each a BLAS-free einsum over a contiguous last axis, so a
+    projection's sum has the same bits in every block."""
+    return b, np.einsum("...gd,...gd->...g", b * signs, b, optimize=False)[..., None, :]
+
+
+def _log_similarity(probe_side, gallery_side, sigmas, out: np.ndarray) -> np.ndarray:
+    """log similarity into ``out`` (..., P, G) of blocks of P probe against
+    G gallery descriptors, from ``probe_side`` (s * a, sum(s a**2)) and
+    ``gallery_side`` (b, sum(s b**2)) (``_gallery_side``): d . M . d =
+    sum(s a**2) + sum(s b**2) - 2 sum(s a b), the cross term a BLAS-free
+    einsum over a contiguous last axis, clamped at 0 (an indefinite metric
+    dips below it).  A descriptor's padded projection has the same bits in
+    every product, so equal ones give (n + n) - 2n = 0."""
+    (signed, norms), (b, g_norms) = probe_side, gallery_side
+    cross = np.einsum("...pd,...gd->...pg", signed, b, optimize=False)
     cross *= 2.0
-    dist = np.add(norms[:, :, None], g_norms, out=out)
+    dist = np.add(norms[..., None], g_norms, out=out)
     dist -= cross
     np.maximum(dist, 0.0, out=dist)
     dist /= sigmas
@@ -93,9 +108,9 @@ def cell_log_similarity(table: CellTable, rows: np.ndarray, cols: np.ndarray) ->
     for lo in range(0, len(rows), step):
         r, c = rows[lo:lo + step], cols[lo:lo + step]
         gallery = table.gallery_stack[:, c].swapaxes(0, 1)  # (C, G, dim)
-        b = np.matmul(_even_rows(gallery), factors[r])[:, :out.shape[2]]
-        _log_similarity([x[:, r].swapaxes(0, 1) for x in table.probe_side], b,
-                        b * signs[r][:, None], model.sigmas[r][:, None, None],
+        b = np.matmul(_padded_rows(gallery), factors[r])[:, :out.shape[2]]
+        _log_similarity([x[:, r].swapaxes(0, 1) for x in table.probe_side],
+                        _gallery_side(b, signs[r][:, None]), model.sigmas[r][:, None, None],
                         out[lo:lo + step])
     return out
 
@@ -103,20 +118,29 @@ def cell_log_similarity(table: CellTable, rows: np.ndarray, cols: np.ndarray) ->
 def correct_pair_log_similarity(table: CellTable) -> np.ndarray:
     """log similarity of probe image k against gallery image k for every
     cell, shape (n_pairs, N_A, N_B): entry (k, i, j) is the table's (k, k)
-    entry of cell (i, j), bit for bit, with one even-row gemm of every
-    gallery patch per location."""
+    entry of cell (i, j), bit for bit.  A block of ``_PAIR_BLOCK`` gallery
+    images and locations takes one gemm per location of the images' patches,
+    padded to a multiple of 8 rows (``_padded_rows``), and is read while its
+    projections are in cache."""
     if table.n_probe != table.n_gallery or not table.n_probe:
         raise ValueError(f"{table.n_probe} probe images for {table.n_gallery} gallery images")
-    factors, signs = table.model.factors
+    (factors, signs), sigmas = table.model.factors, table.model.sigmas
     (n_pairs, n_b, dim), width = table.gallery_stack.shape, signs.shape[1]
-    patches = _even_rows(table.gallery_stack.reshape(-1, dim))
-    product, signed = np.empty((len(patches), width)), np.empty((n_pairs, n_b, width))
+    signed, norms = table.probe_side
     out = np.empty((n_pairs, table.n_a, n_b))
-    for i in range(table.n_a):  # both buffers are rewritten in place: no fresh 2 MB per location
-        b = np.matmul(patches, factors[i], out=product)[:n_pairs * n_b].reshape(n_pairs, n_b, -1)
-        _log_similarity([x[:, i:i + 1] for x in table.probe_side], b,
-                        np.multiply(b, signs[i], out=signed), table.model.sigmas[i],
-                        out[:, i:i + 1])
+    images, locations = _PAIR_BLOCK
+    for k in range(0, n_pairs, images):
+        pairs, n = slice(k, k + images), min(images, n_pairs - k)
+        patches = _padded_rows(table.gallery_stack[pairs].reshape(-1, dim), 8)
+        for i in range(0, table.n_a, locations):
+            at = slice(i, i + locations)
+            # (location, image, patch, width): blocks of one image at one location.
+            b = np.matmul(patches, factors[at])[:, :n * n_b].reshape(-1, n, n_b, width)
+            _log_similarity((signed[pairs, at].swapaxes(0, 1)[:, :, None],
+                             norms[pairs, at].T[:, :, None]),
+                            _gallery_side(b, signs[at][:, None, None]),
+                            sigmas[at][:, None, None, None],
+                            out[pairs, at].swapaxes(0, 1)[:, :, None])
     return out
 
 
@@ -142,7 +166,7 @@ class CellTable:
         self.n_probe, self.n_a = probe_stack.shape[:2]
         self.n_gallery, self.n_b = gallery_stack.shape[:2]
         factors, signs = model.factors
-        by_location = np.matmul(_even_rows(probe_stack.swapaxes(0, 1)), factors)
+        by_location = np.matmul(_padded_rows(probe_stack.swapaxes(0, 1)), factors)
         a = by_location[:, :self.n_probe].swapaxes(0, 1)
         signed = a * signs
         self.probe_side = signed, np.einsum("pid,pid->pi", signed, a, optimize=False)
@@ -163,6 +187,47 @@ class CellTable:
             fresh = cell_log_similarity(self, *np.unravel_index(new, (self.n_a, self.n_b)))
             self._rows.update(zip(new, fresh.reshape(len(new), -1)))
         return np.array([self._rows[k] for k in keys]).reshape(-1, self.n_probe * self.n_gallery)
+
+
+def candidate_tables(table: CellTable, candidates) -> Iterator[CellTable]:
+    """One single-probe ``CellTable`` per probe image p of ``table``, in
+    probe order, its memo holding every link cell of the binary structures
+    ``candidates[p]``, bit for bit what the table computes for that cell.
+
+    Before the first table, location by location, each distinct gallery
+    patch the links name is projected once, with its sum(s b**2), for every
+    probe, and only the cross terms are per probe.  The values land in one
+    buffer, whose rows the memos hold; the tables are made one at a time,
+    and ``table``'s own memo is left as it is.
+    """
+    n, n_b, shape = table.n_probe, table.n_b, (table.n_a, table.n_b)
+    links = [(np.arange(table.n_a) * n_b + b.target_array(*shape)) * n + p
+             for p, structures in enumerate(candidates) for b in structures]
+    entries = sorted(set(np.concatenate([np.zeros(0, dtype=np.int64), *links]).tolist()))
+    keys, probes = np.divmod(np.array(entries, dtype=np.int64), n)  # by cell, then probe
+    opens = np.diff(keys, prepend=-1) != 0  # an entry of a cell not seen before
+    # Distinct cell c holds entries first[c]:first[c + 1]; distinct[e] is entry e's cell.
+    first, distinct = np.append(np.flatnonzero(opens), len(keys)), np.cumsum(opens) - 1
+    rows, cols = np.divmod(keys[first[:-1]], n_b)
+    by_row = np.searchsorted(rows, np.arange(table.n_a + 1)).tolist()  # distinct cells per row
+    (factors, signs), sigmas = table.model.factors, table.model.sigmas
+    signed, norms = table.probe_side
+    values = np.empty((len(keys), table.n_gallery))
+    for i, (lo, hi) in enumerate(zip(by_row, by_row[1:])):
+        if lo == hi:
+            continue
+        gallery = table.gallery_stack[:, cols[lo:hi]].swapaxes(0, 1)  # (cells, G, dim)
+        b = np.matmul(_padded_rows(gallery), factors[i])[:, :table.n_gallery]
+        b, g_norms = _gallery_side(b, signs[i])
+        at = slice(first[lo], first[hi])
+        cell, p = distinct[at] - lo, probes[at]
+        _log_similarity((signed[p, i][:, None], norms[p, i][:, None]), (b[cell], g_norms[cell]),
+                        sigmas[i], values[at, None])
+    for p in range(n):
+        single = CellTable(table.probe_stack[p:p + 1], table.gallery_stack, table.model)
+        mine = np.flatnonzero(probes == p).tolist()
+        single._rows.update(zip(keys[mine].tolist(), (values[r] for r in mine)))
+        yield single
 
 
 def gated_correlations(table: CellTable, structure: CorrespondenceStructure,
@@ -274,10 +339,14 @@ def correct_ranks(gate: np.ndarray, values: np.ndarray, kappa: float, n_probe: i
     order, pair p * n_gallery + g being probe p against gallery g.  Probe
     p's correct gallery is gallery p, or with ``owners`` any gallery p
     owns.  The ranks are ``rank_of_scores`` of ``score_gate``'s totals, but
-    only the correct pairs, then the clashing pairs whose bound
-    (``GatePlan.totals`` without the exact pass) is at least their probe's
-    correct total, are solved exactly: a pair bounded below that total
-    scores below it, so it ranks behind it whatever its exact score.
+    few pairs are solved exactly.  Every total is bounded from above
+    (``GatePlan.totals`` without the exact pass), and a correct pair's from
+    below (``GatePlan.feasible_totals``).  A probe whose correct lower bound
+    beats every other pair's upper bound by more than ``_margin`` ranks
+    first, and none of its pairs is solved.  For the other probes the
+    correct pairs, then the clashing pairs whose bound is at least their
+    probe's correct total, are solved exactly: a pair bounded below that
+    total scores below it, so it ranks behind it whatever its exact score.
     ``solves`` counts every clashing case, solved or not.
     """
     plan = GatePlan(gate)
@@ -290,10 +359,25 @@ def correct_ranks(gate: np.ndarray, values: np.ndarray, kappa: float, n_probe: i
     def solve(pairs):
         flat[pairs] = plan.totals(values[:, pairs], kappa)[0]
 
-    solve(np.flatnonzero(owned.ravel() & clashing))
+    correct = np.flatnonzero(owned.ravel() & clashing)
+    lower = flat.copy()
+    lower[correct] = plan.feasible_totals(values[:, correct], kappa)
+    lead = np.max(lower.reshape(scores.shape), axis=1, initial=-np.inf, where=owned)
+    rival = np.max(scores, axis=1, initial=-np.inf, where=~owned)
+    first = lead - _margin(values[:, correct], kappa, plan.n_rows) > rival
+    solve(np.flatnonzero((owned & ~first[:, None]).ravel() & clashing))
     best = np.max(scores, axis=1, initial=-np.inf, where=owned)
     solve(np.flatnonzero((~owned & (scores >= best[:, None])).ravel() & clashing))
     return rank_of_scores(scores, np.arange(n_probe), owners), counts
+
+
+def _margin(values: np.ndarray, kappa: float, n_rows: int) -> float:
+    """How far an optimal total may fall below a feasible one through
+    rounding: each of the two row-order sums of n terms of magnitude at
+    most T errs by under n**2 eps T, and so do the exact pass's float
+    costs; 8 n**2 eps T covers the three."""
+    scale = max(abs(kappa), float(np.abs(values).max(initial=0.0)))
+    return 8.0 * n_rows ** 2 * np.finfo(np.float64).eps * scale
 
 
 def adjacency_candidates(log_sims: np.ndarray, probe_grid: GridSpec,

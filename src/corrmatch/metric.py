@@ -25,7 +25,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConfigurationError, FormatError, as_format_error
-from .geometry import GridSpec, colocated_distance
+from .geometry import GridSpec, colocated_table
 
 RIDGE_FACTOR = 1e-3
 SIGMA_FLOOR = 1e-6
@@ -179,7 +179,8 @@ def train_metric(similar_diffs, dissimilar_diffs, sigma_scale: float) -> MetricM
 
 class LocationDifferences(Sequence):
     """One side's per-location difference arrays, each computed when read: item
-    i is ``probe_stack[:, i] - gallery_stack[:, windows[i]]`` as (-1, dim) rows."""
+    i is ``probe_stack[:, i] - gallery_stack[:, windows[i]]`` as (-1, dim) rows,
+    each window a slice, so the gallery patches are read in place."""
 
     def __init__(self, probe_stack: np.ndarray, gallery_stack: np.ndarray, windows):
         self.probe_stack, self.gallery_stack, self.windows = probe_stack, gallery_stack, windows
@@ -211,7 +212,9 @@ def build_training_pairs(probe_stack: np.ndarray, gallery_stack: np.ndarray,
         raise ValueError("descriptor stacks must align")
     if not len(probe_stack):
         raise ConfigurationError("empty training set")
-    windows = [np.flatnonzero(row < t_d) for row in colocated_distance(probe_grid, gallery_grid)]
+    # Zig-zag distance |j - c| < t_d from the co-located patch c: one slice.
+    windows = [slice(max(c - t_d + 1, 0), c + t_d)
+               for c in colocated_table(probe_grid, gallery_grid)[0].tolist()]
     return (LocationDifferences(probe_stack, gallery_stack, windows),
             LocationDifferences(probe_stack, wrong_stack, windows))
 

@@ -16,12 +16,13 @@ from hypothesis import strategies as st
 
 from corrmatch import assignment, matching
 from corrmatch.assignment import row_best_cells
-from corrmatch.geometry import GridSpec, colocated_table, patch_at
+from corrmatch.config import RunConfig
+from corrmatch.geometry import GridSpec, colocated_distance, colocated_table, patch_at
 from corrmatch.imaging import RgbImage, extract_descriptors
-from corrmatch.learning import conditional_matrix
+from corrmatch.learning import _TrainingContext, conditional_matrix
 from corrmatch.matching import (BinaryMappingStructure, CellTable, adjacency_candidates,
                                 cell_log_similarity, correct_pair_log_similarity, greedy_scores)
-from corrmatch.metric import MetricModel, build_training_pairs
+from corrmatch.metric import MetricModel, build_avg_similarity, build_training_pairs
 
 import oracles
 
@@ -154,6 +155,70 @@ def test_cell_values_do_not_depend_on_the_table_shape(seed, n_a, n_b, dim, budge
     diagonal = full[:, np.arange(n), np.arange(n)].reshape(n_a, n_b, n)
     assert np.array_equal(pairs, diagonal.transpose(2, 0, 1))
     assert np.all(pairs[:, 0, 0] == 0.0)
+
+
+def independent_context(probe, gallery, model, config):
+    """The correct-pair table as the (k, k) entries of every cell of the
+    split's table, and each probe's binary structure scored on a fresh
+    single-probe table of its own, which computes its own cells."""
+    n, table = len(probe), CellTable(probe, gallery, model)
+    rows, cols = np.nonzero(np.ones((table.n_a, table.n_b), dtype=bool))
+    every = cell_log_similarity(table, rows, cols)[:, np.arange(n), np.arange(n)]
+    pairs = every.reshape(table.n_a, table.n_b, n).transpose(2, 0, 1)
+    binaries = []
+    for alpha in range(n):
+        candidates = adjacency_candidates(pairs[alpha], config.probe_grid(),
+                                          config.gallery_grid(), config.adjacency_ranges)
+        single = CellTable(probe[alpha:alpha + 1], gallery, model)
+        binaries.append(matching.best_binary_structure(single, alpha, candidates, config.kappa))
+    return pairs, binaries
+
+
+@example(seed=0, n_probe=2, dim=32, ranges=(1, 2, 3, 4), levels=0, block=(2, 4))
+@example(seed=1, n_probe=7, dim=13, ranges=(2,), levels=3, block=(3, 5))
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_probe=st.integers(2, 7),
+       dim=st.sampled_from([1, 3, 8, 13, 32]),
+       ranges=st.lists(st.integers(1, 6), min_size=1, max_size=4).map(tuple),
+       levels=st.sampled_from([0, 2, 3]), block=st.sampled_from([(1, 1), (2, 4), (3, 5)]))
+def test_training_context_equals_independent_single_probe_tables(seed, n_probe, dim, ranges,
+                                                                 levels, block):
+    # The blocked correct-pair table, its average and the binary structures
+    # found from candidate tables filled in one pass, against tables that
+    # each compute their own cells; descriptors drawn from few levels make
+    # appearance ties for the adjacency search to break.
+    config = RunConfig(image_width=12, image_height=20, patch_width=4, patch_height=4,
+                       probe_stride_x=4, probe_stride_y=4, gallery_stride_x=2,
+                       gallery_stride_y=2, adjacency_ranges=ranges)
+    n_a, n_b = config.probe_grid().n_patches, config.gallery_grid().n_patches
+    rng = np.random.default_rng(seed)
+    model = random_model(rng, n_a, dim)
+    draw = (lambda shape: rng.integers(0, levels, shape) / levels) if levels else rng.random
+    probe, gallery = draw((n_probe, n_a, dim)), draw((n_probe, n_b, dim))
+    pairs, binaries = independent_context(probe, gallery, model, config)
+    kernel, calls = matching.cell_log_similarity, []
+
+    def counted(table, rows, cols):
+        calls.append(len(rows))
+        return kernel(table, rows, cols)
+
+    with mock.patch.object(matching, "_PAIR_BLOCK", block), \
+            mock.patch.object(matching, "cell_log_similarity", counted):
+        got = matching.correct_pair_log_similarity(CellTable(probe, gallery, model))
+        ctx = _TrainingContext(probe, gallery, model, config)
+    assert np.array_equal(got, pairs)
+    assert np.array_equal(ctx.avg_table, build_avg_similarity(pairs))
+    assert [b.targets for b in ctx.binary_structures] == [b.targets for b in binaries]
+    assert calls == [] and ctx.table.computed == 0  # no cell scored, the split memo empty
+    candidates = [adjacency_candidates(pairs[alpha], config.probe_grid(), config.gallery_grid(),
+                                       ranges) for alpha in range(n_probe)]
+    for alpha, single in enumerate(matching.candidate_tables(ctx.table, candidates)):
+        fresh = CellTable(probe[alpha:alpha + 1], gallery, model)
+        rows = np.tile(np.arange(n_a), len(ranges))
+        cols = np.concatenate([b.target_array(n_a, n_b) for b in candidates[alpha]])
+        held = single.computed
+        assert np.array_equal(single.values(rows, cols), fresh.values(rows, cols))
+        assert single.computed == held == fresh.computed
 
 
 def indefinite_model(rng, n_loc: int, dim: int) -> MetricModel:
@@ -473,6 +538,23 @@ def test_descriptors_match_per_patch_oracle(pair, seed, color_bins, gradient_bin
 
 # Inexact values whose sums show which tied bidder kept its column, and both
 # zeros; kappa is drawn among them too.
+@settings(max_examples=100, deadline=None)
+@given(pair=grid_pairs(), data=st.data())
+def test_training_windows_are_contiguous_slices(pair, data):
+    # Each location's window, the gallery patches under zig-zag distance
+    # t_d of its co-located patch, is one slice of the gallery stack.
+    probe_grid, gallery_grid = pair
+    t_d = data.draw(st.integers(1, gallery_grid.n_patches + 2))
+    stack = np.zeros((1, probe_grid.n_patches, 1))
+    similar, _ = build_training_pairs(stack, np.zeros((1, gallery_grid.n_patches, 1)),
+                                      np.zeros((1, gallery_grid.n_patches, 1)), probe_grid,
+                                      gallery_grid, t_d)
+    everything = np.arange(gallery_grid.n_patches)
+    for window, row in zip(similar.windows, colocated_distance(probe_grid, gallery_grid)):
+        assert isinstance(window, slice)
+        assert np.array_equal(everything[window], np.flatnonzero(row < t_d))
+
+
 LINK_VALUES = (-1.9, -1.1, -0.8, -0.3, -0.0, 0.0)
 
 

@@ -148,18 +148,55 @@ def test_cli_error_is_single_line_nonzero(tmp_path, capsys):
     assert "\n" not in err
 
 
-def test_train_with_a_truncated_image_names_it_in_one_error_line(dataset, small_config,
-                                                                tmp_path, capsys):
+def fails_on_a_truncated_image(command, dataset, config, tmp_path, capsys, monkeypatch):
+    """``command`` on a copy of the dataset with one image cut short fails
+    before any descriptor, in one error line naming the image and its
+    manifest line, and leaves no --out directory."""
     import shutil
+    from corrmatch import harness
     data = tmp_path / "data"
     shutil.copytree(dataset, data)
     image = data / "imgs" / "id0003_A.ppm"
     image.write_bytes(image.read_bytes()[:100])  # the header and 86 payload bytes
-    code = main(["train", "--manifest", str(data / "manifest.csv"),
-                 "--config", small_config, "--out", str(tmp_path / "run")])
+    line = 1 + next(n for n, row in enumerate(Path(data, "manifest.csv").read_text().splitlines())
+                    if row.endswith("id0003_A.ppm"))
+    extracted = []
+    monkeypatch.setattr(harness, "extract_descriptors",
+                        lambda *args, **kwargs: extracted.append(args))
+    code = main([command, "--manifest", str(data / "manifest.csv"),
+                 "--config", config, "--out", str(tmp_path / "run")])
     err = capsys.readouterr().err.strip().splitlines()
     assert code == 1 and len(err) == 1
     assert err[0].startswith("error: TruncatedPayloadError: ") and str(image) in err[0]
+    assert err[0].endswith(f"(manifest manifest.csv line {line})")
+    assert extracted == [] and not (tmp_path / "run").exists()
+
+
+def test_train_with_a_truncated_image_names_it_in_one_error_line(dataset, small_config,
+                                                                tmp_path, capsys, monkeypatch):
+    fails_on_a_truncated_image("train", dataset, small_config, tmp_path, capsys, monkeypatch)
+
+
+def test_evaluate_with_a_truncated_image_names_it_in_one_error_line(dataset, small_config,
+                                                                   tmp_path, capsys, monkeypatch):
+    fails_on_a_truncated_image("evaluate", dataset, small_config, tmp_path, capsys, monkeypatch)
+
+
+@pytest.mark.parametrize("args", [
+    ["train", "--manifest", "{tmp}/missing.csv"],
+    ["train", "--manifest", "{data}/manifest.csv", "--config", "{tmp}/bad.cfg"],
+    ["evaluate", "--manifest", "{tmp}/two.csv"],
+], ids=["missing-manifest", "bad-config", "too-few-identities"])
+def test_a_failed_run_leaves_no_out_directory(args, dataset, tmp_path, capsys):
+    (tmp_path / "bad.cfg").write_text("kappa = nan\n")
+    rows = Path(dataset, "manifest.csv").read_text().splitlines()
+    two = "\n".join(rows[:5]).replace("imgs/", f"{dataset}/imgs/")  # 2 identities
+    (tmp_path / "two.csv").write_text(two + "\n")
+    out = tmp_path / "run"
+    code = main([a.format(tmp=tmp_path, data=dataset) for a in args] + ["--out", str(out)])
+    err = capsys.readouterr().err.strip().splitlines()
+    assert code == 1 and len(err) == 1 and err[0].startswith("error:")
+    assert not out.exists()
 
 
 def test_synth_with_negative_noise_is_one_error_line(tmp_path, capsys):

@@ -1,15 +1,17 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from corrmatch import imaging
 from corrmatch.geometry import GridSpec, patch_cells
 from corrmatch.imaging import (DescriptorWorkspace, MalformedHeaderError, PpmError, RgbImage,
-                               TruncatedPayloadError, UnsupportedFormatError, decode_ppm,
-                               extract_descriptors, load_image, rgb_to_lab, save_image,
-                               scale_to_canonical)
+                               TruncatedPayloadError, UnsupportedFormatError, check_ppm,
+                               decode_ppm, extract_descriptors, load_image, rgb_to_lab,
+                               save_image, scale_to_canonical)
 
 import oracles
 from blobs import mutated
@@ -74,6 +76,38 @@ def test_decode_raises_only_ppm_error(data):
         decode_ppm(data)
     except PpmError:
         pass
+
+
+# The first 10 bytes end inside the maxval 2550, which reads as 255 there.
+@example(data=b"P6\n2 2\n2550\n" + bytes(12), head=10)
+@settings(max_examples=300, deadline=None)
+@given(data=st.one_of(st.binary(max_size=64),
+                      st.binary(max_size=48).map(lambda tail: b"P6" + tail),
+                      st.tuples(st.sampled_from([b"P6", b"P6 ", b"P6\n2 2\n", b"P6\n2 2\n255"]),
+                                st.binary(max_size=24)).map(b"".join),
+                      mutated(b"P6\n2 2\n255\n" + bytes(range(12))),
+                      st.tuples(st.integers(0, 40), st.sampled_from([b"255", b"2550", b"25"]),
+                                st.integers(0, 14)).map(
+                          lambda n: b"P6\n#" + b"c" * n[0] + b"\n2 2\n" + n[1] + b"\n"
+                          + bytes(n[2]))),
+       head=st.one_of(st.integers(1, 24), st.just(imaging._HEAD_BYTES)))
+def test_check_ppm_raises_what_load_image_raises(tmp_path_factory, data, head):
+    # From the header and the file size alone, with the header read in one
+    # piece or running past the first bytes read.
+    path = tmp_path_factory.mktemp("ppm") / "x.ppm"
+    path.write_bytes(data)
+    try:
+        load_image(path)
+        expect = None
+    except PpmError as exc:
+        expect = type(exc), str(exc)
+    with mock.patch.object(imaging, "_HEAD_BYTES", head):
+        try:
+            check_ppm(path)
+            got = None
+        except PpmError as exc:
+            got = type(exc), str(exc)
+    assert got == expect
 
 
 def test_missing_file(tmp_path):
