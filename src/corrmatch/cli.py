@@ -172,8 +172,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except Exception as exc:  # surface a single parseable line, nonzero exit
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+    except Exception as exc:  # one parseable line, even for a path holding a line break
+        print("error: " + "\\n".join(f"{type(exc).__name__}: {exc}".splitlines()), file=sys.stderr)
         return 1
 
 

@@ -93,31 +93,20 @@ class RunConfig:
                         self.patch_height, self.gallery_stride_x, self.gallery_stride_y)
 
 
-def _parse_value(name: str, raw: str, kind):
-    raw = raw.strip()
-    try:
-        if kind is bool:
-            if raw.lower() in ("true", "1", "yes"):
-                return True
-            if raw.lower() in ("false", "0", "no"):
-                return False
-            raise ValueError(raw)
-        if kind is int:
-            return int(raw)
-        if kind is float:
-            return float(raw)
-        if kind == tuple[int, ...]:
-            return tuple(int(part) for part in raw.split(",") if part.strip())
-    except ValueError as exc:
-        raise ConfigurationError(f"bad value for {name}: {raw!r}") from exc
-    raise ConfigurationError(f"unhandled config type for {name}")
+_BOOLS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
+# Each key type's (parse, format) pair, by its annotation (a string under
+# future annotations): parse reads a stripped value, format writes it back.
+_CODECS = {
+    "int": (int, str),
+    "float": (float, repr),
+    "bool": (lambda raw: _BOOLS[raw.lower()], lambda value: "true" if value else "false"),
+    "tuple[int, ...]": (lambda raw: tuple(int(part) for part in raw.split(",") if part.strip()),
+                        lambda value: ",".join(str(v) for v in value)),
+}
 
 
 def parse_config(text: str) -> RunConfig:
     kinds = {f.name: f.type for f in fields(RunConfig)}
-    # dataclass stores annotations as strings under future-annotations
-    resolved = {"int": int, "float": float, "bool": bool,
-                "tuple[int, ...]": tuple[int, ...]}
     overrides, set_on = {}, {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         bare = line.split("#", 1)[0].strip()
@@ -126,14 +115,17 @@ def parse_config(text: str) -> RunConfig:
         if "=" not in bare:
             raise ConfigurationError(f"line {lineno}: expected key = value, got {line!r}")
         key, raw = bare.split("=", 1)
-        key = key.strip()
+        key, raw = key.strip(), raw.strip()
         if key not in kinds:
             raise ConfigurationError(f"line {lineno}: unknown key {key!r}")
         if key in set_on:
             raise ConfigurationError(f"line {lineno}: key {key!r} already set on line "
                                      f"{set_on[key]}")
         set_on[key] = lineno
-        overrides[key] = _parse_value(key, raw, resolved[kinds[key]])
+        try:
+            overrides[key] = _CODECS[kinds[key]][0](raw)
+        except (KeyError, ValueError) as exc:
+            raise ConfigurationError(f"bad value for {key}: {raw!r}") from exc
     return RunConfig(**overrides)
 
 
@@ -143,17 +135,8 @@ def load_config(path) -> RunConfig:
 
 
 def format_config(config: RunConfig) -> str:
-    lines = []
-    for f in fields(RunConfig):
-        value = getattr(config, f.name)
-        if isinstance(value, tuple):
-            value = ",".join(str(v) for v in value)
-        elif isinstance(value, bool):
-            value = "true" if value else "false"
-        elif isinstance(value, float):
-            value = repr(value)
-        lines.append(f"{f.name} = {value}")
-    return "\n".join(lines) + "\n"
+    return "".join(f"{f.name} = {_CODECS[f.type][1](getattr(config, f.name))}\n"
+                   for f in fields(RunConfig))
 
 
 def save_config(path, config: RunConfig) -> None:

@@ -1,6 +1,12 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the model files' field
+reader and writer: a file is a header (one numpy record, magic first) and
+then fields, each a little-endian array of its (dtype, shape), in order."""
 
+import math
 from contextlib import contextmanager
+from itertools import accumulate
+
+import numpy as np
 
 
 class ConfigurationError(ValueError):
@@ -21,3 +27,36 @@ def as_format_error():
         raise
     except ValueError as exc:
         raise FormatError(str(exc)) from exc
+
+
+def write_fields(path, header: np.ndarray, layout, values) -> None:
+    """Write the ``header`` record, then each value as its ``layout`` dtype."""
+    with open(path, "wb") as fh:
+        fh.write(header.tobytes())
+        for (dtype, _), value in zip(layout, values):
+            fh.write(np.asarray(value, dtype).tobytes())
+
+
+def read_header(path, magic: bytes, header: np.dtype, what: str) -> tuple[bytes, dict]:
+    """The file's bytes and the fields of the ``header`` record they start
+    with, as Python values, after checking the magic and the header's size."""
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    if blob[:len(magic)] != magic:
+        raise FormatError(f"bad {what} magic {blob[:len(magic)]!r}")
+    if len(blob) < header.itemsize:
+        raise FormatError(f"{what} header has {len(blob)} bytes, expected {header.itemsize}")
+    record = np.frombuffer(blob, header, count=1)[0]
+    return blob, {name: record[name].tolist() for name in header.names}
+
+
+def read_fields(blob: bytes, header: np.dtype, layout, what: str) -> list[np.ndarray]:
+    """Each (dtype, shape) field of ``layout`` after the ``header`` record, as
+    its own array.  ``blob`` must end with the last field: its size is checked
+    in Python ints before any array exists, so a header declaring a huge
+    payload fails without allocating it."""
+    sizes = [np.dtype(dtype).itemsize * math.prod(shape) for dtype, shape in layout]
+    if len(blob) - header.itemsize != sum(sizes):
+        raise FormatError(f"{what} has {len(blob) - header.itemsize} bytes, expected {sum(sizes)}")
+    return [np.frombuffer(blob, dtype, math.prod(shape), offset).reshape(shape).copy()
+            for (dtype, shape), offset in zip(layout, accumulate(sizes, initial=header.itemsize))]

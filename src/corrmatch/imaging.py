@@ -9,7 +9,9 @@ patches with no gradient energy, otherwise L1-normalized.
 """
 from __future__ import annotations
 
+import math
 import os
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,50 +77,38 @@ def check_ppm(path) -> None:
     """Raise what ``load_image(path)`` would raise, reading only the file's
     header and size: the header must parse and the file must hold the
     payload it declares.  The first ``_HEAD_BYTES`` bytes are read, and the
-    rest only when the header runs past them."""
+    rest only when the header does not end inside them."""
     with open(path, "rb") as fh:
         data, size = fh.read(_HEAD_BYTES), os.fstat(fh.fileno()).st_size
         try:
-            header = _ppm_header(data)
+            if _ppm_header(data, size)[1] <= len(data):
+                return
         except PpmError:
-            header = None
-        if len(data) < size and (header is None or header[2] > len(data)):
-            data, header = data + fh.read(), None  # a token may run on past the head
+            pass
+        data += fh.read()  # a token may run on past the head
     try:
-        width, height, start = header or _ppm_header(data)
-        if size - start < width * height * 3:
-            raise TruncatedPayloadError(f"payload has {max(size - start, 0)} bytes, "
-                                        f"expected {width * height * 3}")
+        _ppm_header(data, size)
     except PpmError as exc:
         raise type(exc)(f"{path}: {exc}") from exc
 
 
-def _ppm_header(data: bytes) -> tuple[int, int, int]:
-    """Width, height and payload offset of the binary PPM starting ``data``."""
-    pos = 0
+# The header's four tokens (magic, width, height, maxval), each after any
+# whitespace and comments; a comment runs from '#' to its line's end, and a
+# token from a byte that is neither whitespace nor '#' to the next
+# whitespace.  A later token is matched only where the earlier ones are.
+_TOKEN = rb"(?:\s|#[^\r\n]*(?![^\r\n]))*([^\s#]\S*)"
+_PPM_HEADER = re.compile(_TOKEN + (b"(?:" + _TOKEN) * 3 + b")?" * 3)
 
-    def next_token() -> bytes:
-        nonlocal pos
-        while pos < len(data):
-            c = data[pos:pos + 1]
-            if c == b"#":
-                while pos < len(data) and data[pos:pos + 1] not in (b"\n", b"\r"):
-                    pos += 1
-            elif c.isspace():
-                pos += 1
-            else:
-                break
-        start = pos
-        while pos < len(data) and not data[pos:pos + 1].isspace():
-            pos += 1
-        if start == pos:
-            raise MalformedHeaderError("unexpected end of PPM header")
-        return data[start:pos]
 
-    magic = next_token()
-    if magic != b"P6":
+def _ppm_header(data: bytes, size: int) -> tuple[tuple[int, int, int], int]:
+    """Pixel shape (height, width, 3) and payload offset of the PPM file of
+    ``size`` bytes that starts with ``data``; it must hold the whole payload."""
+    match = _PPM_HEADER.match(data)
+    magic, *fields = match.groups() if match else (None,)
+    if magic is not None and magic != b"P6":
         raise MalformedHeaderError(f"not a binary PPM (magic {magic!r})")
-    fields = [next_token() for _ in range(3)]
+    if magic is None or None in fields:
+        raise MalformedHeaderError("unexpected end of PPM header")
     if not all(field.isdigit() for field in fields):
         raise MalformedHeaderError(f"non-decimal PPM header field in {b' '.join(fields)!r}")
     width, height, maxval = map(int, fields)
@@ -126,18 +116,17 @@ def _ppm_header(data: bytes) -> tuple[int, int, int]:
         raise MalformedHeaderError(f"bad PPM dimensions {width}x{height}")
     if maxval != 255:
         raise UnsupportedFormatError(f"only maxval 255 supported, got {maxval}")
-    return width, height, pos + 1  # exactly one whitespace byte separates header and payload
+    offset = match.end() + 1  # exactly one whitespace byte separates header and payload
+    if size - offset < width * height * 3:
+        raise TruncatedPayloadError(f"payload has {max(size - offset, 0)} bytes, "
+                                    f"expected {width * height * 3}")
+    return (height, width, 3), offset
 
 
 def decode_ppm(data: bytes) -> RgbImage:
-    width, height, pos = _ppm_header(data)
-    expected = width * height * 3
-    payload = data[pos:pos + expected]
-    if len(payload) < expected:
-        raise TruncatedPayloadError(
-            f"payload has {len(payload)} bytes, expected {expected}")
-    pixels = np.frombuffer(payload, dtype=np.uint8).reshape(height, width, 3)
-    return RgbImage(pixels=pixels.copy())
+    shape, offset = _ppm_header(data, len(data))
+    pixels = np.frombuffer(data, np.uint8, count=math.prod(shape), offset=offset)
+    return RgbImage(pixels=pixels.reshape(shape).copy())
 
 
 def save_image(path, img: RgbImage) -> None:

@@ -17,14 +17,14 @@ G it learns M from, and never form d . M . d itself.
 """
 from __future__ import annotations
 
-import struct
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigurationError, FormatError, as_format_error
+from .errors import (ConfigurationError, FormatError, as_format_error, read_fields, read_header,
+                     write_fields)
 from .geometry import GridSpec, colocated_table
 
 RIDGE_FACTOR = 1e-3
@@ -33,7 +33,15 @@ SIGMA_FLOOR = 1e-6
 # positive (exp(-700) is the order of the smallest normal double).
 MAX_EXPONENT = 700.0
 
-_MAGIC = b"PKMETR01" + bytes(8)  # 16-byte magic/version header
+_MAGIC = b"PKMETR01" + bytes(8)  # 16-byte magic/version
+_HEADER = np.dtype([("magic", "S16"), ("n_locations", "<u4"), ("dim", "<u4")])
+
+
+def _layout(n_loc: int, dim: int):
+    """metric.bin's fields after the header: matrices, sigmas, the global
+    matrix and sigma, and one fallback flag byte per location."""
+    return [("<f8", (n_loc, dim, dim)), ("<f8", (n_loc,)), ("<f8", (dim, dim)), ("<f8", ()),
+            ("u1", (n_loc,))]
 
 
 @dataclass(frozen=True)
@@ -226,44 +234,18 @@ def build_avg_similarity(pair_log_similarity: np.ndarray) -> np.ndarray:
 
 
 def save_metric(path, model: MetricModel) -> None:
-    """Little-endian blob: 16-byte header, counts, matrices, sigmas, global."""
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<II", model.n_locations, model.dim))
-        fh.write(model.matrices.astype("<f8").tobytes(order="C"))
-        fh.write(model.sigmas.astype("<f8").tobytes())
-        fh.write(model.global_matrix.astype("<f8").tobytes(order="C"))
-        fh.write(struct.pack("<d", model.global_sigma))
-        fh.write(model.fallback.astype(np.uint8).tobytes())
+    write_fields(path, np.array((_MAGIC, model.n_locations, model.dim), _HEADER),
+                 _layout(model.n_locations, model.dim),
+                 (model.matrices, model.sigmas, model.global_matrix, model.global_sigma,
+                  model.fallback))
 
 
 def load_metric(path) -> MetricModel:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:16] != _MAGIC:
-        raise FormatError(f"bad metric magic {blob[:16]!r}")
-    if len(blob) < 24:
-        raise FormatError(f"metric header has {len(blob)} bytes, expected 24")
-    n_loc, dim = struct.unpack_from("<II", blob, 16)
-    offset = 24
-    sizes = [n_loc * dim * dim * 8, n_loc * 8, dim * dim * 8, 8, n_loc]
-    if len(blob) != offset + sum(sizes):
-        raise FormatError(f"metric payload has {len(blob) - offset} bytes, "
-                          f"expected {sum(sizes)}")
-    matrices = np.frombuffer(blob, dtype="<f8", count=n_loc * dim * dim,
-                             offset=offset).reshape(n_loc, dim, dim).copy()
-    offset += sizes[0]
-    sigmas = np.frombuffer(blob, dtype="<f8", count=n_loc, offset=offset).copy()
-    offset += sizes[1]
-    global_matrix = np.frombuffer(blob, dtype="<f8", count=dim * dim,
-                                  offset=offset).reshape(dim, dim).copy()
-    offset += sizes[2]
-    (global_sigma,) = struct.unpack_from("<d", blob, offset)
-    offset += 8
-    flags = np.frombuffer(blob, dtype=np.uint8, count=n_loc, offset=offset)
+    blob, header = read_header(path, _MAGIC, _HEADER, "metric")
+    matrices, sigmas, global_matrix, global_sigma, flags = read_fields(
+        blob, _HEADER, _layout(header["n_locations"], header["dim"]), "metric payload")
     if np.any(flags > 1):
         raise FormatError(f"fallback flag bytes must be 0 or 1, got {int(flags.max())}")
-    fallback = flags.astype(bool)
     with as_format_error():
         return MetricModel(matrices=matrices, sigmas=sigmas, global_matrix=global_matrix,
-                           global_sigma=global_sigma, fallback=fallback)
+                           global_sigma=float(global_sigma), fallback=flags.astype(bool))

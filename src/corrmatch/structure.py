@@ -7,20 +7,22 @@ serialized to a small binary format (plus a CSV heat-map export).
 """
 from __future__ import annotations
 
-import struct
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, FormatError, as_format_error
+from .errors import (ConfigurationError, FormatError, as_format_error, read_fields, read_header,
+                     write_fields)
 from .geometry import GridSpec, colocated_distance
 
 ROW_SUM_TOL = 1e-9
 
 _MAGIC = b"CSTR1"
-_HEADER_BYTES = len(_MAGIC) + 7 + 8 + 2 * 24  # magic, version, counts, grids
-_GRID_FIELDS = ("image_width", "image_height", "patch_width", "patch_height",
-                "stride_x", "stride_y")
+# Each grid is its six ``GridSpec`` fields in order; the probabilities, the
+# one field after the header, are N_A x N_B row-major f64.
+_HEADER = np.dtype([("magic", "S5"), ("version", "u1"), ("reserved", "V6"),
+                    ("n_probe", "<u4"), ("n_gallery", "<u4"),
+                    ("probe_grid", "<u4", 6), ("gallery_grid", "<u4", 6)])
 
 
 @dataclass(frozen=True)
@@ -91,52 +93,26 @@ def blend_update(structure: CorrespondenceStructure, update: np.ndarray,
                                    gallery_grid=structure.gallery_grid)
 
 
-def _pack_grid(grid: GridSpec) -> bytes:
-    return struct.pack("<6I", *(getattr(grid, f) for f in _GRID_FIELDS))
-
-
-def _unpack_grid(blob: bytes) -> GridSpec:
-    values = struct.unpack("<6I", blob)
-    return GridSpec(**dict(zip(_GRID_FIELDS, values)))
-
-
 def save_structure(path, structure: CorrespondenceStructure) -> None:
-    """Binary format: magic, version, N_A, N_B, both grid specs, row-major f64."""
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<BHI", 1, 0, 0))  # version + reserved padding
-        fh.write(struct.pack("<II", structure.n_probe, structure.n_gallery))
-        fh.write(_pack_grid(structure.probe_grid))
-        fh.write(_pack_grid(structure.gallery_grid))
-        fh.write(structure.probs.astype("<f8").tobytes(order="C"))
+    header = (_MAGIC, 1, bytes(6), structure.n_probe, structure.n_gallery,
+              astuple(structure.probe_grid), astuple(structure.gallery_grid))
+    write_fields(path, np.array(header, _HEADER), [("<f8", structure.probs.shape)],
+                 [structure.probs])
 
 
 def load_structure(path) -> CorrespondenceStructure:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:5] != _MAGIC:
-        raise FormatError(f"bad structure magic {blob[:5]!r}")
-    if len(blob) < _HEADER_BYTES:
-        raise FormatError(f"structure header has {len(blob)} bytes, expected {_HEADER_BYTES}")
-    version = blob[5]
-    if version != 1:
-        raise FormatError(f"unsupported structure version {version}")
-    offset = 5 + 7
-    n_a, n_b = struct.unpack_from("<II", blob, offset)
-    offset += 8
+    blob, header = read_header(path, _MAGIC, _HEADER, "structure")
+    if header["version"] != 1:
+        raise FormatError(f"unsupported structure version {header['version']}")
     with as_format_error():
-        probe_grid = _unpack_grid(blob[offset:offset + 24])
-        gallery_grid = _unpack_grid(blob[offset + 24:offset + 48])
-    offset += 48
+        probe_grid = GridSpec(*header["probe_grid"])
+        gallery_grid = GridSpec(*header["gallery_grid"])
+    n_a, n_b = header["n_probe"], header["n_gallery"]
     if (probe_grid.n_patches, gallery_grid.n_patches) != (n_a, n_b):
         raise FormatError(
             f"header counts ({n_a}, {n_b}) disagree with grids "
             f"({probe_grid.n_patches}, {gallery_grid.n_patches})")
-    expected = n_a * n_b * 8
-    payload = blob[offset:]
-    if len(payload) != expected:
-        raise FormatError(f"payload has {len(payload)} bytes, expected {expected}")
-    probs = np.frombuffer(payload, dtype="<f8").reshape(n_a, n_b).copy()
+    (probs,) = read_fields(blob, _HEADER, [("<f8", (n_a, n_b))], "payload")
     with as_format_error():
         return CorrespondenceStructure(probs=probs, probe_grid=probe_grid,
                                        gallery_grid=gallery_grid)

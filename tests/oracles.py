@@ -434,6 +434,47 @@ def descriptors(img, grid, color_bins: int, gradient_bins: int) -> np.ndarray:
     return out
 
 
+def ppm_header(data: bytes) -> tuple[int, int, int]:
+    """Reference for the binary PPM header grammar of ``imaging``: width,
+    height and payload offset of the P6 file starting ``data``, read by a
+    hand-written tokenizer, with the ``PpmError`` type and message the
+    library raises for a bad header."""
+    from corrmatch.imaging import MalformedHeaderError, UnsupportedFormatError
+
+    pos = 0
+
+    def next_token() -> bytes:
+        nonlocal pos
+        while pos < len(data):
+            c = data[pos:pos + 1]
+            if c == b"#":
+                while pos < len(data) and data[pos:pos + 1] not in (b"\n", b"\r"):
+                    pos += 1
+            elif c.isspace():
+                pos += 1
+            else:
+                break
+        start = pos
+        while pos < len(data) and not data[pos:pos + 1].isspace():
+            pos += 1
+        if start == pos:
+            raise MalformedHeaderError("unexpected end of PPM header")
+        return data[start:pos]
+
+    magic = next_token()
+    if magic != b"P6":
+        raise MalformedHeaderError(f"not a binary PPM (magic {magic!r})")
+    fields = [next_token() for _ in range(3)]
+    if not all(field.isdigit() for field in fields):
+        raise MalformedHeaderError(f"non-decimal PPM header field in {b' '.join(fields)!r}")
+    width, height, maxval = map(int, fields)
+    if width < 1 or height < 1:
+        raise MalformedHeaderError(f"bad PPM dimensions {width}x{height}")
+    if maxval != 255:
+        raise UnsupportedFormatError(f"only maxval 255 supported, got {maxval}")
+    return width, height, pos + 1  # exactly one whitespace byte separates header and payload
+
+
 def zigzag_ordinal(grid, row: int, col: int) -> int:
     """Scalar reference for the zig-zag order of ``geometry.patch_at`` and
     ``colocated_table``: even rows run left to right, odd rows right to left."""

@@ -2,6 +2,8 @@ import re
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import numpy as np
 
@@ -314,3 +316,94 @@ def test_readme_lists_the_diagnostics_header(tmp_path):
     listed = re.search(r"`diagnostics\.csv` \(`([^`]*)`", readme.read_text()).group(1)
     _write_diagnostics(tmp_path / "diagnostics.csv", [])
     assert listed == (tmp_path / "diagnostics.csv").read_text().strip()
+
+
+# ------------------------------------------------- generated input at the CLI
+
+# An 8x16 canvas: 4 probe and 7 gallery patches of 4x4, so a run takes milliseconds.
+TINY_CANVAS = """image_width = 8
+image_height = 16
+patch_width = 4
+patch_height = 4
+probe_stride_x = 4
+probe_stride_y = 4
+gallery_stride_x = 2
+gallery_stride_y = 4
+t_d = 3
+max_iterations = 2
+selection_count = 2
+repeats = 1
+color_bins = 2
+gradient_bins = 2
+adjacency_ranges = 1
+rank_points = 1
+"""
+
+
+@pytest.fixture(scope="module")
+def tiny_dataset(tmp_path_factory):
+    """A 4-identity dataset on the tiny canvas, and its manifest rows with
+    absolute paths."""
+    root = tmp_path_factory.mktemp("tiny")
+    (root / "tiny.cfg").write_text(TINY_CANVAS)
+    assert main(["synth", "--out", str(root), "--identities", "4", "--shift-rows", "1",
+                 "--config", str(root / "tiny.cfg")]) == 0
+    return [row.replace("imgs/", f"{root}/imgs/").encode()
+            for row in (root / "manifest.csv").read_text().splitlines()[1:]]
+
+
+_CONFIG_LINES = [b"kappa = -10", b"t_c = 0.1", b"epsilon = 0.5", b"use_first_image = no",
+                 b"top_fraction = 1", b"# a comment", b"kappa = nan", b"t_c = banana",
+                 b"no_such_key = 1", b"just a line", b"max_iterations = 3",
+                 b"selection_count = 3", b"rank_points = ,", b"seed = -1", b"\xff = 1"]
+_IMAGES = [b"P6\n2 3\n255\n" + bytes(18), b"P6 1 1 255 \xff\xff\xff", b"P6\n8 16\n255\n" + bytes(383),
+           b"P5\n1 1\n255\n\x00", b"P6\n2 2\n2550\n" + bytes(12), b"P6\n2 2\n65535\n", b""]
+# The generated image as an extra image of an identity, or as a new identity's pair.
+_IMAGE_ROWS = [b"id0000,A,{image}", b"id9,A,{image}\nid9,B,{image}"]
+# Column counts of 2 and 4, a directory, a missing path (one holding a line
+# break), an unknown camera, blank lines and bytes that are not UTF-8.
+_DAMAGED_ROWS = [b"id0,A", b"id0,A,{dir},x", b"id0000,B,{dir}", b"id0000,B,missing.ppm",
+                 b'id0000,A,"a\nb.ppm"', b"id0000,C,{image}", b"", b"  ", b"id\xff,A,{image}",
+                 b"\xc3"]
+
+
+@st.composite
+def cli_inputs(draw, rows):
+    """A command, and the bytes of a config, of one image and of a manifest
+    that lists the dataset's rows, a few of them twice, and others."""
+    line = draw(st.just(b"") | st.just(b"") | st.sampled_from(_CONFIG_LINES)
+                | st.binary(max_size=12))
+    image = draw(st.sampled_from(_IMAGES) | st.binary(max_size=40))
+    extra = draw(st.lists(st.sampled_from(_IMAGE_ROWS) | st.sampled_from(_DAMAGED_ROWS)
+                          | st.sampled_from(rows), max_size=2))
+    body = rows if draw(st.booleans()) else draw(st.permutations(rows))[:draw(st.integers(0, 8))]
+    header = draw(st.sampled_from([b"identity,camera,path", b"\xef\xbb\xbfidentity,camera,path",
+                                   b"identity, camera, path", b"identity,camera"]))
+    manifest = draw(st.sampled_from([b"\n", b"\r\n"])).join([header, *body, *extra])
+    return (draw(st.sampled_from(["train", "evaluate"])), TINY_CANVAS.encode() + line, image,
+            manifest)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_generated_input_either_runs_or_fails_in_one_error_line(tiny_dataset, tmp_path_factory,
+                                                                data):
+    import contextlib
+    import io
+    command, config, image, manifest = data.draw(cli_inputs(tiny_dataset))
+    work = tmp_path_factory.mktemp("cli")
+    (work / "dir").mkdir()
+    (work / "x.ppm").write_bytes(image)
+    (work / "run.cfg").write_bytes(config)
+    manifest = manifest.replace(b"{image}", str(work / "x.ppm").encode())
+    (work / "manifest.csv").write_bytes(manifest.replace(b"{dir}", str(work / "dir").encode()))
+    out, err = work / "run", io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main([command, "--manifest", str(work / "manifest.csv"),
+                     "--config", str(work / "run.cfg"), "--out", str(out)])
+    err = err.getvalue()
+    if code == 0:
+        assert err == "" and out.is_dir()
+    else:
+        assert code == 1 and err.startswith("error:") and err.count("\n") == 1, err
+        assert err.endswith("\n") and "Traceback" not in err and not out.exists()

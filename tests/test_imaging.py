@@ -110,6 +110,67 @@ def test_check_ppm_raises_what_load_image_raises(tmp_path_factory, data, head):
     assert got == expect
 
 
+def reference_load(data: bytes):
+    """The pixel shape and payload ``oracles.ppm_header`` reads from ``data``,
+    or the error type and message it raises, truncation included."""
+    try:
+        width, height, offset = oracles.ppm_header(data)
+    except PpmError as exc:
+        return type(exc), str(exc)
+    expected = width * height * 3
+    payload = data[offset:offset + expected]
+    if len(payload) < expected:
+        return TruncatedPayloadError, f"payload has {len(payload)} bytes, expected {expected}"
+    return (height, width, 3), payload
+
+
+_SEPARATORS = [b" ", b"\t", b"\n", b"\r", b"\r\n", b"\x0b", b"\x0c", b"#c\n", b"#\r",
+               b"# x#y\r\n", b"#c\x0b\x0c\n", b"#"]
+_FIELDS = [b"1", b"2", b"02", b"0", b"255", b"2550", b"25", b"256", b"+1", b"-1", b"a",
+           b"1_0", b"2#5", b"255#c", b"\xef\xbc\x92", b"\x00"]
+
+
+@st.composite
+def ppm_files(draw):
+    """Headers built from magics (P6, P5 and junk), fields (decimals, and
+    non-digits and '#' inside a token) and separators (whitespace of every
+    kind and comments, before the magic, between tokens and right after the
+    maxval), then a payload, and sometimes cut anywhere."""
+    separator = st.lists(st.sampled_from(_SEPARATORS), max_size=3).map(b"".join)
+    magic = draw(st.sampled_from([b"P6", b"P5", b"P3", b"P66", b"#P6", b"\xff"])
+                 | st.binary(min_size=1, max_size=3))
+    data = draw(separator) + magic
+    for _ in range(3):
+        data += draw(st.sampled_from([b" ", b"\n", b"\r\n", b"\t"])) + draw(separator)
+        data += draw(st.sampled_from(_FIELDS))
+    data += draw(st.sampled_from([b"\n", b"\r", b" ", b"\x0c", b"#c\n", b""]))
+    data += draw(st.binary(max_size=14))
+    return data[:draw(st.integers(0, len(data)))] if draw(st.booleans()) else data
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=ppm_files())
+def test_decode_and_check_ppm_follow_the_reference_header_grammar(tmp_path_factory, data):
+    expect = reference_load(data)
+    try:
+        img = decode_ppm(data)
+        got = img.pixels.shape, img.pixels.tobytes()
+    except PpmError as exc:
+        got = type(exc), str(exc)
+    assert got == expect
+    path = tmp_path_factory.mktemp("ppm") / "x.ppm"
+    path.write_bytes(data)
+    expect = None if isinstance(expect[0], tuple) else (expect[0], f"{path}: {expect[1]}")
+    for head in [*range(1, 41), imaging._HEAD_BYTES]:  # cut mid-token at every head up to 40
+        with mock.patch.object(imaging, "_HEAD_BYTES", head):
+            try:
+                check_ppm(path)
+                got = None
+            except PpmError as exc:
+                got = type(exc), str(exc)
+        assert got == expect, head
+
+
 def test_missing_file(tmp_path):
     with pytest.raises(FileNotFoundError):
         load_image(tmp_path / "nope.ppm")

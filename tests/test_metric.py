@@ -461,6 +461,41 @@ def test_metric_load_rejects_short_header(tmp_path):
         load_metric(path)
 
 
+@pytest.mark.parametrize("dim", [1, 3, 13, 32])
+def test_metric_file_round_trips_byte_for_byte(tmp_path, dim):
+    rng = np.random.default_rng(dim)
+    n_loc = 5
+    a = rng.standard_normal((n_loc, dim, dim))
+    model = MetricModel(matrices=a + a.transpose(0, 2, 1), sigmas=rng.random(n_loc) + 0.5,
+                        global_matrix=2.0 * np.eye(dim), global_sigma=0.3,
+                        fallback=np.arange(n_loc) % 3 == 1)
+    first, second = tmp_path / "a.bin", tmp_path / "b.bin"
+    save_metric(first, model)
+    save_metric(second, load_metric(first))
+    blob = first.read_bytes()
+    assert second.read_bytes() == blob
+    # 24-byte header, the f64 matrices, sigmas, global matrix and sigma, one flag byte each
+    assert len(blob) == 24 + 8 * ((n_loc + 1) * dim * dim + n_loc + 1) + n_loc
+    assert blob[-n_loc:] == bytes([0, 1, 0, 0, 1])
+
+
+@pytest.mark.parametrize("n_loc, dim", [(2**32 - 1, 2**32 - 1), (2**28, 1), (1, 2**14 + 1),
+                                        (2**32 - 1, 0)])
+def test_metric_header_declaring_a_huge_payload_fails_without_allocating_it(tmp_path, n_loc, dim):
+    # Each declares over 2 GiB of fields in a 32-byte file.
+    path = tmp_path / "huge.bin"
+    path.write_bytes(b"PKMETR01" + bytes(8) + struct.pack("<II", n_loc, dim) + bytes(8))
+
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError, match="metric payload has 8 bytes"):
+            load_metric(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**16
+
+
 @pytest.fixture(scope="module")
 def metric_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("metric")

@@ -1,3 +1,6 @@
+import struct
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -143,6 +146,41 @@ def test_load_rejects_truncated_payload(tmp_path):
     bad.write_bytes(blob[:-16])
     with pytest.raises(FormatError):
         load_structure(bad)
+
+
+@pytest.mark.parametrize("probe, gallery", [
+    (GridSpec(7, 9, 3, 5, 2, 2), GridSpec(7, 9, 3, 5, 1, 1)),   # 3x3 by 5x5 patches
+    (GridSpec(5, 5, 5, 5, 1, 1), GridSpec(5, 5, 3, 3, 1, 2)),   # 1 by 2x3 patches
+    (GridSpec(9, 3, 1, 3, 2, 1), GridSpec(9, 3, 3, 1, 3, 1)),   # 1x5 by 3x3 patches
+])
+def test_structure_file_round_trips_byte_for_byte(tmp_path, probe, gallery):
+    rng = np.random.default_rng(probe.n_patches * gallery.n_patches)
+    structure = blend_update(init_structure(probe, gallery, t_d=3),
+                             rng.random((probe.n_patches, gallery.n_patches)), 0.5)
+    first, second = tmp_path / "a.bin", tmp_path / "b.bin"
+    save_structure(first, structure)
+    save_structure(second, load_structure(first))
+    blob = first.read_bytes()
+    assert second.read_bytes() == blob
+    assert blob[:6] == b"CSTR1\x01" and len(blob) == 68 + 8 * probe.n_patches * gallery.n_patches
+
+
+@pytest.mark.parametrize("probe, gallery", [((65535, 65535, 1, 1, 1, 1),) * 2,
+                                            ((2**32 - 1, 1, 1, 1, 1, 1), (1, 1, 1, 1, 1, 1))])
+def test_structure_header_declaring_a_huge_payload_fails_without_allocating_it(tmp_path, probe,
+                                                                              gallery):
+    # Counts that agree with the grids, declaring over 2 GiB in a 68-byte file.
+    n_a, n_b = GridSpec(*probe).n_patches, GridSpec(*gallery).n_patches
+    path = tmp_path / "huge.bin"
+    path.write_bytes(b"CSTR1\x01" + bytes(6) + struct.pack("<14I", n_a, n_b, *probe, *gallery))
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError, match="payload has 0 bytes"):
+            load_structure(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**16
 
 
 def _tiny_blob(path) -> bytes:
