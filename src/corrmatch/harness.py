@@ -20,8 +20,8 @@ import numpy as np
 from .config import RunConfig
 from .errors import ConfigurationError
 from .geometry import colocated_table
-from .imaging import (DescriptorWorkspace, PpmError, RgbImage, check_ppm, extract_descriptors,
-                      load_image, save_image, scale_to_canonical)
+from .imaging import (DescriptorWorkspace, PpmError, RgbImage, extract_descriptors, load_image,
+                      save_image, scale_to_canonical)
 from .learning import (CmcCurve, LearnResult, cmc_curve, find_binary_structures,
                        learn_structure)
 from .matching import (BinaryMappingStructure, CellTable, binary_structure_score_matrix,
@@ -123,12 +123,12 @@ def load_manifest(path) -> DatasetManifest:
 
 
 def check_images(manifest: DatasetManifest) -> None:
-    """Check every image the manifest lists (``imaging.check_ppm``), reading
-    headers and sizes only, before any image is decoded.  A bad image raises
-    its ``PpmError``, which names the file and the manifest line listing it."""
+    """Decode every image the manifest lists (``imaging.load_image``) before
+    any descriptor is computed.  A bad image raises its ``PpmError``, which
+    names the file and the manifest line listing it."""
     for entry in manifest.entries:
         try:
-            check_ppm(entry.path)
+            load_image(entry.path)
         except PpmError as exc:
             raise type(exc)(f"{exc} (manifest {manifest.name} line {entry.line})") from exc
 
@@ -416,8 +416,8 @@ def _test_table(bank: DescriptorBank, test_ids, metric: MetricModel,
 
 def _test_ranks(table: CellTable, owners: np.ndarray, artifacts: SplitArtifacts,
                 arm: str, config: RunConfig) -> np.ndarray:
-    """Correct-match rank of each test probe under one arm; when an identity
-    owns several galleries its best-ranked one counts."""
+    """Correct-match rank of each test probe under one of ``ARMS``; when an
+    identity owns several galleries its best-ranked one counts."""
     correct = np.arange(table.n_probe)
     if arm == "no-structure":
         scores = binary_structure_score_matrix(table.probe_images, table.gallery_images,
@@ -429,12 +429,10 @@ def _test_ranks(table: CellTable, owners: np.ndarray, artifacts: SplitArtifacts,
         if artifacts.binaries is None:
             raise ValueError("split was trained without binary structures")
         structure = simple_average_structure(artifacts.binaries, config)
-    elif arm in ("no-global", "proposed"):
+    else:
         if artifacts.learned is None:
             raise ValueError(f"arm {arm!r} needs a trained structure")
         structure = artifacts.learned.structure
-    else:
-        raise ValueError(f"unknown ablation arm {arm!r}")
 
     gate, values = gated_correlations(table, structure, config.t_c)
     if arm == "no-global":

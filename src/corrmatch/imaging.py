@@ -10,17 +10,12 @@ patches with no gradient energy, otherwise L1-normalized.
 from __future__ import annotations
 
 import math
-import os
 import re
 from dataclasses import dataclass
 
 import numpy as np
 
 from .geometry import GridSpec, patch_cells
-
-
-# Bytes ``check_ppm`` reads first; a header with longer comments reads on.
-_HEAD_BYTES = 512
 
 
 class PpmError(ValueError):
@@ -73,58 +68,47 @@ def load_image(path) -> RgbImage:
         raise type(exc)(f"{path}: {exc}") from exc
 
 
-def check_ppm(path) -> None:
-    """Raise what ``load_image(path)`` would raise, reading only the file's
-    header and size: the header must parse and the file must hold the
-    payload it declares.  The first ``_HEAD_BYTES`` bytes are read, and the
-    rest only when the header does not end inside them."""
-    with open(path, "rb") as fh:
-        data, size = fh.read(_HEAD_BYTES), os.fstat(fh.fileno()).st_size
-        try:
-            if _ppm_header(data, size)[1] <= len(data):
-                return
-        except PpmError:
-            pass
-        data += fh.read()  # a token may run on past the head
-    try:
-        _ppm_header(data, size)
-    except PpmError as exc:
-        raise type(exc)(f"{path}: {exc}") from exc
-
-
 # The header's four tokens (magic, width, height, maxval), each after any
 # whitespace and comments; a comment runs from '#' to its line's end, and a
 # token from a byte that is neither whitespace nor '#' to the next
-# whitespace.  A later token is matched only where the earlier ones are.
-_TOKEN = rb"(?:\s|#[^\r\n]*(?![^\r\n]))*([^\s#]\S*)"
-_PPM_HEADER = re.compile(_TOKEN + (b"(?:" + _TOKEN) * 3 + b")?" * 3)
+# whitespace.  A token is matched up to one byte past the longest one a
+# header may hold, and a later token only where the earlier ones are.
+_TOKEN_BYTES = 64
+_SPACE = rb"(?:\s|#[^\r\n]*(?![^\r\n]))*"
+_TOKEN = rb"([^\s#]\S{0,%d})" % _TOKEN_BYTES
+_PPM_HEADER = re.compile(_SPACE + _TOKEN + (rb"(?:\s" + _SPACE + _TOKEN) * 3 + b")?" * 3)
 
 
-def _ppm_header(data: bytes, size: int) -> tuple[tuple[int, int, int], int]:
-    """Pixel shape (height, width, 3) and payload offset of the PPM file of
-    ``size`` bytes that starts with ``data``; it must hold the whole payload."""
+def _ppm_header(data: bytes) -> tuple[tuple[int, int, int], int]:
+    """Pixel shape (height, width, 3) and payload offset of the PPM file
+    ``data``; it must hold the whole payload.  Tokens are checked in order,
+    and a message quotes at most a token's first 16 bytes."""
     match = _PPM_HEADER.match(data)
-    magic, *fields = match.groups() if match else (None,)
-    if magic is not None and magic != b"P6":
-        raise MalformedHeaderError(f"not a binary PPM (magic {magic!r})")
-    if magic is None or None in fields:
+    tokens = [token for token in match.groups() if token] if match else []
+    for k, token in enumerate(tokens):
+        if len(token) > _TOKEN_BYTES:
+            raise MalformedHeaderError(f"PPM token {token[:16]!r} is over {_TOKEN_BYTES} bytes")
+        if k == 0 and token != b"P6":
+            raise MalformedHeaderError(f"not a binary PPM (magic {token[:16]!r})")
+    if len(tokens) < 4:
         raise MalformedHeaderError("unexpected end of PPM header")
-    if not all(field.isdigit() for field in fields):
-        raise MalformedHeaderError(f"non-decimal PPM header field in {b' '.join(fields)!r}")
-    width, height, maxval = map(int, fields)
+    if not all(field.isdigit() for field in tokens[1:]):
+        quoted = b" ".join(field[:16] for field in tokens[1:])
+        raise MalformedHeaderError(f"non-decimal PPM header field in {quoted!r}")
+    width, height, maxval = map(int, tokens[1:])
     if width < 1 or height < 1:
         raise MalformedHeaderError(f"bad PPM dimensions {width}x{height}")
     if maxval != 255:
         raise UnsupportedFormatError(f"only maxval 255 supported, got {maxval}")
     offset = match.end() + 1  # exactly one whitespace byte separates header and payload
-    if size - offset < width * height * 3:
-        raise TruncatedPayloadError(f"payload has {max(size - offset, 0)} bytes, "
+    if len(data) - offset < width * height * 3:
+        raise TruncatedPayloadError(f"payload has {max(len(data) - offset, 0)} bytes, "
                                     f"expected {width * height * 3}")
     return (height, width, 3), offset
 
 
 def decode_ppm(data: bytes) -> RgbImage:
-    shape, offset = _ppm_header(data, len(data))
+    shape, offset = _ppm_header(data)
     pixels = np.frombuffer(data, np.uint8, count=math.prod(shape), offset=offset)
     return RgbImage(pixels=pixels.reshape(shape).copy())
 

@@ -214,8 +214,6 @@ def candidate_tables(table: CellTable, candidates) -> Iterator[CellTable]:
     signed, norms = table.probe_side
     values = np.empty((len(keys), table.n_gallery))
     for i, (lo, hi) in enumerate(zip(by_row, by_row[1:])):
-        if lo == hi:
-            continue
         gallery = table.gallery_stack[:, cols[lo:hi]].swapaxes(0, 1)  # (cells, G, dim)
         b = np.matmul(_padded_rows(gallery), factors[i])[:, :table.n_gallery]
         b, g_norms = _gallery_side(b, signs[i])

@@ -438,7 +438,9 @@ def ppm_header(data: bytes) -> tuple[int, int, int]:
     """Reference for the binary PPM header grammar of ``imaging``: width,
     height and payload offset of the P6 file starting ``data``, read by a
     hand-written tokenizer, with the ``PpmError`` type and message the
-    library raises for a bad header."""
+    library raises for a bad header.  A token is read no further than one
+    byte past 64, the longest a header may hold, and a message quotes at
+    most a token's first 16 bytes."""
     from corrmatch.imaging import MalformedHeaderError, UnsupportedFormatError
 
     pos = 0
@@ -455,18 +457,21 @@ def ppm_header(data: bytes) -> tuple[int, int, int]:
             else:
                 break
         start = pos
-        while pos < len(data) and not data[pos:pos + 1].isspace():
+        while pos < len(data) and pos - start <= 64 and not data[pos:pos + 1].isspace():
             pos += 1
         if start == pos:
             raise MalformedHeaderError("unexpected end of PPM header")
+        if pos - start > 64:
+            raise MalformedHeaderError(f"PPM token {data[start:start + 16]!r} is over 64 bytes")
         return data[start:pos]
 
     magic = next_token()
     if magic != b"P6":
-        raise MalformedHeaderError(f"not a binary PPM (magic {magic!r})")
+        raise MalformedHeaderError(f"not a binary PPM (magic {magic[:16]!r})")
     fields = [next_token() for _ in range(3)]
     if not all(field.isdigit() for field in fields):
-        raise MalformedHeaderError(f"non-decimal PPM header field in {b' '.join(fields)!r}")
+        quoted = b" ".join(field[:16] for field in fields)
+        raise MalformedHeaderError(f"non-decimal PPM header field in {quoted!r}")
     width, height, maxval = map(int, fields)
     if width < 1 or height < 1:
         raise MalformedHeaderError(f"bad PPM dimensions {width}x{height}")

@@ -221,6 +221,17 @@ def test_training_context_equals_independent_single_probe_tables(seed, n_probe, 
         assert single.computed == held == fresh.computed
 
 
+@pytest.mark.parametrize("n_probe", [1, 3])
+def test_candidate_tables_with_no_candidates_hold_no_cell(n_probe):
+    # Every location then has no cell and computes an empty block.
+    rng = np.random.default_rng(4)
+    model = random_model(rng, 6, 5)
+    table = CellTable(rng.random((n_probe, 6, 5)), rng.random((4, 9, 5)), model)
+    singles = list(matching.candidate_tables(table, [[] for _ in range(n_probe)]))
+    assert [single.n_probe for single in singles] == [1] * n_probe
+    assert [single.computed for single in singles] == [0] * n_probe and table.computed == 0
+
+
 def indefinite_model(rng, n_loc: int, dim: int) -> MetricModel:
     """Random symmetric metrics with eigenvalues of both signs, as a matrix
     built by hand or loaded from a file may have."""

@@ -184,6 +184,19 @@ def test_evaluate_with_a_truncated_image_names_it_in_one_error_line(dataset, sma
     fails_on_a_truncated_image("evaluate", dataset, small_config, tmp_path, capsys, monkeypatch)
 
 
+def test_train_on_a_junk_image_fails_in_one_short_error_line(capsys):
+    # An 8 MB file with no header: the message quotes 16 of its bytes.
+    import tempfile
+    with tempfile.TemporaryDirectory() as tmp:
+        Path(tmp, "j.ppm").write_bytes(b"JUNK" + bytes(8 * 2**20 - 4))
+        Path(tmp, "m.csv").write_text("identity,camera,path\nj,A,j.ppm\nj,B,j.ppm\n")
+        code = main(["train", "--manifest", f"{tmp}/m.csv", "--out", f"{tmp}/run"])
+        err = capsys.readouterr().err.strip().splitlines()
+        assert code == 1 and len(err) == 1 and not Path(tmp, "run").exists()
+    assert err[0].startswith(f"error: MalformedHeaderError: {tmp}/j.ppm: PPM token ")
+    assert err[0].endswith("(manifest m.csv line 2)") and len(err[0]) < 200
+
+
 @pytest.mark.parametrize("args", [
     ["train", "--manifest", "{tmp}/missing.csv"],
     ["train", "--manifest", "{data}/manifest.csv", "--config", "{tmp}/bad.cfg"],

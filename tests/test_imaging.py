@@ -1,17 +1,16 @@
 import math
-from unittest import mock
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corrmatch import imaging
 from corrmatch.geometry import GridSpec, patch_cells
 from corrmatch.imaging import (DescriptorWorkspace, MalformedHeaderError, PpmError, RgbImage,
-                               TruncatedPayloadError, UnsupportedFormatError, check_ppm,
-                               decode_ppm, extract_descriptors, load_image, rgb_to_lab,
-                               save_image, scale_to_canonical)
+                               TruncatedPayloadError, UnsupportedFormatError, decode_ppm,
+                               extract_descriptors, load_image, rgb_to_lab, save_image,
+                               scale_to_canonical)
 
 import oracles
 from blobs import mutated
@@ -78,38 +77,6 @@ def test_decode_raises_only_ppm_error(data):
         pass
 
 
-# The first 10 bytes end inside the maxval 2550, which reads as 255 there.
-@example(data=b"P6\n2 2\n2550\n" + bytes(12), head=10)
-@settings(max_examples=300, deadline=None)
-@given(data=st.one_of(st.binary(max_size=64),
-                      st.binary(max_size=48).map(lambda tail: b"P6" + tail),
-                      st.tuples(st.sampled_from([b"P6", b"P6 ", b"P6\n2 2\n", b"P6\n2 2\n255"]),
-                                st.binary(max_size=24)).map(b"".join),
-                      mutated(b"P6\n2 2\n255\n" + bytes(range(12))),
-                      st.tuples(st.integers(0, 40), st.sampled_from([b"255", b"2550", b"25"]),
-                                st.integers(0, 14)).map(
-                          lambda n: b"P6\n#" + b"c" * n[0] + b"\n2 2\n" + n[1] + b"\n"
-                          + bytes(n[2]))),
-       head=st.one_of(st.integers(1, 24), st.just(imaging._HEAD_BYTES)))
-def test_check_ppm_raises_what_load_image_raises(tmp_path_factory, data, head):
-    # From the header and the file size alone, with the header read in one
-    # piece or running past the first bytes read.
-    path = tmp_path_factory.mktemp("ppm") / "x.ppm"
-    path.write_bytes(data)
-    try:
-        load_image(path)
-        expect = None
-    except PpmError as exc:
-        expect = type(exc), str(exc)
-    with mock.patch.object(imaging, "_HEAD_BYTES", head):
-        try:
-            check_ppm(path)
-            got = None
-        except PpmError as exc:
-            got = type(exc), str(exc)
-    assert got == expect
-
-
 def reference_load(data: bytes):
     """The pixel shape and payload ``oracles.ppm_header`` reads from ``data``,
     or the error type and message it raises, truncation included."""
@@ -127,17 +94,19 @@ def reference_load(data: bytes):
 _SEPARATORS = [b" ", b"\t", b"\n", b"\r", b"\r\n", b"\x0b", b"\x0c", b"#c\n", b"#\r",
                b"# x#y\r\n", b"#c\x0b\x0c\n", b"#"]
 _FIELDS = [b"1", b"2", b"02", b"0", b"255", b"2550", b"25", b"256", b"+1", b"-1", b"a",
-           b"1_0", b"2#5", b"255#c", b"\xef\xbc\x92", b"\x00"]
+           b"1_0", b"2#5", b"255#c", b"\xef\xbc\x92", b"\x00", b"0" * 61 + b"255",
+           b"0" * 63 + b"2", b"0" * 64 + b"2", b"9" * 40, b"x" * 17, b"x" * 70]
 
 
 @st.composite
 def ppm_files(draw):
     """Headers built from magics (P6, P5 and junk), fields (decimals, and
-    non-digits and '#' inside a token) and separators (whitespace of every
-    kind and comments, before the magic, between tokens and right after the
-    maxval), then a payload, and sometimes cut anywhere."""
+    non-digits and '#' inside a token, up to and past the 64 bytes a token
+    may hold) and separators (whitespace of every kind and comments, before
+    the magic, between tokens and right after the maxval), then a payload,
+    and sometimes cut anywhere."""
     separator = st.lists(st.sampled_from(_SEPARATORS), max_size=3).map(b"".join)
-    magic = draw(st.sampled_from([b"P6", b"P5", b"P3", b"P66", b"#P6", b"\xff"])
+    magic = draw(st.sampled_from([b"P6", b"P5", b"P3", b"P66", b"#P6", b"\xff", b"P" * 65])
                  | st.binary(min_size=1, max_size=3))
     data = draw(separator) + magic
     for _ in range(3):
@@ -148,27 +117,43 @@ def ppm_files(draw):
     return data[:draw(st.integers(0, len(data)))] if draw(st.booleans()) else data
 
 
+def read_outcome(read, source):
+    """The pixel shape and bytes ``read(source)`` decodes, or the type and
+    message of the ``PpmError`` it raises."""
+    try:
+        img = read(source)
+    except PpmError as exc:
+        return type(exc), str(exc)
+    return img.pixels.shape, img.pixels.tobytes()
+
+
 @settings(max_examples=300, deadline=None)
 @given(data=ppm_files())
-def test_decode_and_check_ppm_follow_the_reference_header_grammar(tmp_path_factory, data):
+def test_decode_ppm_and_load_image_follow_the_reference_header_grammar(tmp_path_factory, data):
     expect = reference_load(data)
-    try:
-        img = decode_ppm(data)
-        got = img.pixels.shape, img.pixels.tobytes()
-    except PpmError as exc:
-        got = type(exc), str(exc)
-    assert got == expect
+    assert read_outcome(decode_ppm, data) == expect
     path = tmp_path_factory.mktemp("ppm") / "x.ppm"
     path.write_bytes(data)
-    expect = None if isinstance(expect[0], tuple) else (expect[0], f"{path}: {expect[1]}")
-    for head in [*range(1, 41), imaging._HEAD_BYTES]:  # cut mid-token at every head up to 40
-        with mock.patch.object(imaging, "_HEAD_BYTES", head):
-            try:
-                check_ppm(path)
-                got = None
-            except PpmError as exc:
-                got = type(exc), str(exc)
-        assert got == expect, head
+    if not isinstance(expect[0], tuple):
+        expect = expect[0], f"{path}: {expect[1]}"
+    assert read_outcome(load_image, path) == expect
+
+
+def test_a_junk_file_fails_in_a_short_message_without_copying_it(tmp_path):
+    # One 8 MB token: the header grammar stops 65 bytes in, and the message
+    # quotes 16 of them.
+    path = tmp_path / "junk.ppm"
+    path.write_bytes(b"JUNK" + bytes(8 * 2**20 - 4))
+    tracemalloc.start()
+    try:
+        with pytest.raises(MalformedHeaderError) as caught:
+            load_image(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(caught.value) == (f"{path}: PPM token {b'JUNK' + bytes(12)!r} "
+                                 f"is over 64 bytes")
+    assert len(str(caught.value)) < 200 and peak < 3 * 8 * 2**20
 
 
 def test_missing_file(tmp_path):
