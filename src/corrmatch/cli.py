@@ -12,7 +12,7 @@ import sys
 from dataclasses import astuple, fields
 
 from .config import RunConfig, load_config, save_config
-from .errors import ConfigurationError
+from .errors import ConfigurationError, write_rows
 from .harness import (ARMS, DescriptorBank, check_images, generate_synthetic, load_manifest,
                       make_splits, run_ablations, train_on_split)
 from .imaging import extract_descriptors, load_image, scale_to_canonical
@@ -26,23 +26,24 @@ def _config_from(args) -> RunConfig:
     return load_config(args.config) if args.config else RunConfig()
 
 
+def _check_out_dir(path) -> None:
+    """Fail before any work when ``--out`` exists and is not a directory."""
+    if os.path.lexists(path) and not os.path.isdir(path):
+        raise NotADirectoryError(f"--out {path} exists and is not a directory")
+
+
 def _write_diagnostics(path, diagnostics) -> None:
     """One row per iteration: every ``IterationStats`` field, in field order,
     under a header of the field names (``iter`` for ``iteration``)."""
     names = ["iter"] + [f.name for f in fields(IterationStats)[1:]]
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(",".join(names) + "\n")
-        for row in diagnostics:
-            fh.write(",".join(repr(value) for value in astuple(row)) + "\n")
+    write_rows(path, [names, *map(astuple, diagnostics)])
 
 
 def _write_cmc_csv(path, averaged, per_split, rank_points) -> None:
     points = [n for n in rank_points if n <= averaged.gallery_size]
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("split," + ",".join(f"r{n}" for n in points) + "\n")
-        for idx, curve in enumerate(per_split):
-            fh.write(f"{idx}," + ",".join(repr(curve.at_rank(n)) for n in points) + "\n")
-        fh.write("avg," + ",".join(repr(averaged.at_rank(n)) for n in points) + "\n")
+    curves = [*enumerate(per_split), ("avg", averaged)]
+    write_rows(path, [("split", *(f"r{n}" for n in points)),
+                      *((label, *map(curve.at_rank, points)) for label, curve in curves)])
 
 
 def cmd_synth(args) -> int:
@@ -54,6 +55,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_train(args) -> int:
+    _check_out_dir(args.out)
     config = _config_from(args)
     manifest = load_manifest(args.manifest)
     check_images(manifest)
@@ -73,6 +75,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    _check_out_dir(args.out)
     config = _config_from(args)
     manifest = load_manifest(args.manifest)
     check_images(manifest)
@@ -106,14 +109,8 @@ def cmd_match(args) -> int:
                                        config.color_bins, config.gradient_bins)
     corr, result = match_score(probe_desc, gallery_desc, structure, metric,
                                config.t_c, config.kappa)
-    out = open(args.out, "w", encoding="ascii", newline="\n") if args.out else sys.stdout
-    try:
-        out.write("i,j,correlation\n")
-        for i, j in result.pairs:
-            out.write(f"{i},{j},{float(corr[i, j])!r}\n")
-    finally:
-        if args.out:
-            out.close()
+    write_rows(args.out, [("i", "j", "correlation"),
+                          *((i, j, corr[i, j]) for i, j in result.pairs)])
     print(f"psi = {result.score!r} over {len(result.pairs)} matched patches")
     return 0
 

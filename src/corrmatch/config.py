@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, read_text, write_rows
 from .geometry import GridSpec
 
 
@@ -130,8 +130,14 @@ def parse_config(text: str) -> RunConfig:
 
 
 def load_config(path) -> RunConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read())
+    """``parse_config`` on the file's text (``errors.read_text``); a problem
+    names the file."""
+    text = read_text(path, "config")
+    try:
+        return parse_config(text)
+    except ConfigurationError as exc:
+        where = " " if str(exc).startswith("line ") else ": "
+        raise ConfigurationError(f"config {path}{where}{exc}") from None
 
 
 def format_config(config: RunConfig) -> str:
@@ -140,5 +146,4 @@ def format_config(config: RunConfig) -> str:
 
 
 def save_config(path, config: RunConfig) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_config(config))
+    write_rows(path, [(line,) for line in format_config(config).splitlines()])

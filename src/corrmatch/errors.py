@@ -1,9 +1,12 @@
-"""Exception types shared across the package, and the model files' field
-reader and writer: a file is a header (one numpy record, magic first) and
-then fields, each a little-endian array of its (dtype, shape), in order."""
+"""Exception types shared across the package, the one text reader and writer,
+and the model files' field reader and writer: a model file is a header (one
+numpy record, magic first), then fields, each a little-endian array of its
+(dtype, shape), in order."""
 
+import codecs
 import math
-from contextlib import contextmanager
+import sys
+from contextlib import contextmanager, nullcontext
 from itertools import accumulate
 
 import numpy as np
@@ -27,6 +30,30 @@ def as_format_error():
         raise
     except ValueError as exc:
         raise FormatError(str(exc)) from exc
+
+
+def read_text(path, what: str) -> str:
+    """The file's UTF-8 text, a leading BOM dropped.  A byte that is not UTF-8
+    raises a ``ConfigurationError`` naming the ``what`` file and its 1-based line."""
+    with open(path, "rb") as fh:
+        data = fh.read().removeprefix(codecs.BOM_UTF8)
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ConfigurationError(f"{what} {path} line {line} is not UTF-8: {exc.reason}") from None
+
+
+def _field(value) -> str:
+    return str(value) if isinstance(value, (str, int, np.integer)) else repr(float(value))
+
+
+def write_rows(path, rows) -> None:
+    """Write each row as one ASCII line ending in ``\\n``: its fields joined by
+    commas, a string or an integer (numpy's too) as ``str`` and any other number
+    as ``repr(float(x))``.  With no ``path`` (None or empty) it writes to stdout."""
+    with open(path, "w", encoding="ascii", newline="\n") if path else nullcontext(sys.stdout) as fh:
+        fh.writelines(",".join(map(_field, row)) + "\n" for row in rows)
 
 
 def write_fields(path, header: np.ndarray, layout, values) -> None:

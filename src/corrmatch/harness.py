@@ -8,7 +8,6 @@ simple-average, no-global, and proposed.
 """
 from __future__ import annotations
 
-import codecs
 import csv
 import io
 import json
@@ -18,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import RunConfig
-from .errors import ConfigurationError
+from .errors import ConfigurationError, read_text, write_rows
 from .geometry import colocated_table
 from .imaging import (DescriptorWorkspace, PpmError, RgbImage, extract_descriptors, load_image,
                       save_image, scale_to_canonical)
@@ -77,14 +76,7 @@ def load_manifest(path) -> DatasetManifest:
     (``image_path`` gives the first, ``image_paths`` all of them).
     """
     base = os.path.dirname(os.path.abspath(path))
-    with open(path, "rb") as fh:
-        data = fh.read().removeprefix(codecs.BOM_UTF8)
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        line = data.count(b"\n", 0, exc.start) + 1
-        raise ConfigurationError(f"manifest {path} line {line} is not UTF-8: {exc.reason}") from None
-    reader = csv.reader(io.StringIO(text, newline=""))
+    reader = csv.reader(io.StringIO(read_text(path, "manifest"), newline=""))
     rows = [(reader.line_num, row) for row in reader if row]
     if not rows:
         raise ConfigurationError(f"manifest {path} is empty")
@@ -272,16 +264,13 @@ def generate_synthetic(out_dir, n_identities: int, shift_rows: int, noise_level:
             rows.append((identity, camera, rel))
 
     manifest_path = os.path.join(out_dir, "manifest.csv")
-    with open(manifest_path, "w", encoding="utf-8", newline="\n") as fh:
-        for row in rows:
-            fh.write(",".join(row) + "\n")
+    write_rows(manifest_path, rows)
     ground_truth = {"n_identities": n_identities, "shift_rows": shift_rows,
                     "shift_pixels": shift_pixels, "noise_level": noise_level,
                     "seed": seed, "weak_fraction": weak_fraction,
                     "palette_size": palette_size}
-    with open(os.path.join(out_dir, "ground_truth.json"), "w", encoding="utf-8") as fh:
-        json.dump(ground_truth, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    text = json.dumps(ground_truth, indent=2, sort_keys=True)
+    write_rows(os.path.join(out_dir, "ground_truth.json"), [(line,) for line in text.splitlines()])
     return load_manifest(manifest_path), ground_truth
 
 

@@ -12,7 +12,7 @@ from dataclasses import astuple, dataclass
 import numpy as np
 
 from .errors import (ConfigurationError, FormatError, as_format_error, read_fields, read_header,
-                     write_fields)
+                     write_fields, write_rows)
 from .geometry import GridSpec, colocated_distance
 
 ROW_SUM_TOL = 1e-9
@@ -120,7 +120,4 @@ def load_structure(path) -> CorrespondenceStructure:
 
 def export_structure_csv(path, structure: CorrespondenceStructure) -> None:
     """Heat-map export: N_A rows by N_B comma-separated probability columns."""
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        for row in structure.probs:
-            fh.write(",".join(repr(float(v)) for v in row))
-            fh.write("\n")
+    write_rows(path, structure.probs)

@@ -214,6 +214,52 @@ def test_a_failed_run_leaves_no_out_directory(args, dataset, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_train_names_the_config_file_and_line_of_an_unknown_key(dataset, tmp_path, capsys):
+    config = tmp_path / "run.cfg"
+    config.write_text("kappa = -3\n# a note\nx = 3\n")
+    code = main(["train", "--manifest", f"{dataset}/manifest.csv", "--config", str(config),
+                 "--out", str(tmp_path / "run")])
+    err = capsys.readouterr().err.strip().splitlines()
+    assert code == 1 and err == [f"error: ConfigurationError: config {config} line 3: "
+                                 f"unknown key 'x'"]
+
+
+@pytest.mark.parametrize("command", ["train", "evaluate", "match"])
+def test_a_config_byte_that_is_not_utf8_fails_in_one_error_line(command, dataset, run, tmp_path,
+                                                                 capsys):
+    config = tmp_path / "run.cfg"
+    config.write_bytes(b"kappa = -3\n\nt_c = 0.\xff\n")
+    if command == "match":
+        args = ["--probe", f"{dataset}/imgs/id0000_A.ppm", "--gallery",
+                f"{dataset}/imgs/id0000_B.ppm", "--structure", f"{run}/structure.bin",
+                "--metric", f"{run}/metric.bin"]
+    else:
+        args = ["--manifest", f"{dataset}/manifest.csv"]
+    out = tmp_path / "out"
+    code = main([command, *args, "--config", str(config), "--out", str(out)])
+    err = capsys.readouterr().err.strip().splitlines()
+    assert code == 1 and err == [f"error: ConfigurationError: config {config} line 3 is not "
+                                 f"UTF-8: invalid start byte"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "evaluate"])
+def test_an_out_that_is_a_file_fails_before_any_work(command, dataset, small_config, tmp_path,
+                                                     capsys, monkeypatch):
+    from corrmatch import harness
+    extracted = []
+    monkeypatch.setattr(harness, "extract_descriptors",
+                        lambda *args, **kwargs: extracted.append(args))
+    out = tmp_path / "run"
+    out.write_bytes(b"keep me\n")
+    code = main([command, "--manifest", f"{dataset}/manifest.csv", "--config", small_config,
+                 "--out", str(out)])
+    err = capsys.readouterr().err.strip().splitlines()
+    assert code == 1 and err == [f"error: NotADirectoryError: --out {out} exists and is not a "
+                                 f"directory"]
+    assert extracted == [] and out.read_bytes() == b"keep me\n"
+
+
 def test_synth_with_negative_noise_is_one_error_line(tmp_path, capsys):
     out = tmp_path / "data"
     code = main(["synth", "--out", str(out), "--identities", "2", "--shift-rows", "0",

@@ -108,6 +108,34 @@ def test_cli_reports_bad_config_as_one_error_line(tmp_path, capsys):
     assert len(err) == 1 and err[0].startswith("error: ConfigurationError")
 
 
+def test_config_with_a_utf8_bom_loads_as_without(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_text("kappa = -3\nt_c = 0.1\n")
+    plain = load_config(path)
+    path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    assert load_config(path) == plain == RunConfig(kappa=-3.0, t_c=0.1)
+
+
+@pytest.mark.parametrize("text, message", [
+    (b"kappa = -3\nt_c = 0.\xff\n", "line 2 is not UTF-8: invalid start byte"),
+    (b"kappa = -3\n# a note\nx = 3\n", "line 3: unknown key 'x'"),
+    (b"t_c = 0.1\n\nt_c = 0.2\n", "line 3: key 't_c' already set on line 1"),
+    (b"t_c = banana\n", ": bad value for t_c: 'banana'"),
+    (b"epsilon = 2\n", ": epsilon must lie in (0, 1]"),
+], ids=["not-utf8", "unknown-key", "set-twice", "bad-value", "out-of-range"])
+def test_a_config_problem_names_the_file(tmp_path, text, message):
+    path = tmp_path / "run.cfg"
+    path.write_bytes(text)
+    with pytest.raises(ConfigurationError) as caught:
+        load_config(path)
+    where = f"config {path}" + ("" if message.startswith(":") else " ")
+    assert caught.value.args == (where + message,) and caught.value.__cause__ is None
+    if b"\xff" not in text:  # the same text from no file keeps parse_config's message
+        with pytest.raises(ConfigurationError) as caught:
+            parse_config(text.decode())
+        assert caught.value.args == (message.removeprefix(": "),)
+
+
 @pytest.mark.parametrize("axis", ["x", "y"])
 def test_canvas_under_two_pixels_rejected(tmp_path, capsys, axis):
     # A 1 px lattice fits, but the first image would fail inside np.gradient.

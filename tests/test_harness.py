@@ -116,6 +116,16 @@ def test_manifest_with_crlf_and_blank_lines_loads_as_without(tmp_path):
         load_manifest(path)
 
 
+def test_manifest_rows_of_two_and_four_columns_name_their_lines(tmp_path):
+    path = write_manifest(tmp_path, two_identity_rows(tmp_path))
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join([lines[0], "p1,A", *lines[1:3], "p2,A,x.ppm,4", lines[4]]) + "\n")
+    with pytest.raises(ConfigurationError) as caught:
+        load_manifest(path)
+    assert caught.value.args == (f"invalid manifest {path}: line 2: expected 3 columns | "
+                                 f"line 5: expected 3 columns | identity 'p2' missing camera A",)
+
+
 # ------------------------------------------------------------------ splits
 
 def make_synthetic_manifest(tmp_path, n=8, **kw):

@@ -193,12 +193,14 @@ def blob_file(tmp_path_factory):
     return tmp_path_factory.mktemp("structure") / "s.bin"
 
 
-@pytest.mark.parametrize("damage", ["magic only", "first 20 bytes", "zero stride",
+@pytest.mark.parametrize("damage", ["magic only", "version 2", "first 20 bytes", "zero stride",
                                     "nan payload", "row sum overflows"])
 def test_load_rejects_short_or_invalid_fields_as_format_error(tmp_path, damage):
     blob = bytearray(_tiny_blob(tmp_path / "s.bin"))
     if damage == "magic only":
         blob = blob[:5]
+    elif damage == "version 2":
+        blob[5] = 2  # the version byte, after the 5-byte magic
     elif damage == "first 20 bytes":
         blob = blob[:20]
     elif damage == "zero stride":
