@@ -125,7 +125,7 @@ def parse_config(text: str) -> RunConfig:
         try:
             overrides[key] = _CODECS[kinds[key]][0](raw)
         except (KeyError, ValueError) as exc:
-            raise ConfigurationError(f"bad value for {key}: {raw!r}") from exc
+            raise ConfigurationError(f"line {lineno}: bad value for {key}: {raw!r}") from exc
     return RunConfig(**overrides)
 
 

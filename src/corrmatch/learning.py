@@ -6,9 +6,13 @@ poorly-ranked halves, converts them into a probability update through a
 chain of rank-weighted priors, appearance-ratio conditionals, and spatial
 impact kernels, and blends the update into the structure.  Each binary
 structure links every probe patch to one gallery patch.  The binary
-structures never change, so each one's training CMC and importance-weighted
-conditional matrix are computed together the first time it is drawn and
-kept in one memo for the rest of the run.
+structures never change, so each one is scored once, in the iteration that
+first draws it, and keeps only what the update reads: its training CMC, its
+patch importance and the rows of its links in one store of conditional
+rows, one per distinct link cell.  Its joint matrix is rebuilt from them
+when the update reads it, and the link cells' log similarities are dropped
+after the scoring pass, so the split's cell table holds only the ranking
+gates' cells.
 """
 from __future__ import annotations
 
@@ -25,6 +29,10 @@ from .matching import (BinaryMappingStructure, CellTable, adjacency_candidates,
                        rank_of_scores)
 from .metric import MetricModel, build_avg_similarity
 from .structure import CorrespondenceStructure, blend_update, init_structure, proximity_weight
+
+# Binary structures per binary_structure_score_matrix call of a scoring
+# pass: each adds two (N_A, n_train**2) arrays to the call's temporaries.
+_SCORE_CHUNK = 2
 
 
 @dataclass(frozen=True)
@@ -72,7 +80,7 @@ class IterationStats:
     gate_cells: int        # cells of the ranking gate
     gated_rows: int        # probe patches holding a gate cell
     clamped: int           # 1 when a half had fewer candidates than its draws
-    new_cells: int         # cells the split's cell table computed this iteration
+    new_cells: int         # cells computed this iteration: the ranking's and the scoring pass's
     update_drift: float    # max|U_k - U_1| of the normalized update U over iterations
 
 
@@ -98,8 +106,15 @@ def conditional_matrix(binary: BinaryMappingStructure, avg_table: np.ndarray) ->
     the linked patch's, so the linked patch gets raw weight 1 (exactly: x / x
     is 1 for any finite positive x).  Each raw row is normalized to sum 1.
     """
-    t = binary.target_array(*avg_table.shape)
-    raw = avg_table / avg_table[np.arange(len(avg_table)), t][:, None]
+    return conditional_rows(avg_table, np.arange(len(avg_table)),
+                            binary.target_array(*avg_table.shape))
+
+
+def conditional_rows(avg_table: np.ndarray, rows: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Row rows[k] of ``conditional_matrix`` for a structure linking probe
+    patch rows[k] to gallery patch targets[k]: a row depends on its own link
+    alone, so it has the same bits in every structure holding that link."""
+    raw = avg_table[rows] / avg_table[rows, targets][:, None]
     return raw / raw.sum(axis=1, keepdims=True)
 
 
@@ -124,11 +139,23 @@ def patch_importance(importances: np.ndarray, t_d: int) -> np.ndarray:
 
 
 def compute_update(joint_matrices, priors) -> np.ndarray:
-    """Prior-weighted mixture of per-structure joint probability matrices."""
+    """Prior-weighted mixture of per-structure joint probability matrices,
+    summed in order.  ``joint_matrices`` may be any iterable: each matrix
+    is read when its term is added and held no longer, so a generator that
+    builds them keeps one alive at a time."""
     priors = np.asarray(priors, dtype=np.float64)
-    if len(joint_matrices) != priors.size or priors.size == 0:
+    joints = iter(joint_matrices)
+
+    def term(prior):
+        joint = next(joints, None)
+        if joint is None:
+            raise ValueError("need one prior per structure")
+        return prior * joint
+
+    update = sum(map(term, priors))
+    if priors.size == 0 or next(joints, None) is not None:
         raise ValueError("need one prior per structure")
-    return sum(prior * joint for joint, prior in zip(joint_matrices, priors))  # in order
+    return update
 
 
 def find_binary_structures(table: CellTable, pair_log_similarity: np.ndarray,
@@ -147,7 +174,15 @@ def find_binary_structures(table: CellTable, pair_log_similarity: np.ndarray,
 
 
 class _TrainingContext:
-    """Per-split caches shared across boosting iterations."""
+    """Per-split state shared across boosting iterations.
+
+    The split's ``table`` memo holds the cells the rankings read.  A drawn
+    structure is scored once, by the ``score`` pass of the iteration that
+    first draws it, and keeps its rank-n training CMC, its patch importance
+    and the indices of its links' rows in one store of ``conditional_rows``,
+    which holds one row per distinct link cell beside that cell's CMC;
+    ``joint`` rebuilds its joint matrix from them.
+    """
 
     def __init__(self, probe_stack, gallery_stack, model, config: RunConfig):
         self.table = CellTable(probe_stack, gallery_stack, model)
@@ -157,27 +192,63 @@ class _TrainingContext:
         pair_log_similarity = correct_pair_log_similarity(self.table)
         self.avg_table = build_avg_similarity(pair_log_similarity)
         self.binary_structures = find_binary_structures(self.table, pair_log_similarity, config)
-        self._scored: dict[int, tuple[float, np.ndarray]] = {}
+        # Structure alpha -> (CMC, importance, store index of each link).
+        self._scored: dict[int, tuple[float, np.ndarray, np.ndarray]] = {}
+        # The store: link cell i * N_B + j -> its index; per index, the
+        # cell's CMC and its conditional row.
+        self._links: dict[int, int] = {}
+        self._link_cmcs = np.zeros(0)
+        self._conditional: list[np.ndarray] = []
 
-    def scored(self, alpha: int) -> tuple[float, np.ndarray]:
-        """Rank-n training CMC of structure alpha and its importance-weighted
-        conditional matrix.  A link's ranks depend on its cell alone, which
-        the structure's scoring has just put in the table."""
-        if alpha not in self._scored:
-            binary, n = self.binary_structures[alpha], self.n_train
-            scores = binary_structure_score_matrix(self.table.probe_images,
-                                                   self.table.gallery_images,
-                                                   [binary], self.table, self.config.kappa)[0]
-            targets = binary.target_array(self.table.n_a, self.table.n_b)
-            links = self.table.values(np.arange(self.table.n_a), targets).reshape(-1, n)
-            # Row 0 ranks by the structure's scores, row 1 + i by link i's cell.
-            ranks = rank_of_scores(np.vstack((scores, links)),
-                                   np.tile(np.arange(n), len(targets) + 1)).reshape(-1, n)
-            cmcs = np.count_nonzero(ranks <= self.config.n_cmc, axis=1) / n
-            imp = patch_importance(structure_prior(cmcs[1:]), self.config.t_d)
-            joint = imp[:, None] * conditional_matrix(binary, self.avg_table)
-            self._scored[alpha] = cmcs[0], joint
-        return self._scored[alpha]
+    def _cmcs(self, scores: np.ndarray) -> np.ndarray:
+        """Rank-n training CMC of each block of n_train rows of ``scores``,
+        row p of a block holding probe p's scores against every gallery."""
+        n = self.n_train
+        ranks = rank_of_scores(scores, np.tile(np.arange(n), len(scores) // n)).reshape(-1, n)
+        return np.count_nonzero(ranks <= self.config.n_cmc, axis=1) / n
+
+    def score(self, draws) -> int:
+        """Score the structures of ``draws`` not scored yet, in first-draw
+        order, and return the cells the pass computed.
+
+        The pass reads its cells from a scratch table (``CellTable.scratch``),
+        dropped when the pass ends, and sends its structures through
+        ``binary_structure_score_matrix`` ``_SCORE_CHUNK`` at a time.  A link
+        cell new to the store is ranked on its own cell, once.
+        """
+        fresh = [a for a in dict.fromkeys(draws) if a not in self._scored]
+        table, n = self.table.scratch(), self.n_train
+        for lo in range(0, len(fresh), _SCORE_CHUNK):
+            alphas = fresh[lo:lo + _SCORE_CHUNK]
+            binaries = [self.binary_structures[a] for a in alphas]
+            totals = binary_structure_score_matrix(table.probe_images, table.gallery_images,
+                                                   binaries, table, self.config.kappa)
+            cells = [np.arange(table.n_a) * table.n_b + b.target_array(table.n_a, table.n_b)
+                     for b in binaries]
+            new = [k for k in dict.fromkeys(np.concatenate(cells).tolist()) if k not in self._links]
+            rows, cols = np.divmod(np.array(new, dtype=np.int64), table.n_b)
+            self._links.update({k: len(self._links) + m for m, k in enumerate(new)})
+            link_cmcs = self._cmcs(table.values(rows, cols).reshape(-1, n))
+            self._link_cmcs = np.concatenate((self._link_cmcs, link_cmcs))
+            self._conditional.extend(conditional_rows(self.avg_table, rows, cols))
+            for alpha, cmc, keys in zip(alphas, self._cmcs(totals.reshape(-1, n)), cells):
+                links = np.array([self._links[k] for k in keys.tolist()])
+                importance = patch_importance(structure_prior(self._link_cmcs[links]),
+                                              self.config.t_d)
+                self._scored[alpha] = cmc, importance, links
+        return table.computed - self.table.computed
+
+    def cmc(self, alpha: int) -> float:
+        """Rank-n training CMC of scored structure alpha."""
+        return self._scored[alpha][0]
+
+    def joint(self, alpha: int) -> np.ndarray:
+        """Importance-weighted conditional matrix of scored structure alpha,
+        importance times its links' stored rows, in a fresh array."""
+        _, importance, links = self._scored[alpha]
+        joint = np.array([self._conditional[k] for k in links.tolist()])
+        joint *= importance[:, None]
+        return joint
 
     def rank_correct_matches(self, structure: CorrespondenceStructure
                              ) -> tuple[np.ndarray, GateCounts]:
@@ -228,8 +299,9 @@ def learn_structure(probe_stack: np.ndarray, gallery_stack: np.ndarray,
             if take:
                 chosen.extend(int(a) for a in rng.choice(pool, size=take, replace=False))
 
-        cmcs, joints = zip(*(ctx.scored(a) for a in chosen))
-        update = compute_update(joints, structure_prior(cmcs))
+        scored = ctx.score(chosen)
+        update = compute_update((ctx.joint(a) for a in chosen),
+                                structure_prior([ctx.cmc(a) for a in chosen]))
         row_sums = update.sum(axis=1)
         live = row_sums > 0.0
         normalized = np.zeros_like(update)
@@ -254,7 +326,7 @@ def learn_structure(probe_stack: np.ndarray, gallery_stack: np.ndarray,
             gate_cells=counts.cells,
             gated_rows=counts.gated_rows,
             clamped=int(len(top) < half or len(bottom) < half),
-            new_cells=ctx.table.computed - computed,
+            new_cells=ctx.table.computed - computed + scored,
             update_drift=float(np.abs(normalized - first_update).max()),
         ))
         structure = new_structure

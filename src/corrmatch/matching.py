@@ -13,6 +13,7 @@ diagonal, bit for bit.
 """
 from __future__ import annotations
 
+import copy
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
@@ -175,6 +176,14 @@ class CellTable:
         self._rows: dict[int, np.ndarray] = {}
 
     computed = property(lambda self: len(self._rows))  # cells computed so far
+
+    def scratch(self) -> CellTable:
+        """A table of the same images and metric that shares this one's
+        stacks, probe side and computed cells.  The cells it computes go to
+        its own memo alone, so they are dropped with it."""
+        other = copy.copy(self)
+        other._rows = dict(self._rows)
+        return other
 
     def values(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """log similarity of probe patch rows[c] against gallery patch
@@ -438,7 +447,9 @@ def binary_structure_score_matrix(probes: np.ndarray, galleries: np.ndarray, bin
                        dtype=np.int64).reshape(-1, table.n_a)
     pairs = (np.asarray(probes)[:, None] * table.n_gallery + np.asarray(galleries)).ravel()
     values = table.values(np.tile(np.arange(table.n_a), len(targets)), targets.ravel())
-    totals = score_one_cell_gates(targets, values[:, pairs], kappa)
+    if not np.array_equal(pairs, np.arange(values.shape[1])):  # all pairs in order: no copy
+        values = values[:, pairs]
+    totals = score_one_cell_gates(targets, values, kappa)
     return totals.reshape(len(targets), len(probes), len(galleries))
 
 

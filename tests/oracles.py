@@ -307,10 +307,11 @@ def conditional_prob(targets, i: int, avg_table: np.ndarray) -> np.ndarray:
 
 
 def scored_structure(probe_stack, gallery_stack, model, binary, avg_table, config):
-    """Reference for ``learning._TrainingContext.scored``: the structure's
-    rank-n CMC over the training set through ``cmc_curve(...).at_rank``,
-    each link's rank-n CMC from its own cell computed alone, and the joint
-    matrix as ``patch_importance`` times ``conditional_matrix``."""
+    """Reference for a structure scored by ``learning._TrainingContext``
+    (its ``cmc`` and rebuilt ``joint``): the structure's rank-n CMC over the
+    training set through ``cmc_curve(...).at_rank``, each link's rank-n CMC
+    from its own cell computed alone, and the joint matrix as
+    ``patch_importance`` times ``conditional_matrix``."""
     from corrmatch.learning import (cmc_curve, conditional_matrix, patch_importance,
                                     structure_prior)
 

@@ -8,18 +8,20 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from corrmatch import learning
 from corrmatch.assignment import solve_assignment
 from corrmatch.config import RunConfig, save_config
 from corrmatch.geometry import colocated_patch, patch_at
 from corrmatch.harness import (DescriptorBank, generate_synthetic, load_manifest,
-                               make_splits, run_ablations, train_on_split)
+                               make_splits, run_ablations, train_on_split, train_split_metric)
 from corrmatch.learning import learn_structure
-from corrmatch.matching import CellTable, correct_pair_log_similarity
+from corrmatch.matching import CellTable, correct_pair_log_similarity, gated_correlations
 from corrmatch.metric import MetricModel, build_avg_similarity, train_metric
 from corrmatch.structure import init_structure
 
@@ -67,7 +69,7 @@ def shift_run(tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
-def ablation_run(tmp_path_factory):
+def ablation_plan(tmp_path_factory):
     out = str(tmp_path_factory.mktemp("ablation"))
     config = RunConfig(**ABLATION_CONFIG)
     rows = ["identity,camera,path"]
@@ -81,11 +83,14 @@ def ablation_run(tmp_path_factory):
     with open(merged, "w", encoding="utf-8") as fh:
         fh.write("\n".join(rows) + "\n")
     manifest = load_manifest(merged)
-    splits = make_splits(manifest, seed=3, repeats=config.repeats)
-    results = run_ablations(manifest, splits,
-                            ["no-structure", "simple-average", "no-global", "proposed"],
-                            config)
-    return results
+    return manifest, make_splits(manifest, seed=3, repeats=config.repeats), config
+
+
+@pytest.fixture(scope="module")
+def ablation_run(ablation_plan):
+    return run_ablations(*ablation_plan[:2],
+                         ["no-structure", "simple-average", "no-global", "proposed"],
+                         ablation_plan[2])
 
 
 def test_solver_oracle_equivalence():
@@ -245,6 +250,60 @@ def test_shift_structure_does_not_depend_on_the_selection_seed(shift_run):
     other = learn_structure(probe_stack, gallery_stack, metric, replace(config, seed=99))
     assert len(other.diagnostics) == len(learned.diagnostics)
     assert np.abs(other.structure.probs - learned.structure.probs).max() <= 1e-15
+
+
+def learn_traced(monkeypatch, probe_stack, gallery_stack, metric, config):
+    """``learn_structure``'s result, the heap peak of its boosting loop
+    (``tracemalloc``, from the first ranking on), its split table and the
+    union of its ranking gates' cells as i * N_B + j."""
+    tables, gates = [], set()
+
+    def gated(table, structure, t_c):
+        tables.append(table)
+        gate, values = gated_correlations(table, structure, t_c)
+        gates.update(np.flatnonzero(gate).tolist())
+        return gate, values
+
+    def loop_start(*args):  # called once the training context is built
+        tracemalloc.reset_peak()
+        return init_structure(*args)
+
+    monkeypatch.setattr(learning, "gated_correlations", gated)
+    monkeypatch.setattr(learning, "init_structure", loop_start)
+    metric.factors  # a lazy property, computed before the trace
+    tracemalloc.start()
+    try:
+        learned = learn_structure(probe_stack, gallery_stack, metric, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len({id(table) for table in tables}) == 1
+    return learned, peak, tables[0], gates
+
+
+def test_split_memo_holds_only_the_ranking_gates_cells(shift_run, ablation_plan, monkeypatch):
+    # Characterization on the pinned splits: the link cells the scoring
+    # passes read leave the split's memo, 971 and 1,503 cells while they
+    # stayed.  Both splits are the bench's at seed 7.
+    config, _, learned, _, (probe_stack, gallery_stack, metric) = shift_run
+    again, _, table, gates = learn_traced(monkeypatch, probe_stack, gallery_stack, metric,
+                                          config)
+    assert np.array_equal(again.structure.probs, learned.structure.probs)
+    assert set(table._rows) == gates and len(gates) == 478
+    manifest, splits, config = ablation_plan
+    probe_stack, gallery_stack = DescriptorBank(manifest, config).stacks(splits.splits[0][0])
+    metric = train_split_metric(probe_stack, gallery_stack, config)
+    _, _, table, gates = learn_traced(monkeypatch, probe_stack, gallery_stack, metric, config)
+    assert set(table._rows) == gates and len(gates) == 282
+
+
+def test_boosting_loop_heap_holds_no_link_cells_or_joint_matrices(shift_run, monkeypatch):
+    # On the pinned shift split the loop's heap peaks at 10.9 MB.  It read
+    # 14.5 MB with every link cell back in the split memo, 16.5 MB with
+    # every drawn structure's joint matrix kept, and 18.4 MB with both.
+    config, _, _, _, (probe_stack, gallery_stack, metric) = shift_run
+    _, peak, _, _ = learn_traced(monkeypatch, probe_stack, gallery_stack, metric, config)
+    assert peak < 12.5e6
 
 
 def test_determinism_cli(tmp_path):

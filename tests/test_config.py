@@ -120,7 +120,7 @@ def test_config_with_a_utf8_bom_loads_as_without(tmp_path):
     (b"kappa = -3\nt_c = 0.\xff\n", "line 2 is not UTF-8: invalid start byte"),
     (b"kappa = -3\n# a note\nx = 3\n", "line 3: unknown key 'x'"),
     (b"t_c = 0.1\n\nt_c = 0.2\n", "line 3: key 't_c' already set on line 1"),
-    (b"t_c = banana\n", ": bad value for t_c: 'banana'"),
+    (b"kappa = -3\n# a note\nt_c = banana\n", "line 3: bad value for t_c: 'banana'"),
     (b"epsilon = 2\n", ": epsilon must lie in (0, 1]"),
 ], ids=["not-utf8", "unknown-key", "set-twice", "bad-value", "out-of-range"])
 def test_a_config_problem_names_the_file(tmp_path, text, message):

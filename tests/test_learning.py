@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -182,6 +184,24 @@ def test_compute_update_hand_mixture():
     assert np.allclose(out, [[0.75, 0.5], [0.5, 0.75]], atol=1e-12)
 
 
+def test_compute_update_reads_a_generator_one_joint_at_a_time():
+    # The learner rebuilds each joint as the update reads it: no joint the
+    # generator handed out before may still be alive when it builds the next.
+    rng = np.random.default_rng(4)
+    joints, priors, handed = [rng.random((4, 6)) for _ in range(3)], [0.5, 0.25, 0.25], []
+
+    def rebuilt():
+        for joint in joints:
+            assert [ref() for ref in handed] == [None] * len(handed)
+            fresh = joint.copy()
+            handed.append(weakref.ref(fresh))
+            yield fresh
+            del fresh
+
+    assert np.array_equal(compute_update(rebuilt(), priors), compute_update(joints, priors))
+    assert len(handed) == 3
+
+
 def test_compute_update_desk_scale_chain():
     # 2 probe patches x 2 gallery patches, one structure, priors = 1.
     avg = np.array([[0.5, 0.25], [0.25, 0.5]])
@@ -359,9 +379,13 @@ def test_scored_equals_the_per_cell_reference_for_every_structure(n_cmc):
     probe, gallery, model, pg, gg = _tiny_training_world()
     config = _tiny_config(n_cmc=n_cmc)
     ctx = _TrainingContext(probe, gallery, model, config)
+    n = len(ctx.binary_structures)
+    # Two passes, the second of which finds some links already stored.
+    assert ctx.score(range(n // 2)) > 0 and ctx.score(reversed(range(n))) > 0
+    assert ctx.table.computed == 0  # the passes leave the split memo as it is
     cmcs = []
     for alpha, binary in enumerate(ctx.binary_structures):
-        cmc, joint = ctx.scored(alpha)
+        cmc, joint = ctx.cmc(alpha), ctx.joint(alpha)
         expect_cmc, expect_joint = oracles.scored_structure(probe, gallery, model, binary,
                                                             ctx.avg_table, config)
         assert cmc == expect_cmc
@@ -373,7 +397,7 @@ def test_scored_equals_the_per_cell_reference_for_every_structure(n_cmc):
 def test_learn_structure_scores_each_binary_structure_once(monkeypatch):
     import corrmatch.learning as learning
     scored, requested = [], []
-    score, lookup = learning.binary_structure_score_matrix, learning._TrainingContext.scored
+    score, lookup = learning.binary_structure_score_matrix, learning._TrainingContext.joint
 
     def counting_score(probes, galleries, binaries, table, kappa):
         scored.extend(binaries)
@@ -384,7 +408,7 @@ def test_learn_structure_scores_each_binary_structure_once(monkeypatch):
         return lookup(ctx, alpha)
 
     monkeypatch.setattr(learning, "binary_structure_score_matrix", counting_score)
-    monkeypatch.setattr(learning._TrainingContext, "scored", counting_lookup)
+    monkeypatch.setattr(learning._TrainingContext, "joint", counting_lookup)
     probe, gallery, model, pg, gg = _tiny_training_world()
     config = _tiny_config(max_iterations=6, tolerance=0.0, selection_count=4, seed=13)
     result = learning.learn_structure(probe, gallery, model, config)

@@ -98,6 +98,10 @@ CASES = [
                  id="learning-prior-empty"),
     pytest.param(lambda: compute_update([np.eye(2)], [0.5, 0.5]), ValueError,
                  "need one prior per structure", id="learning-update-priors"),
+    pytest.param(lambda: compute_update(iter([np.eye(2)] * 3), [0.5, 0.5]), ValueError,
+                 "need one prior per structure", id="learning-update-joints"),
+    pytest.param(lambda: compute_update([], []), ValueError,
+                 "need one prior per structure", id="learning-update-empty"),
     pytest.param(lambda: patch_importance(np.zeros(3), 1), ValueError,
                  "no probe patch is reachable from the structure's links",
                  id="learning-importance-zero"),
