@@ -21,11 +21,9 @@ from .errors import ConfigurationError, read_text, write_rows
 from .geometry import colocated_table
 from .imaging import (DescriptorWorkspace, PpmError, RgbImage, extract_descriptors, load_image,
                       save_image, scale_to_canonical)
-from .learning import (CmcCurve, LearnResult, cmc_curve, find_binary_structures,
-                       learn_structure)
+from .learning import CmcCurve, LearnResult, _TrainingContext, cmc_curve, learn_structure
 from .matching import (BinaryMappingStructure, CellTable, binary_structure_score_matrix,
-                       correct_pair_log_similarity, correct_ranks, gated_correlations,
-                       greedy_scores, rank_of_scores)
+                       correct_ranks, gated_correlations, greedy_scores, rank_of_scores)
 from .metric import MetricModel, build_training_pairs, train_metric
 from .structure import CorrespondenceStructure
 
@@ -383,9 +381,8 @@ def train_on_split(bank: DescriptorBank, train_ids, config: RunConfig,
     if need_structure:
         learned = learn_structure(probe_stack, gallery_stack, metric, config)
         binaries = learned.binary_structures
-    elif need_binaries:
-        table = CellTable(probe_stack, gallery_stack, metric)
-        binaries = find_binary_structures(table, correct_pair_log_similarity(table), config)
+    elif need_binaries:  # the learner's own context, its loop never run
+        binaries = _TrainingContext(probe_stack, gallery_stack, metric, config).binary_structures
     return SplitArtifacts(metric=metric, learned=learned, binaries=binaries)
 
 

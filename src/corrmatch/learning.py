@@ -13,6 +13,10 @@ rows, one per distinct link cell.  Its joint matrix is rebuilt from them
 when the update reads it, and the link cells' log similarities are dropped
 after the scoring pass, so the split's cell table holds only the ranking
 gates' cells.
+
+Before the loop, each correct image pair's similarity map streams past its
+probe's adjacency search and the average similarity table's running sum,
+so no table of every pair's map is held.
 """
 from __future__ import annotations
 
@@ -25,8 +29,7 @@ from .config import RunConfig
 from .errors import ConfigurationError
 from .matching import (BinaryMappingStructure, CellTable, adjacency_candidates,
                        best_binary_structure, binary_structure_score_matrix, candidate_tables,
-                       correct_pair_log_similarity, correct_ranks, gated_correlations,
-                       rank_of_scores)
+                       correct_pair_blocks, correct_ranks, gated_correlations, rank_of_scores)
 from .metric import MetricModel, build_avg_similarity
 from .structure import CorrespondenceStructure, blend_update, init_structure, proximity_weight
 
@@ -158,16 +161,12 @@ def compute_update(joint_matrices, priors) -> np.ndarray:
     return update
 
 
-def find_binary_structures(table: CellTable, pair_log_similarity: np.ndarray,
+def find_binary_structures(table: CellTable, candidates,
                            config: RunConfig) -> list[BinaryMappingStructure]:
-    """Best adjacency-search link set per probe of a split's ``table`` (loop
-    step 1), from its ``correct_pair_log_similarity``.  Each probe's
+    """Best link set per probe of a split's ``table`` (loop step 1) among
+    ``candidates[p]``, probe p's ``adjacency_candidates``.  Each probe's
     candidates share one single-probe cell table, which ``candidate_tables``
     fills with every candidate link, so scoring them computes no cell."""
-    probe_grid, gallery_grid = config.probe_grid(), config.gallery_grid()
-    candidates = [adjacency_candidates(pair_log_similarity[alpha], probe_grid, gallery_grid,
-                                       config.adjacency_ranges)
-                  for alpha in range(table.n_probe)]
     return [best_binary_structure(single, alpha, links, config.kappa)
             for alpha, (single, links) in enumerate(zip(candidate_tables(table, candidates),
                                                         candidates))]
@@ -176,22 +175,32 @@ def find_binary_structures(table: CellTable, pair_log_similarity: np.ndarray,
 class _TrainingContext:
     """Per-split state shared across boosting iterations.
 
-    The split's ``table`` memo holds the cells the rankings read.  A drawn
-    structure is scored once, by the ``score`` pass of the iteration that
-    first draws it, and keeps its rank-n training CMC, its patch importance
-    and the indices of its links' rows in one store of ``conditional_rows``,
-    which holds one row per distinct link cell beside that cell's CMC;
-    ``joint`` rebuilds its joint matrix from them.
+    Building it streams the correct pairs' similarity maps, a block of
+    ``matching._PAIR_BLOCK`` pairs at a time, past the adjacency search and
+    ``build_avg_similarity``.  The split's ``table`` memo holds the cells
+    the rankings read.  A drawn structure is scored once, by the ``score``
+    pass of the iteration that first draws it, and keeps its rank-n
+    training CMC, its patch importance and the indices of its links' rows
+    in one store of ``conditional_rows``, which holds one row per distinct
+    link cell beside that cell's CMC; ``joint`` rebuilds its joint matrix
+    from them.
     """
 
     def __init__(self, probe_stack, gallery_stack, model, config: RunConfig):
         self.table = CellTable(probe_stack, gallery_stack, model)
         self.config = config
         self.n_train = probe_stack.shape[0]
-        # The correct-pair table (~6 MB) is not kept: only these two read it.
-        pair_log_similarity = correct_pair_log_similarity(self.table)
-        self.avg_table = build_avg_similarity(pair_log_similarity)
-        self.binary_structures = find_binary_structures(self.table, pair_log_similarity, config)
+        search, candidates = (config.probe_grid(), config.gallery_grid(),
+                              config.adjacency_ranges), []
+
+        def similarities():  # each block exponentiated in place, each map searched
+            for block in correct_pair_blocks(self.table):
+                for sims in np.exp(block, out=block):
+                    candidates.append(adjacency_candidates(sims, *search))
+                    yield sims
+
+        self.avg_table = build_avg_similarity(similarities())
+        self.binary_structures = find_binary_structures(self.table, candidates, config)
         # Structure alpha -> (CMC, importance, store index of each link).
         self._scored: dict[int, tuple[float, np.ndarray, np.ndarray]] = {}
         # The store: link cell i * N_B + j -> its index; per index, the

@@ -8,8 +8,8 @@ matrix yields the image matching score used for ranking; a binary mapping
 structure (one gallery patch per probe patch) is a gate of one cell per
 row, and many of them are scored in one call.  Every path reads its log
 similarities from one kernel, in the metric's factor space: a
-``CellTable`` computes each cell once, and the correct-pair table is its
-diagonal, bit for bit.
+``CellTable`` computes each cell once, and the correct-pair blocks are
+its diagonal, bit for bit.
 """
 from __future__ import annotations
 
@@ -30,7 +30,7 @@ from .structure import CorrespondenceStructure
 # temporary, (probe images, gallery images), (gallery images, width) or (dim,
 # width) values; width is dim padded to a multiple of 8 (MetricModel.factors).
 _CHUNK_VALUES = 1 << 16
-# Gallery images and locations of one correct_pair_log_similarity block: the
+# Gallery images and locations of one correct_pair_blocks block: the
 # block's projections, locations x (images * N_B, width), stay in L2 cache.
 _PAIR_BLOCK = 2, 4
 
@@ -116,22 +116,23 @@ def cell_log_similarity(table: CellTable, rows: np.ndarray, cols: np.ndarray) ->
     return out
 
 
-def correct_pair_log_similarity(table: CellTable) -> np.ndarray:
+def correct_pair_blocks(table: CellTable) -> Iterator[np.ndarray]:
     """log similarity of probe image k against gallery image k for every
-    cell, shape (n_pairs, N_A, N_B): entry (k, i, j) is the table's (k, k)
-    entry of cell (i, j), bit for bit.  A block of ``_PAIR_BLOCK`` gallery
-    images and locations takes one gemm per location of the images' patches,
-    padded to a multiple of 8 rows (``_padded_rows``), and is read while its
-    projections are in cache."""
+    cell, in pair order, as fresh (n, N_A, N_B) blocks of ``_PAIR_BLOCK``
+    gallery images (the last may hold fewer): entry (k, i, j) of the blocks
+    in turn is the table's (k, k) entry of cell (i, j), bit for bit.  A
+    block of ``_PAIR_BLOCK`` gallery images and locations takes one gemm per
+    location of the images' patches, padded to a multiple of 8 rows
+    (``_padded_rows``), and is read while its projections are in cache."""
     if table.n_probe != table.n_gallery or not table.n_probe:
         raise ValueError(f"{table.n_probe} probe images for {table.n_gallery} gallery images")
     (factors, signs), sigmas = table.model.factors, table.model.sigmas
     (n_pairs, n_b, dim), width = table.gallery_stack.shape, signs.shape[1]
     signed, norms = table.probe_side
-    out = np.empty((n_pairs, table.n_a, n_b))
     images, locations = _PAIR_BLOCK
     for k in range(0, n_pairs, images):
         pairs, n = slice(k, k + images), min(images, n_pairs - k)
+        out = np.empty((n, table.n_a, n_b))
         patches = _padded_rows(table.gallery_stack[pairs].reshape(-1, dim), 8)
         for i in range(0, table.n_a, locations):
             at = slice(i, i + locations)
@@ -141,8 +142,8 @@ def correct_pair_log_similarity(table: CellTable) -> np.ndarray:
                              norms[pairs, at].T[:, :, None]),
                             _gallery_side(b, signs[at][:, None, None]),
                             sigmas[at][:, None, None, None],
-                            out[pairs, at].swapaxes(0, 1)[:, :, None])
-    return out
+                            out[:, at].swapaxes(0, 1)[:, :, None])
+        yield out
 
 
 class CellTable:
@@ -387,27 +388,27 @@ def _margin(values: np.ndarray, kappa: float, n_rows: int) -> float:
     return 8.0 * n_rows ** 2 * np.finfo(np.float64).eps * scale
 
 
-def adjacency_candidates(log_sims: np.ndarray, probe_grid: GridSpec,
+def adjacency_candidates(sims: np.ndarray, probe_grid: GridSpec,
                          gallery_grid: GridSpec, ranges) -> list[BinaryMappingStructure]:
     """Candidate binary structures from appearance search in widening row bands.
 
-    ``log_sims`` (N_A, N_B) holds the log similarity of every probe patch
-    against every gallery patch of one correct image pair.  For each search
-    range l, every probe patch links to the gallery patch with the highest
-    appearance similarity among gallery patches at most l grid rows from the
-    co-located row (all columns).  Similarity ties break toward the smaller
-    zig-zag distance from the co-located patch, then the smaller ordinal.
+    ``sims`` (N_A, N_B) holds the similarity (the exp of a
+    ``correct_pair_blocks`` map) of every probe patch against every gallery
+    patch of one correct image pair.  For each search range l, every probe
+    patch links to the gallery patch with the highest appearance similarity
+    among gallery patches at most l grid rows from the co-located row (all
+    columns).  Similarity ties break toward the smaller zig-zag distance
+    from the co-located patch, then the smaller ordinal.
     """
     if not ranges:
         raise ValueError("ranges must be non-empty")
     if min(ranges) < 1:
         raise ValueError(f"search range must be >= 1, got {min(ranges)}")
     n_b = gallery_grid.n_patches
-    if log_sims.shape != (probe_grid.n_patches, n_b):
-        raise ValueError(f"expected ({probe_grid.n_patches}, {n_b}) log similarities, "
-                         f"got {log_sims.shape}")
+    if sims.shape != (probe_grid.n_patches, n_b):
+        raise ValueError(f"expected ({probe_grid.n_patches}, {n_b}) similarities, "
+                         f"got {sims.shape}")
     dist, windows = _search_windows(probe_grid, gallery_grid, tuple(ranges))
-    sims = np.exp(log_sims)
     candidates = []
     for window in windows:
         best = np.where(window, sims, -np.inf).max(axis=1, keepdims=True)

@@ -227,10 +227,22 @@ def build_training_pairs(probe_stack: np.ndarray, gallery_stack: np.ndarray,
             LocationDifferences(probe_stack, wrong_stack, windows))
 
 
-def build_avg_similarity(pair_log_similarity: np.ndarray) -> np.ndarray:
+def build_avg_similarity(pair_similarities) -> np.ndarray:
     """Mean patch-pair similarity over correct match pairs, shape (N_A, N_B),
-    from the ``matching.correct_pair_log_similarity`` table."""
-    return np.exp(pair_log_similarity).mean(axis=0)
+    from an iterable of each pair's (N_A, N_B) similarity map (a stacked
+    array reads as its maps), added into one running sum in pair order:
+    ``np.mean``'s order over stacked maps of more than one cell, bit for
+    bit (numpy sums 8 or more one-cell maps pairwise)."""
+    total, n = None, 0
+    for n, sims in enumerate(pair_similarities, 1):
+        if total is None:
+            total = np.array(sims, dtype=np.float64)
+        else:
+            total += sims
+    if total is None:
+        raise ValueError("no correct pairs to average")
+    total /= n
+    return total
 
 
 def save_metric(path, model: MetricModel) -> None:

@@ -1,10 +1,12 @@
 """Independent reference implementations used to check the real code paths.
 
 Everything in here favors obviousness over speed and deliberately avoids
-importing the algorithms under test.  Three exceptions: the per-pair
+importing the algorithms under test.  Four exceptions: the per-pair
 ``solve_assignment`` serves as the reference for batched ranking, the
-imaging helpers that compute per-pixel weights, and the learner's formulas
-that ``scored_structure`` chains.  The per-location
+imaging helpers that compute per-pixel weights, the learner's formulas
+that ``scored_structure`` chains, and ``correct_pair_log_similarity``, the
+library's correct-pair blocks stacked (the cell kernel's diagonal checks
+them).  The per-location
 references below score through ``location_log_similarity``, d . M . d on
 descriptor differences; ``factor_cell_values`` is the library's one kernel,
 in the metric's factor space, one cell and one image pair at a time.
@@ -271,6 +273,15 @@ def factor_cell_values(probe_stack, gallery_stack, model, rows, cols) -> np.ndar
                 dist = (dot(sign * a, a) + dot(sign * b, b)) - 2.0 * dot(sign * a, b)
                 out[c, p, g] = -min(max(dist, 0.0) / sigma, 700.0)
     return out
+
+
+def correct_pair_log_similarity(table) -> np.ndarray:
+    """Every block of ``matching.correct_pair_blocks`` stacked into one
+    (n_pairs, N_A, N_B) table, entry (k, i, j) the table's (k, k) entry of
+    cell (i, j): the whole table at once, which the learner never holds."""
+    from corrmatch.matching import correct_pair_blocks
+
+    return np.concatenate(list(correct_pair_blocks(table)))
 
 
 def adjacency_targets(probe_desc, gallery_desc, model, probe_grid, gallery_grid, ranges):

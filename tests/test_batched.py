@@ -7,6 +7,7 @@ kernel's factor form of d . M . d against the form on differences, which
 metric training and ``oracles.location_log_similarity`` keep.
 """
 import tracemalloc
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -14,15 +15,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from corrmatch import assignment, matching
+from corrmatch import assignment, harness, matching
 from corrmatch.assignment import row_best_cells
 from corrmatch.config import RunConfig
 from corrmatch.geometry import GridSpec, colocated_distance, colocated_table, patch_at
 from corrmatch.imaging import RgbImage, extract_descriptors
 from corrmatch.learning import _TrainingContext, conditional_matrix
 from corrmatch.matching import (BinaryMappingStructure, CellTable, adjacency_candidates,
-                                cell_log_similarity, correct_pair_log_similarity, greedy_scores)
-from corrmatch.metric import MetricModel, build_avg_similarity, build_training_pairs
+                                cell_log_similarity, greedy_scores)
+from corrmatch.metric import MetricModel, build_training_pairs
 
 import oracles
 
@@ -144,7 +145,7 @@ def test_cell_values_do_not_depend_on_the_table_shape(seed, n_a, n_b, dim, budge
     rows, cols = np.nonzero(np.ones((n_a, n_b), dtype=bool))
     with mock.patch.object(matching, "_CHUNK_VALUES", budget):
         full = cell_log_similarity(CellTable(probe, gallery, model), rows, cols)
-        pairs = correct_pair_log_similarity(CellTable(probe, gallery, model))
+        pairs = oracles.correct_pair_log_similarity(CellTable(probe, gallery, model))
         for size in range(1, n + 1):
             galleries = np.sort(rng.choice(n, size, replace=False))
             p = int(rng.integers(n))
@@ -167,7 +168,7 @@ def independent_context(probe, gallery, model, config):
     pairs = every.reshape(table.n_a, table.n_b, n).transpose(2, 0, 1)
     binaries = []
     for alpha in range(n):
-        candidates = adjacency_candidates(pairs[alpha], config.probe_grid(),
+        candidates = adjacency_candidates(np.exp(pairs[alpha]), config.probe_grid(),
                                           config.gallery_grid(), config.adjacency_ranges)
         single = CellTable(probe[alpha:alpha + 1], gallery, model)
         binaries.append(matching.best_binary_structure(single, alpha, candidates, config.kappa))
@@ -176,6 +177,9 @@ def independent_context(probe, gallery, model, config):
 
 @example(seed=0, n_probe=2, dim=32, ranges=(1, 2, 3, 4), levels=0, block=(2, 4))
 @example(seed=1, n_probe=7, dim=13, ranges=(2,), levels=3, block=(3, 5))
+@example(seed=2, n_probe=3, dim=8, ranges=(1, 3), levels=2, block=(1, 1))
+@example(seed=3, n_probe=5, dim=3, ranges=(2, 5), levels=0, block=(2, 4))
+@example(seed=4, n_probe=5, dim=32, ranges=(1,), levels=3, block=(3, 5))
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n_probe=st.integers(2, 7),
        dim=st.sampled_from([1, 3, 8, 13, 32]),
@@ -183,10 +187,16 @@ def independent_context(probe, gallery, model, config):
        levels=st.sampled_from([0, 2, 3]), block=st.sampled_from([(1, 1), (2, 4), (3, 5)]))
 def test_training_context_equals_independent_single_probe_tables(seed, n_probe, dim, ranges,
                                                                  levels, block):
-    # The blocked correct-pair table, its average and the binary structures
-    # found from candidate tables filled in one pass, against tables that
-    # each compute their own cells; descriptors drawn from few levels make
-    # appearance ties for the adjacency search to break.
+    # The streamed correct-pair blocks, the running-sum average of their
+    # exponentiated maps and the binary structures found from candidate
+    # tables filled in one pass, against tables that each compute their own
+    # cells; the examples take 1, 2 and 3 images per block with an odd
+    # probe count, so the last block of 2 or 3 is partial.  The average is
+    # np.mean over the stacked maps bit for bit here, where a map has more
+    # than one cell (test_metric.py states the one-cell case).  The
+    # binaries-only split training builds the same context.  Descriptors
+    # drawn from few levels make appearance ties for the adjacency search
+    # to break.
     config = RunConfig(image_width=12, image_height=20, patch_width=4, patch_height=4,
                        probe_stride_x=4, probe_stride_y=4, gallery_stride_x=2,
                        gallery_stride_y=2, adjacency_ranges=ranges)
@@ -202,16 +212,22 @@ def test_training_context_equals_independent_single_probe_tables(seed, n_probe, 
         calls.append(len(rows))
         return kernel(table, rows, cols)
 
+    bank = SimpleNamespace(stacks=lambda ids: (probe, gallery))
     with mock.patch.object(matching, "_PAIR_BLOCK", block), \
-            mock.patch.object(matching, "cell_log_similarity", counted):
-        got = matching.correct_pair_log_similarity(CellTable(probe, gallery, model))
+            mock.patch.object(matching, "cell_log_similarity", counted), \
+            mock.patch.object(harness, "train_split_metric", lambda *args: model):
+        blocks = list(matching.correct_pair_blocks(CellTable(probe, gallery, model)))
         ctx = _TrainingContext(probe, gallery, model, config)
-    assert np.array_equal(got, pairs)
-    assert np.array_equal(ctx.avg_table, build_avg_similarity(pairs))
+        alone = harness.train_on_split(bank, range(n_probe), config, need_structure=False)
+    assert [len(b) for b in blocks] == [min(block[0], n_probe - k)
+                                        for k in range(0, n_probe, block[0])]
+    assert np.array_equal(np.concatenate(blocks), pairs)
+    assert np.array_equal(ctx.avg_table, np.exp(pairs).mean(axis=0))
     assert [b.targets for b in ctx.binary_structures] == [b.targets for b in binaries]
+    assert alone.learned is None and alone.binaries == binaries
     assert calls == [] and ctx.table.computed == 0  # no cell scored, the split memo empty
-    candidates = [adjacency_candidates(pairs[alpha], config.probe_grid(), config.gallery_grid(),
-                                       ranges) for alpha in range(n_probe)]
+    candidates = [adjacency_candidates(np.exp(pairs[alpha]), config.probe_grid(),
+                                       config.gallery_grid(), ranges) for alpha in range(n_probe)]
     for alpha, single in enumerate(matching.candidate_tables(ctx.table, candidates)):
         fresh = CellTable(probe[alpha:alpha + 1], gallery, model)
         rows = np.tile(np.arange(n_a), len(ranges))
@@ -270,7 +286,7 @@ def test_equal_descriptors_score_exactly_minus_zero(make_model):
         targets = rng.permutation(n_b)[:4 * n_patches].reshape(n_patches, 4)
         gallery = 100.0 * rng.random((30, n_b, dim))
         gallery[:, targets] = probe[:, :, None]
-        pairs = correct_pair_log_similarity(matching.CellTable(probe, gallery, model))
+        pairs = oracles.correct_pair_log_similarity(matching.CellTable(probe, gallery, model))
         equal = pairs[:, diagonal[:, None], targets]
         assert np.all(equal == 0.0) and np.all(np.signbit(equal)), f"dim {dim}"
 
@@ -423,7 +439,7 @@ def test_log_similarity_matches_location_reference(seed, n_loc, n_calls, mid, ro
             model, loc, probe[:, loc, None, :] - gallery[None, :, col, :])
         assert np.allclose(got[k], on_differences, rtol=FORMS_RTOL, atol=FORMS_ATOL)
 
-    table = correct_pair_log_similarity(CellTable(probe, gallery, model))
+    table = oracles.correct_pair_log_similarity(CellTable(probe, gallery, model))
     every = oracles.factor_cell_values(probe, gallery, model, *np.nonzero(
         np.ones((n_loc, rows), dtype=bool))).reshape(n_loc, rows, mid, mid)
     for i in range(n_loc):  # the cell kernel's (k, k) entries, and the form training used
@@ -443,11 +459,11 @@ def test_log_similarity_takes_the_one_row_path(seed, n_loc, n, dim):
     # Pair k holds fa[k] at every probe location and fb[k] as its one
     # gallery patch; a stack of n pairs against each pair alone.
     probe, gallery = np.repeat(fa[:, None], n_loc, axis=1), fb[:, None]
-    stacked = correct_pair_log_similarity(CellTable(probe, gallery, model))
+    stacked = oracles.correct_pair_log_similarity(CellTable(probe, gallery, model))
     stacked = stacked[np.arange(n), locs, 0]
     for k, loc in enumerate(locs):
         alone = CellTable(probe[k:k + 1], gallery[k:k + 1], model)
-        one = correct_pair_log_similarity(alone)[0, loc, 0]
+        one = oracles.correct_pair_log_similarity(alone)[0, loc, 0]
         assert stacked[k] == one
         assert one == oracles.factor_cell_values(probe[k:k + 1], gallery[k:k + 1], model,
                                                  [loc], [0])[0, 0, 0]
@@ -465,8 +481,8 @@ def test_adjacency_candidates_match_per_window_oracle(pair, seed, palette, range
     colors = rng.standard_normal((palette, dim))
     probe = colors[rng.integers(0, palette, probe_grid.n_patches)]
     gallery = colors[rng.integers(0, palette, gallery_grid.n_patches)]
-    table = correct_pair_log_similarity(CellTable(probe[None], gallery[None], model))[0]
-    got = adjacency_candidates(table, probe_grid, gallery_grid, ranges)
+    table = oracles.correct_pair_log_similarity(CellTable(probe[None], gallery[None], model))[0]
+    got = adjacency_candidates(np.exp(table), probe_grid, gallery_grid, ranges)
     expect = oracles.adjacency_targets(probe, gallery, model, probe_grid, gallery_grid, ranges)
     assert [cand.targets for cand in got] == expect
 

@@ -381,7 +381,7 @@ def test_train_split_metric_runs(tmp_path):
 
 def test_binaries_without_structure_match_the_learners(tmp_path):
     # The simple-average arm alone trains no structure: the split still
-    # builds its correct-pair table and finds the learner's binary structures.
+    # builds the learner's training context and finds its binary structures.
     from corrmatch.harness import train_on_split
     config = RunConfig(seed=1, max_iterations=1)
     manifest, _ = make_synthetic_manifest(tmp_path, n=4, config=config)

@@ -10,8 +10,7 @@ from corrmatch.errors import ConfigurationError
 from corrmatch.learning import (CmcCurve, cmc_curve, compute_update,
                                 conditional_matrix, impact_table,
                                 patch_importance, structure_prior)
-from corrmatch.matching import (BinaryMappingStructure, CellTable, cell_log_similarity,
-                               correct_pair_log_similarity)
+from corrmatch.matching import BinaryMappingStructure, CellTable, cell_log_similarity
 
 import oracles
 
@@ -258,8 +257,8 @@ def _closed_form_structure(probe, gallery, model, config, iterations):
     update, the row-normalized average-similarity table."""
     from corrmatch.metric import build_avg_similarity
     from corrmatch.structure import init_structure
-    table = correct_pair_log_similarity(CellTable(probe, gallery, model))
-    avg = build_avg_similarity(table)
+    table = oracles.correct_pair_log_similarity(CellTable(probe, gallery, model))
+    avg = build_avg_similarity(np.exp(table))
     start = init_structure(config.probe_grid(), config.gallery_grid(), config.t_d).probs
     keep = (1.0 - config.epsilon) ** iterations
     return keep * start + (1.0 - keep) * avg / avg.sum(axis=1, keepdims=True)

@@ -5,7 +5,7 @@ from corrmatch.assignment import solve_assignment
 from corrmatch.geometry import GridSpec, colocated_patch, patch_at
 from corrmatch.matching import (BinaryMappingStructure, CellTable, adjacency_candidates,
                                 best_binary_structure, binary_structure_score_matrix,
-                                correct_pair_log_similarity, gated_correlations, greedy_scores,
+                                correct_pair_blocks, gated_correlations, greedy_scores,
                                 match_score, rank_gallery, rank_of_scores)
 from corrmatch.metric import MetricModel
 from corrmatch.structure import CorrespondenceStructure
@@ -193,8 +193,9 @@ def striped_descriptors(rng, grid, n_patterns=32):
 
 
 def pair_table(probe_desc, gallery_desc, model):
-    """Log similarities of one image pair, as the adjacency search takes them."""
-    return correct_pair_log_similarity(CellTable(probe_desc[None], gallery_desc[None], model))[0]
+    """Similarities of one image pair, as the adjacency search takes them."""
+    table = CellTable(probe_desc[None], gallery_desc[None], model)
+    return np.exp(oracles.correct_pair_log_similarity(table)[0])
 
 
 def test_adjacency_candidates_self_match_links_colocated():
@@ -385,4 +386,4 @@ def test_correct_pair_table_needs_aligned_non_empty_stacks():
     for n_probe, n_gallery in ((2, 3), (0, 0)):
         table = CellTable(np.zeros((n_probe, 3, 2)), np.zeros((n_gallery, 4, 2)), model)
         with pytest.raises(ValueError):
-            correct_pair_log_similarity(table)
+            next(correct_pair_blocks(table))

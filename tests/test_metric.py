@@ -12,7 +12,7 @@ from corrmatch.config import RunConfig
 from corrmatch.errors import ConfigurationError, FormatError
 from corrmatch.geometry import GridSpec
 from corrmatch.harness import train_split_metric
-from corrmatch.matching import CellTable, correct_pair_log_similarity
+from corrmatch.matching import CellTable
 from corrmatch.metric import (MAX_EXPONENT, MetricModel, build_avg_similarity,
                               build_training_pairs, load_metric, save_metric, train_metric)
 
@@ -28,7 +28,7 @@ def scalar_model(m, sigma):
 
 def pair_table(probe_stack, gallery_stack, model):
     """The correct-pair log similarity table of two aligned stacks."""
-    return correct_pair_log_similarity(CellTable(probe_stack, gallery_stack, model))
+    return oracles.correct_pair_log_similarity(CellTable(probe_stack, gallery_stack, model))
 
 
 def similarity(model, f_a, f_b, loc):
@@ -177,8 +177,8 @@ def test_avg_similarity_single_pair_and_duplicate():
     model = scalar_model(1.0, 1.0)
     p = np.array([[0.5]])          # 1 probe patch
     g = np.array([[0.5], [0.9]])   # 2 gallery patches
-    one = build_avg_similarity(pair_table(p[None], g[None], model))
-    dup = build_avg_similarity(pair_table(np.stack([p, p]), np.stack([g, g]), model))
+    one = build_avg_similarity(np.exp(pair_table(p[None], g[None], model)))
+    dup = build_avg_similarity(np.exp(pair_table(np.stack([p, p]), np.stack([g, g]), model)))
     assert np.array_equal(one, dup)
     assert one[0, 0] == 1.0
     assert one[0, 1] == pytest.approx(np.exp(-0.16), abs=1e-12)
@@ -189,10 +189,35 @@ def test_avg_similarity_two_pair_mean():
     model = scalar_model(1.0, 1.0)
     p1, g1 = np.array([[0.0]]), np.array([[1.0]])
     p2, g2 = np.array([[0.0]]), np.array([[2.0]])
-    table = build_avg_similarity(pair_table(np.stack([p1, p2]), np.stack([g1, g2]), model))
+    table = build_avg_similarity(np.exp(pair_table(np.stack([p1, p2]), np.stack([g1, g2]),
+                                                   model)))
     s1, s2 = np.exp(-1.0), np.exp(-4.0)
     assert table[0, 0] == pytest.approx((s1 + s2) / 2, abs=1e-14)
     assert 0.0 < table[0, 0] <= 1.0
+
+
+def test_avg_similarity_adds_the_maps_in_pair_order():
+    # The running sum adds each pair's map in pair order, which is np.mean's
+    # order over the stacked maps whenever a map has more than one cell.  A
+    # map of one cell (N_A * N_B = 1) is the one case that differs: numpy
+    # sums 8 or more of those pairwise, so the last bits may differ (up to
+    # 4 ulps over 500 draws of 30 pairs).  No output moves there, because a
+    # one-cell conditional row is exactly 1.0.
+    from functools import reduce
+
+    from corrmatch.learning import conditional_rows
+    rng = np.random.default_rng(5)
+    for n in (1, 2, 7, 8, 9, 30):
+        for cells in ((1, 1), (1, 2), (3, 5)):
+            sims = rng.random((n, *cells))
+            got = build_avg_similarity(iter(list(sims)))
+            assert np.array_equal(got, reduce(np.add, sims) / n)
+            if n < 8 or cells != (1, 1):
+                assert np.array_equal(got, sims.mean(axis=0))
+            else:
+                assert np.allclose(got, sims.mean(axis=0), rtol=n * np.finfo(float).eps, atol=0)
+    one_cell = build_avg_similarity(rng.random((30, 1, 1)))
+    assert conditional_rows(one_cell, np.array([0]), np.array([0])) == 1.0
 
 
 def test_training_pair_builder_counts():

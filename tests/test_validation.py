@@ -15,7 +15,7 @@ from corrmatch.learning import (CmcCurve, compute_update, learn_structure, patch
                                 structure_prior)
 from corrmatch.matching import (CellTable, adjacency_candidates, best_binary_structure,
                                 gated_correlations, rank_gallery)
-from corrmatch.metric import MetricModel, train_metric
+from corrmatch.metric import MetricModel, build_avg_similarity, train_metric
 from corrmatch.structure import CorrespondenceStructure, blend_update, init_structure
 
 PROBE_1 = GridSpec(4, 4, 4, 4, 1, 1)       # one probe patch
@@ -81,6 +81,8 @@ CASES = [
     pytest.param(lambda: train_metric([np.ones((3, 2)), np.ones((3, 3))],
                                       [np.ones((3, 2)), np.ones((3, 3))], 1.0), ValueError,
                  "inconsistent descriptor dims {2, 3}", id="metric-mixed-dims"),
+    pytest.param(lambda: build_avg_similarity(np.zeros((0, 1, 2))), ValueError,
+                 "no correct pairs to average", id="metric-avg-no-pair"),
     # structure
     pytest.param(lambda: CorrespondenceStructure(probs=np.ones((1, 1)), probe_grid=PROBE_1,
                                                  gallery_grid=GALLERY_2), ValueError,
@@ -121,7 +123,7 @@ CASES = [
                  ValueError, "search range must be >= 1, got 0",
                  id="matching-adjacency-range"),
     pytest.param(lambda: adjacency_candidates(np.zeros((2, 2)), PROBE_1, GALLERY_2, (1,)),
-                 ValueError, "expected (1, 2) log similarities, got (2, 2)",
+                 ValueError, "expected (1, 2) similarities, got (2, 2)",
                  id="matching-adjacency-shape"),
     pytest.param(lambda: best_binary_structure(TABLE, 0, [], -1.0), ValueError,
                  "expected a table of one probe image, got 2", id="matching-best-multi-probe"),
